@@ -94,7 +94,6 @@ from .valuation import (
     render_table,
     robustness_report,
     save_report,
-    score,
 )
 
 __version__ = "0.1.0"
@@ -122,6 +121,6 @@ __all__ = [
     "sample_mean", "summarize",
     "RobustnessEntry", "SellerScore", "ValuationReport", "build_report",
     "load_report", "minmax_normalize", "rank_sellers", "render_csv",
-    "render_table", "robustness_report", "save_report", "score",
+    "render_table", "robustness_report", "save_report",
     "__version__",
 ]

@@ -28,28 +28,24 @@ from .fileio import (
     write_embeddings,
     write_raw_dataset,
 )
-from .privacy import GAUSSIAN_SAMPLER, PrivacyBudget, derive_seed
+from .privacy import GAUSSIAN_SAMPLER, PrivacyBudget
 from .protocol import (
     PROTOCOL_VERSION,
     SellerNode,
     SellerServer,
-    buyer_summary,
     in_process_endpoints,
-    node_seeds,
     orchestrate_valuation,
-    seller_pipeline,
     socket_endpoints,
 )
 from .scenario import BUYER_ID, ScenarioConfig, build_datasets, default_scenario
 from .stats import EmbeddingSet, debias_covariance
 from .valuation import (
-    RobustnessEntry,
     ValuationReport,
     build_report,
     load_report,
     render_csv,
     render_table,
-    robustness_report,
+    robustness_for_config,
     save_report,
     with_robustness,
 )
@@ -111,31 +107,6 @@ def run_valuation_for_config(config: ScenarioConfig, objective: str = "diversify
     params = _params_echo(budget, config.master_seed, objective, debias,
                           config.encoder, noisy_buyer)
     return build_report(buyer, outcomes, objective, params)
-
-
-def robustness_for_config(config: ScenarioConfig) -> list:
-    """Baseline-vs-augmented distance deviations for every augmented-copy
-    seller, with the buyer summary and the per-node seeds held identical
-    between the two runs."""
-    datasets = build_datasets(config)
-    budget = config.budget
-    buyer = buyer_summary(datasets[BUYER_ID], config.encoder, budget.clip_radius)
-    request_seed = derive_seed(config.master_seed, "buyer", "stats-request")
-    entries = []
-    for seller in config.sellers:
-        if seller.kind != "augmented_copy":
-            continue
-        subset_seed, noise_seed = node_seeds(request_seed, seller.node_id)
-        augmented, _ = seller_pipeline(
-            datasets[seller.node_id], config.encoder, budget, subset_seed, noise_seed
-        )
-        baseline, _ = seller_pipeline(
-            datasets[seller.source_id], config.encoder, budget, subset_seed, noise_seed
-        )
-        entries.append(
-            RobustnessEntry(seller.node_id, **robustness_report(buyer, baseline, augmented))
-        )
-    return entries
 
 
 def _parse_hostport(text: str) -> tuple:

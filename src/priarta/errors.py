@@ -40,7 +40,8 @@ class InsufficientSamplesError(ParameterError):
 class FrameError(PriartaError, ValueError):
     """A wire frame could not be encoded or decoded.
 
-    ``code`` is one of FRAME_TRUNCATED, FRAME_TOO_LARGE, UNKNOWN_MESSAGE.
+    ``code`` is one of FRAME_TRUNCATED, FRAME_TOO_LARGE, FRAME_TRAILING,
+    UNKNOWN_MESSAGE, BAD_PAYLOAD.
     """
 
     def __init__(self, code: str, message: str):

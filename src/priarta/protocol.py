@@ -4,13 +4,17 @@ summarizes, and returns (mean, covariance, count).
 
 Frames are a 4-byte big-endian payload length followed by canonical JSON
 (keys sorted, compact separators, floats as shortest round-trip decimals).
+The payload is an object whose "type" tag names the message class and whose
+other keys are exactly that class's dataclass fields; an optional field (one
+with a default) is left out while unset and is never sent as null.
 The exchange is strict lockstep: every message the buyer sends gets exactly
 one reply. MODEL_SPEC is acknowledged with HELLO so transcripts stay
 deterministic and byte-countable.
 """
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
+import functools
 import json
 import logging
 import math
@@ -164,92 +168,79 @@ class ErrorMessage:
         _require_str(self.session_id, "session_id")
 
 
-def message_to_dict(msg) -> dict:
-    if isinstance(msg, Hello):
-        return {"type": "HELLO", "protocol_version": msg.protocol_version}
-    if isinstance(msg, ModelSpec):
-        return {"type": "MODEL_SPEC", "encoder": msg.encoder.to_dict()}
-    if isinstance(msg, StatsRequest):
-        out = {
-            "type": "STATS_REQUEST",
-            "subset_size": msg.subset_size,
-            "epsilon": msg.epsilon,
-            "delta": msg.delta,
-            "clip_radius": msg.clip_radius,
-            "session_id": msg.session_id,
-            "mode": msg.mode,
-        }
-        if msg.mode == MODE_SEEDED:
-            out["seed"] = msg.seed
-        return out
-    if isinstance(msg, StatsResponse):
-        return {
-            "type": "STATS_RESPONSE",
-            "mean": list(msg.mean),
-            "covariance": list(msg.covariance),
-            "count": msg.count,
-            "session_id": msg.session_id,
-            "sigma_used": msg.sigma_used,
-            "encoder_fingerprint": msg.encoder_fingerprint,
-        }
-    if isinstance(msg, ErrorMessage):
-        return {
-            "type": "ERROR",
-            "code": msg.code,
-            "message": msg.message,
-            "session_id": msg.session_id,
-        }
-    raise ParameterError(f"not a protocol message: {type(msg).__name__}")
-
-
-_FIELDS = {
-    "HELLO": {"protocol_version"},
-    "MODEL_SPEC": {"encoder"},
-    "STATS_REQUEST": {"subset_size", "epsilon", "delta", "clip_radius", "session_id", "mode"},
-    "STATS_RESPONSE": {"mean", "covariance", "count", "session_id", "sigma_used",
-                       "encoder_fingerprint"},
-    "ERROR": {"code", "message", "session_id"},
+# Tag <-> message class. A message's wire fields are its dataclass fields.
+_MESSAGES = {
+    "HELLO": Hello,
+    "MODEL_SPEC": ModelSpec,
+    "STATS_REQUEST": StatsRequest,
+    "STATS_RESPONSE": StatsResponse,
+    "ERROR": ErrorMessage,
 }
+_TAGS = {cls: tag for tag, cls in _MESSAGES.items()}
 
 
-def message_from_dict(obj) -> object:
+@functools.cache
+def _wire_fields(cls) -> tuple:
+    """(name, optional, nested) per field of a message class. A field with a
+    default is optional; a field typed by a class with to_dict/from_dict
+    (the EncoderSpec) travels as that class's own dict."""
+    return tuple(
+        (f.name, f.default is not MISSING, f.type if hasattr(f.type, "from_dict") else None)
+        for f in fields(cls)
+    )
+
+
+def _encode_message(msg) -> dict:
+    tag = _TAGS.get(type(msg))
+    if tag is None:
+        raise ParameterError(f"not a protocol message: {type(msg).__name__}")
+    out = {"type": tag}
+    for name, optional, nested in _wire_fields(type(msg)):
+        value = getattr(msg, name)
+        if optional and value is None:
+            continue
+        out[name] = value.to_dict() if nested else value
+    return out
+
+
+def _decode_message(obj) -> object:
     if not isinstance(obj, dict):
         raise FrameError("BAD_PAYLOAD", "payload is not an object")
     tag = obj.get("type")
     if not isinstance(tag, str):
         raise FrameError("BAD_PAYLOAD", "payload lacks a type tag")
-    if tag not in _FIELDS:
+    cls = _MESSAGES.get(tag)
+    if cls is None:
         raise FrameError("UNKNOWN_MESSAGE", f"unknown message tag {tag!r}")
-    fields = set(obj) - {"type"}
-    expected = _FIELDS[tag]
-    if tag == "STATS_REQUEST" and obj.get("mode") == MODE_SEEDED:
-        expected = expected | {"seed"}
-    if fields != expected:
-        raise FrameError(
-            "BAD_PAYLOAD", f"{tag} fields must be exactly {sorted(expected)}, got {sorted(fields)}"
-        )
-    body = {key: obj[key] for key in fields}
+    body = {key: value for key, value in obj.items() if key != "type"}
     try:
-        if tag == "HELLO":
-            return Hello(**body)
-        if tag == "MODEL_SPEC":
-            return ModelSpec(EncoderSpec.from_dict(body["encoder"]))
-        if tag == "STATS_REQUEST":
-            return StatsRequest(**body)
-        if tag == "STATS_RESPONSE":
-            return StatsResponse(**body)
-        return ErrorMessage(**body)
-    except (ParameterError, TypeError) as exc:
+        for name, optional, nested in _wire_fields(cls):
+            if name not in body:
+                continue
+            if optional and body[name] is None:
+                raise ParameterError(f"optional field {name} is omitted, never null")
+            if nested is not None:
+                body[name] = nested.from_dict(body[name])
+        # The constructor rejects missing and unknown fields with TypeError.
+        return cls(**body)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise FrameError("BAD_PAYLOAD", f"{tag}: {exc}") from exc
 
 
 def encode_frame(msg) -> bytes:
     payload = json.dumps(
-        message_to_dict(msg), sort_keys=True, separators=(",", ":"), allow_nan=False
+        _encode_message(msg), sort_keys=True, separators=(",", ":"), allow_nan=False
     ).encode("utf-8")
     if len(payload) > MAX_FRAME_BYTES:
         raise FrameError("FRAME_TOO_LARGE", f"payload of {len(payload)} bytes exceeds 64 MiB")
     return _HEADER.pack(len(payload)) + payload
+
+
+def _declared_length(header) -> int:
+    (length,) = _HEADER.unpack_from(header)
+    if length > MAX_FRAME_BYTES:
+        raise FrameError("FRAME_TOO_LARGE", f"declared payload of {length} bytes exceeds 64 MiB")
+    return length
 
 
 def decode_frame(data) -> object:
@@ -258,44 +249,50 @@ def decode_frame(data) -> object:
     if not isinstance(data, (bytes, bytearray, memoryview)):
         raise FrameError("BAD_PAYLOAD", "frame must be bytes")
     data = bytes(data)
-    if len(data) < 4:
+    if len(data) < _HEADER.size:
         raise FrameError("FRAME_TRUNCATED", f"got {len(data)} bytes, need a 4-byte header")
-    (length,) = _HEADER.unpack_from(data)
-    if length > MAX_FRAME_BYTES:
-        raise FrameError("FRAME_TOO_LARGE", f"declared payload of {length} bytes exceeds 64 MiB")
-    body = len(data) - 4
+    length = _declared_length(data)
+    body = len(data) - _HEADER.size
     if body < length:
         raise FrameError("FRAME_TRUNCATED", f"header declares {length} bytes, got {body}")
     if body > length:
         raise FrameError("FRAME_TRAILING", f"{body - length} bytes past the declared payload")
     try:
-        obj = json.loads(data[4:].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        obj = json.loads(data[_HEADER.size:].decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
         raise FrameError("BAD_PAYLOAD", f"payload is not canonical JSON: {exc}") from exc
-    return message_from_dict(obj)
+    return _decode_message(obj)
+
+
+def _read_frame(sock) -> bytes:
+    """Read one whole frame, header included, from a stream socket."""
+    frame = bytearray()
+    size = _HEADER.size
+    while len(frame) < size:
+        chunk = sock.recv(size - len(frame))
+        if not chunk:
+            raise ProtocolFailure("CONNECTION_CLOSED", "peer closed mid-frame")
+        frame += chunk
+        if size == _HEADER.size and len(frame) == size:
+            size += _declared_length(frame)
+    return bytes(frame)
 
 
 def pack_covariance(cov) -> tuple:
     """Upper triangle, row-major, d(d+1)/2 floats."""
     cov = np.asarray(cov, dtype=float)
-    d = cov.shape[0]
-    return tuple(float(cov[i, j]) for i in range(d) for j in range(i, d))
+    return tuple(cov[np.triu_indices(cov.shape[0])].tolist())
 
 
 def expand_covariance(values, dim: int) -> np.ndarray:
     """Inverse of pack_covariance; both mirror entries get the same float."""
-    values = tuple(float(v) for v in values)
-    if len(values) != dim * (dim + 1) // 2:
-        raise ShapeError(
-            f"{len(values)} triangular entries do not fill a {dim}x{dim} matrix"
-        )
+    values = np.asarray(values, dtype=float)
+    if values.shape != (dim * (dim + 1) // 2,):
+        raise ShapeError(f"{values.size} triangular entries do not fill a {dim}x{dim} matrix")
+    rows, cols = np.triu_indices(dim)
     out = np.empty((dim, dim))
-    pos = 0
-    for i in range(dim):
-        for j in range(i, dim):
-            out[i, j] = values[pos]
-            out[j, i] = values[pos]
-            pos += 1
+    out[rows, cols] = values
+    out[cols, rows] = values
     return out
 
 
@@ -325,7 +322,6 @@ class SellerNode:
     raw: RawDataset = None
     embeddings: EmbeddingSet = None
     pinned_fingerprint: str = None
-    state: str = "idle"
 
     def __post_init__(self):
         if not isinstance(self.node_id, str) or not self.node_id:
@@ -336,6 +332,11 @@ class SellerNode:
     @property
     def count(self) -> int:
         return self.raw.count if self.raw is not None else self.embeddings.count
+
+
+def stats_request_seed(master_seed: int) -> int:
+    """The seed a seeded round's STATS_REQUEST carries."""
+    return derive_seed(master_seed, "buyer", "stats-request")
 
 
 def node_seeds(request_seed: int, node_id: str) -> tuple:
@@ -481,7 +482,6 @@ class SellerSession:
                                                    subset_seed, noise_seed)
         except (ShapeError, NumericInputError, ParameterError) as exc:
             return ErrorMessage("SPEC_MISMATCH", str(exc), msg.session_id)
-        self.node.state = "served"
         log.info("node %s served session %s", self.node.node_id, msg.session_id)
         return StatsResponse(
             mean=tuple(float(v) for v in summary.mean),
@@ -493,60 +493,53 @@ class SellerSession:
         )
 
 
-class InProcessChannel:
-    """Loopback transport: passes real frames through a local session, so
-    byte counts and transcripts match the socket transport exactly."""
+class _Channel:
+    """Byte counts and the frame transcript, kept alike by both transports."""
 
-    def __init__(self, node: SellerNode):
-        self.session = SellerSession(node)
+    def __init__(self):
         self.bytes_sent = 0
         self.bytes_received = 0
         self.transcript = []
 
-    def request(self, msg) -> object:
-        frame = encode_frame(msg)
+    def _sent(self, frame: bytes) -> bytes:
         self.bytes_sent += len(frame)
         self.transcript.append(("send", frame))
-        reply = self.session.handle_bytes(frame)
-        self.bytes_received += len(reply)
-        self.transcript.append(("recv", reply))
-        return decode_frame(reply)
+        return frame
+
+    def _received(self, frame: bytes) -> object:
+        self.bytes_received += len(frame)
+        self.transcript.append(("recv", frame))
+        return decode_frame(frame)
 
     def close(self):
         pass
 
 
-class SocketChannel:
+class InProcessChannel(_Channel):
+    """Loopback transport: passes real frames through a local session, so
+    byte counts and transcripts match the socket transport exactly."""
+
+    def __init__(self, node: SellerNode):
+        super().__init__()
+        self.session = SellerSession(node)
+
+    def request(self, msg) -> object:
+        frame = self._sent(encode_frame(msg))
+        return self._received(self.session.handle_bytes(frame))
+
+
+class SocketChannel(_Channel):
     """TCP transport speaking the same frames."""
 
     def __init__(self, host: str, port: int, timeout: float = 10.0):
+        super().__init__()
         self.sock = socket.create_connection((host, port), timeout=timeout)
-        self.bytes_sent = 0
-        self.bytes_received = 0
-        self.transcript = []
 
     def request(self, msg) -> object:
         frame = encode_frame(msg)
         self.sock.sendall(frame)
-        self.bytes_sent += len(frame)
-        self.transcript.append(("send", frame))
-        header = self._read_exact(4)
-        (length,) = _HEADER.unpack(header)
-        if length > MAX_FRAME_BYTES:
-            raise FrameError("FRAME_TOO_LARGE", f"peer declared {length}-byte payload")
-        reply = header + self._read_exact(length)
-        self.bytes_received += len(reply)
-        self.transcript.append(("recv", reply))
-        return decode_frame(reply)
-
-    def _read_exact(self, n: int) -> bytes:
-        buf = bytearray()
-        while len(buf) < n:
-            chunk = self.sock.recv(n - len(buf))
-            if not chunk:
-                raise ProtocolFailure("CONNECTION_CLOSED", "peer closed mid-frame")
-            buf.extend(chunk)
-        return bytes(buf)
+        self._sent(frame)
+        return self._received(_read_frame(self.sock))
 
     def close(self):
         try:
@@ -555,36 +548,20 @@ class SocketChannel:
             pass
 
 
-def _recv_exact(sock, n: int):
-    buf = bytearray()
-    while len(buf) < n:
-        chunk = sock.recv(n - len(buf))
-        if not chunk:
-            return None
-        buf.extend(chunk)
-    return bytes(buf)
-
-
 class _SellerHandler(socketserver.BaseRequestHandler):
     def handle(self):
         session = SellerSession(self.server.node)
         while True:
-            header = _recv_exact(self.request, 4)
-            if header is None:
+            try:
+                frame = _read_frame(self.request)
+            except ProtocolFailure:
                 return
-            (length,) = _HEADER.unpack(header)
-            if length > MAX_FRAME_BYTES:
+            except FrameError as exc:
                 # The stream cannot be resynchronized past an oversized frame.
-                reply = ErrorMessage(
-                    "FRAME_TOO_LARGE", f"declared payload of {length} bytes exceeds 64 MiB", ""
-                )
-                self.request.sendall(encode_frame(reply))
-                return
-            payload = _recv_exact(self.request, length)
-            if payload is None:
+                self.request.sendall(encode_frame(ErrorMessage(exc.code, exc.args[0], "")))
                 return
             try:
-                self.request.sendall(session.handle_bytes(header + payload))
+                self.request.sendall(session.handle_bytes(frame))
             except OSError:
                 return
 
@@ -637,18 +614,17 @@ def _query_seller(node_id: str, connect, spec: EncoderSpec, request: StatsReques
     channel = None
     try:
         channel = connect()
-        reply = channel.request(Hello(PROTOCOL_VERSION))
-        if not isinstance(reply, Hello):
-            outcome.failure = _reply_problem(reply, "HELLO")
-            return outcome
-        reply = channel.request(ModelSpec(spec))
-        if not isinstance(reply, Hello):
-            outcome.failure = _reply_problem(reply, "MODEL_SPEC ack")
-            return outcome
-        reply = channel.request(request)
-        if not isinstance(reply, StatsResponse):
-            outcome.failure = _reply_problem(reply, "STATS_RESPONSE")
-            return outcome
+        exchange = ((Hello(PROTOCOL_VERSION), Hello, "HELLO"),
+                    (ModelSpec(spec), Hello, "MODEL_SPEC ack"),
+                    (request, StatsResponse, "STATS_RESPONSE"))
+        for msg, expected, name in exchange:
+            reply = channel.request(msg)
+            if isinstance(reply, ErrorMessage):
+                outcome.failure = f"{reply.code}: {reply.message}"
+                return outcome
+            if not isinstance(reply, expected):
+                outcome.failure = f"expected {name}, got {type(reply).__name__}"
+                return outcome
         if reply.session_id != request.session_id:
             outcome.failure = f"session id mismatch: {reply.session_id!r}"
             return outcome
@@ -678,12 +654,6 @@ def _query_seller(node_id: str, connect, spec: EncoderSpec, request: StatsReques
     return outcome
 
 
-def _reply_problem(reply, expected: str) -> str:
-    if isinstance(reply, ErrorMessage):
-        return f"{reply.code}: {reply.message}"
-    return f"expected {expected}, got {type(reply).__name__}"
-
-
 def orchestrate_valuation(buyer_data, sellers, spec: EncoderSpec, budget: PrivacyBudget,
                           master_seed: int = None, noisy_buyer: bool = False,
                           concurrent: bool = False):
@@ -696,9 +666,9 @@ def orchestrate_valuation(buyer_data, sellers, spec: EncoderSpec, budget: Privac
     if not sellers:
         raise ParameterError("at least one seller endpoint is required")
     if master_seed is not None:
-        request_seed = derive_seed(master_seed, "buyer", "stats-request")
+        seed = stats_request_seed(master_seed)
         session_id = f"sess-{derive_seed(master_seed, 'buyer', 'session'):016x}"
-        mode, seed = MODE_SEEDED, request_seed
+        mode = MODE_SEEDED
     else:
         session_id = f"sess-{secrets.token_hex(8)}"
         mode, seed = MODE_SECURE, None
@@ -729,6 +699,6 @@ def orchestrate_valuation(buyer_data, sellers, spec: EncoderSpec, budget: Privac
     if noisy_buyer:
         noise_sigma = calibrate_sigma(budget).sigma
         if master_seed is not None:
-            noise_seed = derive_seed(request_seed, "buyer", "noise")
+            noise_seed = derive_seed(seed, "buyer", "noise")
     buyer = buyer_summary(buyer_data, spec, budget.clip_radius, noise_sigma, noise_seed)
     return buyer, outcomes

@@ -1,9 +1,10 @@
 """Buyer-side decision layer: score sellers by the closed-form W2 distance,
 min-max normalize, rank under the chosen objective, and report
-augmentation-robustness deviations."""
+augmentation-robustness deviations, for a pair of summaries or for every
+augmented copy in a seeded scenario."""
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 import io
 import json
 import math
@@ -16,12 +17,10 @@ from .errors import (
     ParameterError,
 )
 from .gaussian_geometry import GaussianSummary, wasserstein2_gaussian
+from .protocol import buyer_summary, node_seeds, seller_pipeline, stats_request_seed
+from .scenario import BUYER_ID, ScenarioConfig, build_datasets
 
 OBJECTIVES = ("diversify", "enrich")
-
-
-def score(buyer: GaussianSummary, seller: GaussianSummary) -> float:
-    return wasserstein2_gaussian(buyer, seller)
 
 
 def minmax_normalize(raw) -> tuple:
@@ -104,6 +103,31 @@ def robustness_report(buyer: GaussianSummary, seller_baseline: GaussianSummary,
     }
 
 
+def robustness_for_config(config: ScenarioConfig) -> list:
+    """Baseline-vs-augmented distance deviations for every augmented-copy
+    seller, with the buyer summary and the per-node seeds held identical
+    between the two runs."""
+    datasets = build_datasets(config)
+    budget = config.budget
+    buyer = buyer_summary(datasets[BUYER_ID], config.encoder, budget.clip_radius)
+    request_seed = stats_request_seed(config.master_seed)
+    entries = []
+    for seller in config.sellers:
+        if seller.kind != "augmented_copy":
+            continue
+        subset_seed, noise_seed = node_seeds(request_seed, seller.node_id)
+        augmented, _ = seller_pipeline(
+            datasets[seller.node_id], config.encoder, budget, subset_seed, noise_seed
+        )
+        baseline, _ = seller_pipeline(
+            datasets[seller.source_id], config.encoder, budget, subset_seed, noise_seed
+        )
+        entries.append(
+            RobustnessEntry(seller.node_id, **robustness_report(buyer, baseline, augmented))
+        )
+    return entries
+
+
 @dataclass(frozen=True)
 class ValuationReport:
     """Entries are sorted by node_id; ranking covers non-failed sellers."""
@@ -166,7 +190,8 @@ def build_report(buyer: GaussianSummary, outcomes, objective: str,
     if objective not in OBJECTIVES:
         raise ParameterError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
     ordered = sorted(outcomes, key=lambda o: o.node_id)
-    raw = {o.node_id: score(buyer, o.summary) for o in ordered if o.summary is not None}
+    raw = {o.node_id: wasserstein2_gaussian(buyer, o.summary)
+           for o in ordered if o.summary is not None}
     degenerate = False
     normalized = {}
     if raw:
@@ -191,14 +216,7 @@ def build_report(buyer: GaussianSummary, outcomes, objective: str,
 
 
 def with_robustness(report: ValuationReport, entries) -> ValuationReport:
-    return ValuationReport(
-        entries=report.entries,
-        objective=report.objective,
-        ranking=report.ranking,
-        params_echo=report.params_echo,
-        degenerate_normalization=report.degenerate_normalization,
-        robustness=tuple(entries),
-    )
+    return replace(report, robustness=tuple(entries))
 
 
 def dumps_report(report: ValuationReport) -> str:

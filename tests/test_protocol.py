@@ -1,5 +1,7 @@
 """Wire framing, seller session state machine, and orchestration."""
 
+import json
+import socket
 import threading
 
 import numpy as np
@@ -17,6 +19,7 @@ from priarta import (
     ModelSpec,
     ParameterError,
     PrivacyBudget,
+    ProtocolFailure,
     SellerNode,
     SellerServer,
     SellerSession,
@@ -175,6 +178,80 @@ def test_request_validation():
     make_request(epsilon=7.5)
 
 
+def raw_frame(payload) -> bytes:
+    if isinstance(payload, dict):
+        payload = json.dumps(payload).encode()
+    return len(payload).to_bytes(4, "big") + payload
+
+
+def spec_payload(**over) -> dict:
+    return {"type": "MODEL_SPEC", "encoder": dict(SPEC.to_dict(), **over)}
+
+
+# Each of these once escaped decode_frame as ValueError, OverflowError or
+# RecursionError instead of a FrameError.
+HOSTILE_FRAMES = {
+    "input_dim_string": raw_frame(spec_payload(input_dim="x")),
+    "seed_string": raw_frame(spec_payload(seed="abc")),
+    "input_dim_infinity": raw_frame(spec_payload(input_dim=float("inf"))),
+    "nested_1e5_deep": raw_frame(b"[" * 100_000 + b"]" * 100_000),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_FRAMES))
+def test_decode_maps_hostile_payloads_to_bad_payload(name):
+    with pytest.raises(FrameError) as info:
+        decode_frame(HOSTILE_FRAMES[name])
+    assert info.value.code == "BAD_PAYLOAD"
+
+
+def payload_of(msg) -> dict:
+    return json.loads(encode_frame(msg)[4:])
+
+
+def test_decode_rejects_null_seed_in_secure_mode():
+    payload = payload_of(make_request(mode=MODE_SECURE, seed=None))
+    assert "seed" not in payload
+    payload["seed"] = None
+    with pytest.raises(FrameError) as info:
+        decode_frame(raw_frame(payload))
+    assert info.value.code == "BAD_PAYLOAD"
+
+
+def test_decode_rejects_seeded_request_without_seed():
+    payload = payload_of(make_request(mode=MODE_SEEDED, seed=77))
+    assert payload["seed"] == 77
+    del payload["seed"]
+    with pytest.raises(FrameError) as info:
+        decode_frame(raw_frame(payload))
+    assert info.value.code == "BAD_PAYLOAD"
+
+
+@pytest.mark.parametrize("msg", ALL_MESSAGES, ids=lambda m: type(m).__name__)
+def test_decode_rejects_unknown_field_on_every_message(msg):
+    payload = payload_of(msg)
+    decode_frame(raw_frame(payload))  # the untouched payload decodes
+    payload["extra"] = 1
+    with pytest.raises(FrameError) as info:
+        decode_frame(raw_frame(payload))
+    assert info.value.code == "BAD_PAYLOAD"
+
+
+def test_round_trip_wide_stats_response(rng):
+    d = 256
+    a = rng.standard_normal((d, d))
+    cov = a @ a.T / d
+    resp = StatsResponse(
+        tuple(rng.standard_normal(d).tolist()),
+        tuple(cov[i, j] for i in range(d) for j in range(i, d)),
+        512, "sess-wide", 3.25, SPEC.fingerprint(),
+    )
+    frame = encode_frame(resp)
+    again = decode_frame(frame)
+    assert again == resp
+    assert encode_frame(again) == frame
+
+
 # -------------------------------------------------------------- covariances
 
 
@@ -187,6 +264,17 @@ def test_pack_expand_round_trip(rng):
         back = expand_covariance(packed, d)
         np.testing.assert_array_equal(back, c)
         np.testing.assert_array_equal(back, back.T)
+
+
+def test_pack_is_row_major_upper_triangle(rng):
+    for d in (1, 3, 256):
+        c = rng.standard_normal((d, d))
+        expected = tuple(float(c[i, j]) for i in range(d) for j in range(i, d))
+        assert pack_covariance(c) == expected
+        back = expand_covariance(expected, d)
+        for i in range(0, d, 37):
+            for j in range(i, d, 41):
+                assert back[i, j] == back[j, i] == c[i, j]
 
 
 def test_expand_rejects_wrong_length():
@@ -316,6 +404,16 @@ def test_session_error_reply_for_malformed_frame():
     assert isinstance(reply, StatsResponse)
 
 
+@pytest.mark.parametrize("name", sorted(HOSTILE_FRAMES))
+def test_session_answers_hostile_frames_with_bad_payload(name):
+    session = ready_session()
+    reply = decode_frame(session.handle_bytes(HOSTILE_FRAMES[name]))
+    assert isinstance(reply, ErrorMessage)
+    assert reply.code == "BAD_PAYLOAD"
+    reply = decode_frame(session.handle_bytes(encode_frame(make_request())))
+    assert isinstance(reply, StatsResponse)
+
+
 def test_session_rejects_wrong_direction_message():
     session = ready_session()
     resp = StatsResponse((0.0,), (1.0,), 32, "sess-0001", 1.0, SPEC.fingerprint())
@@ -392,6 +490,34 @@ def test_orchestrate_reports_partial_failure():
     assert by_id["alpha"].bytes_sent > 0 and by_id["alpha"].bytes_received > 0
 
 
+class _ReplayingSession:
+    """Stands in for a seller session and answers every frame with one
+    fixed reply."""
+
+    def __init__(self, reply):
+        self.reply = reply
+
+    def handle_bytes(self, frame):
+        return self.reply
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_FRAMES))
+def test_orchestrate_survives_a_hostile_seller_reply(name):
+    def hostile():
+        channel = InProcessChannel(SellerNode("mallory", raw=make_dataset()))
+        channel.session = _ReplayingSession(HOSTILE_FRAMES[name])
+        return channel
+
+    endpoints = in_process_endpoints(seller_nodes()[:2]) + [("mallory", hostile)]
+    buyer, outcomes = orchestrate_valuation(
+        make_dataset(seed=10), endpoints, SPEC, BUDGET, master_seed=1000,
+    )
+    by_id = {o.node_id: o for o in outcomes}
+    assert by_id["mallory"].failed
+    assert "BAD_PAYLOAD" in by_id["mallory"].failure
+    assert not by_id["alpha"].failed and not by_id["beta"].failed
+
+
 def test_orchestrate_is_seed_deterministic():
     runs = []
     for _ in range(2):
@@ -460,6 +586,72 @@ def test_socket_channel_round_trip():
     finally:
         server.shutdown()
         server.server_close()
+
+
+def serving(node):
+    server = SellerServer(("127.0.0.1", 0), node)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    return server
+
+
+def read_reply(sock) -> bytes:
+    stream = sock.makefile("rb")
+    header = stream.read(4)
+    return header + stream.read(int.from_bytes(header, "big"))
+
+
+def test_server_replies_bad_payload_to_malformed_model_spec():
+    server = serving(SellerNode("sock", raw=make_dataset()))
+    try:
+        with socket.create_connection(server.server_address, timeout=10) as sock:
+            sock.sendall(encode_frame(Hello(PROTOCOL_VERSION)))
+            assert isinstance(decode_frame(read_reply(sock)), Hello)
+            sock.sendall(HOSTILE_FRAMES["input_dim_infinity"])
+            reply = decode_frame(read_reply(sock))
+            assert isinstance(reply, ErrorMessage)
+            assert reply.code == "BAD_PAYLOAD"
+            # the connection stays open and the session still serves
+            sock.sendall(encode_frame(ModelSpec(SPEC)))
+            assert isinstance(decode_frame(read_reply(sock)), Hello)
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_server_answers_oversized_header_then_closes():
+    server = serving(SellerNode("sock", raw=make_dataset()))
+    try:
+        with socket.create_connection(server.server_address, timeout=10) as sock:
+            sock.sendall((MAX_FRAME_BYTES + 1).to_bytes(4, "big"))
+            reply = decode_frame(read_reply(sock))
+            assert isinstance(reply, ErrorMessage)
+            assert reply.code == "FRAME_TOO_LARGE"
+            assert sock.recv(1) == b""
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_socket_channel_reports_reply_cut_mid_frame():
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def truncating_peer():
+        conn, _ = listener.accept()
+        with conn:
+            conn.recv(4096)
+            conn.sendall(encode_frame(Hello(PROTOCOL_VERSION))[:6])
+
+    thread = threading.Thread(target=truncating_peer, daemon=True)
+    thread.start()
+    chan = SocketChannel(*listener.getsockname())
+    try:
+        with pytest.raises(ProtocolFailure) as info:
+            chan.request(Hello(PROTOCOL_VERSION))
+        assert info.value.code == "CONNECTION_CLOSED"
+    finally:
+        chan.close()
+        thread.join(timeout=10)
+        listener.close()
 
 
 def test_socket_matches_in_process_bitwise():

@@ -20,8 +20,6 @@ from priarta import (
     render_table,
     robustness_report,
     save_report,
-    score,
-    wasserstein2_gaussian,
 )
 from priarta.protocol import SellerOutcome
 from priarta.valuation import dumps_report, with_robustness
@@ -69,15 +67,6 @@ def test_minmax_rejects_bad_input():
         minmax_normalize([])
     with pytest.raises(NumericInputError):
         minmax_normalize([1.0, float("nan")])
-
-
-# -------------------------------------------------------------------- score
-
-
-def test_score_is_w2(rng):
-    a = random_summary(rng, 4)
-    b = random_summary(rng, 4)
-    assert score(a, b) == wasserstein2_gaussian(a, b)
 
 
 # ------------------------------------------------------------------ ranking
