@@ -59,6 +59,10 @@ class EncoderSpec:
         object.__setattr__(self, "latent_dim", int(self.latent_dim))
         object.__setattr__(self, "signal_dims", int(self.signal_dims))
         object.__setattr__(self, "leakage_alpha", alpha)
+        # The spec is frozen, so its digest is computed once. A plain
+        # attribute, not a field: eq, hash, repr and to_dict ignore it.
+        payload = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        object.__setattr__(self, "_fingerprint", hashlib.sha256(payload.encode()).hexdigest())
 
     def to_dict(self) -> dict:
         return {
@@ -83,8 +87,7 @@ class EncoderSpec:
 
     def fingerprint(self) -> str:
         """SHA-256 over the canonical serialized form."""
-        payload = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(payload.encode()).hexdigest()
+        return self._fingerprint
 
 
 @dataclass(frozen=True)
@@ -269,6 +272,7 @@ def augment(data: RawDataset, aug: AugmentationSpec, signal_dims: int) -> RawDat
         noise = rng.normal(0.0, aug.nuisance_noise_scale, size=(data.count, n_nuis))
         points[selected, s:] += noise[selected]
         if aug.nuisance_permute:
-            for i in np.flatnonzero(selected):
-                points[i, s:] = points[i, s:][rng.permutation(n_nuis)]
+            # Draws the same per-row shuffles, in row order, as one
+            # rng.permutation(n_nuis) per selected row.
+            points[selected, s:] = rng.permuted(points[selected, s:], axis=1)
     return RawDataset(points, data.labels, data.class_probs)

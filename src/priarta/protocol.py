@@ -76,9 +76,24 @@ def _require_float(value, field: str) -> float:
     return value
 
 
+_PLAIN_NUMBER_TYPES = frozenset({int, float})
+
+
 def _float_tuple(values, field: str) -> tuple:
     if not isinstance(values, (list, tuple)):
         raise ParameterError(f"{field} must be a sequence of numbers")
+    # Fast path for plain ints and floats (every decoded frame). Anything
+    # else, a non-finite value or an int too large for a float goes through
+    # the per-element check, so a rejection is the same error, raised for the
+    # same element, as without the fast path.
+    if _PLAIN_NUMBER_TYPES.issuperset(map(type, values)):
+        try:
+            floats = tuple(map(float, values))
+        except OverflowError:
+            pass
+        else:
+            if all(map(math.isfinite, floats)):
+                return floats
     return tuple(_require_float(v, field) for v in values)
 
 

@@ -1,6 +1,16 @@
 """Shared helpers for the test suite."""
 
-import numpy as np
+import os
+import sys
+
+# One BLAS thread: with the default of one per core, the timed acceptance
+# criteria slow several-fold when any other process competes for the cores.
+# OpenBLAS reads this only when numpy is first imported, so it must be set
+# here, before any import of numpy.
+assert "numpy" not in sys.modules, "numpy was imported before tests/conftest.py"
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
 import pytest
 
 from priarta import GaussianSummary

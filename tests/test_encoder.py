@@ -1,5 +1,8 @@
 """Toy projection encoder, mixture scenario data, and augmentation."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -34,6 +37,25 @@ def test_spec_round_trip_and_fingerprint():
     assert again == SPEC
     assert again.fingerprint() == SPEC.fingerprint()
     assert len(SPEC.fingerprint()) == 64
+
+
+def test_fingerprint_is_sha256_of_canonical_json():
+    fields = {"kind": "toy_projection", "seed": 271828, "input_dim": 16,
+              "latent_dim": 4, "signal_dims": 8, "leakage_alpha": 0.0}
+    payload = json.dumps(fields, sort_keys=True, separators=(",", ":")).encode()
+    assert SPEC.fingerprint() == hashlib.sha256(payload).hexdigest()
+    # the stored digest is not part of the spec's value
+    assert SPEC.to_dict() == fields
+    assert repr(SPEC) == (
+        "EncoderSpec(kind='toy_projection', seed=271828, input_dim=16, "
+        "latent_dim=4, signal_dims=8, leakage_alpha=0.0)"
+    )
+    again = EncoderSpec(**fields)
+    assert again == SPEC and hash(again) == hash(SPEC)
+    # the digest is taken after the fields are normalized
+    assert EncoderSpec(**dict(fields, seed=271828.0, leakage_alpha=0)).fingerprint() == (
+        SPEC.fingerprint()
+    )
 
 
 def test_fingerprint_changes_with_any_field():
@@ -213,3 +235,31 @@ def test_augment_rows_stay_aligned(rng):
     out = augment(data, aug, 8)
     untouched = np.all(out.points == data.points, axis=1)
     assert 0 < untouched.sum() < 200
+
+
+def _augment_row_loop(data, aug, signal_dims):
+    """Reference: augment with one rng.permutation per selected row."""
+    s = signal_dims
+    n_nuis = data.dim - s
+    rng = np.random.Generator(np.random.PCG64(aug.seed))
+    selected = rng.random(data.count) < aug.apply_prob
+    points = data.points.copy()
+    if n_nuis > 0:
+        noise = rng.normal(0.0, aug.nuisance_noise_scale, size=(data.count, n_nuis))
+        points[selected, s:] += noise[selected]
+        if aug.nuisance_permute:
+            for i in np.flatnonzero(selected):
+                points[i, s:] = points[i, s:][rng.permutation(n_nuis)]
+    return points
+
+
+@pytest.mark.parametrize("n_nuis", [0, 1, 2, 12])
+@pytest.mark.parametrize("apply_prob", [0.0, 0.37, 1.0])
+@pytest.mark.parametrize("permute", [False, True])
+def test_augment_matches_row_loop_reference(rng, n_nuis, apply_prob, permute):
+    data = small_dataset(rng, m=60, p=5 + n_nuis)
+    for seed in (0, 7, 13, 2**40 + 3):
+        aug = AugmentationSpec(0.5, permute, apply_prob, seed)
+        out = augment(data, aug, 5)
+        expected = _augment_row_loop(data, aug, 5)
+        assert out.points.tobytes() == expected.tobytes()

@@ -1,6 +1,7 @@
 """Wire framing, seller session state machine, and orchestration."""
 
 import json
+import math
 import socket
 import threading
 
@@ -37,7 +38,13 @@ from priarta import (
     sample_subset,
     seller_pipeline,
 )
-from priarta.protocol import MODE_SECURE, MODE_SEEDED, in_process_endpoints, node_seeds
+from priarta.protocol import (
+    MODE_SECURE,
+    MODE_SEEDED,
+    _float_tuple,
+    in_process_endpoints,
+    node_seeds,
+)
 
 SPEC = EncoderSpec("toy_projection", 271828, 16, 4, 8, 0.0)
 BUDGET = PrivacyBudget(0.8, 1e-5, 1.0, 32)
@@ -250,6 +257,82 @@ def test_round_trip_wide_stats_response(rng):
     again = decode_frame(frame)
     assert again == resp
     assert encode_frame(again) == frame
+
+
+def _float_tuple_reference(values, field):
+    """Reference: check and convert one element at a time."""
+    if not isinstance(values, (list, tuple)):
+        raise ParameterError(f"{field} must be a sequence of numbers")
+    out = []
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise ParameterError(f"{field} must be a number")
+        v = float(v)
+        if not math.isfinite(v):
+            raise ParameterError(f"{field} must be finite")
+        out.append(v)
+    return tuple(out)
+
+
+def _outcome(fn, values):
+    try:
+        result = fn(values, "covariance")
+    except (ParameterError, OverflowError) as exc:
+        return type(exc), str(exc)
+    return [(type(v), v.hex()) for v in result]
+
+
+FLOAT_TUPLE_CASES = {
+    "empty": [],
+    "floats": [0.5, -1.25, 1e-300, 1.7976931348623157e308],
+    "ints_become_floats": [1, -3, 2**53 + 1, 0],
+    "negative_zero": (-0.0, 0.0, -0),
+    "numpy_float": [np.float64(0.25), 1.0],
+    "numpy_int": [1.0, np.int64(3)],
+    "float_subclass": [np.float64(-0.0)],
+    "bool": [1.0, True],
+    "string": [1.0, "1.5"],
+    "none": [None],
+    "nested_list": [[1.0]],
+    "nan": [1.0, float("nan")],
+    "inf": [float("inf"), 2.0],
+    "minus_inf": [0.0, float("-inf")],
+    "huge_int": [1.0, 10**400],
+    "nan_before_huge_int": [float("nan"), 10**400],
+    "huge_int_before_nan": [10**400, float("nan")],
+    "string_before_huge_int": ["x", 10**400],
+    "not_a_sequence": {1.0: 2.0},
+    "a_string": "1.5",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLOAT_TUPLE_CASES))
+def test_float_tuple_matches_per_element_reference(name):
+    values = FLOAT_TUPLE_CASES[name]
+    assert _outcome(_float_tuple, values) == _outcome(_float_tuple_reference, values)
+
+
+def test_float_tuple_results_and_errors():
+    assert _float_tuple([1, 2], "mean") == (1.0, 2.0)
+    assert all(type(v) is float for v in _float_tuple([1, np.float64(2)], "mean"))
+    assert math.copysign(1.0, _float_tuple([-0.0], "mean")[0]) == -1.0
+    with pytest.raises(ParameterError, match="^mean must be a number$"):
+        _float_tuple([True], "mean")
+    with pytest.raises(ParameterError, match="^mean must be finite$"):
+        _float_tuple([float("nan")], "mean")
+    with pytest.raises(OverflowError):
+        _float_tuple([10**400], "mean")
+
+
+@pytest.mark.parametrize("literal", [b"NaN", b"1e400", b"-Infinity"])
+def test_decode_rejects_non_finite_covariance_entry(literal):
+    msg = StatsResponse((0.5, -1.25), (1.0, 0.125, 2.0), 32, "s", 9.0, SPEC.fingerprint())
+    frame = encode_frame(msg)
+    assert b"0.125" in frame
+    with pytest.raises(FrameError) as info:
+        decode_frame(raw_frame(frame[4:].replace(b"0.125", literal)))
+    assert info.value.code == "BAD_PAYLOAD"
+    assert "covariance must be finite" in str(info.value)
 
 
 # -------------------------------------------------------------- covariances
