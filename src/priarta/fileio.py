@@ -8,6 +8,10 @@ Raw datasets:            Embeddings:
 
 Floats are written as shortest round-trip decimals, space-separated, with no
 trailing whitespace. Configs, encoder specs, and reports are canonical JSON.
+
+Rows are read by numpy's C text reader when that provably gives what the
+per-row Python loops give; the loops stay as the definition of the format and
+word every rejection as path:line.
 """
 
 import json
@@ -44,6 +48,28 @@ def _parse_floats(line: str, expected: int, path, lineno: int) -> list:
         raise FileFormatError(f"{path}:{lineno}: {exc}") from exc
 
 
+# Row bodies made only of these bytes read alike through numpy's C reader and
+# the Python loops: both split fields on single spaces, reject an empty field
+# and convert with the same correctly rounded strtod, and for labels both take
+# an optional sign and decimal digits. Other whitespace, "_" and non-ASCII
+# digits are where Python's int()/float() and the C reader part ways; letters
+# (nan, inf) appear only in rows the datasets reject anyway.
+_PLAIN_ROW_BYTES = b"0123456789+-.eE \n"
+
+
+def _load_rows(rows: list, dtype: np.dtype):
+    """Rows parsed by numpy's C reader, or None when the Python loop must
+    decide: on bytes outside the plain alphabet, on a reader error, and on
+    a row count other than len(rows) (the reader skips blank lines)."""
+    if "\n".join(rows).encode().translate(None, _PLAIN_ROW_BYTES):
+        return None
+    try:
+        parsed = np.loadtxt(rows, dtype=dtype, delimiter=" ", comments=None, ndmin=1)
+    except ValueError:  # the loop, not the C reader, words every rejection
+        return None
+    return parsed if parsed.shape == (len(rows),) else None
+
+
 def _parse_header_ints(line: str, count: int, path) -> list:
     parts = line.split(" ")
     if len(parts) != count:
@@ -77,6 +103,9 @@ def read_raw_dataset(path) -> RawDataset:
     if len(lines) != 3 + m:
         raise FileFormatError(f"{path}: header declares {m} rows, file has {len(lines) - 3}")
     probs = _parse_floats(lines[2], k, path, 3)
+    parsed = _load_rows(lines[3:], np.dtype([("label", int), ("point", float, (p,))]))
+    if parsed is not None:
+        return RawDataset(parsed["point"], parsed["label"], np.asarray(probs))
     points = np.empty((m, p))
     labels = np.empty(m, dtype=int)
     for i in range(m):
@@ -118,9 +147,13 @@ def read_embeddings(path) -> EmbeddingSet:
         raise FileFormatError(f"{path}:2: need n >= 2, d >= 1, R > 0, got {lines[1]!r}")
     if len(lines) != 2 + n:
         raise FileFormatError(f"{path}: header declares {n} rows, file has {len(lines) - 2}")
-    vectors = np.empty((n, d))
-    for i in range(n):
-        vectors[i] = _parse_floats(lines[2 + i], d, path, 3 + i)
+    parsed = _load_rows(lines[2:], np.dtype([("vector", float, (d,))]))
+    if parsed is not None:
+        vectors = parsed["vector"]
+    else:
+        vectors = np.empty((n, d))
+        for i in range(n):
+            vectors[i] = _parse_floats(lines[2 + i], d, path, 3 + i)
     inside = bool(np.all(np.linalg.norm(vectors, axis=1) <= radius * (1.0 + CLIP_SLACK)))
     return EmbeddingSet(vectors, radius, clipped=inside)
 

@@ -5,12 +5,21 @@ For two Gaussians N(mu_a, Sigma_a) and N(mu_b, Sigma_b) the squared distance is
     ||mu_a - mu_b||^2 + tr(Sigma_a) + tr(Sigma_b)
         - 2 tr((Sigma_a^{1/2} Sigma_b Sigma_a^{1/2})^{1/2})
 
-All matrix square roots go through a symmetric eigendecomposition with
-eigenvalue clamping: floating-point noise routinely produces eigenvalues
-around -1e-16 on matrices that are PSD in exact arithmetic.
+For any factor Sigma_a = F F^T the matrix F^T Sigma_b F is similar to
+Sigma_b Sigma_a, so the cross term is sum_i sqrt(lambda_i(F^T Sigma_b F))
+(Dowson & Landau 1982; Olkin & Pukelsheim 1982). Scoring therefore factors
+its left argument once, keeps F on that summary, and runs one symmetric
+eigenvalue solve per call. F is the Cholesky factor, or Q sqrt(max(w, 0))
+from an eigendecomposition when Cholesky fails on a singular covariance.
+
+PSD validation likewise tries Cholesky first and eigendecomposes only what it
+cannot factor. Wherever eigenvalues are computed they are clamped:
+floating-point noise routinely produces eigenvalues around -1e-16 on
+matrices that are PSD in exact arithmetic.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 import math
 
 import numpy as np
@@ -66,40 +75,66 @@ def sym_eig(a, name: str = "matrix"):
     return w[::-1].copy(), q[:, ::-1].copy()
 
 
-def _clamped_eigh(a: Array, name: str):
-    """Eigendecomposition that rejects genuinely negative eigenvalues.
-
-    Eigenvalues in [-PSD_TOL * lambda_max, 0) are floating-point noise and are
-    returned as-is for the caller to clamp; anything below that threshold
-    raises NotPSDError.
-    """
-    w, q = sym_eig(a, name=name)
-    lam_max = max(float(w[0]), 0.0)
-    floor = -PSD_TOL * lam_max
-    lam_min = float(w[-1])
+def _require_psd(lam_min: float, lam_max: float, name: str):
+    """Eigenvalues in [-PSD_TOL * lambda_max, 0) are floating-point noise for
+    the caller to clamp; anything below that threshold raises NotPSDError."""
+    floor = -PSD_TOL * max(lam_max, 0.0)
     if lam_min < floor:
         raise NotPSDError(
             f"{name} is not PSD within tolerance: eigenvalue {lam_min:.6e} "
             f"is below {floor:.6e}",
             offending_eigenvalue=lam_min,
         )
+
+
+def _clamped_eigh(a: Array, name: str):
+    """Eigendecomposition that rejects genuinely negative eigenvalues."""
+    w, q = sym_eig(a, name=name)
+    _require_psd(float(w[-1]), float(w[0]), name)
     return w, q
+
+
+def _clamped_eigvalsh(a: Array, name: str) -> Array:
+    """Eigenvalues of a symmetric PSD matrix, noise negatives clamped to 0."""
+    try:
+        w = np.linalg.eigvalsh(a)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigendecomposition of {name} did not converge: {exc}") from exc
+    _require_psd(float(w[0]), float(w[-1]), name)
+    return np.maximum(w, 0.0)
+
+
+def _clamp_reconstruct(w: Array, q: Array) -> Array:
+    """Q diag(max(w, 0)) Q^T, symmetrized: the eigenvalue projection onto
+    the PSD cone."""
+    return symmetrize((q * np.maximum(w, 0.0)) @ q.T)
+
+
+def _cholesky(sym: Array):
+    """Lower Cholesky factor of a symmetric matrix, or None when it is not
+    numerically positive definite."""
+    try:
+        return np.linalg.cholesky(sym)
+    except np.linalg.LinAlgError:
+        return None
 
 
 def psd_clamp(a, name: str = "matrix") -> Array:
     """Project a nearly-PSD symmetric matrix onto the PSD cone.
 
     Rejects matrices whose most negative eigenvalue exceeds the noise
-    tolerance rather than silently repairing them.  Already-PSD input is
-    returned symmetrized but not eigen-reconstructed, so clamping is
-    idempotent at the bit level and summaries survive wire round-trips
-    unchanged.
+    tolerance rather than silently repairing them.  Already-PSD input (one
+    that Cholesky factors, or whose eigenvalues are all >= 0) is returned
+    symmetrized but not eigen-reconstructed, so clamping is idempotent at
+    the bit level and summaries survive wire round-trips unchanged.
     """
     sym = symmetrize(a)
+    if _cholesky(sym) is not None:
+        return sym
     w, q = _clamped_eigh(sym, name)
     if float(w[-1]) >= 0.0:
         return sym
-    return symmetrize((q * np.maximum(w, 0.0)) @ q.T)
+    return _clamp_reconstruct(w, q)
 
 
 def sqrtm_psd(a, name: str = "matrix") -> Array:
@@ -146,12 +181,25 @@ class GaussianSummary:
     def dim(self) -> int:
         return self.mean.shape[0]
 
+    @cached_property
+    def _covariance_factor(self) -> Array:
+        """F with covariance ~= F @ F.T, made on first use as the left
+        argument of W2 scoring; only the buyer's summary ever holds one."""
+        factor = _cholesky(self.covariance)
+        if factor is None:
+            w, q = _clamped_eigh(self.covariance, "covariance of a")
+            factor = q * np.sqrt(np.maximum(w, 0.0))
+        factor.flags.writeable = False
+        return factor
+
 
 def wasserstein2_gaussian(a: GaussianSummary, b: GaussianSummary) -> float:
     """Closed-form 2-Wasserstein distance between two Gaussian summaries.
 
-    The inner product S_a Sigma_b S_a is re-symmetrized before its square
-    root, and the scalar under the outer root is clamped at 0: both are
+    The cross term is the sum of square roots of the eigenvalues of
+    F^T Sigma_b F, with F the cached factor of Sigma_a. That matrix is
+    re-symmetrized before its eigenvalue solve, its noise eigenvalues are
+    clamped, and the scalar under the outer root is clamped at 0: all are
     nonnegative/symmetric analytically but not numerically.
     """
     if a.dim != b.dim:
@@ -161,15 +209,15 @@ def wasserstein2_gaussian(a: GaussianSummary, b: GaussianSummary) -> float:
         # cancellation noise under the outer root would exceed the identity
         # tolerance otherwise
         return 0.0
-    root_a = sqrtm_psd(a.covariance, name="covariance of a")
-    inner = symmetrize(root_a @ b.covariance @ root_a)
-    cross = sqrtm_psd(inner, name="cross-covariance term")
+    factor = a._covariance_factor
+    inner = symmetrize(factor.T @ b.covariance @ factor)
+    eigenvalues = _clamped_eigvalsh(inner, "cross-covariance term")
     diff = a.mean - b.mean
     squared = (
         float(diff @ diff)
         + float(np.trace(a.covariance))
         + float(np.trace(b.covariance))
-        - 2.0 * float(np.trace(cross))
+        - 2.0 * float(np.sqrt(eigenvalues).sum())
     )
     if not math.isfinite(squared):
         raise NumericInputError("non-finite intermediate in Wasserstein computation")

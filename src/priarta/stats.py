@@ -12,7 +12,7 @@ from .errors import (
     ParameterError,
     ShapeError,
 )
-from .gaussian_geometry import GaussianSummary, symmetrize
+from .gaussian_geometry import GaussianSummary, _clamp_reconstruct, symmetrize
 
 # Slack on the row-norm invariant of clipped sets: x * (R / ||x||) can land a
 # hair above R in floating point.
@@ -119,7 +119,8 @@ def summarize(embeddings: EmbeddingSet) -> GaussianSummary:
 def debias_covariance(summary: GaussianSummary, sigma: float) -> GaussianSummary:
     """Remove the systematic sigma^2 * I inflation a noisy covariance carries.
 
-    The result is clamped back onto the PSD cone; mean and count pass through.
+    The result is clamped back onto the PSD cone (every negative eigenvalue
+    goes to 0, none is rejected); mean and count pass through.
     Off by default in the pipeline: the noisy covariance is normally used
     as-is, this correction exists for buyers who want the inflation removed.
     """
@@ -130,5 +131,4 @@ def debias_covariance(summary: GaussianSummary, sigma: float) -> GaussianSummary
         return summary
     shifted = summary.covariance - (sigma**2) * np.eye(summary.dim)
     w, q = np.linalg.eigh(shifted)
-    repaired = symmetrize((q * np.maximum(w, 0.0)) @ q.T)
-    return GaussianSummary(summary.mean, repaired, summary.count)
+    return GaussianSummary(summary.mean, _clamp_reconstruct(w, q), summary.count)

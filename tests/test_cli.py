@@ -1,6 +1,8 @@
 """End-to-end command-line flows."""
 
 import json
+import os
+from pathlib import Path
 import socket
 import subprocess
 import sys
@@ -9,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+import priarta
 from priarta import default_scenario, load_report
 from priarta.cli import main
 
@@ -270,6 +273,10 @@ def test_serve_and_value_over_sockets(scenario_dir, tmp_path):
     # the offline route over the same two sellers
     ports = [free_port(), free_port()]
     procs = []
+    # the sellers import the same package as this test, installed or not
+    package_root = str(Path(priarta.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     spec = str(scenario_dir / "encoder.json")
     try:
         for i, port in enumerate(ports, start=1):
@@ -278,7 +285,7 @@ def test_serve_and_value_over_sockets(scenario_dir, tmp_path):
                  "--input", str(scenario_dir / "sellers" / f"seller-{i}.raw"),
                  "--listen", f"127.0.0.1:{port}",
                  "--node-id", f"seller-{i}"],
-                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
             ))
         for proc in procs:
             line = proc.stdout.readline()

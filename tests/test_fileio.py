@@ -154,3 +154,147 @@ def test_encoded_file_matches_in_memory(tmp_path, rng):
     path = tmp_path / "d.emb"
     write_embeddings(path, EmbeddingSet(z, 1.0, False))
     np.testing.assert_array_equal(read_embeddings(path).vectors, z)
+
+
+# ------------------------------------------- C reader against the row loops
+
+
+def reference_read_lines(path):
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    if text.endswith("\n"):
+        text = text[:-1]
+    return text.split("\n")
+
+
+def reference_parse_floats(line, expected, path, lineno):
+    parts = line.split(" ")
+    if len(parts) != expected:
+        raise FileFormatError(f"{path}:{lineno}: expected {expected} fields, got {len(parts)}")
+    try:
+        return [float(p) for p in parts]
+    except ValueError as exc:
+        raise FileFormatError(f"{path}:{lineno}: {exc}") from exc
+
+
+def reference_read_raw(path):
+    """read_raw_dataset as it was before the C reader: one Python loop per row."""
+    lines = reference_read_lines(path)
+    if not lines or lines[0] != "PRIARTA-RAW 1":
+        raise FileFormatError(f"{path}:1: expected header 'PRIARTA-RAW 1'")
+    if len(lines) < 3:
+        raise FileFormatError(f"{path}: truncated, no dimension header")
+    parts = lines[1].split(" ")
+    if len(parts) != 3:
+        raise FileFormatError(f"{path}:2: header needs 3 fields, got {len(parts)}")
+    try:
+        m, p, k = (int(v) for v in parts)
+    except ValueError as exc:
+        raise FileFormatError(f"{path}:2: {exc}") from exc
+    if m < 1 or p < 1 or k < 1:
+        raise FileFormatError(f"{path}:2: dimensions must be positive, got {m} {p} {k}")
+    if len(lines) != 3 + m:
+        raise FileFormatError(f"{path}: header declares {m} rows, file has {len(lines) - 3}")
+    probs = reference_parse_floats(lines[2], k, path, 3)
+    points = np.empty((m, p))
+    labels = np.empty(m, dtype=int)
+    for i in range(m):
+        lineno = 4 + i
+        parts = lines[3 + i].split(" ", 1)
+        if len(parts) != 2:
+            raise FileFormatError(f"{path}:{lineno}: expected label and {p} coordinates")
+        try:
+            labels[i] = int(parts[0])
+        except ValueError as exc:
+            raise FileFormatError(f"{path}:{lineno}: {exc}") from exc
+        points[i] = reference_parse_floats(parts[1], p, path, lineno)
+    return RawDataset(points, labels, np.asarray(probs))
+
+
+def reference_read_embeddings(path):
+    """read_embeddings as it was before the C reader."""
+    lines = reference_read_lines(path)
+    parts = lines[1].split(" ")
+    n, d, radius = int(parts[0]), int(parts[1]), float(parts[2])
+    if len(lines) != 2 + n:
+        raise FileFormatError(f"{path}: header declares {n} rows, file has {len(lines) - 2}")
+    vectors = np.empty((n, d))
+    for i in range(n):
+        vectors[i] = reference_parse_floats(lines[2 + i], d, path, 3 + i)
+    inside = bool(np.all(np.linalg.norm(vectors, axis=1) <= radius * (1.0 + 1e-12)))
+    return EmbeddingSet(vectors, radius, clipped=inside)
+
+
+def read_outcome(read, path):
+    """What a reader returns, as bytes, or the exception it raises."""
+    try:
+        got = read(path)
+    except Exception as exc:  # the parity check compares every failure
+        return ("raised", type(exc).__name__, str(exc))
+    if isinstance(got, RawDataset):
+        return ("raw", got.points.tobytes(), got.labels.tobytes(), str(got.labels.dtype),
+                got.class_probs.tobytes(), got.points.shape)
+    return ("emb", got.vectors.tobytes(), got.vectors.shape, got.clip_radius, got.clipped)
+
+
+# Each replaces the middle row of a valid 3-row file with p = 2 coordinates.
+MALFORMED_ROWS = [
+    "1 3.0 4.0", "1\t3.0 4.0", "1 3.0\t4.0", "1 3.0 4.0\t", "1\t3.0\t4.0",
+    "1  3.0 4.0", "1 3.0  4.0", "1 3.0 4.0 ", " 1 3.0 4.0", "1 3.0 4.0  ",
+    "", "   ", "# 1 3.0 4.0", "1 3.0 #4.0", "1 3.0 4.0#",
+    "1 1_0 4.0", "1_0 3.0 4.0", "0_1 3.0 4.0",
+    "1 nan 4.0", "1 inf 4.0", "1 -Infinity 4.0", "1 NaN -inf", "1 1e400 4.0",
+    "1e0 3.0 4.0", "3.5 3.0 4.0", "nan 3.0 4.0", "inf 3.0 4.0",
+    "+1 3.0 4.0", "-0 3.0 4.0", "01 3.0 4.0", "-1 3.0 4.0", "5 3.0 4.0", "+-1 3.0 4.0",
+    "99999999999999999999 3.0 4.0",
+    "1 3.0", "1 3.0 4.0 5.0", "1", "1 ", "1 3.0 ",
+    "1 1e0 4E-1", "1 +.5 -0.0", "1 1. .5", "1 3.0 4.0e", "1 - 4.0", "1 3.0 1.2.3",
+    "1 3.0 4.0\x0b", "1 3.0 4.0\x1c", "1 3.0 4.0\xa0", "１ 3.0 4.0", "1 ３.0 4.0",
+]
+
+
+@pytest.mark.parametrize("row", MALFORMED_ROWS)
+def test_raw_reader_matches_row_loop(tmp_path, row):
+    path = tmp_path / "d.raw"
+    path.write_bytes(f"PRIARTA-RAW 1\n3 2 2\n0.5 0.5\n0 1.0 2.0\n{row}\n1 -5e-324 0.1\n".encode())
+    assert read_outcome(read_raw_dataset, path) == read_outcome(reference_read_raw, path)
+
+
+@pytest.mark.parametrize("row", MALFORMED_ROWS)
+def test_embeddings_reader_matches_row_loop(tmp_path, row):
+    coords = row.split(" ", 1)[1] if " " in row else row
+    path = tmp_path / "d.emb"
+    path.write_bytes(f"PRIARTA-EMB 1\n3 2 10.0\n1.0 2.0\n{coords}\n-5e-324 0.1\n".encode())
+    assert read_outcome(read_embeddings, path) == read_outcome(reference_read_embeddings, path)
+
+
+@pytest.mark.parametrize("body", [
+    "0 1.0 2.0\r\n1 3.0 4.0\r\n",       # CRLF line endings
+    "0 1.0 2.0\n1 3.0 4.0",             # no final newline
+    "0 1.0 2.0\n1 3.0 4.0\n\n",         # blank last line
+    "0 1.0 2.0\n\n1 3.0 4.0\n",         # blank line between rows
+])
+def test_raw_reader_matches_row_loop_on_line_structure(tmp_path, body):
+    path = tmp_path / "d.raw"
+    path.write_bytes(("PRIARTA-RAW 1\n2 2 2\n0.5 0.5\n" + body).encode())
+    assert read_outcome(read_raw_dataset, path) == read_outcome(reference_read_raw, path)
+
+
+def test_canonical_files_skip_the_row_loop(tmp_path, rng, monkeypatch):
+    import priarta.fileio as fileio
+
+    raw_path, emb_path = tmp_path / "d.raw", tmp_path / "d.emb"
+    data = sample_raw(rng, m=50)
+    write_raw_dataset(raw_path, data)
+    e = EmbeddingSet(rng.standard_normal((40, 5)), 1.0, False)
+    write_embeddings(emb_path, e)
+    calls = []
+    original = fileio._parse_floats
+    monkeypatch.setattr(fileio, "_parse_floats", lambda *a: calls.append(a) or original(*a))
+    again = read_raw_dataset(raw_path)
+    assert len(calls) == 1  # the class-probability line only
+    np.testing.assert_array_equal(again.points, data.points)
+    np.testing.assert_array_equal(again.labels, data.labels)
+    assert again.labels.dtype == data.labels.dtype
+    np.testing.assert_array_equal(read_embeddings(emb_path).vectors, e.vectors)
+    assert len(calls) == 1

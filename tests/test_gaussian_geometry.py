@@ -271,3 +271,165 @@ def test_w2_dim_mismatch():
     b = GaussianSummary([0.0, 0.0], np.eye(2), 5)
     with pytest.raises(ShapeError):
         wasserstein2_gaussian(a, b)
+
+
+# ------------------------------------------- psd_clamp against the eigen path
+
+
+def eigen_path_psd_clamp(a, name="matrix"):
+    """psd_clamp as it was before Cholesky-first validation: every input is
+    eigendecomposed (descending order), noise negatives are clamped and the
+    matrix rebuilt, anything below -1e-10 * lambda_max is rejected."""
+    sym = (a + a.T) / 2.0
+    w, q = np.linalg.eigh(sym)
+    w, q = w[::-1].copy(), q[:, ::-1].copy()
+    floor = -1e-10 * max(float(w[0]), 0.0)
+    lam_min = float(w[-1])
+    if lam_min < floor:
+        raise NotPSDError(
+            f"{name} is not PSD within tolerance: eigenvalue {lam_min:.6e} "
+            f"is below {floor:.6e}",
+            offending_eigenvalue=lam_min,
+        )
+    if lam_min >= 0.0:
+        return sym
+    rebuilt = (q * np.maximum(w, 0.0)) @ q.T
+    return (rebuilt + rebuilt.T) / 2.0
+
+
+def with_spectrum(rng, eigenvalues):
+    q, _ = np.linalg.qr(rng.standard_normal((len(eigenvalues), len(eigenvalues))))
+    return (q * np.asarray(eigenvalues)) @ q.T
+
+
+def test_psd_clamp_bit_equal_to_eigen_path(rng):
+    positive_definite = [random_psd(rng, dim, scale=3.0) for dim in (1, 3, 16, 64)]
+    positive_definite.append(with_spectrum(rng, np.logspace(0.0, -11.0, 24)))
+    positive_definite.append(random_psd(rng, 8) + 1e-9 * rng.standard_normal((8, 8)))
+    tiny_negative = [
+        np.diag([1.0, -1e-14]),
+        with_spectrum(rng, np.r_[np.linspace(1.0, 0.1, 11), -1e-12]),
+        with_spectrum(rng, np.r_[np.linspace(2.0, 0.5, 30), -1e-13, -5e-12]),
+    ]
+    for a in positive_definite + tiny_negative:
+        expected = eigen_path_psd_clamp(a)
+        got = psd_clamp(a)
+        assert got.tobytes() == expected.tobytes()
+        assert psd_clamp(got).tobytes() == got.tobytes()  # idempotent
+    # the tiny-negative inputs really took the clamp-and-rebuild branch
+    for a in tiny_negative:
+        assert psd_clamp(a).tobytes() != ((a + a.T) / 2.0).tobytes()
+
+
+def test_psd_clamp_rejects_like_eigen_path(rng):
+    rejected = [
+        np.diag([1.0, -0.5]),
+        with_spectrum(rng, np.r_[np.linspace(1.0, 0.2, 9), -1e-3]),
+        -random_psd(rng, 5),
+    ]
+    for a in rejected:
+        with pytest.raises(NotPSDError) as want:
+            eigen_path_psd_clamp(a, name="covariance")
+        with pytest.raises(NotPSDError) as got:
+            psd_clamp(a, name="covariance")
+        assert str(got.value) == str(want.value)
+        assert got.value.offending_eigenvalue == want.value.offending_eigenvalue
+
+
+def test_psd_clamp_eigendecomposes_only_what_cholesky_rejects(rng, monkeypatch):
+    calls = []
+    for name in ("cholesky", "eigh"):
+        original = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda a, _n=name, _o=original: calls.append(_n) or _o(a))
+    GaussianSummary(np.zeros(16), random_psd(rng, 16), 10)
+    assert calls == ["cholesky"]
+    calls.clear()
+    GaussianSummary(np.zeros(2), np.diag([1.0, -1e-14]), 10)
+    assert calls == ["cholesky", "eigh"]
+
+
+# ------------------------------------------------- W2 against the scipy oracle
+
+
+def w2_squared_oracle(a, b):
+    """(W2^2, scale) through scipy's Schur-based square root, as the
+    benchmark's output check computes it."""
+    root_a = np.real(scipy.linalg.sqrtm(a.covariance))
+    cross = np.real(scipy.linalg.sqrtm(root_a @ b.covariance @ root_a))
+    diff = a.mean - b.mean
+    scale = float(diff @ diff) + float(np.trace(a.covariance)) + float(np.trace(b.covariance))
+    return scale - 2.0 * float(np.trace(cross)), scale
+
+
+def assert_w2_matches_oracle(a, b):
+    expected, scale = w2_squared_oracle(a, b)
+    got = wasserstein2_gaussian(a, b)
+    assert abs(got * got - expected) <= 1e-9 * scale
+
+
+def test_w2_ill_conditioned_buyer_takes_cholesky(rng):
+    dim = 32
+    buyer_cov = with_spectrum(rng, np.logspace(0.0, -10.5, dim))
+    buyer = GaussianSummary(rng.standard_normal(dim), buyer_cov, 64)
+    assert np.linalg.cond(buyer.covariance) >= 1e10
+    np.linalg.cholesky(buyer.covariance)  # the factor is the Cholesky one
+    for _ in range(3):
+        assert_w2_matches_oracle(buyer, random_summary(rng, dim))
+
+
+def test_w2_rank_deficient_buyer_takes_eigen_fallback(rng):
+    # 32 rows in d = 64 whose last 33 coordinates are constant: the sample
+    # covariance has rank 31 and an exactly zero null block, so the true W2
+    # is well defined to double precision and the oracle can be scipy's
+    # square root of the live 31 x 31 block.
+    dim, rows, live = 64, 32, 31
+    x = rng.standard_normal((rows, dim))
+    x[:, live:] = 0.25
+    centered = x - x.mean(axis=0)
+    buyer = GaussianSummary(x.mean(axis=0), centered.T @ centered / (rows - 1), rows)
+    assert np.linalg.matrix_rank(buyer.covariance) == live
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(buyer.covariance)
+    for _ in range(3):
+        seller = random_summary(rng, dim)
+        root = np.real(scipy.linalg.sqrtm(buyer.covariance[:live, :live]))
+        cross = np.real(scipy.linalg.sqrtm(root @ seller.covariance[:live, :live] @ root))
+        diff = buyer.mean - seller.mean
+        scale = float(diff @ diff) + float(np.trace(buyer.covariance)) + float(
+            np.trace(seller.covariance))
+        expected = scale - 2.0 * float(np.trace(cross))
+        got = wasserstein2_gaussian(buyer, seller)
+        assert abs(got * got - expected) <= 1e-9 * scale
+
+
+def test_w2_generic_rank_deficient_buyer(rng):
+    # 32 generic rows in d = 64: the stored covariance carries eigenvalues of
+    # rounding size (~1e-17) on its 33-dimensional null space, and sqrt is not
+    # Lipschitz at 0, so every double-precision evaluation of the cross term
+    # (scipy's included) scatters by ~(d - rank) * sqrt(eps * ||Sigma||); the
+    # bound here is 1e-8 of the scale. The oracle is scipy's square root of
+    # the 32 x 32 matrix Y Sigma_s Y^T, which shares the nonzero spectrum of
+    # Sigma_b^{1/2} Sigma_s Sigma_b^{1/2} for Sigma_b = Y^T Y.
+    dim, rows = 64, 32
+    x = rng.standard_normal((rows, dim))
+    y = (x - x.mean(axis=0)) / math.sqrt(rows - 1)
+    buyer = GaussianSummary(x.mean(axis=0), y.T @ y, rows)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(buyer.covariance)
+    for _ in range(3):
+        seller = random_summary(rng, dim)
+        cross = np.real(scipy.linalg.sqrtm(y @ seller.covariance @ y.T))
+        diff = buyer.mean - seller.mean
+        scale = float(diff @ diff) + float(np.trace(buyer.covariance)) + float(
+            np.trace(seller.covariance))
+        expected = scale - 2.0 * float(np.trace(cross))
+        got = wasserstein2_gaussian(buyer, seller)
+        assert abs(got * got - expected) <= 1e-8 * scale
+
+
+def test_w2_matches_oracle_at_d768(rng):
+    dim = 768
+    buyer = random_summary(rng, dim, cov_scale=0.01)
+    seller = random_summary(rng, dim, cov_scale=0.02)
+    assert_w2_matches_oracle(buyer, seller)

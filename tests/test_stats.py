@@ -180,3 +180,18 @@ def test_debias_rejects_negative_sigma(rng):
     s = summarize(EmbeddingSet(rng.standard_normal((20, 3)), 100.0, False))
     with pytest.raises(ParameterError):
         debias_covariance(s, -1.0)
+
+
+def test_debias_bit_equal_to_eigh_clamp_formula(rng):
+    # the formula debias used before it shared psd_clamp's rebuild step:
+    # ascending eigh of the shifted covariance, every negative clamped to 0
+    for dim, sigma in ((3, 0.5), (8, 0.9), (24, 1.1), (24, 0.05)):
+        v = rng.standard_normal((40, dim)) + sigma * rng.standard_normal((40, dim))
+        s = summarize(EmbeddingSet(v, 100.0, False))
+        shifted = s.covariance - sigma**2 * np.eye(dim)
+        w, q = np.linalg.eigh(shifted)
+        rebuilt = (q * np.maximum(w, 0.0)) @ q.T
+        expected = GaussianSummary(s.mean, (rebuilt + rebuilt.T) / 2.0, s.count)
+        out = debias_covariance(s, sigma)
+        assert out.covariance.tobytes() == expected.covariance.tobytes()
+        assert out.mean.tobytes() == s.mean.tobytes() and out.count == s.count

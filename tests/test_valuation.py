@@ -21,7 +21,13 @@ from priarta import (
     robustness_report,
     save_report,
 )
-from priarta.protocol import SellerOutcome
+from priarta.protocol import (
+    SellerNode,
+    SellerOutcome,
+    in_process_endpoints,
+    orchestrate_valuation,
+)
+from priarta.scenario import BUYER_ID, build_datasets, default_scenario
 from priarta.valuation import dumps_report, with_robustness
 
 from conftest import random_summary
@@ -270,3 +276,61 @@ def test_report_from_dict_rejects_bad_objective(rng):
     data["objective"] = "amuse"
     with pytest.raises(FileFormatError):
         ValuationReport.from_dict(data)
+
+
+# ------------------------------------------------------- factor-once scoring
+
+
+def counting(monkeypatch, names):
+    """Replace np.linalg functions by call-counting wrappers."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(np.linalg, name)
+
+        def wrapper(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, wrapper)
+    return counts
+
+
+DECOMPOSITIONS = ("cholesky", "eigh", "eigvalsh", "eig", "eigvals", "svd")
+
+
+@pytest.mark.parametrize("singular_buyer", [False, True])
+def test_build_report_factors_buyer_once(monkeypatch, rng, singular_buyer):
+    dim, k = 12, 5
+    if singular_buyer:
+        # 6 rows in 12 dimensions: Cholesky fails, the factor comes from eigh
+        x = rng.standard_normal((6, dim))
+        centered = x - x.mean(axis=0)
+        buyer = GaussianSummary(x.mean(axis=0), centered.T @ centered / 5, 6)
+    else:
+        buyer = random_summary(rng, dim)
+    sellers = [outcome(f"seller-{i}", random_summary(rng, dim)) for i in range(k)]
+    counts = counting(monkeypatch, DECOMPOSITIONS)
+    report = build_report(buyer, sellers, "diversify", PARAMS)
+    assert len(report.ranking) == k
+    expected = dict.fromkeys(DECOMPOSITIONS, 0)
+    expected.update(cholesky=1, eigvalsh=k, eigh=1 if singular_buyer else 0)
+    assert counts == expected
+    # a second report reuses the buyer's cached factor
+    counts.update(dict.fromkeys(DECOMPOSITIONS, 0))
+    build_report(buyer, sellers, "diversify", PARAMS)
+    assert counts == dict(expected, cholesky=0, eigh=0)
+
+
+def test_round_caches_factor_on_buyer_only():
+    config = default_scenario(1000)
+    datasets = build_datasets(config)
+    nodes = [SellerNode(nid, raw=datasets[nid]) for nid in config.seller_ids()]
+    buyer, outcomes = orchestrate_valuation(
+        datasets[BUYER_ID], in_process_endpoints(nodes), config.encoder, config.budget,
+        master_seed=config.master_seed,
+    )
+    build_report(buyer, outcomes, "diversify", PARAMS)
+    assert "_covariance_factor" in vars(buyer)
+    summaries = [o.summary for o in outcomes if o.summary is not None]
+    assert len(summaries) == len(config.sellers)
+    assert not any("_covariance_factor" in vars(s) for s in summaries)
