@@ -1,5 +1,7 @@
-"""Command-line surface: scenario generation, encoding, seller serving,
-buyer valuation, report rendering, and the robustness harness.
+"""Command-line surface: argument parsing and file I/O for scenario
+generation, encoding, seller serving, buyer valuation, report rendering, and
+the robustness harness. The valuation round itself is
+``valuation.run_valuation``.
 
 Exit codes: 0 success, 1 validation error, 2 runtime or protocol error,
 3 all sellers failed. Set PRIARTA_LOG=INFO (or DEBUG) for progress logs.
@@ -28,29 +30,21 @@ from .fileio import (
     write_embeddings,
     write_raw_dataset,
 )
-from .privacy import GAUSSIAN_SAMPLER, PrivacyBudget
-from .protocol import (
-    PROTOCOL_VERSION,
-    SellerNode,
-    SellerServer,
-    in_process_endpoints,
-    orchestrate_valuation,
-    socket_endpoints,
-)
+from .privacy import PrivacyBudget
+from .protocol import SellerNode, SellerServer, in_process_endpoints, socket_endpoints
 from .scenario import BUYER_ID, ScenarioConfig, build_datasets, default_scenario
-from .stats import EmbeddingSet, debias_covariance
-from .valuation import (
-    ValuationReport,
-    build_report,
+from .stats import EmbeddingSet
+# run_valuation_for_config is re-exported for library callers
+from .valuation import (  # noqa: F401
     load_report,
     render_csv,
     render_table,
     robustness_for_config,
+    run_valuation,
+    run_valuation_for_config,
     save_report,
     with_robustness,
 )
-
-log = logging.getLogger("priarta.cli")
 
 DEFAULT_MASTER_SEED = 1000
 
@@ -64,49 +58,11 @@ def _load_scenario(config_path, seed) -> ScenarioConfig:
     return ScenarioConfig.from_dict(raw)
 
 
-def _params_echo(budget: PrivacyBudget, master_seed, objective: str, debias: bool,
-                 spec: EncoderSpec, noisy_buyer: bool) -> dict:
-    return {
-        "epsilon": budget.epsilon,
-        "delta": budget.delta,
-        "clip_radius": budget.clip_radius,
-        "subset_size": budget.subset_size,
-        "master_seed": master_seed,
-        "mode": "seeded" if master_seed is not None else "secure",
-        "objective": objective,
-        "debias": debias,
-        "noisy_buyer": noisy_buyer,
-        "encoder_fingerprint": spec.fingerprint(),
-        "gaussian_sampler": GAUSSIAN_SAMPLER,
-        "protocol_version": PROTOCOL_VERSION,
-    }
-
-
-def _apply_debias(outcomes):
-    for outcome in outcomes:
-        if outcome.summary is not None:
-            outcome.summary = debias_covariance(outcome.summary, outcome.sigma_used)
-
-
-def run_valuation_for_config(config: ScenarioConfig, objective: str = "diversify",
-                             debias: bool = False, noisy_buyer: bool = False) -> ValuationReport:
-    """Offline end-to-end valuation of a scenario, seeded by its master seed."""
-    datasets = build_datasets(config)
-    nodes = [SellerNode(node_id, raw=datasets[node_id]) for node_id in config.seller_ids()]
-    budget = config.budget
-    buyer, outcomes = orchestrate_valuation(
-        datasets[BUYER_ID],
-        in_process_endpoints(nodes),
-        config.encoder,
-        budget,
-        master_seed=config.master_seed,
-        noisy_buyer=noisy_buyer,
-    )
-    if debias:
-        _apply_debias(outcomes)
-    params = _params_echo(budget, config.master_seed, objective, debias,
-                          config.encoder, noisy_buyer)
-    return build_report(buyer, outcomes, objective, params)
+def _node(node_id: str, data, pinned: str = None) -> SellerNode:
+    """A seller node over a raw dataset or over pre-encoded embeddings."""
+    if isinstance(data, RawDataset):
+        return SellerNode(node_id, raw=data, pinned_fingerprint=pinned)
+    return SellerNode(node_id, embeddings=data, pinned_fingerprint=pinned)
 
 
 def _parse_hostport(text: str) -> tuple:
@@ -128,14 +84,7 @@ def _seller_endpoints(arg: str, offline: bool) -> list:
         stems = [p.stem for p in files]
         if len(set(stems)) != len(stems):
             raise ParameterError(f"duplicate seller node ids in {arg}")
-        nodes = []
-        for p in files:
-            data = read_dataset_any(p)
-            if isinstance(data, RawDataset):
-                nodes.append(SellerNode(p.stem, raw=data))
-            else:
-                nodes.append(SellerNode(p.stem, embeddings=data))
-        return in_process_endpoints(nodes)
+        return in_process_endpoints([_node(p.stem, read_dataset_any(p)) for p in files])
     if offline:
         raise ParameterError(f"--offline requires --sellers to be a directory, got {arg!r}")
     addresses = []
@@ -190,12 +139,8 @@ def cmd_serve(args) -> int:
     pinned = None
     if args.spec is not None:
         pinned = EncoderSpec.from_dict(load_json(args.spec)).fingerprint()
-    if isinstance(data, RawDataset):
-        node = SellerNode(node_id, raw=data, pinned_fingerprint=pinned)
-    else:
-        node = SellerNode(node_id, embeddings=data, pinned_fingerprint=pinned)
     try:
-        server = SellerServer((host, port), node)
+        server = SellerServer((host, port), _node(node_id, data, pinned))
     except OSError as exc:
         print(f"error: cannot bind {args.listen}: {exc}", file=sys.stderr)
         return 2
@@ -215,15 +160,9 @@ def cmd_value(args) -> int:
     buyer_data = read_dataset_any(args.input)
     budget = PrivacyBudget(args.epsilon, args.delta, args.clip_radius, args.subset_size)
     endpoints = _seller_endpoints(args.sellers, args.offline)
-    buyer, outcomes = orchestrate_valuation(
-        buyer_data, endpoints, spec, budget,
-        master_seed=args.seed, noisy_buyer=args.noisy_buyer,
-    )
-    if args.debias:
-        _apply_debias(outcomes)
-    params = _params_echo(budget, args.seed, args.objective, args.debias, spec,
-                          args.noisy_buyer)
-    report = build_report(buyer, outcomes, args.objective, params)
+    report = run_valuation(buyer_data, endpoints, spec, budget, master_seed=args.seed,
+                           objective=args.objective, debias=args.debias,
+                           noisy_buyer=args.noisy_buyer)
     save_report(report, args.output)
     for entry_ in report.entries:
         if entry_.failed:

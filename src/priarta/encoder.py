@@ -20,6 +20,11 @@ import numpy as np
 
 from .errors import NumericInputError, ParameterError, ShapeError
 
+__all__ = [
+    "AugmentationSpec", "EncoderSpec", "RawDataset", "augment", "encode",
+    "gen_mixture_dataset",
+]
+
 ENCODER_KINDS = ("toy_projection", "external")
 
 

@@ -1,6 +1,14 @@
 """Exception types shared across the package."""
 
 
+__all__ = [
+    "ConfigError", "ConvergenceError", "EmptyInputError", "FileFormatError",
+    "FrameError", "InsufficientSamplesError", "NoCandidatesError",
+    "NotPSDError", "NumericInputError", "ParameterError", "PriartaError",
+    "ProtocolFailure", "ShapeError",
+]
+
+
 class PriartaError(Exception):
     """Base class for every error raised by this package."""
 

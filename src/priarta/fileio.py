@@ -77,6 +77,17 @@ def _parse_header_ints(line: str, count: int, path) -> list:
     return parts
 
 
+def _check_row_width(width: int, first_row: str, path, lineno: int):
+    """Reject a header width that no row can have, before any array or dtype
+    is sized from it: a row of width coordinates is at least width
+    characters long."""
+    if width > len(first_row):
+        raise FileFormatError(
+            f"{path}:2: header declares {width} coordinates per row, "
+            f"but line {lineno} is {len(first_row)} characters long"
+        )
+
+
 def write_raw_dataset(path, data: RawDataset):
     k = data.class_probs.shape[0]
     lines = [RAW_MAGIC, f"{data.count} {data.dim} {k}"]
@@ -102,6 +113,7 @@ def read_raw_dataset(path) -> RawDataset:
         raise FileFormatError(f"{path}:2: dimensions must be positive, got {m} {p} {k}")
     if len(lines) != 3 + m:
         raise FileFormatError(f"{path}: header declares {m} rows, file has {len(lines) - 3}")
+    _check_row_width(p, lines[3], path, 4)
     probs = _parse_floats(lines[2], k, path, 3)
     parsed = _load_rows(lines[3:], np.dtype([("label", int), ("point", float, (p,))]))
     if parsed is not None:
@@ -117,6 +129,8 @@ def read_raw_dataset(path) -> RawDataset:
             labels[i] = int(parts[0])
         except ValueError as exc:
             raise FileFormatError(f"{path}:{lineno}: {exc}") from exc
+        except OverflowError as exc:
+            raise FileFormatError(f"{path}:{lineno}: label {parts[0]} is outside int64") from exc
         points[i] = _parse_floats(parts[1], p, path, lineno)
     return RawDataset(points, labels, np.asarray(probs))
 
@@ -147,6 +161,7 @@ def read_embeddings(path) -> EmbeddingSet:
         raise FileFormatError(f"{path}:2: need n >= 2, d >= 1, R > 0, got {lines[1]!r}")
     if len(lines) != 2 + n:
         raise FileFormatError(f"{path}: header declares {n} rows, file has {len(lines) - 2}")
+    _check_row_width(d, lines[2], path, 3)
     parsed = _load_rows(lines[2:], np.dtype([("vector", float, (d,))]))
     if parsed is not None:
         vectors = parsed["vector"]

@@ -32,6 +32,8 @@ from .errors import (
     ShapeError,
 )
 
+__all__ = ["GaussianSummary", "psd_clamp", "symmetrize", "wasserstein2_gaussian"]
+
 Array = np.ndarray
 
 # Relative tolerance below which negative eigenvalues are treated as noise
@@ -61,7 +63,7 @@ def symmetrize(a) -> Array:
     return (a + a.T) / 2.0
 
 
-def sym_eig(a, name: str = "matrix"):
+def _sym_eig(a, name: str = "matrix"):
     """Eigendecomposition of a symmetric matrix.
 
     Returns (eigenvalues, eigenvectors) with eigenvalues sorted descending and
@@ -89,7 +91,7 @@ def _require_psd(lam_min: float, lam_max: float, name: str):
 
 def _clamped_eigh(a: Array, name: str):
     """Eigendecomposition that rejects genuinely negative eigenvalues."""
-    w, q = sym_eig(a, name=name)
+    w, q = _sym_eig(a, name=name)
     _require_psd(float(w[-1]), float(w[0]), name)
     return w, q
 
@@ -135,16 +137,6 @@ def psd_clamp(a, name: str = "matrix") -> Array:
     if float(w[-1]) >= 0.0:
         return sym
     return _clamp_reconstruct(w, q)
-
-
-def sqrtm_psd(a, name: str = "matrix") -> Array:
-    """Symmetric PSD square root via eigendecomposition.
-
-    S satisfies S @ S ~= A+ (A with negative noise eigenvalues clamped to 0)
-    with Frobenius residual below LIN_TOL * max(1, ||A||_F).
-    """
-    w, q = _clamped_eigh(a, name)
-    return symmetrize((q * np.sqrt(np.maximum(w, 0.0))) @ q.T)
 
 
 @dataclass(frozen=True)

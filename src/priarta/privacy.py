@@ -27,6 +27,12 @@ import numpy as np
 from .errors import ParameterError
 from .stats import EmbeddingSet
 
+__all__ = [
+    "GAUSSIAN_SAMPLER", "NoiseCalibration", "PrivacyBudget",
+    "apply_gaussian_mechanism", "calibrate_sigma", "covariance_sensitivity",
+    "derive_seed", "mean_sensitivity", "secure_seed",
+]
+
 # Gaussian sampling method behind apply_gaussian_mechanism: numpy Generator's
 # ziggurat normal over the PCG64 stream. Recorded in run metadata so another
 # implementation with the same PRNG stream can reproduce draws bit-exactly.

@@ -12,7 +12,6 @@ one reply. MODEL_SPEC is acknowledged with HELLO so transcripts stay
 deterministic and byte-countable.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, fields
 import functools
 import json
@@ -44,6 +43,16 @@ from .privacy import (
     secure_seed,
 )
 from .stats import EmbeddingSet, clip_to_ball, summarize
+
+__all__ = [
+    "MAX_FRAME_BYTES", "PROTOCOL_VERSION", "ErrorMessage", "Hello",
+    "InProcessChannel", "ModelSpec", "SellerNode", "SellerOutcome",
+    "SellerServer", "SellerSession", "SocketChannel", "StatsRequest",
+    "StatsResponse", "buyer_summary", "decode_frame", "encode_frame",
+    "expand_covariance", "in_process_endpoints", "node_seeds",
+    "orchestrate_valuation", "pack_covariance", "sample_subset",
+    "seller_pipeline", "socket_endpoints",
+]
 
 log = logging.getLogger("priarta.protocol")
 
@@ -670,9 +679,9 @@ def _query_seller(node_id: str, connect, spec: EncoderSpec, request: StatsReques
 
 
 def orchestrate_valuation(buyer_data, sellers, spec: EncoderSpec, budget: PrivacyBudget,
-                          master_seed: int = None, noisy_buyer: bool = False,
-                          concurrent: bool = False):
-    """Query every seller endpoint and compute the buyer's own summary.
+                          master_seed: int = None, noisy_buyer: bool = False):
+    """Query every seller endpoint, one after another, and compute the
+    buyer's own summary.
 
     sellers: list of (node_id, connect) with connect() -> channel. Returns
     (buyer GaussianSummary, [SellerOutcome] sorted by node_id); a seller
@@ -696,17 +705,7 @@ def orchestrate_valuation(buyer_data, sellers, spec: EncoderSpec, budget: Privac
         mode=mode,
         seed=seed,
     )
-    if concurrent:
-        with ThreadPoolExecutor(max_workers=len(sellers)) as pool:
-            futures = [
-                pool.submit(_query_seller, node_id, connect, spec, request)
-                for node_id, connect in sellers
-            ]
-            outcomes = [f.result() for f in futures]
-    else:
-        outcomes = [
-            _query_seller(node_id, connect, spec, request) for node_id, connect in sellers
-        ]
+    outcomes = [_query_seller(node_id, connect, spec, request) for node_id, connect in sellers]
     outcomes.sort(key=lambda o: o.node_id)
 
     noise_sigma = 0.0

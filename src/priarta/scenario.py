@@ -13,9 +13,11 @@ import math
 
 import numpy as np
 
-from .encoder import AugmentationSpec, EncoderSpec, RawDataset, augment, gen_mixture_dataset
+from .encoder import AugmentationSpec, EncoderSpec, augment, gen_mixture_dataset
 from .errors import ConfigError, ParameterError
 from .privacy import PrivacyBudget, derive_seed
+
+__all__ = ["ScenarioConfig", "build_datasets", "default_scenario"]
 
 BUYER_ID = "buyer"
 

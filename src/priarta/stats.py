@@ -14,6 +14,11 @@ from .errors import (
 )
 from .gaussian_geometry import GaussianSummary, _clamp_reconstruct, symmetrize
 
+__all__ = [
+    "EmbeddingSet", "clip_to_ball", "debias_covariance", "sample_covariance",
+    "sample_mean", "summarize",
+]
+
 # Slack on the row-norm invariant of clipped sets: x * (R / ||x||) can land a
 # hair above R in floating point.
 CLIP_SLACK = 1e-12

@@ -1,7 +1,7 @@
-"""Buyer-side decision layer: score sellers by the closed-form W2 distance,
-min-max normalize, rank under the chosen objective, and report
-augmentation-robustness deviations, for a pair of summaries or for every
-augmented copy in a seeded scenario."""
+"""Buyer-side decision layer: run a valuation round, score sellers by the
+closed-form W2 distance, min-max normalize, rank under the chosen objective,
+and report augmentation-robustness deviations, for a pair of summaries or for
+every augmented copy in a seeded scenario."""
 
 import csv
 from dataclasses import dataclass, replace
@@ -9,6 +9,7 @@ import io
 import json
 import math
 
+from .encoder import EncoderSpec
 from .errors import (
     EmptyInputError,
     FileFormatError,
@@ -17,8 +18,25 @@ from .errors import (
     ParameterError,
 )
 from .gaussian_geometry import GaussianSummary, wasserstein2_gaussian
-from .protocol import buyer_summary, node_seeds, seller_pipeline, stats_request_seed
+from .privacy import GAUSSIAN_SAMPLER, PrivacyBudget
+from .protocol import (
+    PROTOCOL_VERSION,
+    SellerNode,
+    buyer_summary,
+    in_process_endpoints,
+    node_seeds,
+    orchestrate_valuation,
+    seller_pipeline,
+    stats_request_seed,
+)
 from .scenario import BUYER_ID, ScenarioConfig, build_datasets
+from .stats import debias_covariance
+
+__all__ = [
+    "RobustnessEntry", "SellerScore", "ValuationReport", "build_report",
+    "load_report", "minmax_normalize", "rank_sellers", "render_csv",
+    "render_table", "robustness_report", "run_valuation", "save_report",
+]
 
 OBJECTIVES = ("diversify", "enrich")
 
@@ -101,31 +119,6 @@ def robustness_report(buyer: GaussianSummary, seller_baseline: GaussianSummary,
         "augmented_w2": augmented,
         "deviation": abs(baseline - augmented),
     }
-
-
-def robustness_for_config(config: ScenarioConfig) -> list:
-    """Baseline-vs-augmented distance deviations for every augmented-copy
-    seller, with the buyer summary and the per-node seeds held identical
-    between the two runs."""
-    datasets = build_datasets(config)
-    budget = config.budget
-    buyer = buyer_summary(datasets[BUYER_ID], config.encoder, budget.clip_radius)
-    request_seed = stats_request_seed(config.master_seed)
-    entries = []
-    for seller in config.sellers:
-        if seller.kind != "augmented_copy":
-            continue
-        subset_seed, noise_seed = node_seeds(request_seed, seller.node_id)
-        augmented, _ = seller_pipeline(
-            datasets[seller.node_id], config.encoder, budget, subset_seed, noise_seed
-        )
-        baseline, _ = seller_pipeline(
-            datasets[seller.source_id], config.encoder, budget, subset_seed, noise_seed
-        )
-        entries.append(
-            RobustnessEntry(seller.node_id, **robustness_report(buyer, baseline, augmented))
-        )
-    return entries
 
 
 @dataclass(frozen=True)
@@ -213,6 +206,74 @@ def build_report(buyer: GaussianSummary, outcomes, objective: str,
         params_echo=dict(params_echo),
         degenerate_normalization=degenerate,
     )
+
+
+def run_valuation(buyer_data, sellers, spec: EncoderSpec, budget: PrivacyBudget,
+                  master_seed: int = None, objective: str = "diversify",
+                  debias: bool = False, noisy_buyer: bool = False) -> ValuationReport:
+    """One valuation round: query every seller endpoint, optionally subtract
+    each seller's sigma^2 I from its covariance, then score and rank.
+
+    sellers: list of (node_id, connect) as for orchestrate_valuation. The
+    report's params_echo records every setting that shaped it.
+    """
+    buyer, outcomes = orchestrate_valuation(
+        buyer_data, sellers, spec, budget, master_seed=master_seed, noisy_buyer=noisy_buyer,
+    )
+    if debias:
+        for outcome in outcomes:
+            if outcome.summary is not None:
+                outcome.summary = debias_covariance(outcome.summary, outcome.sigma_used)
+    params = {
+        "epsilon": budget.epsilon,
+        "delta": budget.delta,
+        "clip_radius": budget.clip_radius,
+        "subset_size": budget.subset_size,
+        "master_seed": master_seed,
+        "mode": "seeded" if master_seed is not None else "secure",
+        "objective": objective,
+        "debias": debias,
+        "noisy_buyer": noisy_buyer,
+        "encoder_fingerprint": spec.fingerprint(),
+        "gaussian_sampler": GAUSSIAN_SAMPLER,
+        "protocol_version": PROTOCOL_VERSION,
+    }
+    return build_report(buyer, outcomes, objective, params)
+
+
+def run_valuation_for_config(config: ScenarioConfig, objective: str = "diversify",
+                             debias: bool = False, noisy_buyer: bool = False) -> ValuationReport:
+    """Offline end-to-end valuation of a scenario, seeded by its master seed."""
+    datasets = build_datasets(config)
+    nodes = [SellerNode(node_id, raw=datasets[node_id]) for node_id in config.seller_ids()]
+    return run_valuation(datasets[BUYER_ID], in_process_endpoints(nodes), config.encoder,
+                         config.budget, master_seed=config.master_seed, objective=objective,
+                         debias=debias, noisy_buyer=noisy_buyer)
+
+
+def robustness_for_config(config: ScenarioConfig) -> list:
+    """Baseline-vs-augmented distance deviations for every augmented-copy
+    seller, with the buyer summary and the per-node seeds held identical
+    between the two runs."""
+    datasets = build_datasets(config)
+    budget = config.budget
+    buyer = buyer_summary(datasets[BUYER_ID], config.encoder, budget.clip_radius)
+    request_seed = stats_request_seed(config.master_seed)
+    entries = []
+    for seller in config.sellers:
+        if seller.kind != "augmented_copy":
+            continue
+        subset_seed, noise_seed = node_seeds(request_seed, seller.node_id)
+        augmented, _ = seller_pipeline(
+            datasets[seller.node_id], config.encoder, budget, subset_seed, noise_seed
+        )
+        baseline, _ = seller_pipeline(
+            datasets[seller.source_id], config.encoder, budget, subset_seed, noise_seed
+        )
+        entries.append(
+            RobustnessEntry(seller.node_id, **robustness_report(buyer, baseline, augmented))
+        )
+    return entries
 
 
 def with_robustness(report: ValuationReport, entries) -> ValuationReport:

@@ -28,6 +28,17 @@ def random_summary(rng, dim, mean_scale=1.0, cov_scale=1.0, count=64):
     return GaussianSummary(mean, random_psd(rng, dim, cov_scale), count)
 
 
+# Dataset files the readers must reject as FileFormatError naming path:line,
+# with that line: a label outside int64 (either sign) and a header width no
+# row can have.
+HOSTILE_INPUTS = {
+    "big-label.raw": ("PRIARTA-RAW 1\n2 2 1\n1.0\n0 1.0 2.0\n99999999999999999999 3.0 4.0\n", 5),
+    "neg-label.raw": ("PRIARTA-RAW 1\n2 2 1\n1.0\n-99999999999999999999 1.0 2.0\n0 3.0 4.0\n", 4),
+    "wide-p.raw": ("PRIARTA-RAW 1\n1 100000000000000000000 1\n1.0\n0 1.0 2.0\n", 2),
+    "wide-d.emb": ("PRIARTA-EMB 1\n2 100000000000000000000 1.0\n0.1 0.2\n0.3 0.4\n", 2),
+}
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260822)

@@ -13,7 +13,10 @@ import pytest
 
 import priarta
 from priarta import default_scenario, load_report
-from priarta.cli import main
+from priarta.cli import main, run_valuation_for_config
+from priarta.valuation import dumps_report
+
+from conftest import HOSTILE_INPUTS
 
 
 def run_cli(*argv):
@@ -179,6 +182,20 @@ def test_value_debias_changes_scores(scenario_dir, tmp_path):
     )
 
 
+@pytest.mark.parametrize("flags, options", [
+    ((), {}),
+    (("--debias",), {"debias": True}),
+    (("--noisy-buyer", "--objective", "enrich"), {"noisy_buyer": True, "objective": "enrich"}),
+], ids=["plain", "debias", "noisy-buyer-enrich"])
+def test_value_offline_matches_library_round(scenario_dir, tmp_path, flags, options):
+    # the files of `priarta scenario --seed 7`, valued from disk, give the
+    # report of the same round run on the in-memory scenario
+    out = tmp_path / "report.json"
+    assert run_cli(*value_args(scenario_dir, out), *flags) == 0
+    expected = dumps_report(run_valuation_for_config(default_scenario(7), **options))
+    assert out.read_text(encoding="utf-8") == expected
+
+
 def test_value_requires_directory_for_offline(scenario_dir, tmp_path, capsys):
     code = run_cli(
         "value",
@@ -341,6 +358,16 @@ def test_value_against_dead_seller_exits_3(scenario_dir, tmp_path, capsys):
         "--seed", "7",
     )
     assert code == 3
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_INPUTS))
+def test_serve_hostile_input_exits_1(tmp_path, capsys, name):
+    # the input is read before any bind, so no server starts
+    bad = tmp_path / name
+    text, line = HOSTILE_INPUTS[name]
+    bad.write_text(text)
+    assert run_cli("serve", "--input", str(bad), "--listen", "127.0.0.1:0") == 1
+    assert capsys.readouterr().err.startswith(f"error: {bad}:{line}: ")
 
 
 def test_serve_bind_conflict_exits_2(scenario_dir):

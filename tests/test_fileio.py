@@ -15,6 +15,8 @@ from priarta.fileio import (
 )
 from priarta.stats import EmbeddingSet
 
+from conftest import HOSTILE_INPUTS
+
 
 def sample_raw(rng, m=20, p=6, k=3):
     points = rng.standard_normal((m, p))
@@ -67,6 +69,17 @@ def test_raw_read_rejects_row_count_mismatch(tmp_path):
     path.write_text("PRIARTA-RAW 1\n3 2 1\n1.0\n0 1.0 2.0\n0 3.0 4.0\n")
     with pytest.raises(FileFormatError):
         read_raw_dataset(path)
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_INPUTS))
+def test_hostile_files_raise_format_error_at_line(tmp_path, name):
+    text, line = HOSTILE_INPUTS[name]
+    path = tmp_path / name
+    path.write_text(text)
+    for read in (read_dataset_any, read_raw_dataset if name.endswith(".raw") else read_embeddings):
+        with pytest.raises(FileFormatError) as info:
+            read(path)
+        assert str(info.value).startswith(f"{path}:{line}: ")
 
 
 # --------------------------------------------------------------- embeddings
@@ -207,6 +220,8 @@ def reference_read_raw(path):
             labels[i] = int(parts[0])
         except ValueError as exc:
             raise FileFormatError(f"{path}:{lineno}: {exc}") from exc
+        except OverflowError as exc:
+            raise FileFormatError(f"{path}:{lineno}: label {parts[0]} is outside int64") from exc
         points[i] = reference_parse_floats(parts[1], p, path, lineno)
     return RawDataset(points, labels, np.asarray(probs))
 

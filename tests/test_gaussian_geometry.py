@@ -12,12 +12,10 @@ from priarta import (
     NumericInputError,
     ShapeError,
     psd_clamp,
-    sqrtm_psd,
-    sym_eig,
     symmetrize,
     wasserstein2_gaussian,
 )
-from priarta.gaussian_geometry import LIN_TOL
+from priarta.gaussian_geometry import LIN_TOL, _sym_eig
 
 from conftest import random_psd, random_summary
 
@@ -41,13 +39,13 @@ def test_symmetrize_rejects_nonsquare():
 
 
 def test_sym_eig_identity():
-    values, vectors = sym_eig(np.eye(2))
+    values, vectors = _sym_eig(np.eye(2))
     np.testing.assert_allclose(values, [1.0, 1.0])
     np.testing.assert_allclose(vectors @ vectors.T, np.eye(2), atol=1e-14)
 
 
 def test_sym_eig_diagonal():
-    values, vectors = sym_eig(np.diag([4.0, 1.0]))
+    values, vectors = _sym_eig(np.diag([4.0, 1.0]))
     np.testing.assert_allclose(values, [4.0, 1.0])
     # axis-aligned eigenvectors up to sign
     np.testing.assert_allclose(np.abs(vectors), np.eye(2), atol=1e-14)
@@ -56,7 +54,7 @@ def test_sym_eig_diagonal():
 def test_sym_eig_hand_case():
     # characteristic polynomial x^2 - 4x + 3 has roots 3 and 1
     a = np.array([[2.0, 1.0], [1.0, 2.0]])
-    values, vectors = sym_eig(a)
+    values, vectors = _sym_eig(a)
     np.testing.assert_allclose(values, [3.0, 1.0], rtol=1e-12)
     recon = (vectors * values) @ vectors.T
     assert np.linalg.norm(recon - a) <= LIN_TOL * max(1.0, np.linalg.norm(a))
@@ -65,7 +63,7 @@ def test_sym_eig_hand_case():
 def test_sym_eig_descending_and_orthonormal(rng):
     for dim in (1, 3, 8, 32):
         a = symmetrize(rng.standard_normal((dim, dim)))
-        values, vectors = sym_eig(a)
+        values, vectors = _sym_eig(a)
         assert np.all(np.diff(values) <= 0)
         gram = vectors.T @ vectors
         assert np.linalg.norm(gram - np.eye(dim)) <= LIN_TOL
@@ -75,9 +73,9 @@ def test_sym_eig_descending_and_orthonormal(rng):
 
 def test_sym_eig_rejects_nonfinite():
     with pytest.raises(NumericInputError):
-        sym_eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+        _sym_eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
     with pytest.raises(NumericInputError):
-        sym_eig(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+        _sym_eig(np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
 
 # ----------------------------------------------------------------- psd_clamp
@@ -86,7 +84,7 @@ def test_sym_eig_rejects_nonfinite():
 def test_psd_clamp_zeroes_tiny_negatives():
     a = np.diag([1.0, -1e-14])
     out = psd_clamp(a)
-    values, _ = sym_eig(out)
+    values, _ = _sym_eig(out)
     assert np.all(values >= 0.0)
 
 
@@ -94,57 +92,6 @@ def test_psd_clamp_rejects_genuine_negatives():
     with pytest.raises(NotPSDError) as info:
         psd_clamp(np.diag([1.0, -0.5]))
     assert info.value.offending_eigenvalue == pytest.approx(-0.5)
-
-
-# ----------------------------------------------------------------- sqrtm_psd
-
-
-def test_sqrtm_identity():
-    np.testing.assert_allclose(sqrtm_psd(np.eye(3)), np.eye(3), atol=1e-14)
-
-
-def test_sqrtm_diagonal():
-    np.testing.assert_allclose(sqrtm_psd(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]), rtol=1e-12)
-
-
-def test_sqrtm_hand_case():
-    # sqrt of [[2,1],[1,2]]: apply sqrt to eigenvalues (3, 1) in the same
-    # eigenbasis, giving entries (sqrt(3)+1)/2 on and (sqrt(3)-1)/2 off diagonal
-    a = np.array([[2.0, 1.0], [1.0, 2.0]])
-    s = sqrtm_psd(a)
-    r3 = math.sqrt(3.0)
-    expected = np.array([[(r3 + 1) / 2, (r3 - 1) / 2], [(r3 - 1) / 2, (r3 + 1) / 2]])
-    np.testing.assert_allclose(s, expected, rtol=1e-12)
-    values, _ = sym_eig(s)
-    np.testing.assert_allclose(values, [r3, 1.0], rtol=1e-12)
-
-
-def test_sqrtm_round_trip(rng):
-    for dim in (1, 2, 5, 16, 32):
-        a = random_psd(rng, dim, scale=3.0)
-        s = sqrtm_psd(a)
-        np.testing.assert_array_equal(s, s.T)
-        assert np.linalg.norm(s @ s - a) <= LIN_TOL * max(1.0, np.linalg.norm(a))
-
-
-def test_sqrtm_matches_scipy(rng):
-    # independent route: scipy's Schur-based square root
-    for dim in (2, 4, 8, 16):
-        a = random_psd(rng, dim, scale=2.0)
-        ours = sqrtm_psd(a)
-        theirs = np.real(scipy.linalg.sqrtm(a))
-        np.testing.assert_allclose(ours, theirs, atol=1e-8, rtol=1e-8)
-
-
-def test_sqrtm_clamps_rounding_noise():
-    a = np.diag([1.0, -1e-13])
-    s = sqrtm_psd(a)
-    assert s[1, 1] == 0.0
-
-
-def test_sqrtm_rejects_indefinite():
-    with pytest.raises(NotPSDError):
-        sqrtm_psd(np.diag([1.0, -1.0]))
 
 
 # ----------------------------------------------------------- GaussianSummary

@@ -614,20 +614,6 @@ def test_orchestrate_is_seed_deterministic():
         np.testing.assert_array_equal(a.summary.covariance, b.summary.covariance)
 
 
-def test_orchestrate_concurrent_matches_sequential():
-    seq = orchestrate_valuation(
-        make_dataset(seed=10), in_process_endpoints(seller_nodes()[:2]), SPEC, BUDGET,
-        master_seed=1000,
-    )
-    par = orchestrate_valuation(
-        make_dataset(seed=10), in_process_endpoints(seller_nodes()[:2]), SPEC, BUDGET,
-        master_seed=1000, concurrent=True,
-    )
-    for a, b in zip(seq[1], par[1]):
-        assert a.node_id == b.node_id
-        np.testing.assert_array_equal(a.summary.mean, b.summary.mean)
-
-
 def test_orchestrate_secure_mode_varies():
     a = orchestrate_valuation(
         make_dataset(seed=10), in_process_endpoints(seller_nodes()[:1]), SPEC, BUDGET
