@@ -10,7 +10,7 @@ good representation discards). The toy encoder projects
 and augmentations act only on the nuisance block.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 import hashlib
 import json
 import math
@@ -70,20 +70,13 @@ class EncoderSpec:
         object.__setattr__(self, "_fingerprint", hashlib.sha256(payload.encode()).hexdigest())
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "seed": self.seed,
-            "input_dim": self.input_dim,
-            "latent_dim": self.latent_dim,
-            "signal_dims": self.signal_dims,
-            "leakage_alpha": self.leakage_alpha,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "EncoderSpec":
         if not isinstance(data, dict):
             raise ParameterError("encoder spec must be a mapping")
-        expected = {"kind", "seed", "input_dim", "latent_dim", "signal_dims", "leakage_alpha"}
+        expected = {f.name for f in fields(cls)}
         if set(data) != expected:
             raise ParameterError(
                 f"encoder spec fields must be exactly {sorted(expected)}, got {sorted(data)}"
@@ -156,18 +149,13 @@ class AugmentationSpec:
         object.__setattr__(self, "seed", int(self.seed))
 
     def to_dict(self) -> dict:
-        return {
-            "nuisance_noise_scale": self.nuisance_noise_scale,
-            "nuisance_permute": self.nuisance_permute,
-            "apply_prob": self.apply_prob,
-            "seed": self.seed,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "AugmentationSpec":
         if not isinstance(data, dict):
             raise ParameterError("augmentation spec must be a mapping")
-        expected = {"nuisance_noise_scale", "nuisance_permute", "apply_prob", "seed"}
+        expected = {f.name for f in fields(cls)}
         if set(data) != expected:
             raise ParameterError(
                 f"augmentation spec fields must be exactly {sorted(expected)}, got {sorted(data)}"

@@ -3,15 +3,17 @@ parameters, each seller samples a uniform subset, encodes, clips, noises,
 summarizes, and returns (mean, covariance, count).
 
 Frames are a 4-byte big-endian payload length followed by canonical JSON
-(keys sorted, compact separators, floats as shortest round-trip decimals).
-The payload is an object whose "type" tag names the message class and whose
-other keys are exactly that class's dataclass fields; an optional field (one
-with a default) is left out while unset and is never sent as null.
+(keys sorted, compact separators). The payload is an object whose "type" tag
+names the message class and whose other keys are exactly that class's
+dataclass fields; an optional field (one with a default) is left out while
+unset and is never sent as null. Float arrays (the STATS_RESPONSE mean and
+covariance) travel as base64 strings of little-endian IEEE-754 float64.
 The exchange is strict lockstep: every message the buyer sends gets exactly
 one reply. MODEL_SPEC is acknowledged with HELLO so transcripts stay
 deterministic and byte-countable.
 """
 
+import base64
 from dataclasses import MISSING, dataclass, fields
 import functools
 import json
@@ -56,8 +58,10 @@ __all__ = [
 
 log = logging.getLogger("priarta.protocol")
 
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 MAX_FRAME_BYTES = 64 * 1024 * 1024
+# A seller reads requests, all well under 1 KB, against this much smaller cap.
+_MAX_REQUEST_BYTES = 64 * 1024
 _HEADER = struct.Struct(">I")
 
 MODE_SECURE = "secure"
@@ -85,25 +89,21 @@ def _require_float(value, field: str) -> float:
     return value
 
 
-_PLAIN_NUMBER_TYPES = frozenset({int, float})
-
-
-def _float_tuple(values, field: str) -> tuple:
-    if not isinstance(values, (list, tuple)):
+def _float_array(values, field: str) -> np.ndarray:
+    """A read-only 1-D float64 copy of a float array, or of a list or tuple
+    whose entries are checked one by one."""
+    if isinstance(values, np.ndarray):
+        if values.ndim != 1 or values.dtype.kind != "f":
+            raise ParameterError(f"{field} must be a 1-D float array")
+        out = values.astype(np.float64)
+    elif isinstance(values, (list, tuple)):
+        out = np.array([_require_float(v, field) for v in values], dtype=np.float64)
+    else:
         raise ParameterError(f"{field} must be a sequence of numbers")
-    # Fast path for plain ints and floats (every decoded frame). Anything
-    # else, a non-finite value or an int too large for a float goes through
-    # the per-element check, so a rejection is the same error, raised for the
-    # same element, as without the fast path.
-    if _PLAIN_NUMBER_TYPES.issuperset(map(type, values)):
-        try:
-            floats = tuple(map(float, values))
-        except OverflowError:
-            pass
-        else:
-            if all(map(math.isfinite, floats)):
-                return floats
-    return tuple(_require_float(v, field) for v in values)
+    if not np.isfinite(out).all():
+        raise ParameterError(f"{field} must be finite")
+    out.flags.writeable = False
+    return out
 
 
 @dataclass(frozen=True)
@@ -153,18 +153,18 @@ class StatsRequest:
 
 @dataclass(frozen=True)
 class StatsResponse:
-    mean: tuple
-    covariance: tuple
+    mean: np.ndarray
+    covariance: np.ndarray
     count: int
     session_id: str
     sigma_used: float
     encoder_fingerprint: str
 
     def __post_init__(self):
-        mean = _float_tuple(self.mean, "mean")
-        if not mean:
+        mean = _float_array(self.mean, "mean")
+        if not len(mean):
             raise ParameterError("mean must be nonempty")
-        covariance = _float_tuple(self.covariance, "covariance")
+        covariance = _float_array(self.covariance, "covariance")
         d = len(mean)
         if len(covariance) != d * (d + 1) // 2:
             raise ParameterError(
@@ -177,6 +177,13 @@ class StatsResponse:
         _require_str(self.session_id, "session_id")
         object.__setattr__(self, "sigma_used", _require_float(self.sigma_used, "sigma_used"))
         _require_str(self.encoder_fingerprint, "encoder_fingerprint")
+
+    def __eq__(self, other):
+        # The generated __eq__ would take the truth value of an array comparison.
+        if type(other) is not StatsResponse:
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self))
 
 
 @dataclass(frozen=True)
@@ -203,15 +210,34 @@ _MESSAGES = {
 _TAGS = {cls: tag for tag, cls in _MESSAGES.items()}
 
 
+def _float64_to_wire(values: np.ndarray) -> str:
+    """A float64 vector as base64 of its little-endian IEEE-754 bytes."""
+    return base64.b64encode(values.astype("<f8", copy=False).tobytes()).decode("ascii")
+
+
+def _float64_from_wire(text) -> np.ndarray:
+    """Inverse of _float64_to_wire, read-only over the decoded bytes. The
+    entry count and finiteness are left to the message constructor."""
+    if not isinstance(text, str):
+        raise ParameterError("a float64 array must travel as a base64 string")
+    raw = base64.b64decode(text, validate=True)  # binascii.Error is a ValueError
+    if len(raw) % 8:
+        raise ParameterError(f"{len(raw)} base64-decoded bytes are not whole float64 values")
+    return np.frombuffer(raw, dtype="<f8")
+
+
+# (to wire, from wire) per field type; a field of any other type travels as is.
+_CODECS = {
+    EncoderSpec: (EncoderSpec.to_dict, EncoderSpec.from_dict),
+    np.ndarray: (_float64_to_wire, _float64_from_wire),
+}
+
+
 @functools.cache
 def _wire_fields(cls) -> tuple:
-    """(name, optional, nested) per field of a message class. A field with a
-    default is optional; a field typed by a class with to_dict/from_dict
-    (the EncoderSpec) travels as that class's own dict."""
-    return tuple(
-        (f.name, f.default is not MISSING, f.type if hasattr(f.type, "from_dict") else None)
-        for f in fields(cls)
-    )
+    """(name, optional, codec) per field of a message class. A field with a
+    default is optional; codec is the field type's _CODECS entry or None."""
+    return tuple((f.name, f.default is not MISSING, _CODECS.get(f.type)) for f in fields(cls))
 
 
 def _encode_message(msg) -> dict:
@@ -219,11 +245,11 @@ def _encode_message(msg) -> dict:
     if tag is None:
         raise ParameterError(f"not a protocol message: {type(msg).__name__}")
     out = {"type": tag}
-    for name, optional, nested in _wire_fields(type(msg)):
+    for name, optional, codec in _wire_fields(type(msg)):
         value = getattr(msg, name)
         if optional and value is None:
             continue
-        out[name] = value.to_dict() if nested else value
+        out[name] = codec[0](value) if codec else value
     return out
 
 
@@ -238,13 +264,13 @@ def _decode_message(obj) -> object:
         raise FrameError("UNKNOWN_MESSAGE", f"unknown message tag {tag!r}")
     body = {key: value for key, value in obj.items() if key != "type"}
     try:
-        for name, optional, nested in _wire_fields(cls):
+        for name, optional, codec in _wire_fields(cls):
             if name not in body:
                 continue
             if optional and body[name] is None:
                 raise ParameterError(f"optional field {name} is omitted, never null")
-            if nested is not None:
-                body[name] = nested.from_dict(body[name])
+            if codec:
+                body[name] = codec[1](body[name])
         # The constructor rejects missing and unknown fields with TypeError.
         return cls(**body)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -260,10 +286,10 @@ def encode_frame(msg) -> bytes:
     return _HEADER.pack(len(payload)) + payload
 
 
-def _declared_length(header) -> int:
+def _declared_length(header, limit: int) -> int:
     (length,) = _HEADER.unpack_from(header)
-    if length > MAX_FRAME_BYTES:
-        raise FrameError("FRAME_TOO_LARGE", f"declared payload of {length} bytes exceeds 64 MiB")
+    if length > limit:
+        raise FrameError("FRAME_TOO_LARGE", f"declared payload of {length} bytes exceeds {limit}")
     return length
 
 
@@ -275,7 +301,7 @@ def decode_frame(data) -> object:
     data = bytes(data)
     if len(data) < _HEADER.size:
         raise FrameError("FRAME_TRUNCATED", f"got {len(data)} bytes, need a 4-byte header")
-    length = _declared_length(data)
+    length = _declared_length(data, MAX_FRAME_BYTES)
     body = len(data) - _HEADER.size
     if body < length:
         raise FrameError("FRAME_TRUNCATED", f"header declares {length} bytes, got {body}")
@@ -288,8 +314,9 @@ def decode_frame(data) -> object:
     return _decode_message(obj)
 
 
-def _read_frame(sock) -> bytes:
-    """Read one whole frame, header included, from a stream socket."""
+def _read_frame(sock, limit: int) -> bytes:
+    """Read one whole frame, header included, from a stream socket; a declared
+    payload over limit bytes raises FrameError before any of it is read."""
     frame = bytearray()
     size = _HEADER.size
     while len(frame) < size:
@@ -298,14 +325,18 @@ def _read_frame(sock) -> bytes:
             raise ProtocolFailure("CONNECTION_CLOSED", "peer closed mid-frame")
         frame += chunk
         if size == _HEADER.size and len(frame) == size:
-            size += _declared_length(frame)
+            size += _declared_length(frame, limit)
     return bytes(frame)
 
 
-def pack_covariance(cov) -> tuple:
+# At small d np.triu_indices outweighs the packing; the cached arrays are only read.
+_triu_indices = functools.lru_cache(maxsize=8)(np.triu_indices)
+
+
+def pack_covariance(cov) -> np.ndarray:
     """Upper triangle, row-major, d(d+1)/2 floats."""
     cov = np.asarray(cov, dtype=float)
-    return tuple(cov[np.triu_indices(cov.shape[0])].tolist())
+    return cov[_triu_indices(cov.shape[0])]
 
 
 def expand_covariance(values, dim: int) -> np.ndarray:
@@ -313,7 +344,7 @@ def expand_covariance(values, dim: int) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     if values.shape != (dim * (dim + 1) // 2,):
         raise ShapeError(f"{values.size} triangular entries do not fill a {dim}x{dim} matrix")
-    rows, cols = np.triu_indices(dim)
+    rows, cols = _triu_indices(dim)
     out = np.empty((dim, dim))
     out[rows, cols] = values
     out[cols, rows] = values
@@ -508,7 +539,7 @@ class SellerSession:
             return ErrorMessage("SPEC_MISMATCH", str(exc), msg.session_id)
         log.info("node %s served session %s", self.node.node_id, msg.session_id)
         return StatsResponse(
-            mean=tuple(float(v) for v in summary.mean),
+            mean=summary.mean,
             covariance=pack_covariance(summary.covariance),
             count=summary.count,
             session_id=msg.session_id,
@@ -563,7 +594,7 @@ class SocketChannel(_Channel):
         frame = encode_frame(msg)
         self.sock.sendall(frame)
         self._sent(frame)
-        return self._received(_read_frame(self.sock))
+        return self._received(_read_frame(self.sock, MAX_FRAME_BYTES))
 
     def close(self):
         try:
@@ -577,7 +608,7 @@ class _SellerHandler(socketserver.BaseRequestHandler):
         session = SellerSession(self.server.node)
         while True:
             try:
-                frame = _read_frame(self.request)
+                frame = _read_frame(self.request, _MAX_REQUEST_BYTES)
             except ProtocolFailure:
                 return
             except FrameError as exc:
@@ -662,7 +693,7 @@ def _query_seller(node_id: str, connect, spec: EncoderSpec, request: StatsReques
             outcome.failure = "encoder fingerprint mismatch"
             return outcome
         outcome.summary = GaussianSummary(
-            np.array(reply.mean),
+            reply.mean,
             expand_covariance(reply.covariance, len(reply.mean)),
             reply.count,
         )

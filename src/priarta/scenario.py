@@ -370,25 +370,15 @@ def build_datasets(config: ScenarioConfig):
     order so augmented copies can reference earlier datasets."""
     full_means = np.zeros((config.num_classes, config.input_dim))
     full_means[:, : config.signal_dims] = config.class_means
-    datasets = {}
-    datasets[BUYER_ID] = gen_mixture_dataset(
-        config.buyer_probs,
-        full_means,
-        config.class_scale,
-        config.buyer_m,
-        config.buyer_seed,
-        config.signal_dims,
-    )
+
+    def mixture(probs, m, seed):
+        return gen_mixture_dataset(probs, full_means, config.class_scale, m, seed,
+                                   config.signal_dims)
+
+    datasets = {BUYER_ID: mixture(config.buyer_probs, config.buyer_m, config.buyer_seed)}
     for seller in config.sellers:
         if seller.kind == "fresh":
-            datasets[seller.node_id] = gen_mixture_dataset(
-                seller.class_probs,
-                full_means,
-                config.class_scale,
-                seller.m,
-                seller.seed,
-                config.signal_dims,
-            )
+            datasets[seller.node_id] = mixture(seller.class_probs, seller.m, seller.seed)
         else:
             source = datasets[seller.source_id]
             datasets[seller.node_id] = augment(

@@ -4,7 +4,7 @@ and report augmentation-robustness deviations, for a pair of summaries or for
 every augmented copy in a seeded scenario."""
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 import io
 import json
 import math
@@ -68,13 +68,7 @@ class SellerScore:
     failure_reason: str = None
 
     def to_dict(self) -> dict:
-        return {
-            "node_id": self.node_id,
-            "raw_w2": self.raw_w2,
-            "normalized": self.normalized,
-            "failed": self.failed,
-            "failure_reason": self.failure_reason,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)
@@ -85,12 +79,7 @@ class RobustnessEntry:
     deviation: float
 
     def to_dict(self) -> dict:
-        return {
-            "node_id": self.node_id,
-            "baseline_w2": self.baseline_w2,
-            "augmented_w2": self.augmented_w2,
-            "deviation": self.deviation,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def rank_sellers(entries, objective: str) -> list:
@@ -281,7 +270,7 @@ def with_robustness(report: ValuationReport, entries) -> ValuationReport:
 
 
 def dumps_report(report: ValuationReport) -> str:
-    """Canonical serialized form: same notation as the wire payloads."""
+    """Canonical serialized form: sorted keys, compact separators."""
     return json.dumps(report.to_dict(), sort_keys=True, separators=(",", ":"),
                       allow_nan=False) + "\n"
 

@@ -1,8 +1,10 @@
 """Wire framing, seller session state machine, and orchestration."""
 
+import base64
 import json
 import math
 import socket
+import struct
 import threading
 
 import numpy as np
@@ -39,12 +41,13 @@ from priarta import (
     seller_pipeline,
 )
 from priarta.protocol import (
+    _MAX_REQUEST_BYTES,
     MODE_SECURE,
     MODE_SEEDED,
-    _float_tuple,
     in_process_endpoints,
     node_seeds,
 )
+from priarta.stats import EmbeddingSet
 
 SPEC = EncoderSpec("toy_projection", 271828, 16, 4, 8, 0.0)
 BUDGET = PrivacyBudget(0.8, 1e-5, 1.0, 32)
@@ -115,8 +118,8 @@ def test_floats_survive_the_wire_bitwise():
     )[:3]
     resp = StatsResponse(mean, cov[:6], 32, "sess-1", 9.084009867385104, SPEC.fingerprint())
     again = decode_frame(encode_frame(resp))
-    assert again.mean == resp.mean
-    assert again.covariance == resp.covariance
+    assert np.array_equal(again.mean, resp.mean)
+    assert np.array_equal(again.covariance, resp.covariance)
     assert again.sigma_used == resp.sigma_used
 
 
@@ -259,8 +262,9 @@ def test_round_trip_wide_stats_response(rng):
     assert encode_frame(again) == frame
 
 
-def _float_tuple_reference(values, field):
-    """Reference: check and convert one element at a time."""
+def _float_tuple_reference(values, field="mean"):
+    """Reference: check and convert one element at a time, then require a
+    nonempty mean, as StatsResponse did with tuple fields."""
     if not isinstance(values, (list, tuple)):
         raise ParameterError(f"{field} must be a sequence of numbers")
     out = []
@@ -271,15 +275,25 @@ def _float_tuple_reference(values, field):
         if not math.isfinite(v):
             raise ParameterError(f"{field} must be finite")
         out.append(v)
+    if not out:
+        raise ParameterError(f"{field} must be nonempty")
     return tuple(out)
+
+
+def response_mean(values):
+    """The mean a StatsResponse keeps for values, with a covariance sized to
+    match."""
+    d = len(values)
+    return StatsResponse(values, (0.0,) * (d * (d + 1) // 2), 32, "s", 1.0,
+                         SPEC.fingerprint()).mean
 
 
 def _outcome(fn, values):
     try:
-        result = fn(values, "covariance")
+        result = fn(values)
     except (ParameterError, OverflowError) as exc:
         return type(exc), str(exc)
-    return [(type(v), v.hex()) for v in result]
+    return [float(v).hex() for v in result]
 
 
 FLOAT_TUPLE_CASES = {
@@ -309,30 +323,134 @@ FLOAT_TUPLE_CASES = {
 @pytest.mark.parametrize("name", sorted(FLOAT_TUPLE_CASES))
 def test_float_tuple_matches_per_element_reference(name):
     values = FLOAT_TUPLE_CASES[name]
-    assert _outcome(_float_tuple, values) == _outcome(_float_tuple_reference, values)
+    assert _outcome(response_mean, values) == _outcome(_float_tuple_reference, values)
 
 
 def test_float_tuple_results_and_errors():
-    assert _float_tuple([1, 2], "mean") == (1.0, 2.0)
-    assert all(type(v) is float for v in _float_tuple([1, np.float64(2)], "mean"))
-    assert math.copysign(1.0, _float_tuple([-0.0], "mean")[0]) == -1.0
+    mean = response_mean([1, 2])
+    assert np.array_equal(mean, [1.0, 2.0])
+    assert mean.dtype == np.float64
+    assert response_mean([1, np.float64(2)]).dtype == np.float64
+    assert math.copysign(1.0, response_mean([-0.0])[0]) == -1.0
     with pytest.raises(ParameterError, match="^mean must be a number$"):
-        _float_tuple([True], "mean")
+        response_mean([True])
     with pytest.raises(ParameterError, match="^mean must be finite$"):
-        _float_tuple([float("nan")], "mean")
+        response_mean([float("nan")])
     with pytest.raises(OverflowError):
-        _float_tuple([10**400], "mean")
+        response_mean([10**400])
+
+
+def test_stats_response_holds_read_only_float64_copies():
+    source = np.array([0.5, -1.25])
+    mean = response_mean(source)
+    assert mean.dtype == np.float64 and mean.shape == (2,)
+    assert not mean.flags.writeable
+    source[0] = 9.0
+    assert mean[0] == 0.5
+    assert response_mean(np.array([0.5], dtype=np.float32))[0] == 0.5
+    with pytest.raises(ParameterError, match="^mean must be finite$"):
+        response_mean(np.array([0.5, np.inf]))
+    for bad in (np.ones((1, 1)), np.array([1, 2]), np.array([True])):
+        with pytest.raises(ParameterError, match="^mean must be a 1-D float array$"):
+            response_mean(bad)
+
+
+def b64(data: bytes) -> str:
+    return base64.b64encode(data).decode("ascii")
 
 
 @pytest.mark.parametrize("literal", [b"NaN", b"1e400", b"-Infinity"])
 def test_decode_rejects_non_finite_covariance_entry(literal):
     msg = StatsResponse((0.5, -1.25), (1.0, 0.125, 2.0), 32, "s", 9.0, SPEC.fingerprint())
-    frame = encode_frame(msg)
-    assert b"0.125" in frame
+    payload = payload_of(msg)
+    assert base64.b64decode(payload["covariance"]) == struct.pack("<3d", 1.0, 0.125, 2.0)
+    payload["covariance"] = b64(struct.pack("<3d", 1.0, float(literal), 2.0))
     with pytest.raises(FrameError) as info:
-        decode_frame(raw_frame(frame[4:].replace(b"0.125", literal)))
+        decode_frame(raw_frame(payload))
     assert info.value.code == "BAD_PAYLOAD"
     assert "covariance must be finite" in str(info.value)
+
+
+def stats_payload(**over) -> dict:
+    msg = StatsResponse((0.5, -1.25), (1.0, 0.125, 2.0), 32, "s", 9.0, SPEC.fingerprint())
+    return dict(payload_of(msg), **over)
+
+
+_GOOD_COV = b64(struct.pack("<3d", 1.0, 0.125, 2.0))
+
+# Malformed float64 array fields of a STATS_RESPONSE; each must decode to
+# BAD_PAYLOAD.
+HOSTILE_ARRAYS = {
+    "non_base64_byte": stats_payload(covariance="!" + _GOOD_COV[1:]),
+    "non_ascii_character": stats_payload(covariance="\u00e9" + _GOOD_COV[1:]),
+    "embedded_newline": stats_payload(covariance=_GOOD_COV[:8] + "\n" + _GOOD_COV[8:]),
+    "bad_padding": stats_payload(covariance=_GOOD_COV.rstrip("=")[:-1]),
+    "length_not_multiple_of_8": stats_payload(covariance=b64(bytes(20))),
+    "covariance_count_mismatch": stats_payload(covariance=b64(struct.pack("<4d", 1, 0, 0, 2))),
+    "mean_count_mismatch": stats_payload(mean=b64(struct.pack("<3d", 0.5, -1.25, 0.0))),
+    "empty_mean": stats_payload(mean="", covariance=""),
+    "nan_bits": stats_payload(mean=b64(struct.pack("<Q", 0x7FF8000000000000) + bytes(8))),
+    "signalling_nan_bits": stats_payload(mean=b64(struct.pack("<2Q", 0, 0x7FF0000000000001))),
+    "plus_inf_bits": stats_payload(mean=b64(struct.pack("<2Q", 0x7FF0000000000000, 0))),
+    "minus_inf_bits": stats_payload(mean=b64(struct.pack("<2Q", 0, 0xFFF0000000000000))),
+    "v1_number_list": stats_payload(covariance=[1.0, 0.125, 2.0]),
+    "number": stats_payload(mean=5),
+    "null": stats_payload(mean=None),
+    "object": stats_payload(covariance={"data": _GOOD_COV}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_ARRAYS))
+def test_decode_maps_hostile_array_payloads_to_bad_payload(name):
+    decode_frame(raw_frame(stats_payload()))  # the untouched payload decodes
+    with pytest.raises(FrameError) as info:
+        decode_frame(raw_frame(HOSTILE_ARRAYS[name]))
+    assert info.value.code == "BAD_PAYLOAD"
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_ARRAYS))
+def test_orchestrate_survives_a_hostile_array_reply(name):
+    def hostile():
+        channel = InProcessChannel(SellerNode("mallory", raw=make_dataset()))
+        channel.session = _ReplayingSession(raw_frame(HOSTILE_ARRAYS[name]))
+        return channel
+
+    endpoints = in_process_endpoints(seller_nodes()[:1]) + [("mallory", hostile)]
+    buyer, outcomes = orchestrate_valuation(
+        make_dataset(seed=10), endpoints, SPEC, BUDGET, master_seed=1000,
+    )
+    by_id = {o.node_id: o for o in outcomes}
+    assert "BAD_PAYLOAD" in by_id["mallory"].failure
+    assert not by_id["alpha"].failed
+
+
+def test_float64_payload_bytes_match_struct_oracle():
+    mean = (-0.0, 5e-324, 1.7976931348623157e308, 0.1 + 0.2)
+    cov = (1.0, -5e-324, 2.2250738585072014e-308, -1.7976931348623157e308, 1 / 3,
+           -0.0, 1e-300, 0.0, 123456789.0, 2.0**-1074 * 3)
+    resp = StatsResponse(mean, cov, 32, "sess-1", 9.0, SPEC.fingerprint())
+    frame = encode_frame(resp)
+    payload = json.loads(frame[4:])
+    assert base64.b64decode(payload["mean"]) == struct.pack("<4d", *mean)
+    assert base64.b64decode(payload["covariance"]) == struct.pack("<10d", *cov)
+    again = decode_frame(frame)
+    assert again.mean.astype("<f8").tobytes() == struct.pack("<4d", *mean)
+    assert again.covariance.astype("<f8").tobytes() == struct.pack("<10d", *cov)
+    assert encode_frame(again) == frame
+
+
+@pytest.mark.parametrize("d", [4, 256, 768])
+def test_stats_response_frame_size_is_overhead_plus_base64(d):
+    sizes = (d, d * (d + 1) // 2)
+    resp = StatsResponse(np.linspace(-1.0, 1.0, d), np.full(sizes[1], 0.5), 512,
+                         "sess-size", 3.25, SPEC.fingerprint())
+    fixed = dict(type="STATS_RESPONSE", mean="", covariance="", count=512,
+                 session_id="sess-size", sigma_used=3.25,
+                 encoder_fingerprint=SPEC.fingerprint())
+    overhead = 4 + len(json.dumps(fixed, sort_keys=True, separators=(",", ":")))
+    frame = encode_frame(resp)
+    assert len(frame) == overhead + sum(4 * math.ceil(8 * n / 3) for n in sizes)
+    assert len(frame) - 4 < MAX_FRAME_BYTES
 
 
 # -------------------------------------------------------------- covariances
@@ -343,7 +461,7 @@ def test_pack_expand_round_trip(rng):
         c = rng.standard_normal((d, d))
         c = c @ c.T
         packed = pack_covariance(c)
-        assert len(packed) == d * (d + 1) // 2
+        assert packed.shape == (d * (d + 1) // 2,)
         back = expand_covariance(packed, d)
         np.testing.assert_array_equal(back, c)
         np.testing.assert_array_equal(back, back.T)
@@ -353,7 +471,7 @@ def test_pack_is_row_major_upper_triangle(rng):
     for d in (1, 3, 256):
         c = rng.standard_normal((d, d))
         expected = tuple(float(c[i, j]) for i in range(d) for j in range(i, d))
-        assert pack_covariance(c) == expected
+        assert np.array_equal(pack_covariance(c), expected)
         back = expand_covariance(expected, d)
         for i in range(0, d, 37):
             for j in range(i, d, 41):
@@ -424,6 +542,22 @@ def test_session_rejects_version_mismatch():
     assert reply.code == "VERSION_MISMATCH"
 
 
+# The HELLO a version-1 buyer sends, byte for byte.
+V1_HELLO = raw_frame(b'{"protocol_version":1,"type":"HELLO"}')
+
+
+def test_session_rejects_version_1_hello():
+    assert PROTOCOL_VERSION == 2
+    session = SellerSession(SellerNode("s1", raw=make_dataset()))
+    reply = decode_frame(session.handle_bytes(V1_HELLO))
+    assert isinstance(reply, ErrorMessage)
+    assert reply.code == "VERSION_MISMATCH"
+    assert reply.message == "node speaks version 2, peer sent 1"
+    # not ready: a request still gets PROTOCOL_ORDER
+    reply = decode_frame(session.handle_bytes(encode_frame(make_request())))
+    assert reply.code == "PROTOCOL_ORDER"
+
+
 def test_session_requires_spec_before_stats():
     session = SellerSession(SellerNode("s1", raw=make_dataset()))
     session.handle_bytes(encode_frame(Hello(PROTOCOL_VERSION)))
@@ -454,7 +588,7 @@ def test_session_secure_mode_varies():
     a = decode_frame(ready_session().handle_bytes(req))
     b = decode_frame(ready_session().handle_bytes(req))
     assert isinstance(a, StatsResponse) and isinstance(b, StatsResponse)
-    assert a.mean != b.mean
+    assert not np.array_equal(a.mean, b.mean)
 
 
 def test_session_spec_mismatch():
@@ -518,9 +652,11 @@ def test_raw_rows_never_cross_the_wire():
     data = make_dataset()
     session = ready_session(SellerNode("s1", raw=data))
     reply_bytes = session.handle_bytes(encode_frame(make_request()))
-    payload = reply_bytes[4:].decode()
+    payload = json.loads(reply_bytes[4:])
+    released = b"".join(base64.b64decode(payload[k]) for k in ("mean", "covariance"))
     for value in data.points[:5].ravel():
-        assert repr(float(value)) not in payload
+        assert repr(float(value)) not in reply_bytes.decode()
+        assert struct.pack("<d", value) not in released
 
 
 # ---------------------------------------------------------------- pipeline
@@ -598,6 +734,28 @@ def test_orchestrate_survives_a_hostile_seller_reply(name):
     by_id = {o.node_id: o for o in outcomes}
     assert by_id["mallory"].failed
     assert "BAD_PAYLOAD" in by_id["mallory"].failure
+    assert not by_id["alpha"].failed and not by_id["beta"].failed
+
+
+# What a version-1 seller answers to a version-2 HELLO, byte for byte.
+V1_MISMATCH_REPLY = raw_frame(
+    b'{"code":"VERSION_MISMATCH","message":"node speaks version 1, peer sent 2",'
+    b'"session_id":"","type":"ERROR"}')
+
+
+def test_orchestrate_fails_only_a_version_1_seller():
+    def old():
+        channel = InProcessChannel(SellerNode("old", raw=make_dataset()))
+        channel.session = _ReplayingSession(V1_MISMATCH_REPLY)
+        return channel
+
+    endpoints = in_process_endpoints(seller_nodes()[:2]) + [("old", old)]
+    buyer, outcomes = orchestrate_valuation(
+        make_dataset(seed=10), endpoints, SPEC, BUDGET, master_seed=1000,
+    )
+    by_id = {o.node_id: o for o in outcomes}
+    assert by_id["old"].failed
+    assert by_id["old"].failure.startswith("VERSION_MISMATCH: ")
     assert not by_id["alpha"].failed and not by_id["beta"].failed
 
 
@@ -697,6 +855,53 @@ def test_server_answers_oversized_header_then_closes():
             assert reply.code == "FRAME_TOO_LARGE"
             assert sock.recv(1) == b""
     finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_server_answers_version_1_hello():
+    server = serving(SellerNode("sock", raw=make_dataset()))
+    try:
+        with socket.create_connection(server.server_address, timeout=10) as sock:
+            sock.sendall(V1_HELLO)
+            reply = decode_frame(read_reply(sock))
+            assert isinstance(reply, ErrorMessage)
+            assert reply.code == "VERSION_MISMATCH"
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_server_caps_request_frames():
+    assert _MAX_REQUEST_BYTES < 1 << 20
+    server = serving(SellerNode("sock", raw=make_dataset()))
+    try:
+        with socket.create_connection(server.server_address, timeout=10) as sock:
+            # a 1 MiB request, header only: the server answers before any body
+            sock.sendall((1 << 20).to_bytes(4, "big"))
+            reply = decode_frame(read_reply(sock))
+            assert isinstance(reply, ErrorMessage)
+            assert reply.code == "FRAME_TOO_LARGE"
+            assert sock.recv(1) == b""
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_socket_channel_reads_replies_past_the_request_cap(rng):
+    d = 128
+    node = SellerNode("wide", embeddings=EmbeddingSet(rng.standard_normal((64, d)), 1.0, False))
+    spec = EncoderSpec("external", 5, d, d, d, 0.0)
+    server = serving(node)
+    chan = SocketChannel(*server.server_address)
+    try:
+        assert isinstance(chan.request(Hello(PROTOCOL_VERSION)), Hello)
+        assert isinstance(chan.request(ModelSpec(spec)), Hello)
+        reply = chan.request(make_request())
+        assert isinstance(reply, StatsResponse)
+        assert len(chan.transcript[-1][1]) > _MAX_REQUEST_BYTES
+    finally:
+        chan.close()
         server.shutdown()
         server.server_close()
 
