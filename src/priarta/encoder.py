@@ -28,6 +28,18 @@ __all__ = [
 ENCODER_KINDS = ("toy_projection", "external")
 
 
+def _from_exact_fields(cls, data, noun: str):
+    """cls(**data) for a mapping whose keys are exactly cls's fields."""
+    if not isinstance(data, dict):
+        raise ParameterError(f"{noun} must be a mapping")
+    expected = {f.name for f in fields(cls)}
+    if set(data) != expected:
+        raise ParameterError(
+            f"{noun} fields must be exactly {sorted(expected)}, got {sorted(data)}"
+        )
+    return cls(**data)
+
+
 @dataclass(frozen=True)
 class EncoderSpec:
     """Serializable description of the shared mapping function."""
@@ -74,14 +86,7 @@ class EncoderSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "EncoderSpec":
-        if not isinstance(data, dict):
-            raise ParameterError("encoder spec must be a mapping")
-        expected = {f.name for f in fields(cls)}
-        if set(data) != expected:
-            raise ParameterError(
-                f"encoder spec fields must be exactly {sorted(expected)}, got {sorted(data)}"
-            )
-        return cls(**data)
+        return _from_exact_fields(cls, data, "encoder spec")
 
     def fingerprint(self) -> str:
         """SHA-256 over the canonical serialized form."""
@@ -153,14 +158,7 @@ class AugmentationSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "AugmentationSpec":
-        if not isinstance(data, dict):
-            raise ParameterError("augmentation spec must be a mapping")
-        expected = {f.name for f in fields(cls)}
-        if set(data) != expected:
-            raise ParameterError(
-                f"augmentation spec fields must be exactly {sorted(expected)}, got {sorted(data)}"
-            )
-        return cls(**data)
+        return _from_exact_fields(cls, data, "augmentation spec")
 
 
 def _check_probs(probs: np.ndarray):

@@ -8,6 +8,8 @@ Raw datasets:            Embeddings:
 
 Floats are written as shortest round-trip decimals, space-separated, with no
 trailing whitespace. Configs, encoder specs, and reports are canonical JSON.
+Every file priarta reads or writes is opened here, by _read_text or
+_write_text: UTF-8, "\n" line endings, and path:line on undecodable bytes.
 
 Rows are read by numpy's C text reader when that provably gives what the
 per-row Python loops give; the loops stay as the definition of the format and
@@ -30,9 +32,33 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
+def _read_text(path, first_line: bool = False) -> str:
+    """A file's UTF-8 text, or only its first line, with every line ending
+    read as "\n". The bytes are decoded in one call, so a decode error's
+    offset is the file offset."""
+    with open(path, "rb") as fh:
+        data = fh.readline() if first_line else fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise FileFormatError(f"{path}:{line}: not UTF-8 text at byte {exc.start}") from exc
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+
+
+def _write_text(path, text: str):
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+
+
+def dumps_json(data) -> str:
+    """Canonical JSON: sorted keys, compact separators, no NaN or infinity,
+    a trailing newline."""
+    return json.dumps(data, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+
+
 def _read_lines(path) -> list:
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    text = _read_text(path)
     if text.endswith("\n"):
         text = text[:-1]
     return text.split("\n")
@@ -94,8 +120,7 @@ def write_raw_dataset(path, data: RawDataset):
     lines.append(" ".join(_fmt(p) for p in data.class_probs))
     for label, row in zip(data.labels, data.points):
         lines.append(f"{int(label)} " + " ".join(_fmt(v) for v in row))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def read_raw_dataset(path) -> RawDataset:
@@ -139,8 +164,7 @@ def write_embeddings(path, embeddings: EmbeddingSet):
     lines = [EMB_MAGIC, f"{embeddings.count} {embeddings.dim} {_fmt(embeddings.clip_radius)}"]
     for row in embeddings.vectors:
         lines.append(" ".join(_fmt(v) for v in row))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def read_embeddings(path) -> EmbeddingSet:
@@ -174,23 +198,25 @@ def read_embeddings(path) -> EmbeddingSet:
 
 
 def load_json(path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    text = _read_text(path)
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{path}: parse error at byte {exc.pos}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal past Python's digit limit
+        raise FileFormatError(f"{path}: {exc}") from exc
+    except RecursionError as exc:
+        raise FileFormatError(f"{path}: JSON nested too deeply") from exc
 
 
 def save_json(path, data):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(data, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n")
+    _write_text(path, dumps_json(data))
 
 
 def read_dataset_any(path):
-    """Sniff the header: RawDataset or EmbeddingSet."""
-    with open(path, encoding="utf-8") as fh:
-        first = fh.readline().rstrip("\n")
+    """Sniff the header, reading only the first line: RawDataset or
+    EmbeddingSet."""
+    first = _read_text(path, first_line=True).split("\n", 1)[0]
     if first == RAW_MAGIC:
         return read_raw_dataset(path)
     if first == EMB_MAGIC:

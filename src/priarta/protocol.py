@@ -30,9 +30,9 @@ from .encoder import EncoderSpec, RawDataset, encode
 from .errors import (
     FrameError,
     InsufficientSamplesError,
-    NotPSDError,
     NumericInputError,
     ParameterError,
+    PriartaError,
     ProtocolFailure,
     ShapeError,
 )
@@ -223,6 +223,11 @@ def _float64_from_wire(text) -> np.ndarray:
     raw = base64.b64decode(text, validate=True)  # binascii.Error is a ValueError
     if len(raw) % 8:
         raise ParameterError(f"{len(raw)} base64-decoded bytes are not whole float64 values")
+    # The decoder ignores the unused bits of the character before "=" padding;
+    # re-encoding the bytes of the last, padded quantum requires them zero.
+    tail = len(raw) % 3
+    if tail and base64.b64encode(raw[-tail:]).decode("ascii") != text[-4:]:
+        raise ParameterError("base64 padding leaves nonzero unused bits")
     return np.frombuffer(raw, dtype="<f8")
 
 
@@ -692,14 +697,19 @@ def _query_seller(node_id: str, connect, spec: EncoderSpec, request: StatsReques
         if reply.encoder_fingerprint != spec.fingerprint():
             outcome.failure = "encoder fingerprint mismatch"
             return outcome
+        if len(reply.mean) != spec.latent_dim:
+            outcome.failure = f"mean has {len(reply.mean)} entries, latent_dim is {spec.latent_dim}"
+            return outcome
+        if reply.sigma_used < 0:
+            outcome.failure = f"negative sigma_used {reply.sigma_used!r}"
+            return outcome
         outcome.summary = GaussianSummary(
             reply.mean,
             expand_covariance(reply.covariance, len(reply.mean)),
             reply.count,
         )
         outcome.sigma_used = reply.sigma_used
-    except (OSError, FrameError, ProtocolFailure, NotPSDError, ShapeError,
-            NumericInputError, ParameterError) as exc:
+    except (OSError, PriartaError) as exc:
         outcome.failure = f"{type(exc).__name__}: {exc}"
     finally:
         if channel is not None:

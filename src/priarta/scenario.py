@@ -8,7 +8,6 @@ an augmented copy of that seller, and four augmented copies of the buyer.
 """
 
 from dataclasses import dataclass
-import json
 import math
 
 import numpy as np
@@ -354,15 +353,6 @@ def _parse_sellers(value, k, master_seed, problems):
         else:
             problems.append(f"{label}.kind: must be 'fresh' or 'augmented_copy'")
     return sellers
-
-
-def load_config(path) -> ScenarioConfig:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError([f"not valid JSON at byte {exc.pos}: {exc.msg}"]) from exc
-    return ScenarioConfig.from_dict(data)
 
 
 def build_datasets(config: ScenarioConfig):

@@ -6,17 +6,19 @@ every augmented copy in a seeded scenario."""
 import csv
 from dataclasses import dataclass, fields, replace
 import io
-import json
 import math
 
 from .encoder import EncoderSpec
 from .errors import (
+    ConvergenceError,
     EmptyInputError,
     FileFormatError,
     NoCandidatesError,
+    NotPSDError,
     NumericInputError,
     ParameterError,
 )
+from .fileio import dumps_json, load_json, save_json
 from .gaussian_geometry import GaussianSummary, wasserstein2_gaussian
 from .privacy import GAUSSIAN_SAMPLER, PrivacyBudget
 from .protocol import (
@@ -172,8 +174,16 @@ def build_report(buyer: GaussianSummary, outcomes, objective: str,
     if objective not in OBJECTIVES:
         raise ParameterError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
     ordered = sorted(outcomes, key=lambda o: o.node_id)
-    raw = {o.node_id: wasserstein2_gaussian(buyer, o.summary)
-           for o in ordered if o.summary is not None}
+    buyer._covariance_factor  # a fault in the buyer's own summary raises here
+    raw, failures = {}, {}
+    for o in ordered:
+        if o.summary is None:
+            failures[o.node_id] = o.failure or "unknown failure"
+            continue
+        try:
+            raw[o.node_id] = wasserstein2_gaussian(buyer, o.summary)
+        except (NumericInputError, NotPSDError, ConvergenceError) as exc:
+            failures[o.node_id] = f"scoring failed: {type(exc).__name__}: {exc}"
     degenerate = False
     normalized = {}
     if raw:
@@ -181,9 +191,9 @@ def build_report(buyer: GaussianSummary, outcomes, objective: str,
         normalized = dict(zip(sorted(raw), values))
     entries = []
     for o in ordered:
-        if o.summary is None:
+        if o.node_id in failures:
             entries.append(SellerScore(o.node_id, failed=True,
-                                       failure_reason=o.failure or "unknown failure"))
+                                       failure_reason=failures[o.node_id]))
         else:
             entries.append(SellerScore(o.node_id, raw_w2=raw[o.node_id],
                                        normalized=normalized[o.node_id]))
@@ -271,25 +281,15 @@ def with_robustness(report: ValuationReport, entries) -> ValuationReport:
 
 def dumps_report(report: ValuationReport) -> str:
     """Canonical serialized form: sorted keys, compact separators."""
-    return json.dumps(report.to_dict(), sort_keys=True, separators=(",", ":"),
-                      allow_nan=False) + "\n"
+    return dumps_json(report.to_dict())
 
 
 def save_report(report: ValuationReport, path):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(dumps_report(report))
+    save_json(path, report.to_dict())
 
 
 def load_report(path) -> ValuationReport:
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FileFormatError(
-            f"{path}: not a valid report, parse error at byte {exc.pos}: {exc.msg}"
-        ) from exc
-    return ValuationReport.from_dict(data)
+    return ValuationReport.from_dict(load_json(path))
 
 
 def _rank_map(report: ValuationReport) -> dict:

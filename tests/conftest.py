@@ -28,14 +28,26 @@ def random_summary(rng, dim, mean_scale=1.0, cov_scale=1.0, count=64):
     return GaussianSummary(mean, random_psd(rng, dim, cov_scale), count)
 
 
-# Dataset files the readers must reject as FileFormatError naming path:line,
-# with that line: a label outside int64 (either sign) and a header width no
-# row can have.
+# Dataset files (their bytes) the readers must reject as FileFormatError
+# naming path:line, with that line: a label outside int64 (either sign), a
+# header width no row can have, and bytes that are not UTF-8 (a UTF-16
+# byte-order mark, or one stray byte in a row past the header).
 HOSTILE_INPUTS = {
-    "big-label.raw": ("PRIARTA-RAW 1\n2 2 1\n1.0\n0 1.0 2.0\n99999999999999999999 3.0 4.0\n", 5),
-    "neg-label.raw": ("PRIARTA-RAW 1\n2 2 1\n1.0\n-99999999999999999999 1.0 2.0\n0 3.0 4.0\n", 4),
-    "wide-p.raw": ("PRIARTA-RAW 1\n1 100000000000000000000 1\n1.0\n0 1.0 2.0\n", 2),
-    "wide-d.emb": ("PRIARTA-EMB 1\n2 100000000000000000000 1.0\n0.1 0.2\n0.3 0.4\n", 2),
+    "big-label.raw": (b"PRIARTA-RAW 1\n2 2 1\n1.0\n0 1.0 2.0\n99999999999999999999 3.0 4.0\n", 5),
+    "neg-label.raw": (b"PRIARTA-RAW 1\n2 2 1\n1.0\n-99999999999999999999 1.0 2.0\n0 3.0 4.0\n", 4),
+    "wide-p.raw": (b"PRIARTA-RAW 1\n1 100000000000000000000 1\n1.0\n0 1.0 2.0\n", 2),
+    "wide-d.emb": (b"PRIARTA-EMB 1\n2 100000000000000000000 1.0\n0.1 0.2\n0.3 0.4\n", 2),
+    "utf16-bom.raw": (b"\xff\xfeP\x00R\x00I\x00\n\x00", 1),
+    "stray-byte.emb": (b"PRIARTA-EMB 1\n2 2 1.0\n0.1 0.2\n0.3 \xe90.4\n", 4),
+}
+
+# JSON files (configs, specs, reports) every command that reads one must
+# reject with exit code 1: bytes that are not UTF-8, nesting deeper than the
+# parser's recursion limit, and an integer past Python's digit limit.
+HOSTILE_JSON = {
+    "utf16-bom.json": b"\xff\xfe{\x00}\x00",
+    "deep.json": b"[" * 100_000,
+    "long-int.json": b"1" * 5000,
 }
 
 

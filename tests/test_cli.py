@@ -16,7 +16,7 @@ from priarta import default_scenario, load_report
 from priarta.cli import main, run_valuation_for_config
 from priarta.valuation import dumps_report
 
-from conftest import HOSTILE_INPUTS
+from conftest import HOSTILE_INPUTS, HOSTILE_JSON
 
 
 def run_cli(*argv):
@@ -364,10 +364,36 @@ def test_value_against_dead_seller_exits_3(scenario_dir, tmp_path, capsys):
 def test_serve_hostile_input_exits_1(tmp_path, capsys, name):
     # the input is read before any bind, so no server starts
     bad = tmp_path / name
-    text, line = HOSTILE_INPUTS[name]
-    bad.write_text(text)
+    content, line = HOSTILE_INPUTS[name]
+    bad.write_bytes(content)
     assert run_cli("serve", "--input", str(bad), "--listen", "127.0.0.1:0") == 1
     assert capsys.readouterr().err.startswith(f"error: {bad}:{line}: ")
+
+
+# Every command that reads a JSON file, with {bad} in that file's place; the
+# bad file is read before anything else that could fail.
+JSON_READING_COMMANDS = {
+    "scenario-config": ("scenario", "--config", "{bad}", "--out-dir", "{tmp}/out"),
+    "robustness-config": ("robustness", "--config", "{bad}", "--output", "{tmp}/r.json"),
+    "robustness-report": ("robustness", "--seed", "7", "--output", "{bad}"),
+    "report-input": ("report", "--input", "{bad}"),
+    "encode-spec": ("encode", "--spec", "{bad}", "--input", "{raw}", "--output", "{tmp}/e.emb"),
+    "serve-spec": ("serve", "--input", "{raw}", "--spec", "{bad}", "--listen", "127.0.0.1:0"),
+    "value-spec": ("value", "--spec", "{bad}", "--input", "{raw}", "--sellers", "{tmp}",
+                   "--offline", "--output", "{tmp}/r.json"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_JSON))
+@pytest.mark.parametrize("command", sorted(JSON_READING_COMMANDS))
+def test_hostile_json_file_exits_1(tmp_path, capsys, command, name):
+    bad = tmp_path / name
+    bad.write_bytes(HOSTILE_JSON[name])
+    raw = tmp_path / "d.raw"
+    raw.write_text("PRIARTA-RAW 1\n2 2 1\n1.0\n0 1.0 2.0\n0 3.0 4.0\n")
+    argv = [arg.format(bad=bad, raw=raw, tmp=tmp_path) for arg in JSON_READING_COMMANDS[command]]
+    assert run_cli(*argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: {bad}:")
 
 
 def test_serve_bind_conflict_exits_2(scenario_dir):

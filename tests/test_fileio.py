@@ -1,9 +1,13 @@
 """Canonical text formats for raw datasets and embeddings."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from priarta import EncoderSpec, FileFormatError, RawDataset, clip_to_ball, encode
+from priarta import fileio
 from priarta.fileio import (
     load_json,
     read_dataset_any,
@@ -73,9 +77,9 @@ def test_raw_read_rejects_row_count_mismatch(tmp_path):
 
 @pytest.mark.parametrize("name", sorted(HOSTILE_INPUTS))
 def test_hostile_files_raise_format_error_at_line(tmp_path, name):
-    text, line = HOSTILE_INPUTS[name]
+    content, line = HOSTILE_INPUTS[name]
     path = tmp_path / name
-    path.write_text(text)
+    path.write_bytes(content)
     for read in (read_dataset_any, read_raw_dataset if name.endswith(".raw") else read_embeddings):
         with pytest.raises(FileFormatError) as info:
             read(path)
@@ -313,3 +317,23 @@ def test_canonical_files_skip_the_row_loop(tmp_path, rng, monkeypatch):
     assert again.labels.dtype == data.labels.dtype
     np.testing.assert_array_equal(read_embeddings(emb_path).vectors, e.vectors)
     assert len(calls) == 1
+
+
+# ----------------------------------------------------------- one file layer
+
+
+def test_only_fileio_opens_files():
+    # builtin open, io.open, os.open and Path.open/read_*/write_* alike
+    openers = {"open", "read_text", "read_bytes", "write_text", "write_bytes"}
+    package = Path(fileio.__file__).parent
+    offenders = []
+    for source in sorted(package.glob("*.py")):
+        if source.name == "fileio.py":
+            continue
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in openers:
+                    offenders.append(f"{source.name}:{node.lineno}")
+    assert offenders == []

@@ -424,6 +424,35 @@ def test_orchestrate_survives_a_hostile_array_reply(name):
     assert not by_id["alpha"].failed
 
 
+B64_ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+
+
+# d float64 values are 8d bytes: no padding for d = 3, "=" for d = 1, "==" for
+# d = 2. Every character in the last place before the padding decodes, and
+# to finite values since |mean| < 2; only the one whose unused bits are zero,
+# as re-encoding the decoded bytes shows, may be accepted.
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_decode_accepts_only_canonical_base64(d):
+    msg = StatsResponse((0.5, -1.25, 0.1)[:d], pack_covariance(np.eye(d)), 32, "s", 9.0,
+                        SPEC.fingerprint())
+    payload = payload_of(msg)
+    body = payload["mean"].rstrip("=")
+    padding = "=" * (len(payload["mean"]) - len(body))
+    accepted = 0
+    for char in B64_ALPHABET:
+        text = body[:-1] + char + padding
+        frame = raw_frame(json.dumps(dict(payload, mean=text), sort_keys=True,
+                                     separators=(",", ":")).encode())
+        if base64.b64encode(base64.b64decode(text)).decode("ascii") == text:
+            assert encode_frame(decode_frame(frame)) == frame
+            accepted += 1
+        else:
+            with pytest.raises(FrameError) as info:
+                decode_frame(frame)
+            assert info.value.code == "BAD_PAYLOAD"
+    assert accepted == {0: 64, 1: 16, 2: 4}[len(padding)]
+
+
 def test_float64_payload_bytes_match_struct_oracle():
     mean = (-0.0, 5e-324, 1.7976931348623157e308, 0.1 + 0.2)
     cov = (1.0, -5e-324, 2.2250738585072014e-308, -1.7976931348623157e308, 1 / 3,

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from priarta import ConfigError, ScenarioConfig, build_datasets, default_scenario
-from priarta.scenario import BUYER_ID, load_config
+from priarta.fileio import load_json
+from priarta.scenario import BUYER_ID
 
 
 @pytest.fixture(scope="module")
@@ -139,5 +140,5 @@ def test_load_config_from_file(tmp_path, base_dict):
 
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(base_dict))
-    cfg = load_config(path)
+    cfg = ScenarioConfig.from_dict(load_json(path))
     assert cfg.to_dict() == base_dict

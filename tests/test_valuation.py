@@ -22,13 +22,21 @@ from priarta import (
     save_report,
 )
 from priarta.protocol import (
+    PROTOCOL_VERSION,
+    Hello,
+    InProcessChannel,
     SellerNode,
     SellerOutcome,
+    StatsRequest,
+    StatsResponse,
+    decode_frame,
+    encode_frame,
     in_process_endpoints,
     orchestrate_valuation,
+    pack_covariance,
 )
 from priarta.scenario import BUYER_ID, build_datasets, default_scenario
-from priarta.valuation import dumps_report, with_robustness
+from priarta.valuation import dumps_report, run_valuation, with_robustness
 
 from conftest import random_summary
 
@@ -334,3 +342,60 @@ def test_round_caches_factor_on_buyer_only():
     summaries = [o.summary for o in outcomes if o.summary is not None]
     assert len(summaries) == len(config.sellers)
     assert not any("_covariance_factor" in vars(s) for s in summaries)
+
+
+# ---------------------------------------------------------- hostile sellers
+
+
+class _ForgingSession:
+    """Stands in for a seller session: acknowledges HELLO and MODEL_SPEC, and
+    answers STATS_REQUEST with a forged summary that carries the requested
+    count and session id and the spec's fingerprint."""
+
+    def __init__(self, spec, extra_dim=0, cov_scale=1.0, sigma_used=0.5):
+        self.spec = spec
+        self.dim = spec.latent_dim + extra_dim
+        self.cov_scale = cov_scale
+        self.sigma_used = sigma_used
+
+    def handle_bytes(self, frame):
+        msg = decode_frame(frame)
+        if not isinstance(msg, StatsRequest):
+            return encode_frame(Hello(PROTOCOL_VERSION))
+        return encode_frame(StatsResponse(
+            np.zeros(self.dim), pack_covariance(self.cov_scale * np.eye(self.dim)),
+            msg.subset_size, msg.session_id, self.sigma_used, self.spec.fingerprint(),
+        ))
+
+
+# forged reply, whether the round debiases, and the start of the failure reason
+FORGED_REPLIES = {
+    "mean-too-long": (dict(extra_dim=1), False, "mean has 5 entries"),
+    "covariance-1e308": (dict(cov_scale=1e308), False, "scoring failed: NumericInputError"),
+    "negative-sigma-debias": (dict(sigma_used=-1.0), True, "negative sigma_used"),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow inside the forged covariance
+@pytest.mark.parametrize("name", sorted(FORGED_REPLIES))
+def test_one_hostile_seller_fails_alone(name):
+    forged, debias, reason = FORGED_REPLIES[name]
+    config = default_scenario(7)
+    datasets = build_datasets(config)
+    nodes = [SellerNode(nid, raw=datasets[nid]) for nid in config.seller_ids()]
+
+    def mallory():
+        channel = InProcessChannel(nodes[0])
+        channel.session = _ForgingSession(config.encoder, **forged)
+        return channel
+
+    def valuation_round(endpoints):
+        return run_valuation(datasets[BUYER_ID], endpoints, config.encoder, config.budget,
+                             master_seed=7, debias=debias)
+
+    honest = valuation_round(in_process_endpoints(nodes))
+    report = valuation_round(in_process_endpoints(nodes) + [("mallory", mallory)])
+    assert report.entry("mallory").failed
+    assert report.entry("mallory").failure_reason.startswith(reason)
+    assert tuple(e for e in report.entries if e.node_id != "mallory") == honest.entries
+    assert report.ranking == honest.ranking
