@@ -18,7 +18,14 @@ import warnings
 
 import numpy as np
 
-from .errors import NumericInputError, ParameterError, ShapeError
+from .errors import (
+    NumericInputError,
+    ParameterError,
+    ShapeError,
+    require_bool,
+    require_float,
+    require_int,
+)
 
 __all__ = [
     "AugmentationSpec", "EncoderSpec", "RawDataset", "augment", "encode",
@@ -54,15 +61,14 @@ class EncoderSpec:
     def __post_init__(self):
         if self.kind not in ENCODER_KINDS:
             raise ParameterError(f"unknown encoder kind {self.kind!r}")
+        require_int(self.seed, "seed")
         for field in ("input_dim", "latent_dim", "signal_dims"):
-            value = getattr(self, field)
-            if int(value) != value or int(value) < 1:
-                raise ParameterError(f"{field} must be a positive integer, got {value}")
+            require_int(getattr(self, field), field, 1)
         if self.signal_dims > self.input_dim:
             raise ParameterError(
                 f"signal_dims {self.signal_dims} exceeds input_dim {self.input_dim}"
             )
-        alpha = float(self.leakage_alpha)
+        alpha = require_float(self.leakage_alpha, "leakage_alpha")
         if not (0.0 <= alpha <= 1.0):
             raise ParameterError(f"leakage_alpha must be in [0, 1], got {self.leakage_alpha}")
         if self.latent_dim > self.signal_dims:
@@ -71,10 +77,6 @@ class EncoderSpec:
                 "the projection cannot be signal-faithful",
                 stacklevel=2,
             )
-        object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "input_dim", int(self.input_dim))
-        object.__setattr__(self, "latent_dim", int(self.latent_dim))
-        object.__setattr__(self, "signal_dims", int(self.signal_dims))
         object.__setattr__(self, "leakage_alpha", alpha)
         # The spec is frozen, so its digest is computed once. A plain
         # attribute, not a field: eq, hash, repr and to_dict ignore it.
@@ -104,14 +106,13 @@ class RawDataset:
     def __post_init__(self):
         points = np.asarray(self.points, dtype=float)
         labels = np.asarray(self.labels, dtype=int)
-        probs = np.asarray(self.class_probs, dtype=float)
         if points.ndim != 2 or points.shape[0] < 1:
             raise ShapeError(f"points must be a nonempty 2-D matrix, got shape {points.shape}")
         if not np.all(np.isfinite(points)):
             raise NumericInputError("points contain non-finite entries")
         if labels.shape != (points.shape[0],):
             raise ShapeError("labels must align with points, one per row")
-        _check_probs(probs)
+        probs = require_probs(self.class_probs)
         if labels.size and (labels.min() < 0 or labels.max() >= probs.shape[0]):
             raise ParameterError("labels must lie in [0, num_classes)")
         points = points.copy()
@@ -142,16 +143,16 @@ class AugmentationSpec:
     seed: int
 
     def __post_init__(self):
-        scale = float(self.nuisance_noise_scale)
-        prob = float(self.apply_prob)
-        if not (scale >= 0.0 and math.isfinite(scale)):
+        scale = require_float(self.nuisance_noise_scale, "nuisance_noise_scale")
+        prob = require_float(self.apply_prob, "apply_prob")
+        if scale < 0.0:
             raise ParameterError(f"nuisance_noise_scale must be >= 0, got {scale}")
         if not (0.0 <= prob <= 1.0):
             raise ParameterError(f"apply_prob must be in [0, 1], got {prob}")
+        require_bool(self.nuisance_permute, "nuisance_permute")
+        require_int(self.seed, "seed")
         object.__setattr__(self, "nuisance_noise_scale", scale)
-        object.__setattr__(self, "nuisance_permute", bool(self.nuisance_permute))
         object.__setattr__(self, "apply_prob", prob)
-        object.__setattr__(self, "seed", int(self.seed))
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -161,13 +162,22 @@ class AugmentationSpec:
         return _from_exact_fields(cls, data, "augmentation spec")
 
 
-def _check_probs(probs: np.ndarray):
+def require_probs(values, field: str = "class probabilities") -> np.ndarray:
+    """values as a float64 probability vector: nonempty, nonnegative and
+    summing to 1 within 1e-9. Each entry of a list or tuple must pass
+    require_float; any other sequence must be an array."""
+    if isinstance(values, (list, tuple)):
+        values = [require_float(v, field) for v in values]
+    elif not isinstance(values, np.ndarray):
+        raise ParameterError(f"{field} must be a list of numbers")
+    probs = np.asarray(values, dtype=float)
     if probs.ndim != 1 or probs.shape[0] < 1:
-        raise ParameterError("class probabilities must be a nonempty vector")
+        raise ParameterError(f"{field} must be a nonempty vector")
     if not np.all(np.isfinite(probs)) or np.any(probs < 0):
-        raise ParameterError("class probabilities must be finite and nonnegative")
+        raise ParameterError(f"{field} must be finite and nonnegative")
     if abs(float(probs.sum()) - 1.0) > 1e-9:
-        raise ParameterError(f"class probabilities sum to {probs.sum()!r}, expected 1")
+        raise ParameterError(f"{field} sum to {probs.sum()!r}, expected 1")
+    return probs
 
 
 def gen_mixture_dataset(
@@ -185,8 +195,7 @@ def gen_mixture_dataset(
     N(0, I). ``class_means`` is k x p; columns past the signal block are
     ignored (nuisance coordinates carry no class information).
     """
-    probs = np.asarray(class_probs, dtype=float)
-    _check_probs(probs)
+    probs = require_probs(class_probs)
     means = np.asarray(class_means, dtype=float)
     if means.ndim != 2 or means.shape[0] != probs.shape[0]:
         raise ShapeError(
@@ -195,20 +204,19 @@ def gen_mixture_dataset(
     if not np.all(np.isfinite(means)):
         raise NumericInputError("class_means contain non-finite entries")
     p = means.shape[1]
-    s = int(signal_dims)
-    if not (1 <= s <= p):
+    s = require_int(signal_dims, "signal_dims", 1)
+    if s > p:
         raise ParameterError(f"signal_dims must be in [1, {p}], got {signal_dims}")
-    scale = float(class_scale)
-    if not (scale >= 0.0 and math.isfinite(scale)):
+    scale = require_float(class_scale, "class_scale")
+    if scale < 0.0:
         raise ParameterError(f"class_scale must be >= 0, got {class_scale}")
-    if int(m) < 1:
-        raise ParameterError(f"m must be >= 1, got {m}")
+    m = require_int(m, "m", 1)
 
-    rng = np.random.Generator(np.random.PCG64(int(seed)))
-    labels = rng.choice(probs.shape[0], size=int(m), p=probs)
-    points = np.empty((int(m), p))
-    points[:, :s] = means[labels, :s] + scale * rng.standard_normal((int(m), s))
-    points[:, s:] = rng.standard_normal((int(m), p - s))
+    rng = np.random.Generator(np.random.PCG64(require_int(seed, "seed")))
+    labels = rng.choice(probs.shape[0], size=m, p=probs)
+    points = np.empty((m, p))
+    points[:, :s] = means[labels, :s] + scale * rng.standard_normal((m, s))
+    points[:, s:] = rng.standard_normal((m, p - s))
     return RawDataset(points, labels, probs)
 
 
@@ -252,8 +260,8 @@ def augment(data: RawDataset, aug: AugmentationSpec, signal_dims: int) -> RawDat
     signal block and labels are never touched. Deterministic given
     ``aug.seed``; rows stay aligned with the source dataset.
     """
-    s = int(signal_dims)
-    if not (1 <= s <= data.dim):
+    s = require_int(signal_dims, "signal_dims", 1)
+    if s > data.dim:
         raise ParameterError(f"signal_dims must be in [1, {data.dim}], got {signal_dims}")
     n_nuis = data.dim - s
     rng = np.random.Generator(np.random.PCG64(aug.seed))

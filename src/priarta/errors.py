@@ -1,5 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one rule per value
+type that every constructor applies to a value from a file, a frame or a
+caller: require_int, require_float, require_str and require_bool raise
+ParameterError on a value of the wrong type instead of converting it."""
 
+import math
 
 __all__ = [
     "ConfigError", "ConvergenceError", "EmptyInputError", "FileFormatError",
@@ -82,3 +86,33 @@ class FileFormatError(PriartaError, ValueError):
 
 class NoCandidatesError(PriartaError, RuntimeError):
     """Every seller failed; there is nothing to rank."""
+
+
+def require_int(value, field: str, minimum: int = 0) -> int:
+    """value, when it is an int (not a bool) of at least minimum."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        raise ParameterError(f"{field} must be an integer >= {minimum}")
+    return value
+
+
+def require_float(value, field: str) -> float:
+    """value as a float, when it is a finite int or float (not a bool). An
+    int past the float range raises OverflowError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ParameterError(f"{field} must be a number")
+    value = float(value)
+    if not math.isfinite(value):
+        raise ParameterError(f"{field} must be finite")
+    return value
+
+
+def require_str(value, field: str) -> str:
+    if not isinstance(value, str):
+        raise ParameterError(f"{field} must be a string")
+    return value
+
+
+def require_bool(value, field: str) -> bool:
+    if not isinstance(value, bool):
+        raise ParameterError(f"{field} must be a boolean")
+    return value

@@ -202,7 +202,13 @@ def load_json(path) -> dict:
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise FileFormatError(f"{path}: parse error at byte {exc.pos}: {exc.msg}") from exc
+        # exc.pos counts characters of the text, whose line endings are "\n";
+        # a line's own bytes are the file's, so the offset counts UTF-8 bytes
+        line_start = text.rfind("\n", 0, exc.pos) + 1
+        offset = len(text[line_start:exc.pos].encode("utf-8"))
+        raise FileFormatError(
+            f"{path}:{exc.lineno}: parse error at byte {offset} of the line: {exc.msg}"
+        ) from exc
     except ValueError as exc:  # an integer literal past Python's digit limit
         raise FileFormatError(f"{path}: {exc}") from exc
     except RecursionError as exc:

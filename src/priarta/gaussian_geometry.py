@@ -28,8 +28,8 @@ from .errors import (
     ConvergenceError,
     NotPSDError,
     NumericInputError,
-    ParameterError,
     ShapeError,
+    require_int,
 )
 
 __all__ = ["GaussianSummary", "psd_clamp", "symmetrize", "wasserstein2_gaussian"]
@@ -54,13 +54,19 @@ def symmetrize(a) -> Array:
     """Return (A + A^T) / 2 as a fresh array.
 
     Bit-identical to the input when the input is already exactly symmetric.
+    Raises NumericInputError when the result is not finite: for non-finite
+    input, and when a sum A_ij + A_ji overflows (entries above about 9e307).
     """
-    a = _check_finite(a, "matrix")
+    a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {a.shape}")
     if a.shape[0] < 1:
         raise ShapeError("matrix dimension must be >= 1")
-    return (a + a.T) / 2.0
+    out = (a + a.T) / 2.0
+    if not np.all(np.isfinite(out)):
+        _check_finite(a, "matrix")
+        raise NumericInputError("matrix entries overflow when symmetrized")
+    return out
 
 
 def _sym_eig(a, name: str = "matrix"):
@@ -160,14 +166,12 @@ class GaussianSummary:
             raise ShapeError(
                 f"mean length {mean.shape[0]} != covariance dimension {cov.shape[0]}"
             )
-        if int(self.count) < 2:
-            raise ParameterError(f"summary count must be >= 2, got {self.count}")
+        require_int(self.count, "summary count", 2)
         mean = mean.copy()
         mean.flags.writeable = False
         cov.flags.writeable = False
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "covariance", cov)
-        object.__setattr__(self, "count", int(self.count))
 
     @property
     def dim(self) -> int:

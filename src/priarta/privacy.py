@@ -24,7 +24,7 @@ import warnings
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, require_float, require_int
 from .stats import EmbeddingSet
 
 __all__ = [
@@ -49,19 +49,17 @@ class PrivacyBudget:
     subset_size: int
 
     def __post_init__(self):
-        eps, delta = float(self.epsilon), float(self.delta)
+        eps = require_float(self.epsilon, "epsilon")
+        delta = require_float(self.delta, "delta")
         if not (0.0 < eps < 1.0):
             raise ParameterError(f"epsilon must be in (0, 1), got {self.epsilon}")
         if not (0.0 < delta < 1.0):
             raise ParameterError(f"delta must be in (0, 1), got {self.delta}")
-        if not (float(self.clip_radius) > 0.0 and math.isfinite(float(self.clip_radius))):
-            raise ParameterError(f"clip radius must be positive, got {self.clip_radius}")
-        if int(self.subset_size) < 2:
-            raise ParameterError(f"subset size must be >= 2, got {self.subset_size}")
+        radius = _check_radius(self.clip_radius)
+        require_int(self.subset_size, "subset size", 2)
         object.__setattr__(self, "epsilon", eps)
         object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "clip_radius", float(self.clip_radius))
-        object.__setattr__(self, "subset_size", int(self.subset_size))
+        object.__setattr__(self, "clip_radius", radius)
 
 
 @dataclass(frozen=True)
@@ -74,25 +72,23 @@ class NoiseCalibration:
     sigma: float
 
 
-def _check_radius_count(radius: float, count: int):
-    if not (float(radius) > 0.0 and math.isfinite(float(radius))):
+def _check_radius(radius) -> float:
+    radius = require_float(radius, "clip radius")
+    if radius <= 0.0:
         raise ParameterError(f"clip radius must be positive, got {radius}")
-    if int(count) != count or int(count) < 2:
-        raise ParameterError(f"count must be an integer >= 2, got {count}")
+    return radius
 
 
 def mean_sensitivity(radius: float, count: int) -> float:
     """Worst-case l2 change of the mean under one vector swap: 2R/n."""
-    _check_radius_count(radius, count)
-    return 2.0 * float(radius) / int(count)
+    return 2.0 * _check_radius(radius) / require_int(count, "count", 2)
 
 
 def covariance_sensitivity(radius: float, count: int) -> float:
     """Frobenius bound on the covariance change under one vector swap:
     4R^2/n + 8R^2/n^2."""
-    _check_radius_count(radius, count)
-    r2 = float(radius) ** 2
-    n = int(count)
+    r2 = _check_radius(radius) ** 2
+    n = require_int(count, "count", 2)
     return 4.0 * r2 / n + 8.0 * r2 / n**2
 
 
@@ -121,8 +117,8 @@ def apply_gaussian_mechanism(
     pre-noise data; post-noise clipping would bias the summary) and its
     clipped flag is cleared. Deterministic given ``rng_seed``.
     """
-    sigma = float(sigma)
-    if not (sigma > 0.0 and math.isfinite(sigma)):
+    sigma = require_float(sigma, "sigma")
+    if sigma <= 0.0:
         raise ParameterError(f"sigma must be a positive real, got {sigma}")
     if not embeddings.clipped:
         raise ParameterError("the Gaussian mechanism requires a clipped embedding set")

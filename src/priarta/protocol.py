@@ -18,7 +18,6 @@ from dataclasses import MISSING, dataclass, fields
 import functools
 import json
 import logging
-import math
 import secrets
 import socket
 import socketserver
@@ -35,6 +34,9 @@ from .errors import (
     PriartaError,
     ProtocolFailure,
     ShapeError,
+    require_float,
+    require_int,
+    require_str,
 )
 from .gaussian_geometry import GaussianSummary
 from .privacy import (
@@ -68,27 +70,6 @@ MODE_SECURE = "secure"
 MODE_SEEDED = "seeded"
 
 
-def _require_str(value, field: str) -> str:
-    if not isinstance(value, str):
-        raise ParameterError(f"{field} must be a string")
-    return value
-
-
-def _require_int(value, field: str, minimum: int = 0) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-        raise ParameterError(f"{field} must be an integer >= {minimum}")
-    return value
-
-
-def _require_float(value, field: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ParameterError(f"{field} must be a number")
-    value = float(value)
-    if not math.isfinite(value):
-        raise ParameterError(f"{field} must be finite")
-    return value
-
-
 def _float_array(values, field: str) -> np.ndarray:
     """A read-only 1-D float64 copy of a float array, or of a list or tuple
     whose entries are checked one by one."""
@@ -97,7 +78,7 @@ def _float_array(values, field: str) -> np.ndarray:
             raise ParameterError(f"{field} must be a 1-D float array")
         out = values.astype(np.float64)
     elif isinstance(values, (list, tuple)):
-        out = np.array([_require_float(v, field) for v in values], dtype=np.float64)
+        out = np.array([require_float(v, field) for v in values], dtype=np.float64)
     else:
         raise ParameterError(f"{field} must be a sequence of numbers")
     if not np.isfinite(out).all():
@@ -112,7 +93,7 @@ class Hello:
 
     def __post_init__(self):
         object.__setattr__(
-            self, "protocol_version", _require_int(self.protocol_version, "protocol_version", 1)
+            self, "protocol_version", require_int(self.protocol_version, "protocol_version", 1)
         )
 
 
@@ -138,12 +119,12 @@ class StatsRequest:
     def __post_init__(self):
         # Structural checks only: out-of-range privacy parameters must still
         # transport, so the seller can answer INVALID_PARAMETER.
-        object.__setattr__(self, "subset_size", _require_int(self.subset_size, "subset_size", 1))
+        object.__setattr__(self, "subset_size", require_int(self.subset_size, "subset_size", 1))
         for field in ("epsilon", "delta", "clip_radius"):
-            object.__setattr__(self, field, _require_float(getattr(self, field), field))
-        _require_str(self.session_id, "session_id")
+            object.__setattr__(self, field, require_float(getattr(self, field), field))
+        require_str(self.session_id, "session_id")
         if self.mode == MODE_SEEDED:
-            object.__setattr__(self, "seed", _require_int(self.seed, "seed", 0))
+            object.__setattr__(self, "seed", require_int(self.seed, "seed", 0))
         elif self.mode == MODE_SECURE:
             if self.seed is not None:
                 raise ParameterError("secure mode carries no seed")
@@ -173,10 +154,10 @@ class StatsResponse:
             )
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "covariance", covariance)
-        object.__setattr__(self, "count", _require_int(self.count, "count", 1))
-        _require_str(self.session_id, "session_id")
-        object.__setattr__(self, "sigma_used", _require_float(self.sigma_used, "sigma_used"))
-        _require_str(self.encoder_fingerprint, "encoder_fingerprint")
+        object.__setattr__(self, "count", require_int(self.count, "count", 1))
+        require_str(self.session_id, "session_id")
+        object.__setattr__(self, "sigma_used", require_float(self.sigma_used, "sigma_used"))
+        require_str(self.encoder_fingerprint, "encoder_fingerprint")
 
     def __eq__(self, other):
         # The generated __eq__ would take the truth value of an array comparison.
@@ -193,10 +174,10 @@ class ErrorMessage:
     session_id: str
 
     def __post_init__(self):
-        if not _require_str(self.code, "code"):
+        if not require_str(self.code, "code"):
             raise ParameterError("code must be nonempty")
-        _require_str(self.message, "message")
-        _require_str(self.session_id, "session_id")
+        require_str(self.message, "message")
+        require_str(self.session_id, "session_id")
 
 
 # Tag <-> message class. A message's wire fields are its dataclass fields.
@@ -357,8 +338,7 @@ def expand_covariance(values, dim: int) -> np.ndarray:
 
 
 def _subset_indices(count: int, m_tilde: int, seed: int) -> np.ndarray:
-    if not isinstance(m_tilde, int) or isinstance(m_tilde, bool) or m_tilde < 1:
-        raise ParameterError(f"subset size must be a positive integer, got {m_tilde}")
+    require_int(m_tilde, "subset size", 1)
     if m_tilde > count:
         raise InsufficientSamplesError(
             f"subset of {m_tilde} requested from {count} available rows"

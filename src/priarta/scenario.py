@@ -8,12 +8,11 @@ an augmented copy of that seller, and four augmented copies of the buyer.
 """
 
 from dataclasses import dataclass
-import math
 
 import numpy as np
 
-from .encoder import AugmentationSpec, EncoderSpec, augment, gen_mixture_dataset
-from .errors import ConfigError, ParameterError
+from .encoder import AugmentationSpec, EncoderSpec, augment, gen_mixture_dataset, require_probs
+from .errors import ConfigError, ParameterError, require_float, require_int
 from .privacy import PrivacyBudget, derive_seed
 
 __all__ = ["ScenarioConfig", "build_datasets", "default_scenario"]
@@ -114,32 +113,32 @@ class ScenarioConfig:
         return _parse_config(data)
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+def _check(problems: list, rule, value, field: str, *args):
+    """rule(value, field, *args), or None with the failure added to problems."""
+    try:
+        return rule(value, field, *args)
+    except ParameterError as exc:
+        problems.append(str(exc))
+    return None
 
 
-def _is_num(value) -> bool:
-    return (_is_int(value) or isinstance(value, float)) and math.isfinite(value)
-
-
-def _check_probs_field(value, k, field: str, problems: list):
+def _mixture_fields(block: dict, label: str, node_id: str, k, master_seed,
+                    problems: list) -> tuple:
+    """(class_probs, m, seed) of a buyer or fresh-seller block, each None when
+    it fails; a seed the block leaves out is derived from the master seed."""
+    probs = _check(problems, require_probs, block.get("class_probs"), f"{label}.class_probs")
     # k is None when num_classes itself failed validation; the length check
     # is skipped then so the remaining problems still surface
-    if (
-        not isinstance(value, list)
-        or not value
-        or (k is not None and len(value) != k)
-        or not all(_is_num(v) for v in value)
-    ):
-        problems.append(f"{field}: must be a list of {k or 'num_classes'} finite numbers")
-        return None
-    if any(v < 0 for v in value):
-        problems.append(f"{field}: probabilities must be nonnegative")
-        return None
-    if abs(sum(value) - 1.0) > 1e-9:
-        problems.append(f"{field}: probabilities sum to {sum(value)!r}, expected 1")
-        return None
-    return tuple(float(v) for v in value)
+    if probs is not None and k is not None and len(probs) != k:
+        problems.append(f"{label}.class_probs: must have {k} entries, got {len(probs)}")
+        probs = None
+    m = _check(problems, require_int, block.get("m"), f"{label}.m", 2)
+    seed = block.get("seed")
+    if seed is not None:
+        seed = _check(problems, require_int, seed, f"{label}.seed")
+    elif master_seed is not None:
+        seed = derive_seed(master_seed, node_id, "raw-data")
+    return None if probs is None else tuple(probs.tolist()), m, seed
 
 
 def _parse_config(data: dict) -> ScenarioConfig:
@@ -156,25 +155,17 @@ def _parse_config(data: dict) -> ScenarioConfig:
         problems.append(f"{key}: missing")
     get = data.get
 
-    def pos_int(field, minimum=1):
-        value = get(field)
-        if not _is_int(value) or value < minimum:
-            problems.append(f"{field}: must be an integer >= {minimum}")
-            return None
-        return value
-
-    k = pos_int("num_classes")
-    p = pos_int("input_dim")
-    s = pos_int("signal_dims")
+    k = _check(problems, require_int, get("num_classes"), "num_classes", 1)
+    p = _check(problems, require_int, get("input_dim"), "input_dim", 1)
+    s = _check(problems, require_int, get("signal_dims"), "signal_dims", 1)
     if s is not None and p is not None and s > p:
         problems.append("signal_dims: exceeds input_dim")
         s = None
-    master_seed = pos_int("master_seed", minimum=0)
+    master_seed = _check(problems, require_int, get("master_seed"), "master_seed")
 
-    class_scale = get("class_scale")
-    if not _is_num(class_scale) or class_scale < 0:
-        problems.append("class_scale: must be a finite number >= 0")
-        class_scale = None
+    class_scale = _check(problems, require_float, get("class_scale"), "class_scale")
+    if class_scale is not None and class_scale < 0:
+        problems.append("class_scale: must be >= 0")
 
     class_means = _parse_class_means(get("class_means"), k, s, p, problems)
 
@@ -185,15 +176,8 @@ def _parse_config(data: dict) -> ScenarioConfig:
     ):
         problems.append("buyer: must be a mapping with class_probs, m, and optional seed")
     else:
-        buyer_probs = _check_probs_field(buyer.get("class_probs"), k, "buyer.class_probs", problems)
-        buyer_m = buyer.get("m")
-        if not _is_int(buyer_m) or buyer_m < 2:
-            problems.append("buyer.m: must be an integer >= 2")
-            buyer_m = None
-        buyer_seed = buyer.get("seed")
-        if buyer_seed is not None and (not _is_int(buyer_seed) or buyer_seed < 0):
-            problems.append("buyer.seed: must be an integer >= 0")
-            buyer_seed = None
+        buyer_probs, buyer_m, buyer_seed = _mixture_fields(
+            buyer, "buyer", BUYER_ID, k, master_seed, problems)
 
     sellers = _parse_sellers(get("sellers"), k, master_seed, problems)
 
@@ -214,36 +198,35 @@ def _parse_config(data: dict) -> ScenarioConfig:
         problems.append("privacy: must be a mapping with exactly epsilon, delta, clip_radius")
     else:
         epsilon, delta, clip_radius = (
-            privacy["epsilon"], privacy["delta"], privacy["clip_radius"]
+            _check(problems, require_float, privacy[field], f"privacy.{field}")
+            for field in ("epsilon", "delta", "clip_radius")
         )
-        if not _is_num(epsilon) or not (0.0 < epsilon < 1.0):
+        if epsilon is not None and not (0.0 < epsilon < 1.0):
             problems.append("privacy.epsilon: must be in (0, 1)")
-        if not _is_num(delta) or not (0.0 < delta < 1.0):
+        if delta is not None and not (0.0 < delta < 1.0):
             problems.append("privacy.delta: must be in (0, 1)")
-        if not _is_num(clip_radius) or clip_radius <= 0:
+        if clip_radius is not None and clip_radius <= 0:
             problems.append("privacy.clip_radius: must be > 0")
 
-    subset_size = pos_int("subset_size", minimum=2)
+    subset_size = _check(problems, require_int, get("subset_size"), "subset_size", 2)
 
     if problems:
         raise ConfigError(problems)
 
-    if buyer_seed is None:
-        buyer_seed = derive_seed(master_seed, BUYER_ID, "raw-data")
     return ScenarioConfig(
         num_classes=k,
         input_dim=p,
         signal_dims=s,
         class_means=class_means,
-        class_scale=float(class_scale),
+        class_scale=class_scale,
         buyer_probs=buyer_probs,
         buyer_m=buyer_m,
         buyer_seed=buyer_seed,
         sellers=tuple(sellers),
         encoder=enc,
-        epsilon=float(epsilon),
-        delta=float(delta),
-        clip_radius=float(clip_radius),
+        epsilon=epsilon,
+        delta=delta,
+        clip_radius=clip_radius,
         subset_size=subset_size,
         master_seed=master_seed,
     )
@@ -255,17 +238,20 @@ def _parse_class_means(value, k, s, p, problems):
     if k is None or s is None or p is None:
         return None
     if isinstance(value, dict):
-        if set(value) != {"seed", "norm"} or not _is_int(value.get("seed")):
+        if set(value) != {"seed", "norm"}:
             problems.append("class_means: generator must be {seed: int, norm: number > 0}")
             return None
-        norm = value["norm"]
-        if not _is_num(norm) or norm <= 0:
+        seed = _check(problems, require_int, value["seed"], "class_means.seed")
+        norm = _check(problems, require_float, value["norm"], "class_means.norm")
+        if norm is not None and norm <= 0:
             problems.append("class_means.norm: must be > 0")
             return None
-        rng = np.random.Generator(np.random.PCG64(value["seed"]))
+        if seed is None or norm is None:
+            return None
+        rng = np.random.Generator(np.random.PCG64(seed))
         rows = rng.standard_normal((k, s))
         rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-        return rows * float(norm)
+        return rows * norm
     if isinstance(value, list):
         try:
             means = np.asarray(value, dtype=float)
@@ -312,20 +298,7 @@ def _parse_sellers(value, k, master_seed, problems):
             extra = set(item) - {"node_id", "kind", "class_probs", "m", "seed"}
             if extra:
                 problems.append(f"{label}: unknown fields {sorted(extra)}")
-            probs = _check_probs_field(
-                item.get("class_probs"), k, f"{label}.class_probs", problems
-            )
-            m = item.get("m")
-            if not _is_int(m) or m < 2:
-                problems.append(f"{label}.m: must be an integer >= 2")
-                m = None
-            seed = item.get("seed")
-            if seed is None:
-                if master_seed is not None:
-                    seed = derive_seed(master_seed, node_id, "raw-data")
-            elif not _is_int(seed) or seed < 0:
-                problems.append(f"{label}.seed: must be an integer >= 0")
-                seed = None
+            probs, m, seed = _mixture_fields(item, label, node_id, k, master_seed, problems)
             if probs is not None and m is not None:
                 sellers.append(SellerDef(node_id, "fresh", class_probs=probs, m=m, seed=seed))
         elif kind == "augmented_copy":

@@ -11,6 +11,8 @@ from .errors import (
     NumericInputError,
     ParameterError,
     ShapeError,
+    require_bool,
+    require_float,
 )
 from .gaussian_geometry import GaussianSummary, _clamp_reconstruct, symmetrize
 
@@ -49,10 +51,10 @@ class EmbeddingSet:
             raise ShapeError("embedding dimension must be >= 1")
         if not np.all(np.isfinite(v)):
             raise NumericInputError("embedding vectors contain non-finite entries")
-        r = float(self.clip_radius)
-        if not (r > 0.0 and np.isfinite(r)):
+        r = require_float(self.clip_radius, "clip radius")
+        if r <= 0.0:
             raise ParameterError(f"clip radius must be a positive real, got {self.clip_radius}")
-        if self.clipped:
+        if require_bool(self.clipped, "clipped"):
             norms = np.linalg.norm(v, axis=1)
             worst = float(norms.max())
             if worst > r * (1.0 + CLIP_SLACK):
@@ -63,7 +65,6 @@ class EmbeddingSet:
         v.flags.writeable = False
         object.__setattr__(self, "vectors", v)
         object.__setattr__(self, "clip_radius", r)
-        object.__setattr__(self, "clipped", bool(self.clipped))
 
     @property
     def count(self) -> int:
@@ -80,14 +81,14 @@ def clip_to_ball(vectors, radius: float) -> EmbeddingSet:
     Rows already inside the ball are carried over bit-identically, so the
     operation is idempotent and direction-preserving.
     """
-    if not (float(radius) > 0.0 and np.isfinite(float(radius))):
+    radius = require_float(radius, "clip radius")
+    if radius <= 0.0:
         raise ParameterError(f"clip radius must be a positive real, got {radius}")
     v = np.asarray(vectors, dtype=float)
     if v.ndim != 2:
         raise ShapeError(f"vectors must be a 2-D matrix, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise NumericInputError("vectors contain non-finite entries")
-    radius = float(radius)
     norms = np.linalg.norm(v, axis=1)
     out = v.copy()
     mask = norms > radius
@@ -129,11 +130,15 @@ def debias_covariance(summary: GaussianSummary, sigma: float) -> GaussianSummary
     Off by default in the pipeline: the noisy covariance is normally used
     as-is, this correction exists for buyers who want the inflation removed.
     """
-    sigma = float(sigma)
-    if not (sigma >= 0.0 and np.isfinite(sigma)):
+    sigma = require_float(sigma, "sigma")
+    if sigma < 0.0:
         raise ParameterError(f"sigma must be a nonnegative real, got {sigma}")
     if sigma == 0.0:
         return summary
-    shifted = summary.covariance - (sigma**2) * np.eye(summary.dim)
+    try:
+        variance = sigma**2
+    except OverflowError as exc:
+        raise ParameterError(f"sigma^2 is not finite for sigma = {sigma!r}") from exc
+    shifted = summary.covariance - variance * np.eye(summary.dim)
     w, q = np.linalg.eigh(shifted)
     return GaussianSummary(summary.mean, _clamp_reconstruct(w, q), summary.count)

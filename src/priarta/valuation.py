@@ -17,6 +17,7 @@ from .errors import (
     NotPSDError,
     NumericInputError,
     ParameterError,
+    PriartaError,
 )
 from .fileio import dumps_json, load_json, save_json
 from .gaussian_geometry import GaussianSummary, wasserstein2_gaussian
@@ -222,7 +223,11 @@ def run_valuation(buyer_data, sellers, spec: EncoderSpec, budget: PrivacyBudget,
     if debias:
         for outcome in outcomes:
             if outcome.summary is not None:
-                outcome.summary = debias_covariance(outcome.summary, outcome.sigma_used)
+                try:
+                    outcome.summary = debias_covariance(outcome.summary, outcome.sigma_used)
+                except PriartaError as exc:  # a hostile reply fails only its seller
+                    outcome.summary = None
+                    outcome.failure = f"debias failed: {type(exc).__name__}: {exc}"
     params = {
         "epsilon": budget.epsilon,
         "delta": budget.delta,

@@ -1,5 +1,6 @@
 """Shared helpers for the test suite."""
 
+import json
 import os
 import sys
 
@@ -13,7 +14,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np  # noqa: E402
 import pytest
 
-from priarta import GaussianSummary
+from priarta import GaussianSummary, default_scenario
 
 
 def random_psd(rng, dim, scale=1.0):
@@ -48,6 +49,28 @@ HOSTILE_JSON = {
     "utf16-bom.json": b"\xff\xfe{\x00}\x00",
     "deep.json": b"[" * 100_000,
     "long-int.json": b"1" * 5000,
+}
+
+
+def _negative_seed_config(where: str) -> bytes:
+    config = default_scenario(7).to_dict()
+    if where == "augmentation":
+        config["sellers"][2]["augmentation"]["seed"] = -5
+    else:
+        config["class_means"] = {"seed": -5, "norm": 0.55}
+    return json.dumps(config).encode()
+
+
+# Well-formed JSON with a value no rule allows: a negative seed in an encoder
+# spec, and in a scenario config's augmentation and class-means generator.
+# Every command that reads one must exit 1 with one "error:" line.
+HOSTILE_VALUES = {
+    "negative-seed.spec.json": json.dumps({
+        "kind": "toy_projection", "seed": -5, "input_dim": 16, "latent_dim": 4,
+        "signal_dims": 8, "leakage_alpha": 0.0,
+    }).encode(),
+    "negative-augmentation-seed.config.json": _negative_seed_config("augmentation"),
+    "negative-class-means-seed.config.json": _negative_seed_config("class_means"),
 }
 
 

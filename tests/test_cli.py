@@ -16,7 +16,7 @@ from priarta import default_scenario, load_report
 from priarta.cli import main, run_valuation_for_config
 from priarta.valuation import dumps_report
 
-from conftest import HOSTILE_INPUTS, HOSTILE_JSON
+from conftest import HOSTILE_INPUTS, HOSTILE_JSON, HOSTILE_VALUES
 
 
 def run_cli(*argv):
@@ -394,6 +394,37 @@ def test_hostile_json_file_exits_1(tmp_path, capsys, command, name):
     argv = [arg.format(bad=bad, raw=raw, tmp=tmp_path) for arg in JSON_READING_COMMANDS[command]]
     assert run_cli(*argv) == 1
     assert capsys.readouterr().err.startswith(f"error: {bad}:")
+
+
+# The commands that read each kind of HOSTILE_VALUES file, with {bad} in its place.
+VALUE_READING_COMMANDS = {
+    "spec": (
+        ("value", "--spec", "{bad}", "--input", "{scn}/buyer.raw", "--sellers", "{scn}/sellers",
+         "--offline", "--seed", "7", "--output", "{tmp}/r.json"),
+        ("encode", "--spec", "{bad}", "--input", "{scn}/buyer.raw", "--output", "{tmp}/e.emb"),
+    ),
+    "config": (("scenario", "--config", "{bad}", "--out-dir", "{tmp}/out"),),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_VALUES))
+def test_hostile_value_file_exits_1(scenario_dir, tmp_path, name):
+    # a separate process, so that a seller's logged traceback would show too
+    bad = tmp_path / name
+    bad.write_bytes(HOSTILE_VALUES[name])
+    package_root = str(Path(priarta.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    kind = name.rsplit(".", 2)[1]
+    for command in VALUE_READING_COMMANDS[kind]:
+        argv = [arg.format(bad=bad, scn=scenario_dir, tmp=tmp_path) for arg in command]
+        proc = subprocess.run([sys.executable, "-m", "priarta.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 1, (command[0], proc.stderr)
+        # one error line; a config error goes on to list its problems
+        first, *rest = proc.stderr.splitlines()
+        assert first.startswith("error: "), proc.stderr
+        assert all(line.startswith("  - ") for line in rest), proc.stderr
 
 
 def test_serve_bind_conflict_exits_2(scenario_dir):

@@ -52,10 +52,11 @@ def test_fingerprint_is_sha256_of_canonical_json():
     )
     again = EncoderSpec(**fields)
     assert again == SPEC and hash(again) == hash(SPEC)
-    # the digest is taken after the fields are normalized
-    assert EncoderSpec(**dict(fields, seed=271828.0, leakage_alpha=0)).fingerprint() == (
-        SPEC.fingerprint()
-    )
+    # the digest is taken after leakage_alpha is stored as a float; an
+    # integer field given as a float is rejected, never truncated
+    assert EncoderSpec(**dict(fields, leakage_alpha=0)).fingerprint() == SPEC.fingerprint()
+    with pytest.raises(ParameterError, match="^seed must be an integer >= 0$"):
+        EncoderSpec(**dict(fields, seed=271828.0))
 
 
 def test_fingerprint_changes_with_any_field():

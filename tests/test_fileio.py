@@ -2,6 +2,7 @@
 
 import ast
 from pathlib import Path
+import re
 
 import numpy as np
 import pytest
@@ -159,6 +160,28 @@ def test_json_parse_error_names_byte(tmp_path):
     with pytest.raises(FileFormatError) as info:
         load_json(path)
     assert "byte" in str(info.value)
+
+
+# A "}" where a value belongs, after two-byte UTF-8 characters, and on the
+# third line of a file with CRLF line endings.
+JSON_SYNTAX_ERRORS = {
+    "two-byte-chars": b'{"\xc3\xa9\xc3\xa9": }',
+    "crlf": b'{\r\n"a": 1,\r\n"b": }',
+}
+
+
+@pytest.mark.parametrize("name", sorted(JSON_SYNTAX_ERRORS))
+def test_json_parse_error_names_line_and_byte_in_it(tmp_path, name):
+    raw = JSON_SYNTAX_ERRORS[name]
+    path = tmp_path / "x.json"
+    path.write_bytes(raw)
+    with pytest.raises(FileFormatError) as info:
+        load_json(path)
+    found = re.fullmatch(re.escape(str(path)) + r":(\d+): parse error at byte (\d+) of the line: .*",
+                         str(info.value))
+    assert found, str(info.value)
+    line, offset = int(found[1]), int(found[2])
+    assert raw.split(b"\n")[line - 1][offset:offset + 1] == b"}"
 
 
 # ------------------------------------------------------- encode integration

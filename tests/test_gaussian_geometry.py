@@ -35,6 +35,37 @@ def test_symmetrize_rejects_nonsquare():
         symmetrize(np.ones((2, 3)))
 
 
+BIG = np.finfo(float).max
+# Matrices near the float64 limit, some of whose sums A_ij + A_ji overflow.
+SYMMETRIZE_EDGES = {
+    "1e308-diagonal": 1e308 * np.eye(2),
+    "8.9e307-diagonal": 8.9e307 * np.eye(3),
+    "max-pair": np.array([[0.0, BIG], [BIG, 0.0]]),
+    "max-opposite-signs": np.array([[0.0, BIG], [-BIG, 0.0]]),
+    "max-one-side": np.array([[1.0, BIG], [0.0, 1.0]]),
+    "1e308-pair": np.array([[1.0, 1e308], [1e308, 1.0]]),
+}
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("name", sorted(SYMMETRIZE_EDGES))
+def test_symmetrize_raises_exactly_when_the_result_overflows(name):
+    a = SYMMETRIZE_EDGES[name]
+    with np.errstate(over="ignore"):
+        oracle = (a + a.T) / 2.0
+    if np.isfinite(oracle).all():
+        assert symmetrize(a).tobytes() == oracle.tobytes()
+    else:
+        with pytest.raises(NumericInputError, match="overflow"):
+            symmetrize(a)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_summary_rejects_a_covariance_that_overflows():
+    with pytest.raises(NumericInputError):
+        GaussianSummary(np.zeros(2), 1e308 * np.eye(2), 8)
+
+
 # ------------------------------------------------------------------- sym_eig
 
 

@@ -371,8 +371,10 @@ class _ForgingSession:
 # forged reply, whether the round debiases, and the start of the failure reason
 FORGED_REPLIES = {
     "mean-too-long": (dict(extra_dim=1), False, "mean has 5 entries"),
-    "covariance-1e308": (dict(cov_scale=1e308), False, "scoring failed: NumericInputError"),
+    "covariance-1e308": (dict(cov_scale=1e308), False, "NumericInputError: matrix entries"),
+    "covariance-1e308-debias": (dict(cov_scale=1e308), True, "NumericInputError: matrix entries"),
     "negative-sigma-debias": (dict(sigma_used=-1.0), True, "negative sigma_used"),
+    "sigma-1e160-debias": (dict(sigma_used=1e160), True, "debias failed: ParameterError"),
 }
 
 
