@@ -11,6 +11,7 @@ and augmentations act only on the nuisance block.
 """
 
 from dataclasses import dataclass, fields
+import functools
 import hashlib
 import json
 import math
@@ -108,7 +109,7 @@ class RawDataset:
         labels = np.asarray(self.labels, dtype=int)
         if points.ndim != 2 or points.shape[0] < 1:
             raise ShapeError(f"points must be a nonempty 2-D matrix, got shape {points.shape}")
-        if not np.all(np.isfinite(points)):
+        if not np.isfinite(points).all():
             raise NumericInputError("points contain non-finite entries")
         if labels.shape != (points.shape[0],):
             raise ShapeError("labels must align with points, one per row")
@@ -173,7 +174,7 @@ def require_probs(values, field: str = "class probabilities") -> np.ndarray:
     probs = np.asarray(values, dtype=float)
     if probs.ndim != 1 or probs.shape[0] < 1:
         raise ParameterError(f"{field} must be a nonempty vector")
-    if not np.all(np.isfinite(probs)) or np.any(probs < 0):
+    if not np.isfinite(probs).all() or (probs < 0).any():
         raise ParameterError(f"{field} must be finite and nonnegative")
     if abs(float(probs.sum()) - 1.0) > 1e-9:
         raise ParameterError(f"{field} sum to {probs.sum()!r}, expected 1")
@@ -201,7 +202,7 @@ def gen_mixture_dataset(
         raise ShapeError(
             f"class_means must be k x p with k == len(class_probs), got shape {means.shape}"
         )
-    if not np.all(np.isfinite(means)):
+    if not np.isfinite(means).all():
         raise NumericInputError("class_means contain non-finite entries")
     p = means.shape[1]
     s = require_int(signal_dims, "signal_dims", 1)
@@ -220,14 +221,35 @@ def gen_mixture_dataset(
     return RawDataset(points, labels, probs)
 
 
+@functools.lru_cache(maxsize=8)
 def projection_matrix(spec: EncoderSpec) -> np.ndarray:
     """The frozen p x d random projection for a toy encoder spec.
 
     Entries are i.i.d. N(0, 1/latent_dim), drawn deterministically from
-    ``spec.seed``.
+    ``spec.seed``. Drawn once per spec and shared by every caller, so the
+    array is read-only.
     """
     rng = np.random.Generator(np.random.PCG64(spec.seed))
-    return rng.standard_normal((spec.input_dim, spec.latent_dim)) / math.sqrt(spec.latent_dim)
+    p = rng.standard_normal((spec.input_dim, spec.latent_dim)) / math.sqrt(spec.latent_dim)
+    p.flags.writeable = False
+    return p
+
+
+def _project(spec: EncoderSpec, points: np.ndarray) -> np.ndarray:
+    """encode on a matrix of rows; points must be a fresh float64 array,
+    which this scales in place."""
+    if spec.kind != "toy_projection":
+        raise ParameterError(
+            "only toy_projection encoders run in-process; external encoders "
+            "supply embeddings through the embedding file format"
+        )
+    if points.shape[1] != spec.input_dim:
+        raise ShapeError(f"data has {points.shape[1]} coordinates, spec expects {spec.input_dim}")
+    if spec.leakage_alpha == 0.0:
+        points[:, spec.signal_dims :] = 0.0
+    else:
+        points[:, spec.signal_dims :] *= spec.leakage_alpha
+    return points @ projection_matrix(spec)
 
 
 def encode(spec: EncoderSpec, data: RawDataset) -> np.ndarray:
@@ -237,19 +259,7 @@ def encode(spec: EncoderSpec, data: RawDataset) -> np.ndarray:
     zeroed exactly, so points differing only in nuisance coordinates encode
     bit-identically.
     """
-    if spec.kind != "toy_projection":
-        raise ParameterError(
-            "only toy_projection encoders run in-process; external encoders "
-            "supply embeddings through the embedding file format"
-        )
-    if data.dim != spec.input_dim:
-        raise ShapeError(f"data has {data.dim} coordinates, spec expects {spec.input_dim}")
-    scaled = data.points.copy()
-    if spec.leakage_alpha == 0.0:
-        scaled[:, spec.signal_dims :] = 0.0
-    else:
-        scaled[:, spec.signal_dims :] *= spec.leakage_alpha
-    return scaled @ projection_matrix(spec)
+    return _project(spec, data.points.copy())
 
 
 def augment(data: RawDataset, aug: AugmentationSpec, signal_dims: int) -> RawDataset:

@@ -97,10 +97,13 @@ def require_int(value, field: str, minimum: int = 0) -> int:
 
 def require_float(value, field: str) -> float:
     """value as a float, when it is a finite int or float (not a bool). An
-    int past the float range raises OverflowError."""
+    int past the float range is not finite."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParameterError(f"{field} must be a number")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:
+        raise ParameterError(f"{field} must be finite") from None
     if not math.isfinite(value):
         raise ParameterError(f"{field} must be finite")
     return value

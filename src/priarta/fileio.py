@@ -22,7 +22,7 @@ import numpy as np
 
 from .encoder import RawDataset
 from .errors import FileFormatError
-from .stats import CLIP_SLACK, EmbeddingSet
+from .stats import CLIP_SLACK, EmbeddingSet, _row_norms
 
 RAW_MAGIC = "PRIARTA-RAW 1"
 EMB_MAGIC = "PRIARTA-EMB 1"
@@ -193,7 +193,7 @@ def read_embeddings(path) -> EmbeddingSet:
         vectors = np.empty((n, d))
         for i in range(n):
             vectors[i] = _parse_floats(lines[2 + i], d, path, 3 + i)
-    inside = bool(np.all(np.linalg.norm(vectors, axis=1) <= radius * (1.0 + CLIP_SLACK)))
+    inside = bool((_row_norms(vectors) <= radius * (1.0 + CLIP_SLACK)).all())
     return EmbeddingSet(vectors, radius, clipped=inside)
 
 

@@ -45,7 +45,7 @@ LIN_TOL = 1e-8
 
 def _check_finite(a: Array, name: str) -> Array:
     a = np.asarray(a, dtype=float)
-    if a.size and not np.all(np.isfinite(a)):
+    if a.size and not np.isfinite(a).all():
         raise NumericInputError(f"{name} contains non-finite entries")
     return a
 
@@ -63,7 +63,7 @@ def symmetrize(a) -> Array:
     if a.shape[0] < 1:
         raise ShapeError("matrix dimension must be >= 1")
     out = (a + a.T) / 2.0
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         _check_finite(a, "matrix")
         raise NumericInputError("matrix entries overflow when symmetrized")
     return out

@@ -25,7 +25,7 @@ import warnings
 import numpy as np
 
 from .errors import ParameterError, require_float, require_int
-from .stats import EmbeddingSet
+from .stats import EmbeddingSet, _check_radius
 
 __all__ = [
     "GAUSSIAN_SAMPLER", "NoiseCalibration", "PrivacyBudget",
@@ -70,13 +70,6 @@ class NoiseCalibration:
     delta_sigma: float
     c: float
     sigma: float
-
-
-def _check_radius(radius) -> float:
-    radius = require_float(radius, "clip radius")
-    if radius <= 0.0:
-        raise ParameterError(f"clip radius must be positive, got {radius}")
-    return radius
 
 
 def mean_sensitivity(radius: float, count: int) -> float:

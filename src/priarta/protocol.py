@@ -10,7 +10,9 @@ unset and is never sent as null. Float arrays (the STATS_RESPONSE mean and
 covariance) travel as base64 strings of little-endian IEEE-754 float64.
 The exchange is strict lockstep: every message the buyer sends gets exactly
 one reply. MODEL_SPEC is acknowledged with HELLO so transcripts stay
-deterministic and byte-countable.
+deterministic and byte-countable. Every seller in a round gets the same three
+requests, so the buyer encodes HELLO, MODEL_SPEC and STATS_REQUEST once a
+round and sends those bytes to each seller.
 """
 
 import base64
@@ -25,7 +27,7 @@ import struct
 
 import numpy as np
 
-from .encoder import EncoderSpec, RawDataset, encode
+from .encoder import EncoderSpec, RawDataset, _project, encode
 from .errors import (
     FrameError,
     InsufficientSamplesError,
@@ -395,11 +397,12 @@ def seller_pipeline(data, spec: EncoderSpec, budget: PrivacyBudget,
     Returns (GaussianSummary, NoiseCalibration). The single code path behind
     both the protocol handler and the robustness harness.
     """
+    # The rows of a validated, read-only dataset need no second validation:
+    # index them once, without building a subset dataset.
+    idx = _subset_indices(data.count, budget.subset_size, subset_seed)
     if isinstance(data, RawDataset):
-        subset = sample_subset(data, budget.subset_size, subset_seed)
-        vectors = encode(spec, subset)
+        vectors = _project(spec, data.points[idx])
     else:
-        idx = _subset_indices(data.count, budget.subset_size, subset_seed)
         vectors = data.vectors[idx]
     clipped = clip_to_ball(vectors, budget.clip_radius)
     calibration = calibrate_sigma(budget)
@@ -541,6 +544,11 @@ class _Channel:
         self.bytes_received = 0
         self.transcript = []
 
+    @staticmethod
+    def _frame(msg) -> bytes:
+        """msg's frame; msg is a message or a frame already encoded."""
+        return msg if isinstance(msg, bytes) else encode_frame(msg)
+
     def _sent(self, frame: bytes) -> bytes:
         self.bytes_sent += len(frame)
         self.transcript.append(("send", frame))
@@ -564,7 +572,8 @@ class InProcessChannel(_Channel):
         self.session = SellerSession(node)
 
     def request(self, msg) -> object:
-        frame = self._sent(encode_frame(msg))
+        """Send a message or its encoded frame; return the decoded reply."""
+        frame = self._sent(self._frame(msg))
         return self._received(self.session.handle_bytes(frame))
 
 
@@ -576,7 +585,8 @@ class SocketChannel(_Channel):
         self.sock = socket.create_connection((host, port), timeout=timeout)
 
     def request(self, msg) -> object:
-        frame = encode_frame(msg)
+        """Send a message or its encoded frame; return the decoded reply."""
+        frame = self._frame(msg)
         self.sock.sendall(frame)
         self._sent(frame)
         return self._received(_read_frame(self.sock, MAX_FRAME_BYTES))
@@ -649,16 +659,19 @@ def socket_endpoints(addresses) -> list:
     ]
 
 
-def _query_seller(node_id: str, connect, spec: EncoderSpec, request: StatsRequest) -> SellerOutcome:
+# The reply each of the buyer's three requests expects, in order.
+_REPLIES = ((Hello, "HELLO"), (Hello, "MODEL_SPEC ack"), (StatsResponse, "STATS_RESPONSE"))
+
+
+def _query_seller(node_id: str, connect, spec: EncoderSpec, request: StatsRequest,
+                  frames: tuple) -> SellerOutcome:
+    """frames: the encoded HELLO, MODEL_SPEC(spec) and request."""
     outcome = SellerOutcome(node_id=node_id)
     channel = None
     try:
         channel = connect()
-        exchange = ((Hello(PROTOCOL_VERSION), Hello, "HELLO"),
-                    (ModelSpec(spec), Hello, "MODEL_SPEC ack"),
-                    (request, StatsResponse, "STATS_RESPONSE"))
-        for msg, expected, name in exchange:
-            reply = channel.request(msg)
+        for frame, (expected, name) in zip(frames, _REPLIES):
+            reply = channel.request(frame)
             if isinstance(reply, ErrorMessage):
                 outcome.failure = f"{reply.code}: {reply.message}"
                 return outcome
@@ -726,7 +739,10 @@ def orchestrate_valuation(buyer_data, sellers, spec: EncoderSpec, budget: Privac
         mode=mode,
         seed=seed,
     )
-    outcomes = [_query_seller(node_id, connect, spec, request) for node_id, connect in sellers]
+    frames = tuple(encode_frame(msg)
+                   for msg in (Hello(PROTOCOL_VERSION), ModelSpec(spec), request))
+    outcomes = [_query_seller(node_id, connect, spec, request, frames)
+                for node_id, connect in sellers]
     outcomes.sort(key=lambda o: o.node_id)
 
     noise_sigma = 0.0

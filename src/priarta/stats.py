@@ -26,6 +26,20 @@ __all__ = [
 CLIP_SLACK = 1e-12
 
 
+def _check_radius(radius) -> float:
+    """The clip radius as a float: a finite number above 0."""
+    radius = require_float(radius, "clip radius")
+    if radius <= 0.0:
+        raise ParameterError(f"clip radius must be positive, got {radius}")
+    return radius
+
+
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """The l2 norm of each row of a real 2-D array: bit for bit what
+    np.linalg.norm(v, axis=1) computes, without its dispatch."""
+    return np.sqrt(np.add.reduce(v * v, axis=1))
+
+
 @dataclass(frozen=True)
 class EmbeddingSet:
     """n row vectors in d dimensions with a declared l2 clip radius.
@@ -49,14 +63,11 @@ class EmbeddingSet:
             raise InsufficientSamplesError(f"embedding set needs >= 2 rows, got {n}")
         if d < 1:
             raise ShapeError("embedding dimension must be >= 1")
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise NumericInputError("embedding vectors contain non-finite entries")
-        r = require_float(self.clip_radius, "clip radius")
-        if r <= 0.0:
-            raise ParameterError(f"clip radius must be a positive real, got {self.clip_radius}")
+        r = _check_radius(self.clip_radius)
         if require_bool(self.clipped, "clipped"):
-            norms = np.linalg.norm(v, axis=1)
-            worst = float(norms.max())
+            worst = float(_row_norms(v).max())
             if worst > r * (1.0 + CLIP_SLACK):
                 raise ParameterError(
                     f"set is flagged clipped but a row has norm {worst} > {r}"
@@ -81,15 +92,13 @@ def clip_to_ball(vectors, radius: float) -> EmbeddingSet:
     Rows already inside the ball are carried over bit-identically, so the
     operation is idempotent and direction-preserving.
     """
-    radius = require_float(radius, "clip radius")
-    if radius <= 0.0:
-        raise ParameterError(f"clip radius must be a positive real, got {radius}")
+    radius = _check_radius(radius)
     v = np.asarray(vectors, dtype=float)
     if v.ndim != 2:
         raise ShapeError(f"vectors must be a 2-D matrix, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise NumericInputError("vectors contain non-finite entries")
-    norms = np.linalg.norm(v, axis=1)
+    norms = _row_norms(v)
     out = v.copy()
     mask = norms > radius
     if mask.any():
@@ -106,18 +115,24 @@ def sample_mean(embeddings: EmbeddingSet) -> np.ndarray:
 
 def sample_covariance(embeddings: EmbeddingSet) -> np.ndarray:
     """Unbiased sample covariance with the 1/(n-1) normalizer."""
+    return _covariance_about(embeddings, embeddings.vectors.mean(axis=0))
+
+
+def _covariance_about(embeddings: EmbeddingSet, mean: np.ndarray) -> np.ndarray:
+    """sample_covariance, centered on the rows' mean computed by the caller."""
     n = embeddings.count
     if n < 2:
         raise InsufficientSamplesError(f"covariance needs >= 2 rows, got {n}")
-    centered = embeddings.vectors - embeddings.vectors.mean(axis=0)
+    centered = embeddings.vectors - mean
     return symmetrize(centered.T @ centered / (n - 1))
 
 
 def summarize(embeddings: EmbeddingSet) -> GaussianSummary:
     """Package mean, covariance, and count into a GaussianSummary."""
+    mean = sample_mean(embeddings)
     return GaussianSummary(
-        mean=sample_mean(embeddings),
-        covariance=sample_covariance(embeddings),
+        mean=mean,
+        covariance=_covariance_about(embeddings, mean),
         count=embeddings.count,
     )
 

@@ -61,16 +61,29 @@ def _negative_seed_config(where: str) -> bytes:
     return json.dumps(config).encode()
 
 
+def _spec(**over) -> bytes:
+    spec = {"kind": "toy_projection", "seed": 7, "input_dim": 16, "latent_dim": 4,
+            "signal_dims": 8, "leakage_alpha": 0.0}
+    return json.dumps(dict(spec, **over)).encode()
+
+
+def _huge_epsilon_config() -> bytes:
+    config = default_scenario(7).to_dict()
+    config["privacy"]["epsilon"] = 10**400
+    return json.dumps(config).encode()
+
+
 # Well-formed JSON with a value no rule allows: a negative seed in an encoder
-# spec, and in a scenario config's augmentation and class-means generator.
-# Every command that reads one must exit 1 with one "error:" line.
+# spec, and in a scenario config's augmentation and class-means generator;
+# an integer past the float range (1 and 400 zeros) as a spec's leakage_alpha
+# and as a config's privacy.epsilon. Every command that reads one must exit 1
+# with one "error:" line.
 HOSTILE_VALUES = {
-    "negative-seed.spec.json": json.dumps({
-        "kind": "toy_projection", "seed": -5, "input_dim": 16, "latent_dim": 4,
-        "signal_dims": 8, "leakage_alpha": 0.0,
-    }).encode(),
+    "negative-seed.spec.json": _spec(seed=-5),
     "negative-augmentation-seed.config.json": _negative_seed_config("augmentation"),
     "negative-class-means-seed.config.json": _negative_seed_config("class_means"),
+    "huge-alpha.spec.json": _spec(leakage_alpha=10**400),
+    "huge-epsilon.config.json": _huge_epsilon_config(),
 }
 
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -148,6 +149,21 @@ def test_projection_matrix_variance(rng):
     p = projection_matrix(spec)
     # entries are N(0, 1/latent_dim)
     assert abs(p.var() - 1.0 / 50) < 0.002
+
+
+def test_projection_matrix_is_one_read_only_draw_per_spec():
+    spec = EncoderSpec("toy_projection", 4242, 12, 3, 6, 0.25)
+    p = projection_matrix(spec)
+    fresh = np.random.Generator(np.random.PCG64(4242)).standard_normal((12, 3)) / math.sqrt(3)
+    assert p.tobytes() == fresh.tobytes()
+    assert not p.flags.writeable
+    with pytest.raises(ValueError):
+        p[0, 0] = 1.0
+    # an equal spec, however built, gets the same drawn array
+    assert projection_matrix(EncoderSpec.from_dict(spec.to_dict())) is p
+    for other in (EncoderSpec("toy_projection", 4243, 12, 3, 6, 0.25),
+                  EncoderSpec("toy_projection", 4242, 12, 4, 6, 0.25)):
+        assert projection_matrix(other).tobytes() != p.tobytes()
 
 
 def test_encode_deterministic(rng):

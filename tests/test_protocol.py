@@ -1,6 +1,7 @@
 """Wire framing, seller session state machine, and orchestration."""
 
 import base64
+from collections import Counter
 import json
 import math
 import socket
@@ -23,6 +24,7 @@ from priarta import (
     ParameterError,
     PrivacyBudget,
     ProtocolFailure,
+    RawDataset,
     SellerNode,
     SellerServer,
     SellerSession,
@@ -30,8 +32,12 @@ from priarta import (
     SocketChannel,
     StatsRequest,
     StatsResponse,
+    apply_gaussian_mechanism,
     buyer_summary,
+    calibrate_sigma,
+    clip_to_ball,
     decode_frame,
+    encode,
     encode_frame,
     expand_covariance,
     gen_mixture_dataset,
@@ -39,7 +45,9 @@ from priarta import (
     pack_covariance,
     sample_subset,
     seller_pipeline,
+    summarize,
 )
+from priarta import protocol
 from priarta.protocol import (
     _MAX_REQUEST_BYTES,
     MODE_SECURE,
@@ -271,7 +279,10 @@ def _float_tuple_reference(values, field="mean"):
     for v in values:
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise ParameterError(f"{field} must be a number")
-        v = float(v)
+        try:
+            v = float(v)
+        except OverflowError:  # an int past the float range
+            raise ParameterError(f"{field} must be finite") from None
         if not math.isfinite(v):
             raise ParameterError(f"{field} must be finite")
         out.append(v)
@@ -336,7 +347,7 @@ def test_float_tuple_results_and_errors():
         response_mean([True])
     with pytest.raises(ParameterError, match="^mean must be finite$"):
         response_mean([float("nan")])
-    with pytest.raises(OverflowError):
+    with pytest.raises(ParameterError, match="^mean must be finite$"):
         response_mean([10**400])
 
 
@@ -705,6 +716,47 @@ def test_seller_pipeline_matches_session_reply():
     assert reply.sigma_used == calibration.sigma
 
 
+def public_stages(data, spec, budget, subset_seed, noise_seed):
+    """Reference for seller_pipeline: its public stages one after another.
+    Embedding rows are drawn as sample_subset draws them."""
+    if isinstance(data, RawDataset):
+        vectors = encode(spec, sample_subset(data, budget.subset_size, subset_seed))
+    else:
+        rng = np.random.Generator(np.random.PCG64(subset_seed))
+        vectors = data.vectors[rng.choice(data.count, size=budget.subset_size, replace=False)]
+    clipped = clip_to_ball(vectors, budget.clip_radius)
+    calibration = calibrate_sigma(budget)
+    noisy = apply_gaussian_mechanism(clipped, calibration.sigma, noise_seed)
+    return summarize(noisy), calibration
+
+
+def embedding_node_input(d, seed):
+    # row norms near 0.15 sqrt(d) > 1, so clipping scales most rows
+    rng = np.random.default_rng(seed)
+    data = EmbeddingSet(rng.standard_normal((600, d)) * 0.15, 1.0, False)
+    return data, EncoderSpec("external", seed, d, d, d, 0.0), PrivacyBudget(0.8, 1e-5, 1.0, 300)
+
+
+PIPELINE_INPUTS = {
+    "raw-d4": lambda seed: (make_dataset(seed=seed), SPEC, BUDGET),
+    "embeddings-d64": lambda seed: embedding_node_input(64, seed),
+    "embeddings-d256": lambda seed: embedding_node_input(256, seed),
+}
+
+
+@pytest.mark.parametrize("seed", [3, 17, 256, 9001])
+@pytest.mark.parametrize("kind", sorted(PIPELINE_INPUTS))
+def test_seller_pipeline_is_bitwise_its_public_stages(kind, seed):
+    data, spec, budget = PIPELINE_INPUTS[kind](seed)
+    subset_seed, noise_seed = node_seeds(seed, "s1")
+    summary, calibration = seller_pipeline(data, spec, budget, subset_seed, noise_seed)
+    expected, expected_calibration = public_stages(data, spec, budget, subset_seed, noise_seed)
+    assert summary.mean.tobytes() == expected.mean.tobytes()
+    assert summary.covariance.tobytes() == expected.covariance.tobytes()
+    assert summary.count == expected.count == budget.subset_size
+    assert calibration == expected_calibration
+
+
 def test_buyer_summary_noiseless_default():
     data = make_dataset()
     a = buyer_summary(data, SPEC, 1.0)
@@ -786,6 +838,34 @@ def test_orchestrate_fails_only_a_version_1_seller():
     assert by_id["old"].failed
     assert by_id["old"].failure.startswith("VERSION_MISMATCH: ")
     assert not by_id["alpha"].failed and not by_id["beta"].failed
+
+
+@pytest.mark.parametrize("sellers", [3, 12])
+def test_round_cost_per_seller_is_fixed(monkeypatch, sellers):
+    # Each seller costs its own three replies and no more: the buyer encodes
+    # its three requests once a round, no seller rebuilds a dataset for its
+    # subset, and the projection is drawn at most once (by its seed).
+    nodes = [SellerNode(f"s{i:02d}", raw=make_dataset(seed=20 + i)) for i in range(sellers)]
+    buyer_data = make_dataset(seed=10)
+    counts = Counter()
+
+    def counted(key, fn, when=lambda *args: True):
+        def wrapper(*args):
+            counts[key] += when(*args)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(protocol, "encode_frame", counted("frames", protocol.encode_frame))
+    monkeypatch.setattr(RawDataset, "__post_init__",
+                        counted("datasets", RawDataset.__post_init__))
+    monkeypatch.setattr(np.random, "PCG64", counted("projections", np.random.PCG64,
+                                                    lambda seed=None: seed == SPEC.seed))
+    _, outcomes = orchestrate_valuation(buyer_data, in_process_endpoints(nodes), SPEC, BUDGET,
+                                        master_seed=1000)
+    assert not any(o.failed for o in outcomes)
+    assert counts["frames"] == 3 + 3 * sellers
+    assert counts["datasets"] == 0
+    assert counts["projections"] <= 1
 
 
 def test_orchestrate_is_seed_deterministic():

@@ -16,7 +16,7 @@ from priarta import (
     sample_mean,
     summarize,
 )
-from priarta.stats import CLIP_SLACK
+from priarta.stats import CLIP_SLACK, _row_norms
 
 
 # -------------------------------------------------------------- EmbeddingSet
@@ -90,6 +90,26 @@ def test_clip_rejects_bad_inputs():
         clip_to_ball([[np.inf], [2.0]], 1.0)
 
 
+ROW_NORM_INPUTS = {
+    "random": lambda rng: rng.standard_normal((257, 13)),
+    "wide": lambda rng: rng.standard_normal((64, 256)) * 3.0,
+    "zero_rows": lambda rng: np.vstack([np.zeros((3, 5)), rng.standard_normal((2, 5))]),
+    "norm_overflows_to_inf": lambda rng: np.full((4, 3), 1e200),
+    "subnormal": lambda rng: rng.standard_normal((6, 4)) * 1e-315,
+    "one_column": lambda rng: rng.standard_normal((9, 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROW_NORM_INPUTS))
+def test_row_norms_are_bitwise_numpy_norm(rng, name):
+    v = ROW_NORM_INPUTS[name](rng)
+    with np.errstate(over="ignore"):
+        expected = np.linalg.norm(v, axis=1)
+        got = _row_norms(v)
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
 # ------------------------------------------------------------------ moments
 
 
@@ -130,6 +150,14 @@ def test_summarize_composes_moments(rng):
     assert s.count == 64
     np.testing.assert_allclose(s.mean, sample_mean(e), rtol=1e-15)
     np.testing.assert_allclose(s.covariance, sample_covariance(e), rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("d", [1, 4, 64, 256])
+def test_summarize_is_bitwise_its_moments(rng, d):
+    e = EmbeddingSet(rng.standard_normal((300, d)), 100.0, False)
+    s = summarize(e)
+    assert s.mean.tobytes() == sample_mean(e).tobytes()
+    assert s.covariance.tobytes() == sample_covariance(e).tobytes()
 
 
 def test_summarize_large_sample_consistency(rng):
