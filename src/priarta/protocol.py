@@ -2,12 +2,16 @@
 parameters, each seller samples a uniform subset, encodes, clips, noises,
 summarizes, and returns (mean, covariance, count).
 
-Frames are a 4-byte big-endian payload length followed by canonical JSON
-(keys sorted, compact separators). The payload is an object whose "type" tag
-names the message class and whose other keys are exactly that class's
-dataclass fields; an optional field (one with a default) is left out while
-unset and is never sent as null. Float arrays (the STATS_RESPONSE mean and
-covariance) travel as base64 strings of little-endian IEEE-754 float64.
+Frames are a 4-byte big-endian payload length followed by the payload. The
+payload starts with canonical JSON (keys sorted, compact separators): an
+object whose "type" tag names the message class and whose other keys are
+exactly that class's dataclass fields; an optional field (one with a default)
+is left out while unset and is never sent as null. A message without float
+arrays is that JSON alone. In a STATS_RESPONSE each float64 array field (mean,
+then the packed covariance) holds its entry count in the JSON, and after the
+JSON come one newline byte and the arrays' little-endian IEEE-754 bytes,
+concatenated in field order. Canonical JSON escapes every control character,
+so the first newline ends the JSON.
 The exchange is strict lockstep: every message the buyer sends gets exactly
 one reply. MODEL_SPEC is acknowledged with HELLO so transcripts stay
 deterministic and byte-countable. Every seller in a round gets the same three
@@ -15,7 +19,6 @@ requests, so the buyer encodes HELLO, MODEL_SPEC and STATS_REQUEST once a
 round and sends those bytes to each seller.
 """
 
-import base64
 from dataclasses import MISSING, dataclass, fields
 import functools
 import json
@@ -62,11 +65,13 @@ __all__ = [
 
 log = logging.getLogger("priarta.protocol")
 
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 # A seller reads requests, all well under 1 KB, against this much smaller cap.
 _MAX_REQUEST_BYTES = 64 * 1024
 _HEADER = struct.Struct(">I")
+# Ends the JSON head of a payload that carries float64 arrays.
+_TAIL_MARK = b"\n"
 
 MODE_SECURE = "secure"
 MODE_SEEDED = "seeded"
@@ -193,55 +198,69 @@ _MESSAGES = {
 _TAGS = {cls: tag for tag, cls in _MESSAGES.items()}
 
 
-def _float64_to_wire(values: np.ndarray) -> str:
-    """A float64 vector as base64 of its little-endian IEEE-754 bytes."""
-    return base64.b64encode(values.astype("<f8", copy=False).tobytes()).decode("ascii")
-
-
-def _float64_from_wire(text) -> np.ndarray:
-    """Inverse of _float64_to_wire, read-only over the decoded bytes. The
-    entry count and finiteness are left to the message constructor."""
-    if not isinstance(text, str):
-        raise ParameterError("a float64 array must travel as a base64 string")
-    raw = base64.b64decode(text, validate=True)  # binascii.Error is a ValueError
-    if len(raw) % 8:
-        raise ParameterError(f"{len(raw)} base64-decoded bytes are not whole float64 values")
-    # The decoder ignores the unused bits of the character before "=" padding;
-    # re-encoding the bytes of the last, padded quantum requires them zero.
-    tail = len(raw) % 3
-    if tail and base64.b64encode(raw[-tail:]).decode("ascii") != text[-4:]:
-        raise ParameterError("base64 padding leaves nonzero unused bits")
-    return np.frombuffer(raw, dtype="<f8")
-
-
-# (to wire, from wire) per field type; a field of any other type travels as is.
-_CODECS = {
-    EncoderSpec: (EncoderSpec.to_dict, EncoderSpec.from_dict),
-    np.ndarray: (_float64_to_wire, _float64_from_wire),
-}
+@functools.cache
+def _wire_fields(cls) -> tuple:
+    """(name, optional, type) per field of a message class. A field with a
+    default is optional."""
+    return tuple((f.name, f.default is not MISSING, f.type) for f in fields(cls))
 
 
 @functools.cache
-def _wire_fields(cls) -> tuple:
-    """(name, optional, codec) per field of a message class. A field with a
-    default is optional; codec is the field type's _CODECS entry or None."""
-    return tuple((f.name, f.default is not MISSING, _CODECS.get(f.type)) for f in fields(cls))
+def _array_fields(cls) -> tuple:
+    """The names of a message class's float64 array fields, in field order."""
+    return tuple(name for name, _, kind in _wire_fields(cls) if kind is np.ndarray)
 
 
-def _encode_message(msg) -> dict:
+def encode_frame(msg) -> bytes:
     tag = _TAGS.get(type(msg))
     if tag is None:
         raise ParameterError(f"not a protocol message: {type(msg).__name__}")
-    out = {"type": tag}
-    for name, optional, codec in _wire_fields(type(msg)):
+    head, tail = {"type": tag}, []
+    for name, optional, kind in _wire_fields(type(msg)):
         value = getattr(msg, name)
         if optional and value is None:
             continue
-        out[name] = codec[0](value) if codec else value
-    return out
+        if kind is np.ndarray:
+            head[name] = len(value)
+            tail.append(value.astype("<f8", copy=False))
+        else:
+            head[name] = value.to_dict() if kind is EncoderSpec else value
+    payload = [json.dumps(head, sort_keys=True, separators=(",", ":"),
+                          allow_nan=False).encode("utf-8")]
+    length = len(payload[0])
+    if tail:
+        payload += [_TAIL_MARK, *tail]
+        length += len(_TAIL_MARK) + sum(values.nbytes for values in tail)
+    if length > MAX_FRAME_BYTES:
+        raise FrameError("FRAME_TOO_LARGE",
+                         f"payload of {length} bytes exceeds {MAX_FRAME_BYTES}")
+    # One join: each array's bytes are copied once, straight into the frame.
+    return b"".join([_HEADER.pack(length), *payload])
 
 
-def _decode_message(obj) -> object:
+def _read_tail(cls, body: dict, tail):
+    """Replace each float64 array field's entry count in body with its
+    read-only array over the tail. The count d(d+1)/2 and finiteness are
+    left to the message constructor."""
+    names = _array_fields(cls)
+    if not names:
+        if tail is not None:
+            raise ParameterError("a message without float64 arrays carries no tail")
+        return
+    if tail is None:
+        raise ParameterError("float64 arrays must follow the JSON after a newline")
+    counts = [require_int(body.get(name), f"{name} entry count") for name in names]
+    if len(tail) != 8 * sum(counts):
+        raise ParameterError(
+            f"tail of {len(tail)} bytes, entry counts {counts} need {8 * sum(counts)}"
+        )
+    start = 0
+    for name, count in zip(names, counts):
+        body[name] = np.frombuffer(tail[start:start + 8 * count], dtype="<f8")
+        start += 8 * count
+
+
+def _decode_message(obj, tail) -> object:
     if not isinstance(obj, dict):
         raise FrameError("BAD_PAYLOAD", "payload is not an object")
     tag = obj.get("type")
@@ -252,26 +271,18 @@ def _decode_message(obj) -> object:
         raise FrameError("UNKNOWN_MESSAGE", f"unknown message tag {tag!r}")
     body = {key: value for key, value in obj.items() if key != "type"}
     try:
-        for name, optional, codec in _wire_fields(cls):
+        for name, optional, kind in _wire_fields(cls):
             if name not in body:
                 continue
             if optional and body[name] is None:
                 raise ParameterError(f"optional field {name} is omitted, never null")
-            if codec:
-                body[name] = codec[1](body[name])
+            if kind is EncoderSpec:
+                body[name] = EncoderSpec.from_dict(body[name])
+        _read_tail(cls, body, tail)
         # The constructor rejects missing and unknown fields with TypeError.
         return cls(**body)
     except (TypeError, ValueError, OverflowError) as exc:
         raise FrameError("BAD_PAYLOAD", f"{tag}: {exc}") from exc
-
-
-def encode_frame(msg) -> bytes:
-    payload = json.dumps(
-        _encode_message(msg), sort_keys=True, separators=(",", ":"), allow_nan=False
-    ).encode("utf-8")
-    if len(payload) > MAX_FRAME_BYTES:
-        raise FrameError("FRAME_TOO_LARGE", f"payload of {len(payload)} bytes exceeds 64 MiB")
-    return _HEADER.pack(len(payload)) + payload
 
 
 def _declared_length(header, limit: int) -> int:
@@ -295,11 +306,15 @@ def decode_frame(data) -> object:
         raise FrameError("FRAME_TRUNCATED", f"header declares {length} bytes, got {body}")
     if body > length:
         raise FrameError("FRAME_TRAILING", f"{body - length} bytes past the declared payload")
+    # Canonical JSON escapes every control character, so the first newline,
+    # if any, ends the JSON head.
+    split = data.find(_TAIL_MARK, _HEADER.size)
+    head = data[_HEADER.size:] if split < 0 else data[_HEADER.size:split]
     try:
-        obj = json.loads(data[_HEADER.size:].decode("utf-8"))
+        obj = json.loads(head.decode("utf-8"))
     except (ValueError, RecursionError) as exc:
-        raise FrameError("BAD_PAYLOAD", f"payload is not canonical JSON: {exc}") from exc
-    return _decode_message(obj)
+        raise FrameError("BAD_PAYLOAD", f"payload head is not JSON: {exc}") from exc
+    return _decode_message(obj, None if split < 0 else memoryview(data)[split + 1:])
 
 
 def _read_frame(sock, limit: int) -> bytes:
@@ -458,11 +473,12 @@ class SellerSession:
         self.last_session_id = ""
 
     def handle_bytes(self, frame: bytes) -> bytes:
+        """The reply frame; a frame that cannot be decoded, or a reply too
+        large to frame, is answered with an ERROR frame."""
         try:
-            msg = decode_frame(frame)
+            return encode_frame(self.handle_request(decode_frame(frame)))
         except FrameError as exc:
             return encode_frame(ErrorMessage(exc.code, exc.args[0], self.last_session_id))
-        return encode_frame(self.handle_request(msg))
 
     def handle_request(self, msg) -> object:
         try:

@@ -18,6 +18,9 @@ from .errors import (
     NumericInputError,
     ParameterError,
     PriartaError,
+    require_bool,
+    require_float,
+    require_str,
 )
 from .fileio import dumps_json, load_json, save_json
 from .gaussian_geometry import GaussianSummary, wasserstein2_gaussian
@@ -70,6 +73,15 @@ class SellerScore:
     failed: bool = False
     failure_reason: str = None
 
+    def __post_init__(self):
+        require_str(self.node_id, "node_id")
+        for field in ("raw_w2", "normalized"):
+            if getattr(self, field) is not None:
+                object.__setattr__(self, field, require_float(getattr(self, field), field))
+        require_bool(self.failed, "failed")
+        if self.failure_reason is not None:
+            require_str(self.failure_reason, "failure_reason")
+
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
@@ -80,6 +92,11 @@ class RobustnessEntry:
     baseline_w2: float
     augmented_w2: float
     deviation: float
+
+    def __post_init__(self):
+        require_str(self.node_id, "node_id")
+        for field in ("baseline_w2", "augmented_w2", "deviation"):
+            object.__setattr__(self, field, require_float(getattr(self, field), field))
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -144,24 +161,43 @@ class ValuationReport:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ValuationReport":
+        """The report a JSON object holds. Every value is checked by type,
+        never coerced, and the ranking must list each scored seller once."""
         try:
-            entries = tuple(SellerScore(**e) for e in data["entries"])
+            if not isinstance(data, dict):
+                raise ParameterError("a report is a JSON object")
             robustness = data.get("robustness")
-            if robustness is not None:
-                robustness = tuple(RobustnessEntry(**r) for r in robustness)
             report = cls(
-                entries=entries,
+                entries=tuple(SellerScore(**e) for e in _json_list(data["entries"], "entries")),
                 objective=data["objective"],
-                ranking=tuple(data["ranking"]),
-                params_echo=dict(data["params_echo"]),
-                degenerate_normalization=bool(data["degenerate_normalization"]),
-                robustness=robustness,
+                ranking=tuple(require_str(node_id, "ranking entry")
+                              for node_id in _json_list(data["ranking"], "ranking")),
+                params_echo=data["params_echo"],
+                degenerate_normalization=require_bool(data["degenerate_normalization"],
+                                                      "degenerate_normalization"),
+                robustness=None if robustness is None else tuple(
+                    RobustnessEntry(**r) for r in _json_list(robustness, "robustness")),
             )
+            if not isinstance(report.params_echo, dict):
+                raise ParameterError("params_echo must be an object")
         except (KeyError, TypeError, ValueError) as exc:
             raise FileFormatError(f"malformed valuation report: {exc}") from exc
         if report.objective not in OBJECTIVES:
             raise FileFormatError(f"malformed valuation report: objective {report.objective!r}")
+        scored = [e for e in report.entries if not e.failed]
+        if sorted(report.ranking) != sorted(e.node_id for e in scored):
+            raise FileFormatError("malformed valuation report: ranking must list each "
+                                  "seller that did not fail, once")
+        if any(e.raw_w2 is None or e.normalized is None for e in scored):
+            raise FileFormatError("malformed valuation report: a seller that did not fail "
+                                  "needs raw_w2 and normalized")
         return report
+
+
+def _json_list(value, field: str) -> list:
+    if not isinstance(value, list):
+        raise ParameterError(f"{field} must be a list")
+    return value
 
 
 def build_report(buyer: GaussianSummary, outcomes, objective: str,

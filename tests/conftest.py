@@ -73,17 +73,41 @@ def _huge_epsilon_config() -> bytes:
     return json.dumps(config).encode()
 
 
+def _report(**over) -> bytes:
+    """A two-seller valuation report, with over applied to its second entry
+    (keys of SellerScore) or to the report itself."""
+    entries = [
+        {"node_id": "a", "raw_w2": 0.5, "normalized": 1.0, "failed": False,
+         "failure_reason": None},
+        {"node_id": "b", "raw_w2": 0.25, "normalized": 0.0, "failed": False,
+         "failure_reason": None},
+    ]
+    report = {"entries": entries, "objective": "diversify", "ranking": ["a", "b"],
+              "params_echo": {}, "degenerate_normalization": False, "robustness": None}
+    for key, value in over.items():
+        (entries[1] if key in entries[1] else report)[key] = value
+    return json.dumps(report).encode()
+
+
 # Well-formed JSON with a value no rule allows: a negative seed in an encoder
 # spec, and in a scenario config's augmentation and class-means generator;
 # an integer past the float range (1 and 400 zeros) as a spec's leakage_alpha
-# and as a config's privacy.epsilon. Every command that reads one must exit 1
-# with one "error:" line.
+# and as a config's privacy.epsilon; a report whose boolean is a string, whose
+# score is a string, whose ranking is a string of one-letter node ids, whose
+# ranking leaves out a seller that did not fail, or where such a seller has
+# no score.
+# Every command that reads one must exit 1 with one "error:" line.
 HOSTILE_VALUES = {
     "negative-seed.spec.json": _spec(seed=-5),
     "negative-augmentation-seed.config.json": _negative_seed_config("augmentation"),
     "negative-class-means-seed.config.json": _negative_seed_config("class_means"),
     "huge-alpha.spec.json": _spec(leakage_alpha=10**400),
     "huge-epsilon.config.json": _huge_epsilon_config(),
+    "string-degenerate.report.json": _report(degenerate_normalization="false"),
+    "string-score.report.json": _report(raw_w2="x"),
+    "string-ranking.report.json": _report(ranking="ab"),
+    "unranked-seller.report.json": _report(ranking=["a"]),
+    "unscored-seller.report.json": _report(raw_w2=None),
 }
 
 

@@ -404,6 +404,11 @@ VALUE_READING_COMMANDS = {
         ("encode", "--spec", "{bad}", "--input", "{scn}/buyer.raw", "--output", "{tmp}/e.emb"),
     ),
     "config": (("scenario", "--config", "{bad}", "--out-dir", "{tmp}/out"),),
+    "report": (
+        ("report", "--input", "{bad}"),
+        ("report", "--input", "{bad}", "--format", "csv"),
+        ("robustness", "--seed", "7", "--output", "{bad}"),
+    ),
 }
 
 

@@ -3,6 +3,7 @@
 import base64
 from collections import Counter
 import json
+import logging
 import math
 import socket
 import struct
@@ -54,6 +55,7 @@ from priarta.protocol import (
     MODE_SEEDED,
     in_process_endpoints,
     node_seeds,
+    socket_endpoints,
 )
 from priarta.stats import EmbeddingSet
 
@@ -196,10 +198,21 @@ def test_request_validation():
     make_request(epsilon=7.5)
 
 
-def raw_frame(payload) -> bytes:
+def raw_frame(payload, tail=None) -> bytes:
+    """A frame around payload (a dict is dumped as JSON), with a newline and
+    tail after it when tail is given."""
     if isinstance(payload, dict):
         payload = json.dumps(payload).encode()
+    if tail is not None:
+        payload += b"\n" + tail
     return len(payload).to_bytes(4, "big") + payload
+
+
+def split_frame(frame) -> tuple:
+    """A frame's JSON head as a dict, and the bytes after the first newline
+    (None when there is none)."""
+    head, mark, tail = frame[4:].partition(b"\n")
+    return json.loads(head), (tail if mark else None)
 
 
 def spec_payload(**over) -> dict:
@@ -224,7 +237,7 @@ def test_decode_maps_hostile_payloads_to_bad_payload(name):
 
 
 def payload_of(msg) -> dict:
-    return json.loads(encode_frame(msg)[4:])
+    return split_frame(encode_frame(msg))[0]
 
 
 def test_decode_rejects_null_seed_in_secure_mode():
@@ -247,11 +260,11 @@ def test_decode_rejects_seeded_request_without_seed():
 
 @pytest.mark.parametrize("msg", ALL_MESSAGES, ids=lambda m: type(m).__name__)
 def test_decode_rejects_unknown_field_on_every_message(msg):
-    payload = payload_of(msg)
-    decode_frame(raw_frame(payload))  # the untouched payload decodes
+    payload, tail = split_frame(encode_frame(msg))
+    decode_frame(raw_frame(payload, tail))  # the untouched payload decodes
     payload["extra"] = 1
     with pytest.raises(FrameError) as info:
-        decode_frame(raw_frame(payload))
+        decode_frame(raw_frame(payload, tail))
     assert info.value.code == "BAD_PAYLOAD"
 
 
@@ -366,18 +379,21 @@ def test_stats_response_holds_read_only_float64_copies():
             response_mean(bad)
 
 
-def b64(data: bytes) -> str:
-    return base64.b64encode(data).decode("ascii")
+def f64(*values) -> bytes:
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+_GOOD_MEAN = f64(0.5, -1.25)
+_GOOD_COV = f64(1.0, 0.125, 2.0)
 
 
 @pytest.mark.parametrize("literal", [b"NaN", b"1e400", b"-Infinity"])
 def test_decode_rejects_non_finite_covariance_entry(literal):
     msg = StatsResponse((0.5, -1.25), (1.0, 0.125, 2.0), 32, "s", 9.0, SPEC.fingerprint())
-    payload = payload_of(msg)
-    assert base64.b64decode(payload["covariance"]) == struct.pack("<3d", 1.0, 0.125, 2.0)
-    payload["covariance"] = b64(struct.pack("<3d", 1.0, float(literal), 2.0))
+    payload, tail = split_frame(encode_frame(msg))
+    assert tail == _GOOD_MEAN + _GOOD_COV
     with pytest.raises(FrameError) as info:
-        decode_frame(raw_frame(payload))
+        decode_frame(raw_frame(payload, _GOOD_MEAN + f64(1.0, float(literal), 2.0)))
     assert info.value.code == "BAD_PAYLOAD"
     assert "covariance must be finite" in str(info.value)
 
@@ -387,35 +403,47 @@ def stats_payload(**over) -> dict:
     return dict(payload_of(msg), **over)
 
 
-_GOOD_COV = b64(struct.pack("<3d", 1.0, 0.125, 2.0))
+def stats_frame(tail=_GOOD_MEAN + _GOOD_COV, **over) -> bytes:
+    return raw_frame(stats_payload(**over), tail)
 
-# Malformed float64 array fields of a STATS_RESPONSE; each must decode to
-# BAD_PAYLOAD.
+
+def _non_utf8_head() -> bytes:
+    frame = stats_frame()
+    assert frame.count(b'"session_id": "s"') == 1
+    return frame.replace(b'"session_id": "s"', b'"session_id": "\xe9"')
+
+
+# Malformed STATS_RESPONSE arrays, and array tails where no message carries
+# one; each must decode to BAD_PAYLOAD.
 HOSTILE_ARRAYS = {
-    "non_base64_byte": stats_payload(covariance="!" + _GOOD_COV[1:]),
-    "non_ascii_character": stats_payload(covariance="\u00e9" + _GOOD_COV[1:]),
-    "embedded_newline": stats_payload(covariance=_GOOD_COV[:8] + "\n" + _GOOD_COV[8:]),
-    "bad_padding": stats_payload(covariance=_GOOD_COV.rstrip("=")[:-1]),
-    "length_not_multiple_of_8": stats_payload(covariance=b64(bytes(20))),
-    "covariance_count_mismatch": stats_payload(covariance=b64(struct.pack("<4d", 1, 0, 0, 2))),
-    "mean_count_mismatch": stats_payload(mean=b64(struct.pack("<3d", 0.5, -1.25, 0.0))),
-    "empty_mean": stats_payload(mean="", covariance=""),
-    "nan_bits": stats_payload(mean=b64(struct.pack("<Q", 0x7FF8000000000000) + bytes(8))),
-    "signalling_nan_bits": stats_payload(mean=b64(struct.pack("<2Q", 0, 0x7FF0000000000001))),
-    "plus_inf_bits": stats_payload(mean=b64(struct.pack("<2Q", 0x7FF0000000000000, 0))),
-    "minus_inf_bits": stats_payload(mean=b64(struct.pack("<2Q", 0, 0xFFF0000000000000))),
-    "v1_number_list": stats_payload(covariance=[1.0, 0.125, 2.0]),
-    "number": stats_payload(mean=5),
-    "null": stats_payload(mean=None),
-    "object": stats_payload(covariance={"data": _GOOD_COV}),
+    "tail_missing": stats_frame(tail=None),
+    "tail_on_hello": raw_frame(payload_of(Hello(PROTOCOL_VERSION)), _GOOD_MEAN),
+    "tail_on_error": raw_frame(payload_of(ErrorMessage("INTERNAL", "boom", "s")), _GOOD_MEAN),
+    "tail_one_byte_short": stats_frame(tail=(_GOOD_MEAN + _GOOD_COV)[:-1]),
+    "tail_one_byte_long": stats_frame(tail=_GOOD_MEAN + _GOOD_COV + b"\0"),
+    "tail_20_bytes": stats_frame(tail=bytes(20)),
+    "negative_count": stats_frame(mean=-2),
+    "true_count": stats_frame(mean=True),
+    "float_count": stats_frame(covariance=3.0),
+    "string_count": stats_frame(covariance="3"),
+    "v2_base64_count": stats_frame(covariance=base64.b64encode(_GOOD_COV).decode("ascii")),
+    "huge_count": stats_frame(mean=10**30),
+    "counts_swapped": stats_frame(mean=3, covariance=2),
+    "empty_mean": stats_frame(tail=b"", mean=0, covariance=0),
+    "nan_bits": stats_frame(tail=struct.pack("<Q", 0x7FF8000000000000) + bytes(8) + _GOOD_COV),
+    "signalling_nan_bits": stats_frame(tail=struct.pack("<2Q", 0, 0x7FF0000000000001)
+                                       + _GOOD_COV),
+    "plus_inf_bits": stats_frame(tail=struct.pack("<2Q", 0x7FF0000000000000, 0) + _GOOD_COV),
+    "minus_inf_bits": stats_frame(tail=struct.pack("<2Q", 0, 0xFFF0000000000000) + _GOOD_COV),
+    "non_utf8_head": _non_utf8_head(),
 }
 
 
 @pytest.mark.parametrize("name", sorted(HOSTILE_ARRAYS))
 def test_decode_maps_hostile_array_payloads_to_bad_payload(name):
-    decode_frame(raw_frame(stats_payload()))  # the untouched payload decodes
+    decode_frame(stats_frame())  # the untouched payload decodes
     with pytest.raises(FrameError) as info:
-        decode_frame(raw_frame(HOSTILE_ARRAYS[name]))
+        decode_frame(HOSTILE_ARRAYS[name])
     assert info.value.code == "BAD_PAYLOAD"
 
 
@@ -423,7 +451,7 @@ def test_decode_maps_hostile_array_payloads_to_bad_payload(name):
 def test_orchestrate_survives_a_hostile_array_reply(name):
     def hostile():
         channel = InProcessChannel(SellerNode("mallory", raw=make_dataset()))
-        channel.session = _ReplayingSession(raw_frame(HOSTILE_ARRAYS[name]))
+        channel.session = _ReplayingSession(HOSTILE_ARRAYS[name])
         return channel
 
     endpoints = in_process_endpoints(seller_nodes()[:1]) + [("mallory", hostile)]
@@ -435,33 +463,30 @@ def test_orchestrate_survives_a_hostile_array_reply(name):
     assert not by_id["alpha"].failed
 
 
-B64_ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+# Finite float64 values of every kind: zeros of both signs, subnormals, the
+# extremes and random bit patterns.
+def finite_float64(rng, n):
+    bits = rng.integers(0, 1 << 64, n, dtype=np.uint64)
+    values = bits.view(np.float64).copy()
+    values[~np.isfinite(values)] = 0.0
+    specials = [-0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308]
+    values[:min(n, 4)] = specials[:min(n, 4)]
+    return values
 
 
-# d float64 values are 8d bytes: no padding for d = 3, "=" for d = 1, "==" for
-# d = 2. Every character in the last place before the padding decodes, and
-# to finite values since |mean| < 2; only the one whose unused bits are zero,
-# as re-encoding the decoded bytes shows, may be accepted.
-@pytest.mark.parametrize("d", [1, 2, 3])
-def test_decode_accepts_only_canonical_base64(d):
-    msg = StatsResponse((0.5, -1.25, 0.1)[:d], pack_covariance(np.eye(d)), 32, "s", 9.0,
-                        SPEC.fingerprint())
-    payload = payload_of(msg)
-    body = payload["mean"].rstrip("=")
-    padding = "=" * (len(payload["mean"]) - len(body))
-    accepted = 0
-    for char in B64_ALPHABET:
-        text = body[:-1] + char + padding
-        frame = raw_frame(json.dumps(dict(payload, mean=text), sort_keys=True,
-                                     separators=(",", ":")).encode())
-        if base64.b64encode(base64.b64decode(text)).decode("ascii") == text:
-            assert encode_frame(decode_frame(frame)) == frame
-            accepted += 1
-        else:
-            with pytest.raises(FrameError) as info:
-                decode_frame(frame)
-            assert info.value.code == "BAD_PAYLOAD"
-    assert accepted == {0: 64, 1: 16, 2: 4}[len(padding)]
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
+def test_every_valid_frame_re_encodes_to_its_bytes(rng, d):
+    messages = list(ALL_MESSAGES)
+    for _ in range(20):
+        messages.append(StatsResponse(finite_float64(rng, d), finite_float64(rng, d * (d + 1) // 2),
+                                      32, "sess-0001", 9.0, SPEC.fingerprint()))
+    for msg in messages:
+        frame = encode_frame(msg)
+        again = decode_frame(frame)
+        assert again == msg
+        assert encode_frame(again) == frame
+        if isinstance(msg, StatsResponse):
+            assert split_frame(frame)[1] == msg.mean.tobytes() + msg.covariance.tobytes()
 
 
 def test_float64_payload_bytes_match_struct_oracle():
@@ -470,26 +495,29 @@ def test_float64_payload_bytes_match_struct_oracle():
            -0.0, 1e-300, 0.0, 123456789.0, 2.0**-1074 * 3)
     resp = StatsResponse(mean, cov, 32, "sess-1", 9.0, SPEC.fingerprint())
     frame = encode_frame(resp)
-    payload = json.loads(frame[4:])
-    assert base64.b64decode(payload["mean"]) == struct.pack("<4d", *mean)
-    assert base64.b64decode(payload["covariance"]) == struct.pack("<10d", *cov)
+    payload, tail = split_frame(frame)
+    assert (payload["mean"], payload["covariance"]) == (4, 10)
+    assert tail == struct.pack("<4d", *mean) + struct.pack("<10d", *cov)
     again = decode_frame(frame)
     assert again.mean.astype("<f8").tobytes() == struct.pack("<4d", *mean)
     assert again.covariance.astype("<f8").tobytes() == struct.pack("<10d", *cov)
     assert encode_frame(again) == frame
 
 
+def canonical_json(obj) -> bytes:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
+
+
 @pytest.mark.parametrize("d", [4, 256, 768])
-def test_stats_response_frame_size_is_overhead_plus_base64(d):
+def test_stats_response_frame_size_is_head_plus_raw_float64(d):
     sizes = (d, d * (d + 1) // 2)
     resp = StatsResponse(np.linspace(-1.0, 1.0, d), np.full(sizes[1], 0.5), 512,
                          "sess-size", 3.25, SPEC.fingerprint())
-    fixed = dict(type="STATS_RESPONSE", mean="", covariance="", count=512,
-                 session_id="sess-size", sigma_used=3.25,
-                 encoder_fingerprint=SPEC.fingerprint())
-    overhead = 4 + len(json.dumps(fixed, sort_keys=True, separators=(",", ":")))
+    head = dict(type="STATS_RESPONSE", mean=sizes[0], covariance=sizes[1], count=512,
+                session_id="sess-size", sigma_used=3.25,
+                encoder_fingerprint=SPEC.fingerprint())
     frame = encode_frame(resp)
-    assert len(frame) == overhead + sum(4 * math.ceil(8 * n / 3) for n in sizes)
+    assert len(frame) == 4 + len(canonical_json(head)) + 1 + 8 * (d + d * (d + 1) // 2)
     assert len(frame) - 4 < MAX_FRAME_BYTES
 
 
@@ -587,13 +615,27 @@ V1_HELLO = raw_frame(b'{"protocol_version":1,"type":"HELLO"}')
 
 
 def test_session_rejects_version_1_hello():
-    assert PROTOCOL_VERSION == 2
+    assert PROTOCOL_VERSION == 3
     session = SellerSession(SellerNode("s1", raw=make_dataset()))
     reply = decode_frame(session.handle_bytes(V1_HELLO))
     assert isinstance(reply, ErrorMessage)
     assert reply.code == "VERSION_MISMATCH"
-    assert reply.message == "node speaks version 2, peer sent 1"
+    assert reply.message == "node speaks version 3, peer sent 1"
     # not ready: a request still gets PROTOCOL_ORDER
+    reply = decode_frame(session.handle_bytes(encode_frame(make_request())))
+    assert reply.code == "PROTOCOL_ORDER"
+
+
+# The HELLO a version-2 buyer sends, byte for byte.
+V2_HELLO = raw_frame(b'{"protocol_version":2,"type":"HELLO"}')
+
+
+def test_session_rejects_version_2_hello():
+    session = SellerSession(SellerNode("s1", raw=make_dataset()))
+    reply = decode_frame(session.handle_bytes(V2_HELLO))
+    assert isinstance(reply, ErrorMessage)
+    assert reply.code == "VERSION_MISMATCH"
+    assert reply.message == "node speaks version 3, peer sent 2"
     reply = decode_frame(session.handle_bytes(encode_frame(make_request())))
     assert reply.code == "PROTOCOL_ORDER"
 
@@ -692,10 +734,10 @@ def test_raw_rows_never_cross_the_wire():
     data = make_dataset()
     session = ready_session(SellerNode("s1", raw=data))
     reply_bytes = session.handle_bytes(encode_frame(make_request()))
-    payload = json.loads(reply_bytes[4:])
-    released = b"".join(base64.b64decode(payload[k]) for k in ("mean", "covariance"))
+    payload, released = split_frame(reply_bytes)
+    assert len(released) == 8 * (payload["mean"] + payload["covariance"])
     for value in data.points[:5].ravel():
-        assert repr(float(value)) not in reply_bytes.decode()
+        assert repr(float(value)).encode() not in reply_bytes
         assert struct.pack("<d", value) not in released
 
 
@@ -818,9 +860,9 @@ def test_orchestrate_survives_a_hostile_seller_reply(name):
     assert not by_id["alpha"].failed and not by_id["beta"].failed
 
 
-# What a version-1 seller answers to a version-2 HELLO, byte for byte.
+# What a version-1 seller answers to a version-3 HELLO, byte for byte.
 V1_MISMATCH_REPLY = raw_frame(
-    b'{"code":"VERSION_MISMATCH","message":"node speaks version 1, peer sent 2",'
+    b'{"code":"VERSION_MISMATCH","message":"node speaks version 1, peer sent 3",'
     b'"session_id":"","type":"ERROR"}')
 
 
@@ -866,6 +908,65 @@ def test_round_cost_per_seller_is_fixed(monkeypatch, sellers):
     assert counts["frames"] == 3 + 3 * sellers
     assert counts["datasets"] == 0
     assert counts["projections"] <= 1
+
+
+def embedding_node(node_id, rng, d, rows=64):
+    return SellerNode(node_id, embeddings=EmbeddingSet(rng.standard_normal((rows, d)) * 0.1,
+                                                       1.0, False))
+
+
+def test_round_wire_bytes_follow_the_v3_layout(rng):
+    # Each seller costs six frames, each sized from the layout alone: 4 header
+    # bytes and the canonical JSON, plus for a STATS_RESPONSE one newline and
+    # 8 bytes per float64 entry. Any text encoding of the arrays is larger.
+    d, subset = 256, 300
+    spec = EncoderSpec("external", 9, d, d, d, 0.0)
+    budget = PrivacyBudget(0.8, 1e-5, 1.0, subset)
+    nodes = [embedding_node(f"s{i}", rng, d, rows=400) for i in range(2)]
+    buyer = embedding_node("buyer", rng, d, rows=400).embeddings
+    _, outcomes = orchestrate_valuation(buyer, in_process_endpoints(nodes), spec, budget)
+    session_id = "sess-" + "0" * 16  # secure mode: 8 random bytes in hex
+    hello = canonical_json({"type": "HELLO", "protocol_version": 3})
+    model_spec = canonical_json({"type": "MODEL_SPEC", "encoder": spec.to_dict()})
+    request = canonical_json({"type": "STATS_REQUEST", "subset_size": subset, "epsilon": 0.8,
+                              "delta": 1e-5, "clip_radius": 1.0, "session_id": session_id,
+                              "mode": "secure"})
+    for outcome in outcomes:
+        assert not outcome.failed
+        response = canonical_json({"type": "STATS_RESPONSE", "mean": d,
+                                   "covariance": d * (d + 1) // 2, "count": subset,
+                                   "session_id": session_id, "sigma_used": outcome.sigma_used,
+                                   "encoder_fingerprint": spec.fingerprint()})
+        sent = 3 * 4 + len(hello) + len(model_spec) + len(request)
+        received = 2 * (4 + len(hello)) + 4 + len(response) + 1 + 8 * (d + d * (d + 1) // 2)
+        assert (outcome.bytes_sent, outcome.bytes_received) == (sent, received)
+        assert outcome.bytes_sent + outcome.bytes_received == sent + received
+
+
+def test_reply_too_large_to_frame_fails_alike_on_both_transports(monkeypatch, caplog, rng):
+    # A d = 16 summary is 152 float64 values, 1216 bytes: over a 1000-byte cap.
+    d = 16
+    node = embedding_node("wide", rng, d)
+    spec = EncoderSpec("external", 5, d, d, d, 0.0)
+    buyer = embedding_node("buyer", rng, d).embeddings
+    server = serving(node)
+    endpoints = (socket_endpoints([("tcp", *server.server_address)])
+                 + in_process_endpoints([SellerNode("local", embeddings=node.embeddings)]))
+    try:
+        monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 1000)
+        _, outcomes = orchestrate_valuation(buyer, endpoints, spec, BUDGET, master_seed=3)
+        failures = {o.node_id: o.failure for o in outcomes}
+        assert failures["tcp"] == failures["local"]
+        assert failures["tcp"].startswith("FRAME_TOO_LARGE: ")
+        assert "exceeds 1000" in failures["tcp"]
+        monkeypatch.undo()
+        # the server serves the next connection, and every seller answers
+        _, outcomes = orchestrate_valuation(buyer, endpoints, spec, BUDGET, master_seed=3)
+        assert not any(o.failed for o in outcomes)
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert not [r for r in caplog.records if r.levelno >= logging.ERROR]
 
 
 def test_orchestrate_is_seed_deterministic():
