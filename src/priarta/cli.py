@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 validation error, 2 runtime or protocol error,
 """
 
 import argparse
+import functools
 import logging
 import os
 from pathlib import Path
@@ -157,9 +158,10 @@ def cmd_serve(args) -> int:
 
 def cmd_value(args) -> int:
     spec = EncoderSpec.from_dict(load_json(args.spec))
-    buyer_data = read_dataset_any(args.input)
     budget = PrivacyBudget(args.epsilon, args.delta, args.clip_radius, args.subset_size)
     endpoints = _seller_endpoints(args.sellers, args.offline)
+    # The buyer's file is parsed once the first sellers are asked, while they compute.
+    buyer_data = functools.partial(read_dataset_any, args.input)
     report = run_valuation(buyer_data, endpoints, spec, budget, master_seed=args.seed,
                            objective=args.objective, debias=args.debias,
                            noisy_buyer=args.noisy_buyer)

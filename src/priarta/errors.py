@@ -53,12 +53,14 @@ class FrameError(PriartaError, ValueError):
     """A wire frame could not be encoded or decoded.
 
     ``code`` is one of FRAME_TRUNCATED, FRAME_TOO_LARGE, FRAME_TRAILING,
-    UNKNOWN_MESSAGE, BAD_PAYLOAD.
+    UNKNOWN_MESSAGE, BAD_PAYLOAD; ``message`` is the text after it, which an
+    ERROR frame carries beside the code.
     """
 
     def __init__(self, code: str, message: str):
         super().__init__(f"{code}: {message}")
         self.code = code
+        self.message = message
 
 
 class ProtocolFailure(PriartaError, RuntimeError):

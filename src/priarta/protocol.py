@@ -12,13 +12,18 @@ then the packed covariance) holds its entry count in the JSON, and after the
 JSON come one newline byte and the arrays' little-endian IEEE-754 bytes,
 concatenated in field order. Canonical JSON escapes every control character,
 so the first newline ends the JSON.
-The exchange is strict lockstep: every message the buyer sends gets exactly
-one reply. MODEL_SPEC is acknowledged with HELLO so transcripts stay
-deterministic and byte-countable. Every seller in a round gets the same three
-requests, so the buyer encodes HELLO, MODEL_SPEC and STATS_REQUEST once a
-round and sends those bytes to each seller.
+Every message the buyer sends gets exactly one reply, in the order sent.
+MODEL_SPEC is acknowledged with HELLO so transcripts stay deterministic and
+byte-countable. Every seller in a round gets the same three requests, so the
+buyer encodes HELLO, MODEL_SPEC and STATS_REQUEST once a round and sends those
+bytes to each seller. The requests are pipelined: the buyer sends all three at
+once and only then reads the three replies, stopping at the first ERROR. A
+seller still answers the requests after a rejected one: a rejected HELLO or
+MODEL_SPEC leaves its session without a spec, so the STATS_REQUEST behind it
+gets PROTOCOL_ORDER and touches no data.
 """
 
+import collections
 from dataclasses import MISSING, dataclass, fields
 import functools
 import json
@@ -478,7 +483,7 @@ class SellerSession:
         try:
             return encode_frame(self.handle_request(decode_frame(frame)))
         except FrameError as exc:
-            return encode_frame(ErrorMessage(exc.code, exc.args[0], self.last_session_id))
+            return encode_frame(ErrorMessage(exc.code, exc.message, self.last_session_id))
 
     def handle_request(self, msg) -> object:
         try:
@@ -504,6 +509,7 @@ class SellerSession:
         if isinstance(msg, ModelSpec):
             problem = _spec_problem(self.node, msg.encoder)
             if problem is not None:
+                self.spec = None
                 return ErrorMessage("SPEC_MISMATCH", problem, "")
             self.spec = msg.encoder
             return Hello(PROTOCOL_VERSION)
@@ -553,12 +559,21 @@ class SellerSession:
 
 
 class _Channel:
-    """Byte counts and the frame transcript, kept alike by both transports."""
+    """Byte counts and the frame transcript, kept alike by both transports.
+
+    send(*frames) sends requests without waiting; receive() returns the
+    reply to the oldest request not yet answered. request is the two in one.
+    """
 
     def __init__(self):
         self.bytes_sent = 0
         self.bytes_received = 0
         self.transcript = []
+
+    def request(self, msg) -> object:
+        """Send a message or its encoded frame; return the decoded reply."""
+        self.send(msg)
+        return self.receive()
 
     @staticmethod
     def _frame(msg) -> bytes:
@@ -581,16 +596,24 @@ class _Channel:
 
 class InProcessChannel(_Channel):
     """Loopback transport: passes real frames through a local session, so
-    byte counts and transcripts match the socket transport exactly."""
+    byte counts and transcripts match the socket transport exactly. A sent
+    frame waits in a queue; the session handles it when its reply is read."""
 
     def __init__(self, node: SellerNode):
         super().__init__()
         self.session = SellerSession(node)
+        self._queued = collections.deque()
 
-    def request(self, msg) -> object:
-        """Send a message or its encoded frame; return the decoded reply."""
-        frame = self._sent(self._frame(msg))
-        return self._received(self.session.handle_bytes(frame))
+    # Each transport binds request itself: perfbench traces each class's own.
+    request = _Channel.request
+
+    def send(self, *msgs):
+        """Queue messages or their encoded frames, in order."""
+        self._queued.extend(self._sent(self._frame(msg)) for msg in msgs)
+
+    def receive(self) -> object:
+        """The decoded reply to the oldest queued frame."""
+        return self._received(self.session.handle_bytes(self._queued.popleft()))
 
 
 class SocketChannel(_Channel):
@@ -600,11 +623,17 @@ class SocketChannel(_Channel):
         super().__init__()
         self.sock = socket.create_connection((host, port), timeout=timeout)
 
-    def request(self, msg) -> object:
-        """Send a message or its encoded frame; return the decoded reply."""
-        frame = self._frame(msg)
-        self.sock.sendall(frame)
-        self._sent(frame)
+    request = _Channel.request
+
+    def send(self, *msgs):
+        """Write messages or their encoded frames with one sendall."""
+        frames = [self._frame(msg) for msg in msgs]
+        self.sock.sendall(b"".join(frames))
+        for frame in frames:
+            self._sent(frame)
+
+    def receive(self) -> object:
+        """Read and decode the next reply frame."""
         return self._received(_read_frame(self.sock, MAX_FRAME_BYTES))
 
     def close(self):
@@ -620,11 +649,13 @@ class _SellerHandler(socketserver.BaseRequestHandler):
         while True:
             try:
                 frame = _read_frame(self.request, _MAX_REQUEST_BYTES)
-            except ProtocolFailure:
+            except (ProtocolFailure, OSError):
+                # A closed or reset connection ends the session. A buyer
+                # resets it when it closes with pipelined replies unread.
                 return
             except FrameError as exc:
                 # The stream cannot be resynchronized past an oversized frame.
-                self.request.sendall(encode_frame(ErrorMessage(exc.code, exc.args[0], "")))
+                self.request.sendall(encode_frame(ErrorMessage(exc.code, exc.message, "")))
                 return
             try:
                 self.request.sendall(session.handle_bytes(frame))
@@ -675,43 +706,58 @@ def socket_endpoints(addresses) -> list:
     ]
 
 
+# Sellers asked before any of them is read from. This keeps a round's open
+# sockets well under the common soft limit of 1024 file descriptors.
+_IN_FLIGHT = 64
+
 # The reply each of the buyer's three requests expects, in order.
 _REPLIES = ((Hello, "HELLO"), (Hello, "MODEL_SPEC ack"), (StatsResponse, "STATS_RESPONSE"))
 
 
-def _query_seller(node_id: str, connect, spec: EncoderSpec, request: StatsRequest,
-                  frames: tuple) -> SellerOutcome:
-    """frames: the encoded HELLO, MODEL_SPEC(spec) and request."""
+def _ask(node_id: str, connect, frames: tuple) -> tuple:
+    """Connect to one seller and send it the round's three encoded requests
+    without waiting for a reply. Returns (outcome, channel); channel is None
+    when connecting failed, and a failure is recorded in the outcome."""
     outcome = SellerOutcome(node_id=node_id)
     channel = None
     try:
         channel = connect()
-        for frame, (expected, name) in zip(frames, _REPLIES):
-            reply = channel.request(frame)
+        channel.send(*frames)
+    except (OSError, PriartaError) as exc:
+        outcome.failure = f"{type(exc).__name__}: {exc}"
+    return outcome, channel
+
+
+def _collect(outcome: SellerOutcome, channel, spec: EncoderSpec, request: StatsRequest):
+    """Read an asked seller's replies in order, stopping at the first ERROR
+    or unexpected reply, and record its summary or its failure."""
+    try:
+        for expected, name in _REPLIES:
+            reply = channel.receive()
             if isinstance(reply, ErrorMessage):
                 outcome.failure = f"{reply.code}: {reply.message}"
-                return outcome
+                return
             if not isinstance(reply, expected):
                 outcome.failure = f"expected {name}, got {type(reply).__name__}"
-                return outcome
+                return
         if reply.session_id != request.session_id:
             outcome.failure = f"session id mismatch: {reply.session_id!r}"
-            return outcome
+            return
         if reply.count != request.subset_size:
             outcome.failure = (
                 f"count contract violated: response count {reply.count}, "
                 f"requested {request.subset_size}"
             )
-            return outcome
+            return
         if reply.encoder_fingerprint != spec.fingerprint():
             outcome.failure = "encoder fingerprint mismatch"
-            return outcome
+            return
         if len(reply.mean) != spec.latent_dim:
             outcome.failure = f"mean has {len(reply.mean)} entries, latent_dim is {spec.latent_dim}"
-            return outcome
+            return
         if reply.sigma_used < 0:
             outcome.failure = f"negative sigma_used {reply.sigma_used!r}"
-            return outcome
+            return
         outcome.summary = GaussianSummary(
             reply.mean,
             expand_covariance(reply.covariance, len(reply.mean)),
@@ -720,22 +766,31 @@ def _query_seller(node_id: str, connect, spec: EncoderSpec, request: StatsReques
         outcome.sigma_used = reply.sigma_used
     except (OSError, PriartaError) as exc:
         outcome.failure = f"{type(exc).__name__}: {exc}"
-    finally:
-        if channel is not None:
-            channel.close()
-            outcome.bytes_sent = channel.bytes_sent
-            outcome.bytes_received = channel.bytes_received
-    return outcome
+
+
+def _close(outcome: SellerOutcome, channel):
+    """Close an asked seller's channel, if it opened, and record its byte counts."""
+    if channel is not None:
+        channel.close()
+        outcome.bytes_sent = channel.bytes_sent
+        outcome.bytes_received = channel.bytes_received
 
 
 def orchestrate_valuation(buyer_data, sellers, spec: EncoderSpec, budget: PrivacyBudget,
                           master_seed: int = None, noisy_buyer: bool = False):
-    """Query every seller endpoint, one after another, and compute the
-    buyer's own summary.
+    """Query every seller endpoint and compute the buyer's own summary.
 
+    Up to 64 sellers at a time are sent their three requests before any of
+    their replies is read, so network sellers compute while the buyer builds
+    its own summary (once, after the first sellers are asked) and while the
+    buyer reads earlier replies.
+
+    buyer_data: a dataset, or a function of no arguments that returns one.
     sellers: list of (node_id, connect) with connect() -> channel. Returns
     (buyer GaussianSummary, [SellerOutcome] sorted by node_id); a seller
     failure is recorded, not raised, as long as the others can still answer.
+    An error from the buyer's own data closes every open channel and
+    propagates.
     """
     if not sellers:
         raise ParameterError("at least one seller endpoint is required")
@@ -757,15 +812,34 @@ def orchestrate_valuation(buyer_data, sellers, spec: EncoderSpec, budget: Privac
     )
     frames = tuple(encode_frame(msg)
                    for msg in (Hello(PROTOCOL_VERSION), ModelSpec(spec), request))
-    outcomes = [_query_seller(node_id, connect, spec, request, frames)
-                for node_id, connect in sellers]
-    outcomes.sort(key=lambda o: o.node_id)
-
     noise_sigma = 0.0
     noise_seed = None
     if noisy_buyer:
         noise_sigma = calibrate_sigma(budget).sigma
         if master_seed is not None:
             noise_seed = derive_seed(seed, "buyer", "noise")
-    buyer = buyer_summary(buyer_data, spec, budget.clip_radius, noise_sigma, noise_seed)
+
+    buyer = None
+    outcomes = []
+    for start in range(0, len(sellers), _IN_FLIGHT):
+        asked = collections.deque()
+        try:
+            for node_id, connect in sellers[start:start + _IN_FLIGHT]:
+                asked.append(_ask(node_id, connect, frames))
+            if buyer is None:
+                data = buyer_data() if callable(buyer_data) else buyer_data
+                buyer = buyer_summary(data, spec, budget.clip_radius, noise_sigma, noise_seed)
+            while asked:
+                # Each channel, and the frames its transcript holds, goes as
+                # soon as its replies are read.
+                outcome, channel = asked[0]
+                if outcome.failure is None:
+                    _collect(outcome, channel, spec, request)
+                _close(outcome, channel)
+                asked.popleft()
+                outcomes.append(outcome)
+        finally:
+            for outcome, channel in asked:
+                _close(outcome, channel)
+    outcomes.sort(key=lambda o: o.node_id)
     return buyer, outcomes

@@ -250,7 +250,8 @@ def run_valuation(buyer_data, sellers, spec: EncoderSpec, budget: PrivacyBudget,
     """One valuation round: query every seller endpoint, optionally subtract
     each seller's sigma^2 I from its covariance, then score and rank.
 
-    sellers: list of (node_id, connect) as for orchestrate_valuation. The
+    buyer_data and sellers are as for orchestrate_valuation: buyer_data may
+    be a function that loads the dataset while the first sellers compute. The
     report's params_echo records every setting that shaped it.
     """
     buyer, outcomes = orchestrate_valuation(

@@ -6,14 +6,16 @@ from pathlib import Path
 import socket
 import subprocess
 import sys
+import threading
 import time
 
 import numpy as np
 import pytest
 
 import priarta
-from priarta import default_scenario, load_report
+from priarta import SellerNode, SellerServer, default_scenario, load_report
 from priarta.cli import main, run_valuation_for_config
+from priarta.fileio import read_raw_dataset
 from priarta.valuation import dumps_report
 
 from conftest import HOSTILE_INPUTS, HOSTILE_JSON, HOSTILE_VALUES
@@ -358,6 +360,31 @@ def test_value_against_dead_seller_exits_3(scenario_dir, tmp_path, capsys):
         "--seed", "7",
     )
     assert code == 3
+
+
+def test_value_with_malformed_input_exits_1_and_the_seller_serves_on(scenario_dir, tmp_path,
+                                                                      capsys):
+    # The seller is asked before the buyer's file is read; the bad file still
+    # exits 1 with one error line, and the seller serves the next round.
+    seller = scenario_dir / "sellers" / "seller-1.raw"
+    server = SellerServer(("127.0.0.1", 0), SellerNode("seller-1", raw=read_raw_dataset(seller)))
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    bad = tmp_path / "big-label.raw"
+    content, line = HOSTILE_INPUTS["big-label.raw"]
+    bad.write_bytes(content)
+    endpoint = "seller-1=127.0.0.1:%d" % server.server_address[1]
+    argv = ["value", "--sellers", endpoint, "--spec", str(scenario_dir / "encoder.json"),
+            "--output", str(tmp_path / "r.json"), "--seed", "7"]
+    try:
+        assert run_cli(*argv, "--input", str(bad)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}:{line}: ") and len(err.splitlines()) == 1
+        assert not (tmp_path / "r.json").exists()
+        assert run_cli(*argv, "--input", str(scenario_dir / "buyer.raw")) == 0
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert not any(entry.failed for entry in load_report(tmp_path / "r.json").entries)
 
 
 @pytest.mark.parametrize("name", sorted(HOSTILE_INPUTS))

@@ -17,6 +17,7 @@ from priarta import (
     PROTOCOL_VERSION,
     EncoderSpec,
     ErrorMessage,
+    FileFormatError,
     FrameError,
     Hello,
     InProcessChannel,
@@ -958,6 +959,7 @@ def test_reply_too_large_to_frame_fails_alike_on_both_transports(monkeypatch, ca
         failures = {o.node_id: o.failure for o in outcomes}
         assert failures["tcp"] == failures["local"]
         assert failures["tcp"].startswith("FRAME_TOO_LARGE: ")
+        assert failures["tcp"].count("FRAME_TOO_LARGE") == 1
         assert "exceeds 1000" in failures["tcp"]
         monkeypatch.undo()
         # the server serves the next connection, and every seller answers
@@ -990,6 +992,123 @@ def test_orchestrate_secure_mode_varies():
         make_dataset(seed=10), in_process_endpoints(seller_nodes()[:1]), SPEC, BUDGET
     )
     assert np.any(a[1][0].summary.mean != b[1][0].summary.mean)
+
+
+def test_a_frame_error_names_its_code_once_on_both_transports(monkeypatch):
+    # A HELLO without a type tag: the seller answers BAD_PAYLOAD, and the
+    # buyer's reason carries the code once, over either transport.
+    node = SellerNode("alpha", raw=make_dataset(seed=11))
+    server = serving(node)
+    endpoints = (socket_endpoints([("tcp", *server.server_address)])
+                 + in_process_endpoints([SellerNode("local", raw=node.raw)]))
+    untagged = raw_frame(b"{}")
+    encode = protocol.encode_frame
+    monkeypatch.setattr(protocol, "encode_frame",
+                        lambda msg: untagged if isinstance(msg, Hello) else encode(msg))
+    try:
+        _, outcomes = orchestrate_valuation(make_dataset(seed=10), endpoints, SPEC, BUDGET,
+                                            master_seed=1000)
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert [o.failure for o in outcomes] == ["BAD_PAYLOAD: payload lacks a type tag"] * 2
+
+
+class _LoggedChannel(InProcessChannel):
+    """An in-process channel that logs its opening, sends, reads and closing
+    to a shared event list."""
+
+    def __init__(self, node, events):
+        super().__init__(node)
+        self.events = events
+        events.append(("connect", node.node_id))
+
+    def send(self, *msgs):
+        self.events.append(("send", self.session.node.node_id, len(msgs)))
+        super().send(*msgs)
+
+    def receive(self):
+        self.events.append(("receive", self.session.node.node_id))
+        return super().receive()
+
+    def close(self):
+        self.events.append(("close", self.session.node.node_id))
+        super().close()
+
+
+def logged_endpoints(nodes, events):
+    return [(node.node_id, (lambda n=node: _LoggedChannel(n, events))) for node in nodes]
+
+
+def test_round_asks_every_seller_before_loading_the_buyer_and_reading_replies():
+    events = []
+    nodes = seller_nodes()[:2]
+
+    def load():
+        events.append(("load",))
+        return make_dataset(seed=10)
+
+    _, outcomes = orchestrate_valuation(load, logged_endpoints(nodes, events), SPEC, BUDGET,
+                                        master_seed=1000)
+    assert not any(o.failed for o in outcomes)
+    assert events == [
+        ("connect", "alpha"), ("send", "alpha", 3), ("connect", "beta"), ("send", "beta", 3),
+        ("load",),
+        *[("receive", "alpha")] * 3, ("close", "alpha"),
+        *[("receive", "beta")] * 3, ("close", "beta"),
+    ]
+
+
+def test_round_of_150_sellers_holds_at_most_64_channels_open():
+    events = []
+    nodes = [SellerNode(f"s{i:03d}", raw=make_dataset(seed=100 + i, m=40)) for i in range(150)]
+    budget = PrivacyBudget(0.8, 1e-5, 1.0, 16)
+    buyer, outcomes = orchestrate_valuation(make_dataset(seed=10), logged_endpoints(nodes, events),
+                                            SPEC, budget, master_seed=1000)
+    open_now = peak = 0
+    for event in events:
+        open_now += {"connect": 1, "close": -1}.get(event[0], 0)
+        peak = max(peak, open_now)
+    assert peak == 64 and open_now == 0
+    assert [o.node_id for o in outcomes] == [node.node_id for node in nodes]
+    for node, outcome in zip(nodes, outcomes):
+        alone_buyer, (alone,) = orchestrate_valuation(
+            make_dataset(seed=10), in_process_endpoints([node]), SPEC, budget, master_seed=1000)
+        assert not outcome.failed
+        np.testing.assert_array_equal(outcome.summary.mean, alone.summary.mean)
+        np.testing.assert_array_equal(outcome.summary.covariance, alone.summary.covariance)
+        assert (outcome.sigma_used, outcome.bytes_sent, outcome.bytes_received) == (
+            alone.sigma_used, alone.bytes_sent, alone.bytes_received)
+    np.testing.assert_array_equal(buyer.mean, alone_buyer.mean)
+    np.testing.assert_array_equal(buyer.covariance, alone_buyer.covariance)
+
+
+def wrong_width_buyer():
+    return make_dataset(seed=10, p=12)
+
+
+def unreadable_buyer():
+    raise FileFormatError("buyer.raw:3: not a number")
+
+
+@pytest.mark.parametrize("buyer_data, error", [
+    (wrong_width_buyer, ShapeError),
+    (wrong_width_buyer(), ShapeError),
+    (unreadable_buyer, FileFormatError),
+], ids=["loaded-wrong-width", "wrong-width", "unreadable"])
+def test_a_round_that_aborts_on_the_buyer_closes_every_channel(buyer_data, error):
+    # The buyer's error propagates unchanged, after every channel is closed.
+    events = []
+    nodes = [SellerNode(f"s{i}", raw=make_dataset(seed=20 + i)) for i in range(3)]
+    with pytest.raises(error) as info:
+        orchestrate_valuation(buyer_data, logged_endpoints(nodes, events), SPEC, BUDGET,
+                              master_seed=1000)
+    if error is FileFormatError:
+        assert str(info.value) == "buyer.raw:3: not a number"
+    opened = [event[1] for event in events if event[0] == "connect"]
+    closed = [event[1] for event in events if event[0] == "close"]
+    assert opened == closed == ["s0", "s1", "s2"]
+    assert not [event for event in events if event[0] == "receive"]
 
 
 # ---------------------------------------------------------------- channels
@@ -1197,3 +1316,77 @@ def test_concurrent_sessions_are_isolated():
     assert all(isinstance(r, StatsResponse) for r in results)
     # same node, same seeded request: both sessions answer identically
     assert results[0] == results[1]
+
+
+OTHER_SPEC = EncoderSpec("toy_projection", 314159, 16, 4, 8, 0.0)
+
+
+def kept(connect, channels):
+    """connect, appending each channel it opens to channels."""
+    def opened():
+        channels.append(connect())
+        return channels[-1]
+    return opened
+
+
+def test_tcp_seller_pinned_to_another_spec_answers_the_pipelined_round(monkeypatch, caplog):
+    node = SellerNode("pinned", raw=make_dataset(seed=11),
+                      pinned_fingerprint=OTHER_SPEC.fingerprint())
+    calls = Counter()
+    pipeline = protocol.seller_pipeline
+
+    def counted(*args):
+        calls["pipeline"] += 1
+        return pipeline(*args)
+
+    monkeypatch.setattr(protocol, "seller_pipeline", counted)
+    server = serving(node)
+    channels = []
+    (node_id, connect), = socket_endpoints([("pinned", *server.server_address)])
+    endpoints = [(node_id, kept(connect, channels))]
+    try:
+        _, (outcome,) = orchestrate_valuation(make_dataset(seed=10), endpoints, SPEC, BUDGET,
+                                              master_seed=1000)
+        assert outcome.failure.startswith("SPEC_MISMATCH: ")
+        # reading stops at the ERROR; the failed seller was sent all three frames
+        transcript = channels[0].transcript
+        assert [kind for kind, _ in transcript] == ["send"] * 3 + ["recv"] * 2
+        assert outcome.bytes_sent == sum(len(frame) for kind, frame in transcript
+                                         if kind == "send")
+        # all three requests are answered: the STATS_REQUEST behind the
+        # rejected MODEL_SPEC gets PROTOCOL_ORDER and touches no data
+        chan = SocketChannel(*server.server_address)
+        try:
+            chan.send(Hello(PROTOCOL_VERSION), ModelSpec(SPEC), make_request())
+            replies = [chan.receive() for _ in range(3)]
+        finally:
+            chan.close()
+        assert isinstance(replies[0], Hello)
+        assert [reply.code for reply in replies[1:]] == ["SPEC_MISMATCH", "PROTOCOL_ORDER"]
+        assert calls["pipeline"] == 0
+        # the server serves the next connection
+        _, (outcome,) = orchestrate_valuation(make_dataset(seed=10), endpoints, OTHER_SPEC,
+                                              BUDGET, master_seed=1000)
+        assert not outcome.failed and calls["pipeline"] == 1
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert not [r for r in caplog.records if r.levelno >= logging.ERROR]
+
+
+def test_seeded_round_transcripts_match_across_transports():
+    node = SellerNode("twin", raw=make_dataset(seed=11))
+    server = serving(node)
+    channels = []
+    try:
+        for endpoints in (in_process_endpoints([node]),
+                          socket_endpoints([("twin", *server.server_address)])):
+            (node_id, connect), = endpoints
+            orchestrate_valuation(make_dataset(seed=10), [(node_id, kept(connect, channels))],
+                                  SPEC, BUDGET, master_seed=1000)
+    finally:
+        server.shutdown()
+        server.server_close()
+    inproc, tcp = channels
+    assert [kind for kind, _ in tcp.transcript] == ["send"] * 3 + ["recv"] * 3
+    assert inproc.transcript == tcp.transcript
