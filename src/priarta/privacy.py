@@ -24,8 +24,8 @@ import warnings
 
 import numpy as np
 
-from .errors import ParameterError, require_float, require_int
-from .stats import EmbeddingSet, _check_radius
+from .errors import NumericInputError, ParameterError, require_float, require_int
+from .stats import EmbeddingSet, _check_radius, _trusted_set
 
 __all__ = [
     "GAUSSIAN_SAMPLER", "NoiseCalibration", "PrivacyBudget",
@@ -117,7 +117,9 @@ def apply_gaussian_mechanism(
         raise ParameterError("the Gaussian mechanism requires a clipped embedding set")
     rng = np.random.Generator(np.random.PCG64(rng_seed))
     noisy = embeddings.vectors + rng.normal(0.0, sigma, size=embeddings.vectors.shape)
-    return EmbeddingSet(noisy, embeddings.clip_radius, clipped=False)
+    if not np.isfinite(noisy).all():
+        raise NumericInputError("embedding vectors contain non-finite entries")
+    return _trusted_set(noisy, embeddings.clip_radius, clipped=False)
 
 
 def derive_seed(master_seed: int, node_id: str, purpose: str) -> int:

@@ -16,11 +16,13 @@ Every message the buyer sends gets exactly one reply, in the order sent.
 MODEL_SPEC is acknowledged with HELLO so transcripts stay deterministic and
 byte-countable. Every seller in a round gets the same three requests, so the
 buyer encodes HELLO, MODEL_SPEC and STATS_REQUEST once a round and sends those
-bytes to each seller. The requests are pipelined: the buyer sends all three at
-once and only then reads the three replies, stopping at the first ERROR. A
-seller still answers the requests after a rejected one: a rejected HELLO or
-MODEL_SPEC leaves its session without a spec, so the STATS_REQUEST behind it
-gets PROTOCOL_ORDER and touches no data.
+bytes to each seller. A frame without arrays is decoded once and its frozen
+message shared, and a seller acks with one frame encoded at import. The
+requests are pipelined: the buyer sends all three at once and only then reads
+the three replies, stopping at the first ERROR. A seller still answers the
+requests after a rejected one: a rejected HELLO or MODEL_SPEC leaves its
+session without a spec, so the STATS_REQUEST behind it gets PROTOCOL_ORDER and
+touches no data.
 """
 
 import collections
@@ -299,10 +301,22 @@ def _declared_length(header, limit: int) -> int:
 
 def decode_frame(data) -> object:
     """Decode exactly one frame. Malformed input raises FrameError, never
-    anything else."""
+    anything else.
+
+    A frame of at most _MAX_REQUEST_BYTES payload with no float64 tail decodes
+    to a frozen message without arrays, so each distinct such frame is
+    decoded once and its message shared; a frame that fails is not kept.
+    """
     if not isinstance(data, (bytes, bytearray, memoryview)):
         raise FrameError("BAD_PAYLOAD", "frame must be bytes")
     data = bytes(data)
+    if (len(data) <= _HEADER.size + _MAX_REQUEST_BYTES
+            and data.find(_TAIL_MARK, _HEADER.size) < 0):
+        return _decode_shared(data)
+    return _decode_frame(data)
+
+
+def _decode_frame(data: bytes) -> object:
     if len(data) < _HEADER.size:
         raise FrameError("FRAME_TRUNCATED", f"got {len(data)} bytes, need a 4-byte header")
     length = _declared_length(data, MAX_FRAME_BYTES)
@@ -320,6 +334,11 @@ def decode_frame(data) -> object:
     except (ValueError, RecursionError) as exc:
         raise FrameError("BAD_PAYLOAD", f"payload head is not JSON: {exc}") from exc
     return _decode_message(obj, None if split < 0 else memoryview(data)[split + 1:])
+
+
+# Every seller in a round reads the same three request frames and the buyer
+# the same ack from each; the bound keeps a stream of distinct frames small.
+_decode_shared = functools.lru_cache(maxsize=64)(_decode_frame)
 
 
 def _read_frame(sock, limit: int) -> bytes:
@@ -467,6 +486,11 @@ def _spec_problem(node: SellerNode, spec: EncoderSpec):
     return None
 
 
+# A seller acks HELLO and MODEL_SPEC with this one message and its one frame.
+_ACK = Hello(PROTOCOL_VERSION)
+_ACK_FRAME = encode_frame(_ACK)
+
+
 class SellerSession:
     """Per-connection message handler. HELLO must come first and MODEL_SPEC
     before STATS_REQUEST; each incoming message gets exactly one reply."""
@@ -481,7 +505,8 @@ class SellerSession:
         """The reply frame; a frame that cannot be decoded, or a reply too
         large to frame, is answered with an ERROR frame."""
         try:
-            return encode_frame(self.handle_request(decode_frame(frame)))
+            reply = self.handle_request(decode_frame(frame))
+            return _ACK_FRAME if reply is _ACK else encode_frame(reply)
         except FrameError as exc:
             return encode_frame(ErrorMessage(exc.code, exc.message, self.last_session_id))
 
@@ -503,7 +528,7 @@ class SellerSession:
                     "",
                 )
             self.ready = True
-            return Hello(PROTOCOL_VERSION)
+            return _ACK
         if not self.ready:
             return ErrorMessage("PROTOCOL_ORDER", "HELLO must precede any other message", "")
         if isinstance(msg, ModelSpec):
@@ -512,7 +537,7 @@ class SellerSession:
                 self.spec = None
                 return ErrorMessage("SPEC_MISMATCH", problem, "")
             self.spec = msg.encoder
-            return Hello(PROTOCOL_VERSION)
+            return _ACK
         if isinstance(msg, StatsRequest):
             return self._stats(msg)
         return ErrorMessage(
@@ -654,8 +679,12 @@ class _SellerHandler(socketserver.BaseRequestHandler):
                 # resets it when it closes with pipelined replies unread.
                 return
             except FrameError as exc:
-                # The stream cannot be resynchronized past an oversized frame.
-                self.request.sendall(encode_frame(ErrorMessage(exc.code, exc.message, "")))
+                # The stream cannot be resynchronized past an oversized frame;
+                # a peer that is already gone ends the session all the same.
+                try:
+                    self.request.sendall(encode_frame(ErrorMessage(exc.code, exc.message, "")))
+                except OSError:
+                    pass
                 return
             try:
                 self.request.sendall(session.handle_bytes(frame))

@@ -40,6 +40,19 @@ def _row_norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(v * v, axis=1))
 
 
+def _check_shape(v: np.ndarray):
+    """Reject v unless it is a 2-D matrix of n >= 2 rows and d >= 1 columns."""
+    if v.ndim != 2:
+        raise ShapeError(f"vectors must be a 2-D matrix, got shape {v.shape}")
+    n, d = v.shape
+    if n == 0:
+        raise EmptyInputError("embedding set has no rows")
+    if n < 2:
+        raise InsufficientSamplesError(f"embedding set needs >= 2 rows, got {n}")
+    if d < 1:
+        raise ShapeError("embedding dimension must be >= 1")
+
+
 @dataclass(frozen=True)
 class EmbeddingSet:
     """n row vectors in d dimensions with a declared l2 clip radius.
@@ -54,15 +67,7 @@ class EmbeddingSet:
 
     def __post_init__(self):
         v = np.asarray(self.vectors, dtype=float)
-        if v.ndim != 2:
-            raise ShapeError(f"vectors must be a 2-D matrix, got shape {v.shape}")
-        n, d = v.shape
-        if n == 0:
-            raise EmptyInputError("embedding set has no rows")
-        if n < 2:
-            raise InsufficientSamplesError(f"embedding set needs >= 2 rows, got {n}")
-        if d < 1:
-            raise ShapeError("embedding dimension must be >= 1")
+        _check_shape(v)
         if not np.isfinite(v).all():
             raise NumericInputError("embedding vectors contain non-finite entries")
         r = _check_radius(self.clip_radius)
@@ -99,11 +104,23 @@ def clip_to_ball(vectors, radius: float) -> EmbeddingSet:
     if not np.isfinite(v).all():
         raise NumericInputError("vectors contain non-finite entries")
     norms = _row_norms(v)
-    out = v.copy()
-    mask = norms > radius
-    if mask.any():
-        out[mask] *= (radius / norms[mask])[:, None]
-    return EmbeddingSet(out, radius, clipped=True)
+    # x * 1.0 is x bit for bit, so one pass scales the rows outside the ball
+    # and carries the others over.
+    scale = np.divide(radius, norms, out=np.ones_like(norms), where=norms > radius)
+    return _trusted_set(v * scale[:, None], radius, clipped=True)
+
+
+def _trusted_set(vectors: np.ndarray, clip_radius: float, clipped: bool) -> EmbeddingSet:
+    """An EmbeddingSet over a finite float64 array its caller has just made,
+    with a checked radius and a clipped flag that holds by construction: the
+    shape is checked and the array made read-only, not copied or scanned."""
+    _check_shape(vectors)
+    vectors.flags.writeable = False
+    out = object.__new__(EmbeddingSet)
+    object.__setattr__(out, "vectors", vectors)
+    object.__setattr__(out, "clip_radius", clip_radius)
+    object.__setattr__(out, "clipped", clipped)
+    return out
 
 
 def sample_mean(embeddings: EmbeddingSet) -> np.ndarray:

@@ -8,6 +8,7 @@ import pytest
 from priarta import (
     GAUSSIAN_SAMPLER,
     EmbeddingSet,
+    NumericInputError,
     ParameterError,
     PrivacyBudget,
     apply_gaussian_mechanism,
@@ -120,6 +121,23 @@ def test_mechanism_clears_clipped_flag(rng):
     out = apply_gaussian_mechanism(e, 2.0, 7)
     assert not out.clipped
     assert out.clip_radius == e.clip_radius
+
+
+def test_mechanism_returns_its_own_read_only_noisy_rows(rng):
+    e = clip_to_ball(rng.standard_normal((20, 4)), 1.0)
+    out = apply_gaussian_mechanism(e, 2.0, 7)
+    noise = np.random.Generator(np.random.PCG64(7)).normal(0.0, 2.0, size=(20, 4))
+    assert out.vectors.tobytes() == (e.vectors + noise).tobytes()
+    assert not out.vectors.flags.writeable
+    assert not np.shares_memory(out.vectors, e.vectors)
+
+
+def test_mechanism_rejects_noise_that_overflows(rng):
+    # With sigma = 1e308 some of 800 draws leave the float range.
+    e = clip_to_ball(np.full((200, 4), 0.5), 1.0)
+    with pytest.raises(NumericInputError) as info:
+        apply_gaussian_mechanism(e, 1e308, 7)
+    assert str(info.value) == "embedding vectors contain non-finite entries"
 
 
 def test_mechanism_noise_statistics(rng):

@@ -2,11 +2,13 @@
 
 import base64
 from collections import Counter
+import dataclasses
 import json
 import logging
 import math
 import socket
 import struct
+import sys
 import threading
 
 import numpy as np
@@ -267,6 +269,79 @@ def test_decode_rejects_unknown_field_on_every_message(msg):
     with pytest.raises(FrameError) as info:
         decode_frame(raw_frame(payload, tail))
     assert info.value.code == "BAD_PAYLOAD"
+
+
+def test_a_frame_without_arrays_is_decoded_once():
+    frame = encode_frame(ModelSpec(SPEC))
+    first = decode_frame(frame)
+    assert decode_frame(frame) is first
+    assert decode_frame(bytearray(frame)) is first
+    assert decode_frame(memoryview(frame)) is first
+
+
+@pytest.mark.parametrize("msg", [
+    next(msg for msg in ALL_MESSAGES if isinstance(msg, StatsResponse)),
+    ErrorMessage("INTERNAL", "x" * _MAX_REQUEST_BYTES, "sess-0001"),
+], ids=["stats_response", "over_the_request_cap"])
+def test_arrays_and_large_frames_are_decoded_afresh(msg):
+    frame = encode_frame(msg)
+    first, second = decode_frame(frame), decode_frame(frame)
+    assert first == second == msg
+    assert first is not second
+
+
+def test_a_malformed_frame_fails_every_time_and_is_not_kept():
+    protocol._decode_shared.cache_clear()
+    frame = raw_frame({"type": "HELLO", "protocol_version": 0})
+    for _ in range(3):
+        with pytest.raises(FrameError) as info:
+            decode_frame(frame)
+        assert info.value.code == "BAD_PAYLOAD"
+    assert protocol._decode_shared.cache_info().currsize == 0
+
+
+def test_the_decode_cache_stays_within_its_bound():
+    bound = protocol._decode_shared.cache_info().maxsize
+    assert bound <= 64
+    for version in range(1, 1001):
+        decode_frame(encode_frame(Hello(version)))
+    assert protocol._decode_shared.cache_info().currsize <= bound
+
+
+def test_threads_share_the_decode_cache_through_evictions():
+    # More threads than cores, each cycling through more distinct frames than
+    # the cache holds, with a short switch interval: every decode must still
+    # be the message its frame encodes.
+    frames = [(Hello(version), encode_frame(Hello(version))) for version in range(1, 201)]
+    wrong = []
+
+    def work(offset):
+        for i in range(len(frames)):
+            msg, frame = frames[(i + offset) % len(frames)]
+            if decode_frame(frame) != msg:
+                wrong.append(msg)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(17 * k,)) for k in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not wrong
+
+
+def test_a_shared_message_cannot_be_changed():
+    request = decode_frame(encode_frame(make_request()))
+    spec = decode_frame(encode_frame(ModelSpec(SPEC)))
+    for msg, field in ((request, "seed"), (spec, "encoder"), (spec.encoder, "seed"),
+                       (decode_frame(encode_frame(Hello(PROTOCOL_VERSION))), "protocol_version")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(msg, field, 1)
 
 
 def test_round_trip_wide_stats_response(rng):
@@ -885,9 +960,11 @@ def test_orchestrate_fails_only_a_version_1_seller():
 
 @pytest.mark.parametrize("sellers", [3, 12])
 def test_round_cost_per_seller_is_fixed(monkeypatch, sellers):
-    # Each seller costs its own three replies and no more: the buyer encodes
-    # its three requests once a round, no seller rebuilds a dataset for its
-    # subset, and the projection is drawn at most once (by its seed).
+    # Each seller costs its own reply and no more: the buyer encodes its three
+    # requests once a round, every seller acks with the one pre-encoded frame,
+    # each distinct frame without arrays is decoded once (the ack is the
+    # HELLO request's bytes), no seller rebuilds a dataset for its subset, and
+    # the projection is drawn at most once (by its seed).
     nodes = [SellerNode(f"s{i:02d}", raw=make_dataset(seed=20 + i)) for i in range(sellers)]
     buyer_data = make_dataset(seed=10)
     counts = Counter()
@@ -899,6 +976,9 @@ def test_round_cost_per_seller_is_fixed(monkeypatch, sellers):
         return wrapper
 
     monkeypatch.setattr(protocol, "encode_frame", counted("frames", protocol.encode_frame))
+    monkeypatch.setattr(protocol, "_decode_message",
+                        counted("payloads", protocol._decode_message))
+    protocol._decode_shared.cache_clear()
     monkeypatch.setattr(RawDataset, "__post_init__",
                         counted("datasets", RawDataset.__post_init__))
     monkeypatch.setattr(np.random, "PCG64", counted("projections", np.random.PCG64,
@@ -906,7 +986,8 @@ def test_round_cost_per_seller_is_fixed(monkeypatch, sellers):
     _, outcomes = orchestrate_valuation(buyer_data, in_process_endpoints(nodes), SPEC, BUDGET,
                                         master_seed=1000)
     assert not any(o.failed for o in outcomes)
-    assert counts["frames"] == 3 + 3 * sellers
+    assert counts["frames"] == 3 + sellers
+    assert counts["payloads"] == 3 + sellers
     assert counts["datasets"] == 0
     assert counts["projections"] <= 1
 
@@ -1186,6 +1267,41 @@ def test_server_answers_oversized_header_then_closes():
     finally:
         server.shutdown()
         server.server_close()
+
+
+class ResetAfterHeader:
+    """A request socket whose peer sent a 1 MiB length header and then reset
+    the connection (a close with SO_LINGER 0), so the reply cannot be sent."""
+
+    def __init__(self):
+        self.pending = (1 << 20).to_bytes(4, "big")
+        self.replies = 0
+
+    def recv(self, size):
+        chunk, self.pending = self.pending[:size], self.pending[size:]
+        return chunk
+
+    def sendall(self, data):
+        self.replies += 1
+        raise ConnectionResetError(104, "Connection reset by peer")
+
+    def shutdown(self, how):
+        pass
+
+    def close(self):
+        pass
+
+
+def test_server_ends_the_session_quietly_when_a_reset_peer_misses_its_error(caplog):
+    server = SellerServer(("127.0.0.1", 0), SellerNode("sock", raw=make_dataset()))
+    request = ResetAfterHeader()
+    try:
+        with caplog.at_level(logging.DEBUG, logger="priarta"):
+            server.process_request_thread(request, ("127.0.0.1", 9))
+    finally:
+        server.server_close()
+    assert request.replies == 1
+    assert not [r for r in caplog.records if r.levelno >= logging.ERROR]
 
 
 def test_server_answers_version_1_hello():

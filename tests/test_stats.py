@@ -1,5 +1,7 @@
 """Clipping and Gaussian summarization of embedding sets."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,12 +12,14 @@ from priarta import (
     InsufficientSamplesError,
     NumericInputError,
     ParameterError,
+    ShapeError,
     clip_to_ball,
     debias_covariance,
     sample_covariance,
     sample_mean,
     summarize,
 )
+from priarta import stats
 from priarta.stats import CLIP_SLACK, _row_norms
 
 
@@ -88,6 +92,67 @@ def test_clip_rejects_bad_inputs():
         clip_to_ball([[1.0], [2.0]], 0.0)
     with pytest.raises(NumericInputError):
         clip_to_ball([[np.inf], [2.0]], 1.0)
+
+
+CLIP_INPUTS = {
+    "mixed": lambda rng: rng.standard_normal((300, 7)) * 2.0,
+    "all_inside": lambda rng: rng.standard_normal((40, 3)) * 0.01,
+    "all_outside": lambda rng: rng.standard_normal((40, 3)) * 50.0 + 10.0,
+    "zero_rows": lambda rng: np.vstack([np.zeros((3, 5)), rng.standard_normal((4, 5)) * 3.0]),
+    "negative_zero": lambda rng: np.array([[-0.0, 0.5], [-0.0, -0.0], [3.0, -4.0]]),
+    "one_column": lambda rng: rng.standard_normal((9, 1)) * 2.0,
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLIP_INPUTS))
+def test_clip_is_bitwise_the_masked_scale_oracle(rng, name):
+    v = CLIP_INPUTS[name](rng)
+    before = v.copy()
+    n = np.linalg.norm(v, axis=1)[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        expected = np.where(n > 1.0, v * (1.0 / n), v)
+    e = clip_to_ball(v, 1.0)
+    assert e.vectors.dtype == np.float64 and e.vectors.tobytes() == expected.tobytes()
+    assert not e.vectors.flags.writeable
+    assert not np.shares_memory(e.vectors, v)
+    assert v.tobytes() == before.tobytes()
+    assert e.clipped and e.clip_radius == 1.0
+
+
+def test_clip_takes_one_row_norm_pass(monkeypatch, rng):
+    # The set it returns is made from its own checked rows, so nothing
+    # takes the norms of the clipped rows a second time.
+    calls = []
+
+    def counted(v):
+        calls.append(v.shape)
+        return _row_norms(v)
+
+    monkeypatch.setattr(stats, "_row_norms", counted)
+    clip_to_ball(rng.standard_normal((50, 4)) * 3.0, 1.0)
+    assert calls == [(50, 4)]
+
+
+def test_clip_of_zero_rows_raises_no_warning():
+    # Only rows outside the ball are divided by their norm.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        e = clip_to_ball(np.zeros((4, 3)), 1.0)
+    assert e.vectors.tobytes() == np.zeros((4, 3)).tobytes()
+
+
+@pytest.mark.parametrize("vectors, error, text", [
+    (np.empty((0, 3)), EmptyInputError, "embedding set has no rows"),
+    ([[1.0, 2.0]], InsufficientSamplesError, "embedding set needs >= 2 rows, got 1"),
+    (np.empty((3, 0)), ShapeError, "embedding dimension must be >= 1"),
+    ([1.0, 2.0, 3.0], ShapeError, "vectors must be a 2-D matrix, got shape (3,)"),
+    ([[np.nan, 1.0], [0.0, 0.0]], NumericInputError, "vectors contain non-finite entries"),
+    ([[np.inf]], NumericInputError, "vectors contain non-finite entries"),
+], ids=["n0", "n1", "d0", "1d", "nan", "inf_before_count"])
+def test_clip_rejects_what_a_set_rejects(vectors, error, text):
+    with pytest.raises(error) as info:
+        clip_to_ball(vectors, 1.0)
+    assert type(info.value) is error and str(info.value) == text
 
 
 ROW_NORM_INPUTS = {
