@@ -12,10 +12,13 @@ its left argument once, keeps F on that summary, and runs one symmetric
 eigenvalue solve per call. F is the Cholesky factor, or Q sqrt(max(w, 0))
 from an eigendecomposition when Cholesky fails on a singular covariance.
 
-PSD validation likewise tries Cholesky first and eigendecomposes only what it
-cannot factor. Wherever eigenvalues are computed they are clamped:
-floating-point noise routinely produces eigenvalues around -1e-16 on
-matrices that are PSD in exact arithmetic.
+Every eigendecomposition runs through one private routine: numpy's eigh
+(or eigvalsh), in its ascending order, raising ConvergenceError when it
+fails. PSD validation and the W2 factor eigendecompose only what Cholesky
+cannot factor and reject eigenvalues below -PSD_TOL * lambda_max; the
+negatives above that floor are noise, clamped to 0 (psd_clamp rebuilds
+only when one lies below the rounding band -d * eps * lambda_max).
+debias_covariance clamps every negative eigenvalue, since those are real.
 """
 
 from dataclasses import dataclass
@@ -28,19 +31,23 @@ from .errors import (
     ConvergenceError,
     NotPSDError,
     NumericInputError,
+    ParameterError,
     ShapeError,
+    require_float,
     require_int,
 )
 
-__all__ = ["GaussianSummary", "psd_clamp", "symmetrize", "wasserstein2_gaussian"]
+__all__ = [
+    "GaussianSummary", "debias_covariance", "psd_clamp", "symmetrize", "wasserstein2_gaussian",
+]
 
 Array = np.ndarray
 
 # Relative tolerance below which negative eigenvalues are treated as noise
 # and clamped to zero (threshold: -PSD_TOL * lambda_max).
 PSD_TOL = 1e-10
-# Relative residual budget for linear-algebra identities in double precision.
-LIN_TOL = 1e-8
+_EPS = float(np.finfo(float).eps)
+_HALF_MAX = float(np.finfo(float).max) / 2.0
 
 
 def _check_finite(a: Array, name: str) -> Array:
@@ -62,54 +69,37 @@ def symmetrize(a) -> Array:
         raise ShapeError(f"expected a square matrix, got shape {a.shape}")
     if a.shape[0] < 1:
         raise ShapeError("matrix dimension must be >= 1")
-    out = (a + a.T) / 2.0
+    if np.abs(a).max() <= _HALF_MAX:  # no sum A_ij + A_ji can overflow
+        return (a + a.T) / 2.0
+    _check_finite(a, "matrix")
+    with np.errstate(over="ignore"):  # an overflowed sum is rejected below
+        out = (a + a.T) / 2.0
     if not np.isfinite(out).all():
-        _check_finite(a, "matrix")
         raise NumericInputError("matrix entries overflow when symmetrized")
     return out
 
 
-def _sym_eig(a, name: str = "matrix"):
-    """Eigendecomposition of a symmetric matrix.
+def _eigh(sym: Array, name: str, vectors: bool = True, psd: bool = True):
+    """Eigenvalues w of a symmetric matrix, ascending as numpy returns them;
+    with vectors, the pair (w, Q) such that Q @ diag(w) @ Q.T reconstructs it.
 
-    Returns (eigenvalues, eigenvectors) with eigenvalues sorted descending and
-    eigenvector columns orthonormal, so that Q @ diag(w) @ Q.T reconstructs A.
+    A LinAlgError is raised as ConvergenceError. With psd, eigenvalues in
+    [-PSD_TOL * lambda_max, 0) are noise for the caller to clamp, and a lower
+    one raises NotPSDError.
     """
-    a = symmetrize(a)
     try:
-        w, q = np.linalg.eigh(a)
+        out = np.linalg.eigh(sym) if vectors else np.linalg.eigvalsh(sym)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigendecomposition of {name} did not converge: {exc}") from exc
-    return w[::-1].copy(), q[:, ::-1].copy()
-
-
-def _require_psd(lam_min: float, lam_max: float, name: str):
-    """Eigenvalues in [-PSD_TOL * lambda_max, 0) are floating-point noise for
-    the caller to clamp; anything below that threshold raises NotPSDError."""
-    floor = -PSD_TOL * max(lam_max, 0.0)
-    if lam_min < floor:
+    w = out[0] if vectors else out
+    floor = -PSD_TOL * max(float(w[-1]), 0.0)
+    if psd and float(w[0]) < floor:
         raise NotPSDError(
-            f"{name} is not PSD within tolerance: eigenvalue {lam_min:.6e} "
+            f"{name} is not PSD within tolerance: eigenvalue {float(w[0]):.6e} "
             f"is below {floor:.6e}",
-            offending_eigenvalue=lam_min,
+            offending_eigenvalue=float(w[0]),
         )
-
-
-def _clamped_eigh(a: Array, name: str):
-    """Eigendecomposition that rejects genuinely negative eigenvalues."""
-    w, q = _sym_eig(a, name=name)
-    _require_psd(float(w[-1]), float(w[0]), name)
-    return w, q
-
-
-def _clamped_eigvalsh(a: Array, name: str) -> Array:
-    """Eigenvalues of a symmetric PSD matrix, noise negatives clamped to 0."""
-    try:
-        w = np.linalg.eigvalsh(a)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"eigendecomposition of {name} did not converge: {exc}") from exc
-    _require_psd(float(w[0]), float(w[-1]), name)
-    return np.maximum(w, 0.0)
+    return out
 
 
 def _clamp_reconstruct(w: Array, q: Array) -> Array:
@@ -118,29 +108,30 @@ def _clamp_reconstruct(w: Array, q: Array) -> Array:
     return symmetrize((q * np.maximum(w, 0.0)) @ q.T)
 
 
-def _cholesky(sym: Array):
-    """Lower Cholesky factor of a symmetric matrix, or None when it is not
-    numerically positive definite."""
+def _cholesky_else_eigh(sym: Array, name: str):
+    """(L, None, None) with L the lower Cholesky factor of a symmetric matrix,
+    or (None, w, Q) from its PSD-checked eigh when Cholesky fails."""
     try:
-        return np.linalg.cholesky(sym)
+        return np.linalg.cholesky(sym), None, None
     except np.linalg.LinAlgError:
-        return None
+        return None, *_eigh(sym, name)
 
 
 def psd_clamp(a, name: str = "matrix") -> Array:
     """Project a nearly-PSD symmetric matrix onto the PSD cone.
 
     Rejects matrices whose most negative eigenvalue exceeds the noise
-    tolerance rather than silently repairing them.  Already-PSD input (one
-    that Cholesky factors, or whose eigenvalues are all >= 0) is returned
-    symmetrized but not eigen-reconstructed, so clamping is idempotent at
-    the bit level and summaries survive wire round-trips unchanged.
+    tolerance rather than silently repairing them. Input that Cholesky
+    factors, or whose eigenvalues are all >= -d * eps * lambda_max, is
+    returned symmetrized but not rebuilt: eigenvalues that close to 0 are
+    the rounding of eigh itself, and a rebuilt matrix carries the same.
+    Only lower noise negatives are clamped to 0 and the matrix rebuilt, so
+    clamping is idempotent at the bit level and summaries survive wire
+    round-trips unchanged.
     """
     sym = symmetrize(a)
-    if _cholesky(sym) is not None:
-        return sym
-    w, q = _clamped_eigh(sym, name)
-    if float(w[-1]) >= 0.0:
+    _, w, q = _cholesky_else_eigh(sym, name)
+    if w is None or float(w[0]) >= -sym.shape[0] * _EPS * float(w[-1]):
         return sym
     return _clamp_reconstruct(w, q)
 
@@ -181,12 +172,33 @@ class GaussianSummary:
     def _covariance_factor(self) -> Array:
         """F with covariance ~= F @ F.T, made on first use as the left
         argument of W2 scoring; only the buyer's summary ever holds one."""
-        factor = _cholesky(self.covariance)
+        factor, w, q = _cholesky_else_eigh(self.covariance, "covariance of a")
         if factor is None:
-            w, q = _clamped_eigh(self.covariance, "covariance of a")
             factor = q * np.sqrt(np.maximum(w, 0.0))
         factor.flags.writeable = False
         return factor
+
+
+def debias_covariance(summary: GaussianSummary, sigma: float) -> GaussianSummary:
+    """Remove the systematic sigma^2 * I inflation a noisy covariance carries.
+
+    The result is clamped back onto the PSD cone (every negative eigenvalue
+    goes to 0, none is rejected); mean and count pass through.
+    Off by default in the pipeline: the noisy covariance is normally used
+    as-is, this correction exists for buyers who want the inflation removed.
+    """
+    sigma = require_float(sigma, "sigma")
+    if sigma < 0.0:
+        raise ParameterError(f"sigma must be a nonnegative real, got {sigma}")
+    if sigma == 0.0:
+        return summary
+    try:
+        variance = sigma**2
+    except OverflowError as exc:
+        raise ParameterError(f"sigma^2 is not finite for sigma = {sigma!r}") from exc
+    shifted = summary.covariance - variance * np.eye(summary.dim)
+    w, q = _eigh(shifted, "debiased covariance", psd=False)
+    return GaussianSummary(summary.mean, _clamp_reconstruct(w, q), summary.count)
 
 
 def wasserstein2_gaussian(a: GaussianSummary, b: GaussianSummary) -> float:
@@ -207,7 +219,7 @@ def wasserstein2_gaussian(a: GaussianSummary, b: GaussianSummary) -> float:
         return 0.0
     factor = a._covariance_factor
     inner = symmetrize(factor.T @ b.covariance @ factor)
-    eigenvalues = _clamped_eigvalsh(inner, "cross-covariance term")
+    eigenvalues = np.maximum(_eigh(inner, "cross-covariance term", vectors=False), 0.0)
     diff = a.mean - b.mean
     squared = (
         float(diff @ diff)

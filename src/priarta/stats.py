@@ -14,11 +14,10 @@ from .errors import (
     require_bool,
     require_float,
 )
-from .gaussian_geometry import GaussianSummary, _clamp_reconstruct, symmetrize
+from .gaussian_geometry import GaussianSummary, symmetrize
 
 __all__ = [
-    "EmbeddingSet", "clip_to_ball", "debias_covariance", "sample_covariance",
-    "sample_mean", "summarize",
+    "EmbeddingSet", "clip_to_ball", "sample_covariance", "sample_mean", "summarize",
 ]
 
 # Slack on the row-norm invariant of clipped sets: x * (R / ||x||) can land a
@@ -37,7 +36,8 @@ def _check_radius(radius) -> float:
 def _row_norms(v: np.ndarray) -> np.ndarray:
     """The l2 norm of each row of a real 2-D array: bit for bit what
     np.linalg.norm(v, axis=1) computes, without its dispatch."""
-    return np.sqrt(np.add.reduce(v * v, axis=1))
+    with np.errstate(over="ignore"):  # a norm past the float range reads inf
+        return np.sqrt(np.add.reduce(v * v, axis=1))
 
 
 def _check_shape(v: np.ndarray):
@@ -107,7 +107,12 @@ def clip_to_ball(vectors, radius: float) -> EmbeddingSet:
     # x * 1.0 is x bit for bit, so one pass scales the rows outside the ball
     # and carries the others over.
     scale = np.divide(radius, norms, out=np.ones_like(norms), where=norms > radius)
-    return _trusted_set(v * scale[:, None], radius, clipped=True)
+    out = v * scale[:, None]
+    big = np.isinf(norms)
+    if big.any():  # v * v overflowed: take these rows' norms at max |x| = 1
+        unit = v[big] / np.abs(v[big]).max(axis=1)[:, None]
+        out[big] = unit * (radius / _row_norms(unit))[:, None]
+    return _trusted_set(out, radius, clipped=True)
 
 
 def _trusted_set(vectors: np.ndarray, clip_radius: float, clipped: bool) -> EmbeddingSet:
@@ -132,16 +137,17 @@ def sample_mean(embeddings: EmbeddingSet) -> np.ndarray:
 
 def sample_covariance(embeddings: EmbeddingSet) -> np.ndarray:
     """Unbiased sample covariance with the 1/(n-1) normalizer."""
-    return _covariance_about(embeddings, embeddings.vectors.mean(axis=0))
+    return symmetrize(_covariance_about(embeddings, embeddings.vectors.mean(axis=0)))
 
 
 def _covariance_about(embeddings: EmbeddingSet, mean: np.ndarray) -> np.ndarray:
-    """sample_covariance, centered on the rows' mean computed by the caller."""
+    """sample_covariance before its symmetrize, centered on the rows' mean
+    computed by the caller; GaussianSummary symmetrizes on construction."""
     n = embeddings.count
     if n < 2:
         raise InsufficientSamplesError(f"covariance needs >= 2 rows, got {n}")
     centered = embeddings.vectors - mean
-    return symmetrize(centered.T @ centered / (n - 1))
+    return centered.T @ centered / (n - 1)
 
 
 def summarize(embeddings: EmbeddingSet) -> GaussianSummary:
@@ -152,25 +158,3 @@ def summarize(embeddings: EmbeddingSet) -> GaussianSummary:
         covariance=_covariance_about(embeddings, mean),
         count=embeddings.count,
     )
-
-
-def debias_covariance(summary: GaussianSummary, sigma: float) -> GaussianSummary:
-    """Remove the systematic sigma^2 * I inflation a noisy covariance carries.
-
-    The result is clamped back onto the PSD cone (every negative eigenvalue
-    goes to 0, none is rejected); mean and count pass through.
-    Off by default in the pipeline: the noisy covariance is normally used
-    as-is, this correction exists for buyers who want the inflation removed.
-    """
-    sigma = require_float(sigma, "sigma")
-    if sigma < 0.0:
-        raise ParameterError(f"sigma must be a nonnegative real, got {sigma}")
-    if sigma == 0.0:
-        return summary
-    try:
-        variance = sigma**2
-    except OverflowError as exc:
-        raise ParameterError(f"sigma^2 is not finite for sigma = {sigma!r}") from exc
-    shifted = summary.covariance - variance * np.eye(summary.dim)
-    w, q = np.linalg.eigh(shifted)
-    return GaussianSummary(summary.mean, _clamp_reconstruct(w, q), summary.count)

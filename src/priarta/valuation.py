@@ -23,7 +23,7 @@ from .errors import (
     require_str,
 )
 from .fileio import dumps_json, load_json, save_json
-from .gaussian_geometry import GaussianSummary, wasserstein2_gaussian
+from .gaussian_geometry import GaussianSummary, debias_covariance, wasserstein2_gaussian
 from .privacy import GAUSSIAN_SAMPLER, PrivacyBudget
 from .protocol import (
     PROTOCOL_VERSION,
@@ -36,7 +36,6 @@ from .protocol import (
     stats_request_seed,
 )
 from .scenario import BUYER_ID, ScenarioConfig, build_datasets
-from .stats import debias_covariance
 
 __all__ = [
     "RobustnessEntry", "SellerScore", "ValuationReport", "build_report",

@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg
 
 from priarta import (
+    ConvergenceError,
     GaussianSummary,
     NotPSDError,
     NumericInputError,
@@ -15,9 +16,12 @@ from priarta import (
     symmetrize,
     wasserstein2_gaussian,
 )
-from priarta.gaussian_geometry import LIN_TOL, _sym_eig
+from priarta.gaussian_geometry import _eigh
 
 from conftest import random_psd, random_summary
+
+# Relative residual budget for linear-algebra identities in double precision.
+LIN_TOL = 1e-8
 
 
 # ---------------------------------------------------------------- symmetrize
@@ -41,13 +45,14 @@ SYMMETRIZE_EDGES = {
     "1e308-diagonal": 1e308 * np.eye(2),
     "8.9e307-diagonal": 8.9e307 * np.eye(3),
     "max-pair": np.array([[0.0, BIG], [BIG, 0.0]]),
+    "half-max-pair": np.array([[0.0, BIG / 2.0], [BIG / 2.0, 0.0]]),
+    "above-half-max-pair": np.array([[0.0, np.nextafter(BIG / 2.0, BIG)], [BIG / 2.0, 0.0]]),
     "max-opposite-signs": np.array([[0.0, BIG], [-BIG, 0.0]]),
     "max-one-side": np.array([[1.0, BIG], [0.0, 1.0]]),
     "1e308-pair": np.array([[1.0, 1e308], [1e308, 1.0]]),
 }
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 @pytest.mark.parametrize("name", sorted(SYMMETRIZE_EDGES))
 def test_symmetrize_raises_exactly_when_the_result_overflows(name):
     a = SYMMETRIZE_EDGES[name]
@@ -60,53 +65,59 @@ def test_symmetrize_raises_exactly_when_the_result_overflows(name):
             symmetrize(a)
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_summary_rejects_a_covariance_that_overflows():
     with pytest.raises(NumericInputError):
         GaussianSummary(np.zeros(2), 1e308 * np.eye(2), 8)
 
 
-# ------------------------------------------------------------------- sym_eig
+# ---------------------------------------------------------------------- eigh
 
 
-def test_sym_eig_identity():
-    values, vectors = _sym_eig(np.eye(2))
+def test_eigh_identity():
+    values, vectors = _eigh(np.eye(2), "matrix")
     np.testing.assert_allclose(values, [1.0, 1.0])
     np.testing.assert_allclose(vectors @ vectors.T, np.eye(2), atol=1e-14)
 
 
-def test_sym_eig_diagonal():
-    values, vectors = _sym_eig(np.diag([4.0, 1.0]))
-    np.testing.assert_allclose(values, [4.0, 1.0])
+def test_eigh_diagonal():
+    values, vectors = _eigh(np.diag([4.0, 1.0]), "matrix")
+    np.testing.assert_allclose(values, [1.0, 4.0])
     # axis-aligned eigenvectors up to sign
-    np.testing.assert_allclose(np.abs(vectors), np.eye(2), atol=1e-14)
+    np.testing.assert_allclose(np.abs(vectors), np.eye(2)[:, ::-1], atol=1e-14)
 
 
-def test_sym_eig_hand_case():
-    # characteristic polynomial x^2 - 4x + 3 has roots 3 and 1
+def test_eigh_hand_case():
+    # characteristic polynomial x^2 - 4x + 3 has roots 1 and 3
     a = np.array([[2.0, 1.0], [1.0, 2.0]])
-    values, vectors = _sym_eig(a)
-    np.testing.assert_allclose(values, [3.0, 1.0], rtol=1e-12)
+    values, vectors = _eigh(a, "matrix")
+    np.testing.assert_allclose(values, [1.0, 3.0], rtol=1e-12)
     recon = (vectors * values) @ vectors.T
     assert np.linalg.norm(recon - a) <= LIN_TOL * max(1.0, np.linalg.norm(a))
 
 
-def test_sym_eig_descending_and_orthonormal(rng):
+def test_eigh_ascending_and_orthonormal(rng):
     for dim in (1, 3, 8, 32):
         a = symmetrize(rng.standard_normal((dim, dim)))
-        values, vectors = _sym_eig(a)
-        assert np.all(np.diff(values) <= 0)
+        values, vectors = _eigh(a, "matrix", psd=False)
+        assert np.all(np.diff(values) >= 0)
         gram = vectors.T @ vectors
         assert np.linalg.norm(gram - np.eye(dim)) <= LIN_TOL
         recon = (vectors * values) @ vectors.T
         assert np.linalg.norm(recon - a) <= LIN_TOL * max(1.0, np.linalg.norm(a))
 
 
-def test_sym_eig_rejects_nonfinite():
-    with pytest.raises(NumericInputError):
-        _sym_eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
-    with pytest.raises(NumericInputError):
-        _sym_eig(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+def test_eigh_failure_is_a_convergence_error(monkeypatch):
+    def no_convergence(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
+    with pytest.raises(ConvergenceError, match="eigendecomposition of covariance did not"):
+        psd_clamp(np.diag([1.0, -1e-14]), name="covariance")
+    a = GaussianSummary(np.zeros(2), np.eye(2), 5)
+    b = GaussianSummary(np.ones(2), np.eye(2), 5)
+    with pytest.raises(ConvergenceError, match="of cross-covariance term did not"):
+        wasserstein2_gaussian(a, b)
 
 
 # ----------------------------------------------------------------- psd_clamp
@@ -115,14 +126,22 @@ def test_sym_eig_rejects_nonfinite():
 def test_psd_clamp_zeroes_tiny_negatives():
     a = np.diag([1.0, -1e-14])
     out = psd_clamp(a)
-    values, _ = _sym_eig(out)
-    assert np.all(values >= 0.0)
+    assert np.all(np.linalg.eigvalsh(out) >= 0.0)
 
 
 def test_psd_clamp_rejects_genuine_negatives():
     with pytest.raises(NotPSDError) as info:
         psd_clamp(np.diag([1.0, -0.5]))
     assert info.value.offending_eigenvalue == pytest.approx(-0.5)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_psd_clamp_and_summary_reject_nonfinite(bad):
+    a = np.array([[bad, 0.0], [0.0, 1.0]])
+    with pytest.raises(NumericInputError):
+        psd_clamp(a)
+    with pytest.raises(NumericInputError):
+        GaussianSummary(np.zeros(2), a, 5)
 
 
 # ----------------------------------------------------------- GaussianSummary
@@ -256,13 +275,12 @@ def test_w2_dim_mismatch():
 
 def eigen_path_psd_clamp(a, name="matrix"):
     """psd_clamp as it was before Cholesky-first validation: every input is
-    eigendecomposed (descending order), noise negatives are clamped and the
+    eigendecomposed (ascending order), noise negatives are clamped and the
     matrix rebuilt, anything below -1e-10 * lambda_max is rejected."""
     sym = (a + a.T) / 2.0
     w, q = np.linalg.eigh(sym)
-    w, q = w[::-1].copy(), q[:, ::-1].copy()
-    floor = -1e-10 * max(float(w[0]), 0.0)
-    lam_min = float(w[-1])
+    floor = -1e-10 * max(float(w[-1]), 0.0)
+    lam_min = float(w[0])
     if lam_min < floor:
         raise NotPSDError(
             f"{name} is not PSD within tolerance: eigenvalue {lam_min:.6e} "
@@ -297,6 +315,20 @@ def test_psd_clamp_bit_equal_to_eigen_path(rng):
     # the tiny-negative inputs really took the clamp-and-rebuild branch
     for a in tiny_negative:
         assert psd_clamp(a).tobytes() != ((a + a.T) / 2.0).tobytes()
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5, 16, 64])
+def test_psd_clamp_of_a_clamped_matrix_is_the_same_bits(rng, dim):
+    # A rebuilt matrix is singular; eigh of it reports negatives of rounding
+    # size, and those must not send it through a second rebuild.
+    for _ in range(40):
+        k = int(rng.integers(1, dim))
+        positive = rng.uniform(0.01, 3.0, dim - k) * 10.0 ** rng.uniform(-3.0, 3.0)
+        negative = -rng.uniform(0.1, 1.0, k) * 10.0 ** rng.uniform(-13.0, -10.5) * positive.max()
+        a = with_spectrum(rng, np.r_[positive, negative])
+        got = psd_clamp(a)
+        assert got.tobytes() != ((a + a.T) / 2.0).tobytes()  # rebuilt
+        assert psd_clamp(got).tobytes() == got.tobytes()
 
 
 def test_psd_clamp_rejects_like_eigen_path(rng):

@@ -1,8 +1,10 @@
 """The package's public surface: each module's own __all__, re-exported."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import priarta
 
@@ -37,3 +39,46 @@ def test_internal_numerics_are_not_exported():
     for name in ("sqrtm_psd", "sym_eig"):
         assert name not in priarta.__all__
         assert not hasattr(priarta, name)
+
+
+def linalg_uses(path):
+    """(line, code) of each use of a linalg module in a source file: each
+    import of one, and each expression that reads one (np.linalg.eigh(a),
+    scipy.linalg.sqrtm(a), la = np.linalg), bar the vector norm np.linalg.norm."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            modules = [getattr(node, "module", None) or ""] + [a.name for a in node.names]
+            if any("linalg" in m.split(".") for m in modules):
+                yield node.lineno, ast.unparse(node)
+        elif isinstance(node, ast.Attribute) and node.attr == "linalg":
+            member = parents[node]
+            if not (isinstance(member, ast.Attribute) and member.attr == "norm"
+                    and ast.unparse(node) in ("np.linalg", "numpy.linalg")):
+                yield node.lineno, ast.unparse(member)
+
+
+def test_only_gaussian_geometry_decomposes_matrices():
+    package = Path(priarta.__file__).parent
+    found = [f"{path.name}:{line} {code}"
+             for path in sorted(package.glob("*.py")) if path.stem != "gaussian_geometry"
+             for line, code in linalg_uses(path)]
+    assert found == []
+    owner = [code for _, code in linalg_uses(package / "gaussian_geometry.py")]
+    assert [code for code in owner if code.startswith("np.linalg.eigh")] == ["np.linalg.eigh"]
+
+
+def test_the_linalg_scan_sees_imports_aliases_and_scipy(tmp_path):
+    source = tmp_path / "module.py"
+    source.write_text(
+        "import numpy as np\n"
+        "from numpy.linalg import eigh\n"
+        "from scipy import linalg\n"
+        "import scipy.linalg\n"
+        "la = np.linalg\n"
+        "w = scipy.linalg.eigh(a)\n"
+        "v = np.linalg.svd(a)\n"
+        "n = np.linalg.norm(a, axis=1)\n"
+    )
+    assert sorted(line for line, _ in linalg_uses(source)) == [2, 3, 4, 5, 6, 7]

@@ -141,6 +141,20 @@ def test_clip_of_zero_rows_raises_no_warning():
     assert e.vectors.tobytes() == np.zeros((4, 3)).tobytes()
 
 
+def test_clip_puts_a_row_whose_norm_overflows_on_the_sphere():
+    # 1e200 squared overflows, so its row norm reads inf; the row must still
+    # land on the sphere with its direction kept, not collapse to zero.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        e = clip_to_ball([[1e200, 0.0], [0.0, 0.5]], 1.0)
+        big = clip_to_ball([[1e308, -1e308, 3.0], [0.1, 0.2, 0.3]], 2.0)
+    np.testing.assert_allclose(e.vectors, [[1.0, 0.0], [0.0, 0.5]], rtol=0.0, atol=CLIP_SLACK)
+    assert e.vectors[1].tobytes() == np.array([0.0, 0.5]).tobytes()
+    root = 2.0 / np.sqrt(2.0)
+    np.testing.assert_allclose(big.vectors[0], [root, -root, 0.0], rtol=0.0, atol=2 * CLIP_SLACK)
+    assert big.vectors[1].tobytes() == np.array([0.1, 0.2, 0.3]).tobytes()
+
+
 @pytest.mark.parametrize("vectors, error, text", [
     (np.empty((0, 3)), EmptyInputError, "embedding set has no rows"),
     ([[1.0, 2.0]], InsufficientSamplesError, "embedding set needs >= 2 rows, got 1"),

@@ -2,13 +2,17 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from priarta import (
+    EmbeddingSet,
     EmptyInputError,
+    EncoderSpec,
     FileFormatError,
     GaussianSummary,
     NoCandidatesError,
     NumericInputError,
+    PrivacyBudget,
     RobustnessEntry,
     SellerScore,
     ValuationReport,
@@ -378,7 +382,6 @@ FORGED_REPLIES = {
 }
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow inside the forged covariance
 @pytest.mark.parametrize("name", sorted(FORGED_REPLIES))
 def test_one_hostile_seller_fails_alone(name):
     forged, debias, reason = FORGED_REPLIES[name]
@@ -401,3 +404,91 @@ def test_one_hostile_seller_fails_alone(name):
     assert report.entry("mallory").failure_reason.startswith(reason)
     assert tuple(e for e in report.entries if e.node_id != "mallory") == honest.entries
     assert report.ranking == honest.ranking
+
+
+# ------------------------------------------------------ rank-deficient rounds
+
+
+def rank_deficient_round(rng, dim=64, subset=32, buyer_rows=48, seller_rows=96, sellers=4):
+    """A buyer and sellers of pre-encoded rows whose summaries are all
+    singular: 48 buyer rows and 32-row seller subsets in d = 64."""
+
+    def party(rows):
+        mean = rng.normal(0.0, 0.3 / np.sqrt(dim), dim)
+        mix = rng.standard_normal((dim, dim)) * (rng.uniform(0.6, 1.2) / dim)
+        return EmbeddingSet(mean + rng.standard_normal((rows, dim)) @ mix, 1.0, clipped=False)
+
+    buyer = party(buyer_rows)
+    nodes = [SellerNode(f"seller-{i}", embeddings=party(seller_rows)) for i in range(sellers)]
+    spec = EncoderSpec("external", 5, dim, dim, dim, 0.0)
+    return buyer, nodes, spec, PrivacyBudget(0.8, 1e-5, 1.0, subset)
+
+
+def w2_squared_sqrtm(buyer_cov, buyer_mean, cov, mean):
+    """(W2^2, scale) through scipy's Schur-based matrix square root."""
+    root = np.real(scipy.linalg.sqrtm(buyer_cov))
+    cross = np.real(scipy.linalg.sqrtm(root @ cov @ root))
+    diff = buyer_mean - mean
+    scale = float(diff @ diff) + float(np.trace(buyer_cov)) + float(np.trace(cov))
+    return scale - 2.0 * float(np.trace(cross)), scale
+
+
+@pytest.mark.parametrize("debias", [False, True])
+def test_rank_deficient_round_matches_the_scipy_oracle(monkeypatch, rng, debias):
+    buyer_data, nodes, spec, budget = rank_deficient_round(rng)
+    buyer, outcomes = orchestrate_valuation(buyer_data, in_process_endpoints(nodes), spec,
+                                            budget, master_seed=3)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(buyer.covariance)
+    seen = []
+    eigh = np.linalg.eigh
+
+    def recorded(a):
+        w, q = eigh(a)
+        seen.append((a.tobytes(), float(w[0]), float(w[-1])))
+        return w, q
+
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    report = run_valuation(buyer_data, in_process_endpoints(nodes), spec, budget,
+                           master_seed=3, debias=debias)
+    monkeypatch.undo()
+    # Each seller covariance is eigendecomposed on the seller and again, with
+    # the same bits, after decoding; the buyer's in its summary and for its W2
+    # factor. Their negative eigenvalues are rounding, inside psd_clamp's band
+    # of d * eps * lambda_max, so none is rebuilt. Debias adds the eigh of
+    # each shifted covariance and the clamp of its result.
+    per_seller = 4 if debias else 2
+    assert len(seen) == 2 + per_seller * len(nodes)
+    for cov in [buyer.covariance] + [o.summary.covariance for o in outcomes]:
+        calls = [(low, high) for bits, low, high in seen if bits == cov.tobytes()]
+        assert len(calls) == 2
+        low, high = calls[0]
+        assert -len(cov) * np.finfo(float).eps * high <= low < 0.0
+    assert not report.degenerate_normalization and len(report.ranking) == len(nodes)
+    for o in outcomes:
+        cov = o.summary.covariance
+        if debias:
+            w, q = scipy.linalg.eigh(cov - o.sigma_used**2 * np.eye(len(cov)))
+            cov = (q * np.maximum(w, 0.0)) @ q.T
+        expected, scale = w2_squared_sqrtm(buyer.covariance, buyer.mean, cov, o.summary.mean)
+        assert abs(report.entry(o.node_id).raw_w2**2 - expected) <= 1e-8 * scale
+    again = run_valuation(buyer_data, in_process_endpoints(nodes), spec, budget,
+                          master_seed=3, debias=debias)
+    assert dumps_report(again) == dumps_report(report)
+
+
+def test_a_debias_decomposition_that_fails_fails_only_its_seller(monkeypatch):
+    config = default_scenario(7)
+    datasets = build_datasets(config)
+    nodes = [SellerNode(nid, raw=datasets[nid]) for nid in config.seller_ids()]
+
+    def no_convergence(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+    report = run_valuation(datasets[BUYER_ID], in_process_endpoints(nodes), config.encoder,
+                           config.budget, master_seed=7, debias=True)
+    assert len(report.entries) == len(nodes) and report.ranking == ()
+    for entry in report.entries:
+        assert entry.failed
+        assert entry.failure_reason.startswith("debias failed: ConvergenceError")
