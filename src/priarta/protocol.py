@@ -37,7 +37,7 @@ import struct
 
 import numpy as np
 
-from .encoder import EncoderSpec, RawDataset, _project, encode
+from .encoder import EncoderSpec, RawDataset, _project
 from .errors import (
     FrameError,
     InsufficientSamplesError,
@@ -66,8 +66,8 @@ __all__ = [
     "SellerServer", "SellerSession", "SocketChannel", "StatsRequest",
     "StatsResponse", "buyer_summary", "decode_frame", "encode_frame",
     "expand_covariance", "in_process_endpoints", "node_seeds",
-    "orchestrate_valuation", "pack_covariance", "sample_subset",
-    "seller_pipeline", "socket_endpoints",
+    "orchestrate_valuation", "pack_covariance", "seller_pipeline",
+    "socket_endpoints",
 ]
 
 log = logging.getLogger("priarta.protocol")
@@ -388,12 +388,6 @@ def _subset_indices(count: int, m_tilde: int, seed: int) -> np.ndarray:
     return rng.choice(count, size=m_tilde, replace=False)
 
 
-def sample_subset(data: RawDataset, m_tilde: int, seed: int) -> RawDataset:
-    """Uniform sample of m_tilde rows without replacement, labels carried."""
-    idx = _subset_indices(data.count, m_tilde, seed)
-    return RawDataset(data.points[idx], data.labels[idx], data.class_probs)
-
-
 @dataclass
 class SellerNode:
     """One seller: a raw dataset (encoded on request) or pre-encoded
@@ -415,53 +409,56 @@ class SellerNode:
         return self.raw.count if self.raw is not None else self.embeddings.count
 
 
-def stats_request_seed(master_seed: int) -> int:
-    """The seed a seeded round's STATS_REQUEST carries."""
-    return derive_seed(master_seed, "buyer", "stats-request")
-
-
 def node_seeds(request_seed: int, node_id: str) -> tuple:
-    """Per-node (subset_seed, noise_seed) for a seeded request: every seller
-    mixes its own id into the buyer's seed, so streams never collide."""
+    """Per-party (subset_seed, noise_seed). A seeded request's seed is mixed
+    with the party's own id, so streams never collide; without one (secure
+    mode) both seeds come from OS entropy."""
+    if request_seed is None:
+        return secure_seed(), secure_seed()
     return (
         derive_seed(request_seed, node_id, "subset"),
         derive_seed(request_seed, node_id, "noise"),
     )
 
 
+def _party_summary(data, spec: EncoderSpec, clip_radius: float, rows=None,
+                   sigma: float = None, noise_seed: int = None) -> GaussianSummary:
+    """rows -> encode -> clip -> noise -> summarize, the one pipeline of
+    every party. rows indexes the dataset (None: every row); a sigma of None
+    adds no noise, any other goes to the mechanism, which refuses sigma <= 0."""
+    # The rows of a validated, read-only dataset need no second validation.
+    if isinstance(data, RawDataset):
+        # _project scales in place: give it a fresh copy, never a view.
+        vectors = _project(spec, data.points.copy() if rows is None else data.points[rows])
+    else:
+        vectors = data.vectors if rows is None else data.vectors[rows]
+    prepared = clip_to_ball(vectors, clip_radius)
+    if sigma is not None:
+        prepared = apply_gaussian_mechanism(prepared, sigma, noise_seed)
+    return summarize(prepared)
+
+
 def seller_pipeline(data, spec: EncoderSpec, budget: PrivacyBudget,
                     subset_seed: int, noise_seed: int):
-    """sample -> encode -> clip -> calibrate -> noise -> summarize.
+    """The party pipeline on a seeded uniform subset, always noised.
 
-    Returns (GaussianSummary, NoiseCalibration). The single code path behind
-    both the protocol handler and the robustness harness.
+    Returns (GaussianSummary, NoiseCalibration).
     """
-    # The rows of a validated, read-only dataset need no second validation:
-    # index them once, without building a subset dataset.
-    idx = _subset_indices(data.count, budget.subset_size, subset_seed)
-    if isinstance(data, RawDataset):
-        vectors = _project(spec, data.points[idx])
-    else:
-        vectors = data.vectors[idx]
-    clipped = clip_to_ball(vectors, budget.clip_radius)
+    rows = _subset_indices(data.count, budget.subset_size, subset_seed)
     calibration = calibrate_sigma(budget)
-    noisy = apply_gaussian_mechanism(clipped, calibration.sigma, noise_seed)
-    return summarize(noisy), calibration
+    return (_party_summary(data, spec, budget.clip_radius, rows, calibration.sigma, noise_seed),
+            calibration)
 
 
 def buyer_summary(data, spec: EncoderSpec, clip_radius: float,
                   noise_sigma: float = 0.0, noise_seed: int = None) -> GaussianSummary:
-    """The buyer's own summary over its full dataset: noiseless by default,
-    with optional symmetric noising for ablation."""
-    if isinstance(data, RawDataset):
-        vectors = encode(spec, data)
-    else:
-        vectors = data.vectors
-    prepared = clip_to_ball(vectors, clip_radius)
-    if noise_sigma > 0.0:
-        seed = noise_seed if noise_seed is not None else secure_seed()
-        prepared = apply_gaussian_mechanism(prepared, noise_sigma, seed)
-    return summarize(prepared)
+    """The party pipeline on the buyer's full dataset: noiseless by default,
+    noised for ablation when noise_sigma > 0 (from OS entropy without a
+    noise_seed)."""
+    if not noise_sigma > 0.0:
+        return _party_summary(data, spec, clip_radius)
+    return _party_summary(data, spec, clip_radius, None, noise_sigma,
+                          secure_seed() if noise_seed is None else noise_seed)
 
 
 def _spec_problem(node: SellerNode, spec: EncoderSpec):
@@ -562,10 +559,7 @@ class SellerSession:
                 f"subset of {msg.subset_size} requested, node holds {self.node.count} rows",
                 msg.session_id,
             )
-        if msg.mode == MODE_SEEDED:
-            subset_seed, noise_seed = node_seeds(msg.seed, self.node.node_id)
-        else:
-            subset_seed, noise_seed = secure_seed(), secure_seed()
+        subset_seed, noise_seed = node_seeds(msg.seed, self.node.node_id)
         data = self.node.raw if self.node.raw is not None else self.node.embeddings
         try:
             summary, calibration = seller_pipeline(data, self.spec, budget,
@@ -824,7 +818,7 @@ def orchestrate_valuation(buyer_data, sellers, spec: EncoderSpec, budget: Privac
     if not sellers:
         raise ParameterError("at least one seller endpoint is required")
     if master_seed is not None:
-        seed = stats_request_seed(master_seed)
+        seed = derive_seed(master_seed, "buyer", "stats-request")
         session_id = f"sess-{derive_seed(master_seed, 'buyer', 'session'):016x}"
         mode = MODE_SEEDED
     else:
@@ -841,12 +835,10 @@ def orchestrate_valuation(buyer_data, sellers, spec: EncoderSpec, budget: Privac
     )
     frames = tuple(encode_frame(msg)
                    for msg in (Hello(PROTOCOL_VERSION), ModelSpec(spec), request))
-    noise_sigma = 0.0
-    noise_seed = None
+    noise_sigma, noise_seed = 0.0, None
     if noisy_buyer:
         noise_sigma = calibrate_sigma(budget).sigma
-        if master_seed is not None:
-            noise_seed = derive_seed(seed, "buyer", "noise")
+        noise_seed = node_seeds(seed, "buyer")[1]
 
     buyer = None
     outcomes = []

@@ -25,16 +25,7 @@ from .errors import (
 from .fileio import dumps_json, load_json, save_json
 from .gaussian_geometry import GaussianSummary, debias_covariance, wasserstein2_gaussian
 from .privacy import GAUSSIAN_SAMPLER, PrivacyBudget
-from .protocol import (
-    PROTOCOL_VERSION,
-    SellerNode,
-    buyer_summary,
-    in_process_endpoints,
-    node_seeds,
-    orchestrate_valuation,
-    seller_pipeline,
-    stats_request_seed,
-)
+from .protocol import PROTOCOL_VERSION, SellerNode, in_process_endpoints, orchestrate_valuation
 from .scenario import BUYER_ID, ScenarioConfig, build_datasets
 
 __all__ = [
@@ -293,27 +284,30 @@ def run_valuation_for_config(config: ScenarioConfig, objective: str = "diversify
 
 def robustness_for_config(config: ScenarioConfig) -> list:
     """Baseline-vs-augmented distance deviations for every augmented-copy
-    seller, with the buyer summary and the per-node seeds held identical
-    between the two runs."""
+    seller, in config order. Two seeded in-process rounds serve the copies'
+    node ids, one over each copy's data and one over its source's, so the
+    buyer summary and each copy's seeds are the same in both. A seller that
+    fails either round raises ParameterError."""
+    copies = [s for s in config.sellers if s.kind == "augmented_copy"]
+    if not copies:
+        return []
     datasets = build_datasets(config)
-    budget = config.budget
-    buyer = buyer_summary(datasets[BUYER_ID], config.encoder, budget.clip_radius)
-    request_seed = stats_request_seed(config.master_seed)
-    entries = []
-    for seller in config.sellers:
-        if seller.kind != "augmented_copy":
-            continue
-        subset_seed, noise_seed = node_seeds(request_seed, seller.node_id)
-        augmented, _ = seller_pipeline(
-            datasets[seller.node_id], config.encoder, budget, subset_seed, noise_seed
-        )
-        baseline, _ = seller_pipeline(
-            datasets[seller.source_id], config.encoder, budget, subset_seed, noise_seed
-        )
-        entries.append(
-            RobustnessEntry(seller.node_id, **robustness_report(buyer, baseline, augmented))
-        )
-    return entries
+
+    def summaries(data_id):
+        nodes = [SellerNode(s.node_id, raw=datasets[data_id(s)]) for s in copies]
+        buyer, outcomes = orchestrate_valuation(datasets[BUYER_ID], in_process_endpoints(nodes),
+                                                config.encoder, config.budget,
+                                                master_seed=config.master_seed)
+        for o in outcomes:
+            if o.failed:
+                raise ParameterError(f"seller {o.node_id} failed: {o.failure}")
+        return buyer, {o.node_id: o.summary for o in outcomes}
+
+    buyer, augmented = summaries(lambda s: s.node_id)
+    _, baseline = summaries(lambda s: s.source_id)
+    return [RobustnessEntry(s.node_id, **robustness_report(buyer, baseline[s.node_id],
+                                                          augmented[s.node_id]))
+            for s in copies]
 
 
 def with_robustness(report: ValuationReport, entries) -> ValuationReport:

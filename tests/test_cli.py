@@ -25,6 +25,15 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def package_env():
+    """The environment for a child process that imports the same package as
+    the tests, installed or not."""
+    package_root = str(Path(priarta.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return env
+
+
 def dir_bytes(root):
     return {
         p.relative_to(root).as_posix(): p.read_bytes()
@@ -278,6 +287,29 @@ def test_robustness_without_augmented_sellers_notices(tmp_path, capsys):
     assert "nothing to do" in capsys.readouterr().out
 
 
+def test_robustness_with_a_subset_past_a_sellers_rows_exits_1(tmp_path):
+    cfg = default_scenario(7).to_dict()
+    cfg["subset_size"] = 1_000_000
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps(cfg))
+    report_path = tmp_path / "r.json"
+    report = ('{"degenerate_normalization":false,"entries":[],"objective":"diversify",'
+              '"params_echo":{},"ranking":[],"robustness":null}\n')
+    report_path.write_text(report)
+    env = package_env()
+    done = subprocess.run(
+        [sys.executable, "-m", "priarta.cli", "robustness", "--config", str(config_path),
+         "--output", str(report_path)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 1
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1, done.stderr
+    assert lines[0].startswith("error: ")
+    assert "subset of 1000000 requested" in lines[0]
+    assert report_path.read_text() == report
+
+
 # ------------------------------------------------------------------ network
 
 
@@ -292,10 +324,7 @@ def test_serve_and_value_over_sockets(scenario_dir, tmp_path):
     # the offline route over the same two sellers
     ports = [free_port(), free_port()]
     procs = []
-    # the sellers import the same package as this test, installed or not
-    package_root = str(Path(priarta.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    env = package_env()
     spec = str(scenario_dir / "encoder.json")
     try:
         for i, port in enumerate(ports, start=1):
@@ -327,6 +356,8 @@ def test_serve_and_value_over_sockets(scenario_dir, tmp_path):
             proc.terminate()
         for proc in procs:
             proc.wait(timeout=10)
+            proc.stdout.close()
+            proc.stderr.close()
 
     # offline pass over only those two sellers
     two = tmp_path / "two"
@@ -444,9 +475,7 @@ def test_hostile_value_file_exits_1(scenario_dir, tmp_path, name):
     # a separate process, so that a seller's logged traceback would show too
     bad = tmp_path / name
     bad.write_bytes(HOSTILE_VALUES[name])
-    package_root = str(Path(priarta.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    env = package_env()
     kind = name.rsplit(".", 2)[1]
     for command in VALUE_READING_COMMANDS[kind]:
         argv = [arg.format(bad=bad, scn=scenario_dir, tmp=tmp_path) for arg in command]

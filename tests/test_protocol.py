@@ -41,13 +41,13 @@ from priarta import (
     calibrate_sigma,
     clip_to_ball,
     decode_frame,
+    derive_seed,
     encode,
     encode_frame,
     expand_covariance,
     gen_mixture_dataset,
     orchestrate_valuation,
     pack_covariance,
-    sample_subset,
     seller_pipeline,
     summarize,
 )
@@ -56,6 +56,7 @@ from priarta.protocol import (
     _MAX_REQUEST_BYTES,
     MODE_SECURE,
     MODE_SEEDED,
+    _subset_indices,
     in_process_endpoints,
     node_seeds,
     socket_endpoints,
@@ -627,42 +628,30 @@ def test_expand_rejects_wrong_length():
         expand_covariance((1.0, 2.0), 2)
 
 
-# ------------------------------------------------------------ sample_subset
+# ------------------------------------------------------------ subset draw
 
 
-def test_sample_subset_deterministic():
-    data = make_dataset()
-    a = sample_subset(data, 32, 900)
-    b = sample_subset(data, 32, 900)
-    np.testing.assert_array_equal(a.points, b.points)
-    np.testing.assert_array_equal(a.labels, b.labels)
+def test_subset_draw_deterministic():
+    np.testing.assert_array_equal(_subset_indices(200, 32, 900), _subset_indices(200, 32, 900))
 
 
-def test_sample_subset_draws_without_replacement():
-    data = make_dataset(m=64)
-    sub = sample_subset(data, 64, 1)
-    # all 64 rows present exactly once
-    order = np.lexsort(sub.points.T)
-    base = np.lexsort(data.points.T)
-    np.testing.assert_array_equal(sub.points[order], data.points[base])
+def test_subset_draw_without_replacement():
+    # all 64 rows drawn exactly once
+    np.testing.assert_array_equal(np.sort(_subset_indices(64, 64, 1)), np.arange(64))
 
 
-def test_sample_subset_insufficient():
+def test_seller_pipeline_insufficient_rows():
     data = make_dataset(m=16)
     with pytest.raises(InsufficientSamplesError):
-        sample_subset(data, 17, 1)
+        seller_pipeline(data, SPEC, PrivacyBudget(0.8, 1e-5, 1.0, 17), 1, 2)
 
 
-def test_sample_subset_uniformity():
+def test_subset_draw_uniformity():
     # index frequencies over many seeds stay near uniform
-    data = make_dataset(m=20)
     counts = np.zeros(20)
     trials = 4000
     for seed in range(trials):
-        sub = sample_subset(data, 5, seed)
-        for row in sub.points:
-            idx = int(np.argmin(np.linalg.norm(data.points - row, axis=1)))
-            counts[idx] += 1
+        np.add.at(counts, _subset_indices(20, 5, seed), 1)
     expected = trials * 5 / 20
     # 4 sigma of a binomial around p = 1/4
     bound = 4 * np.sqrt(trials * 5 * (1 / 20) * (19 / 20))
@@ -835,13 +824,14 @@ def test_seller_pipeline_matches_session_reply():
 
 
 def public_stages(data, spec, budget, subset_seed, noise_seed):
-    """Reference for seller_pipeline: its public stages one after another.
-    Embedding rows are drawn as sample_subset draws them."""
+    """Reference for seller_pipeline: numpy's draw of the subset rows, then
+    the public stages one after another."""
+    rng = np.random.Generator(np.random.PCG64(subset_seed))
+    idx = rng.choice(data.count, size=budget.subset_size, replace=False)
     if isinstance(data, RawDataset):
-        vectors = encode(spec, sample_subset(data, budget.subset_size, subset_seed))
+        vectors = encode(spec, RawDataset(data.points[idx], data.labels[idx], data.class_probs))
     else:
-        rng = np.random.Generator(np.random.PCG64(subset_seed))
-        vectors = data.vectors[rng.choice(data.count, size=budget.subset_size, replace=False)]
+        vectors = data.vectors[idx]
     clipped = clip_to_ball(vectors, budget.clip_radius)
     calibration = calibrate_sigma(budget)
     noisy = apply_gaussian_mechanism(clipped, calibration.sigma, noise_seed)
@@ -882,6 +872,60 @@ def test_buyer_summary_noiseless_default():
     np.testing.assert_array_equal(a.mean, b.mean)
     np.testing.assert_array_equal(a.covariance, b.covariance)
     assert a.count == data.count
+
+
+def test_seeded_round_seed_streams():
+    # every seed of a seeded round, rebuilt from derive_seed and numpy alone
+    master = 1000
+    nodes = [SellerNode("alpha", raw=make_dataset(seed=11)),
+             SellerNode("beta", raw=make_dataset(seed=12))]
+    channels = []
+    endpoints = [(node_id, kept(connect, channels))
+                 for node_id, connect in in_process_endpoints(nodes)]
+    buyer_data = make_dataset(seed=10)
+    buyer, outcomes = orchestrate_valuation(buyer_data, endpoints, SPEC, BUDGET,
+                                            master_seed=master, noisy_buyer=True)
+    request_seed = derive_seed(master, "buyer", "stats-request")
+    for channel in channels:
+        kind, frame = channel.transcript[2]
+        assert kind == "send" and decode_frame(frame).seed == request_seed
+    for node, outcome in zip(nodes, outcomes):
+        assert outcome.node_id == node.node_id
+        expected, _ = public_stages(node.raw, SPEC, BUDGET,
+                                    derive_seed(request_seed, node.node_id, "subset"),
+                                    derive_seed(request_seed, node.node_id, "noise"))
+        assert outcome.summary.mean.tobytes() == expected.mean.tobytes()
+        assert outcome.summary.covariance.tobytes() == expected.covariance.tobytes()
+    clipped = clip_to_ball(encode(SPEC, buyer_data), BUDGET.clip_radius)
+    expected = summarize(apply_gaussian_mechanism(clipped, calibrate_sigma(BUDGET).sigma,
+                                                  derive_seed(request_seed, "buyer", "noise")))
+    assert buyer.mean.tobytes() == expected.mean.tobytes()
+    assert buyer.covariance.tobytes() == expected.covariance.tobytes()
+
+
+def test_secure_sessions_draw_different_seeds(monkeypatch):
+    seeds = []
+    pipeline = protocol.seller_pipeline
+
+    def recorded(data, spec, budget, subset_seed, noise_seed):
+        seeds.extend((subset_seed, noise_seed))
+        return pipeline(data, spec, budget, subset_seed, noise_seed)
+
+    monkeypatch.setattr(protocol, "seller_pipeline", recorded)
+    request = encode_frame(make_request(mode=MODE_SECURE, seed=None))
+    for _ in range(2):
+        assert isinstance(decode_frame(ready_session().handle_bytes(request)), StatsResponse)
+    assert len(seeds) == len(set(seeds)) == 4
+
+
+def test_seller_never_releases_an_unnoised_summary():
+    # a clip radius whose R^2 underflows calibrates sigma to 0; the seller
+    # refuses instead of skipping the noise
+    with pytest.warns(UserWarning, match="mean sensitivity"):
+        reply = decode_frame(ready_session().handle_bytes(
+            encode_frame(make_request(clip_radius=1e-200))))
+    assert isinstance(reply, ErrorMessage)
+    assert "sigma must be a positive real" in reply.message
 
 
 # ---------------------------------------------------------- orchestration

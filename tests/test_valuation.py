@@ -39,8 +39,13 @@ from priarta.protocol import (
     orchestrate_valuation,
     pack_covariance,
 )
-from priarta.scenario import BUYER_ID, build_datasets, default_scenario
-from priarta.valuation import dumps_report, run_valuation, with_robustness
+from priarta.scenario import BUYER_ID, ScenarioConfig, build_datasets, default_scenario
+from priarta.valuation import (
+    dumps_report,
+    robustness_for_config,
+    run_valuation,
+    with_robustness,
+)
 
 from conftest import random_summary
 
@@ -158,6 +163,23 @@ def test_robustness_deviation_is_absolute(rng):
     aug = random_summary(rng, 4)
     out = robustness_report(buyer, base, aug)
     assert out["deviation"] == abs(out["baseline_w2"] - out["augmented_w2"])
+
+
+def test_robustness_entries_follow_config_order():
+    # node ids sort as seller-10 < seller-3 < seller-9; entries keep the
+    # order of config.sellers
+    cfg = default_scenario(7).to_dict()
+    aug = cfg["sellers"][2]["augmentation"]
+    cfg["sellers"] += [
+        {"node_id": "seller-9", "kind": "augmented_copy", "source_id": "seller-1",
+         "augmentation": dict(aug)},
+        {"node_id": "seller-10", "kind": "augmented_copy", "source_id": BUYER_ID,
+         "augmentation": dict(aug)},
+    ]
+    entries = robustness_for_config(ScenarioConfig.from_dict(cfg))
+    assert [e.node_id for e in entries] == [f"seller-{i}" for i in (3, 4, 5, 6, 7, 9, 10)]
+    # leakage_alpha = 0: augmenting the nuisance block moves no distance
+    assert all(e.deviation == 0.0 for e in entries)
 
 
 # ------------------------------------------------------------ build_report
