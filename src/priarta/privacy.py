@@ -10,7 +10,8 @@ covariance sensitivity
 
 for vectors clipped to the l2 ball of radius R. For R >= 1/2 the covariance
 sensitivity dominates the mean sensitivity; when it does not, calibration
-emits a warning instead of silently changing the formula.
+emits a warning instead of silently changing the formula. A budget whose
+sigma is not a positive finite float is refused when it is made.
 
 Determinism note: fixed seeds exist for tests and replay and VOID the privacy
 guarantee in deployment; secure mode draws seeds from OS entropy instead.
@@ -60,6 +61,12 @@ class PrivacyBudget:
         object.__setattr__(self, "epsilon", eps)
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "clip_radius", radius)
+        try:  # R^2 can underflow to 0, or overflow
+            if 0.0 < _calibrate(self).sigma < math.inf:
+                return
+        except OverflowError:
+            pass
+        raise ParameterError(f"no positive finite sigma at clip radius {radius!r}, epsilon {eps!r}")
 
 
 @dataclass(frozen=True)
@@ -85,20 +92,23 @@ def covariance_sensitivity(radius: float, count: int) -> float:
     return 4.0 * r2 / n + 8.0 * r2 / n**2
 
 
+def _calibrate(budget: PrivacyBudget) -> NoiseCalibration:
+    """calibrate_sigma without its warning."""
+    d_sigma = covariance_sensitivity(budget.clip_radius, budget.subset_size)
+    c = math.sqrt(2.0 * math.log(1.25 / budget.delta))
+    return NoiseCalibration(delta_mu=mean_sensitivity(budget.clip_radius, budget.subset_size),
+                            delta_sigma=d_sigma, c=c, sigma=c * d_sigma / budget.epsilon)
+
+
 def calibrate_sigma(budget: PrivacyBudget) -> NoiseCalibration:
     """Noise scale covering mean and covariance release at (epsilon, delta)."""
-    d_mu = mean_sensitivity(budget.clip_radius, budget.subset_size)
-    d_sigma = covariance_sensitivity(budget.clip_radius, budget.subset_size)
-    if d_mu > d_sigma:
-        warnings.warn(
-            f"mean sensitivity {d_mu:.6g} exceeds covariance sensitivity {d_sigma:.6g} "
-            f"(clip radius {budget.clip_radius} < ~1/2); sigma calibrated from the "
-            "covariance sensitivity does not cover the mean release",
-            stacklevel=2,
-        )
-    c = math.sqrt(2.0 * math.log(1.25 / budget.delta))
-    sigma = c * d_sigma / budget.epsilon
-    return NoiseCalibration(delta_mu=d_mu, delta_sigma=d_sigma, c=c, sigma=sigma)
+    calibration = _calibrate(budget)
+    if calibration.delta_mu > calibration.delta_sigma:
+        warnings.warn(f"mean sensitivity {calibration.delta_mu:.6g} exceeds covariance "
+                      f"sensitivity {calibration.delta_sigma:.6g} (clip radius "
+                      f"{budget.clip_radius} < ~1/2); sigma calibrated from the covariance "
+                      "sensitivity does not cover the mean release", stacklevel=2)
+    return calibration
 
 
 def apply_gaussian_mechanism(

@@ -815,6 +815,14 @@ def orchestrate_valuation(buyer_data, sellers, spec: EncoderSpec, budget: Privac
     An error from the buyer's own data closes every open channel and
     propagates.
     """
+    buyer, outcomes = _round(buyer_data, sellers, spec, budget, master_seed, noisy_buyer,
+                             lambda _, outcome: outcome)
+    return buyer, sorted(outcomes, key=lambda o: o.node_id)
+
+
+def _round(buyer_data, sellers, spec, budget, master_seed, noisy_buyer, keep) -> tuple:
+    """The round loop: (buyer, [keep(buyer, outcome) for each seller, as its
+    channel closes]). An error from keep closes every open channel too."""
     if not sellers:
         raise ParameterError("at least one seller endpoint is required")
     if master_seed is not None:
@@ -841,7 +849,7 @@ def orchestrate_valuation(buyer_data, sellers, spec: EncoderSpec, budget: Privac
         noise_seed = node_seeds(seed, "buyer")[1]
 
     buyer = None
-    outcomes = []
+    kept = []
     for start in range(0, len(sellers), _IN_FLIGHT):
         asked = collections.deque()
         try:
@@ -852,15 +860,14 @@ def orchestrate_valuation(buyer_data, sellers, spec: EncoderSpec, budget: Privac
                 buyer = buyer_summary(data, spec, budget.clip_radius, noise_sigma, noise_seed)
             while asked:
                 # Each channel, and the frames its transcript holds, goes as
-                # soon as its replies are read.
+                # soon as its replies are read, and its outcome once kept.
                 outcome, channel = asked[0]
                 if outcome.failure is None:
                     _collect(outcome, channel, spec, request)
                 _close(outcome, channel)
                 asked.popleft()
-                outcomes.append(outcome)
+                kept.append(keep(buyer, outcome))
         finally:
             for outcome, channel in asked:
                 _close(outcome, channel)
-    outcomes.sort(key=lambda o: o.node_id)
-    return buyer, outcomes
+    return buyer, kept

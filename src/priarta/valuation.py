@@ -1,7 +1,7 @@
-"""Buyer-side decision layer: run a valuation round, score sellers by the
-closed-form W2 distance, min-max normalize, rank under the chosen objective,
-and report augmentation-robustness deviations, for a pair of summaries or for
-every augmented copy in a seeded scenario."""
+"""Buyer-side decision layer: run a valuation round that scores each seller by
+the closed-form W2 distance as its reply arrives, min-max normalize, rank under
+the chosen objective, and report augmentation-robustness deviations, for a pair
+of summaries or for every augmented copy in a seeded scenario."""
 
 import csv
 from dataclasses import dataclass, fields, replace
@@ -25,7 +25,8 @@ from .errors import (
 from .fileio import dumps_json, load_json, save_json
 from .gaussian_geometry import GaussianSummary, debias_covariance, wasserstein2_gaussian
 from .privacy import GAUSSIAN_SAMPLER, PrivacyBudget
-from .protocol import PROTOCOL_VERSION, SellerNode, in_process_endpoints, orchestrate_valuation
+from .protocol import (PROTOCOL_VERSION, SellerNode, _round, in_process_endpoints,
+                       orchestrate_valuation)
 from .scenario import BUYER_ID, ScenarioConfig, build_datasets
 
 __all__ = [
@@ -190,71 +191,63 @@ def _json_list(value, field: str) -> list:
     return value
 
 
-def build_report(buyer: GaussianSummary, outcomes, objective: str,
-                 params_echo: dict) -> ValuationReport:
-    """Assemble scores, normalization, and ranking from protocol outcomes.
+def _score(buyer: GaussianSummary, outcome, debias: bool) -> tuple:
+    """One seller's (node_id, raw_w2, failure), exactly one of the last two
+    None: its summary, less sigma_used^2 I when debiasing, scored by W2."""
+    buyer._covariance_factor  # a fault in the buyer's own summary raises, first
+    summary = outcome.summary
+    if summary is None:
+        return outcome.node_id, None, outcome.failure or "unknown failure"
+    try:
+        summary = debias_covariance(summary, outcome.sigma_used) if debias else summary
+    except PriartaError as exc:  # a hostile reply fails only its seller
+        return outcome.node_id, None, f"debias failed: {type(exc).__name__}: {exc}"
+    try:
+        return outcome.node_id, wasserstein2_gaussian(buyer, summary), None
+    except (NumericInputError, NotPSDError, ConvergenceError) as exc:
+        return outcome.node_id, None, f"scoring failed: {type(exc).__name__}: {exc}"
 
-    outcomes: objects with node_id, summary (None when failed), failure.
-    All-failed rounds still produce a report (empty ranking) so the failures
-    can be written out and inspected.
-    """
+
+def _assemble(scores, objective: str, params_echo: dict) -> ValuationReport:
+    """The report over _score triples: entries sorted by node_id, the scored
+    ones normalized and ranked. A bad objective raises before scores are read."""
     if objective not in OBJECTIVES:
         raise ParameterError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
-    ordered = sorted(outcomes, key=lambda o: o.node_id)
-    buyer._covariance_factor  # a fault in the buyer's own summary raises here
-    raw, failures = {}, {}
-    for o in ordered:
-        if o.summary is None:
-            failures[o.node_id] = o.failure or "unknown failure"
-            continue
-        try:
-            raw[o.node_id] = wasserstein2_gaussian(buyer, o.summary)
-        except (NumericInputError, NotPSDError, ConvergenceError) as exc:
-            failures[o.node_id] = f"scoring failed: {type(exc).__name__}: {exc}"
-    degenerate = False
-    normalized = {}
-    if raw:
-        values, degenerate = minmax_normalize([raw[nid] for nid in sorted(raw)])
-        normalized = dict(zip(sorted(raw), values))
-    entries = []
-    for o in ordered:
-        if o.node_id in failures:
-            entries.append(SellerScore(o.node_id, failed=True,
-                                       failure_reason=failures[o.node_id]))
-        else:
-            entries.append(SellerScore(o.node_id, raw_w2=raw[o.node_id],
-                                       normalized=normalized[o.node_id]))
-    ranking = tuple(rank_sellers(entries, objective)) if raw else ()
-    return ValuationReport(
-        entries=tuple(entries),
-        objective=objective,
-        ranking=ranking,
-        params_echo=dict(params_echo),
-        degenerate_normalization=degenerate,
+    scores = sorted(scores, key=lambda s: s[0])
+    raw = [w2 for _, w2, failure in scores if failure is None]
+    values, degenerate = minmax_normalize(raw) if raw else ((), False)
+    normalized = iter(values)
+    entries = tuple(
+        SellerScore(node_id, failed=True, failure_reason=failure) if failure is not None
+        else SellerScore(node_id, raw_w2=w2, normalized=next(normalized))
+        for node_id, w2, failure in scores
     )
+    ranking = tuple(rank_sellers(entries, objective)) if raw else ()
+    return ValuationReport(entries=entries, objective=objective, ranking=ranking,
+                           params_echo=dict(params_echo), degenerate_normalization=degenerate)
+
+
+def build_report(buyer: GaussianSummary, outcomes, objective: str,
+                 params_echo: dict) -> ValuationReport:
+    """Score protocol outcomes (objects with node_id, summary, None when
+    failed, and failure) against the buyer, then normalize and rank. An
+    all-failed round still gets a report, with an empty ranking."""
+    return _assemble((_score(buyer, o, False) for o in outcomes), objective, params_echo)
 
 
 def run_valuation(buyer_data, sellers, spec: EncoderSpec, budget: PrivacyBudget,
                   master_seed: int = None, objective: str = "diversify",
                   debias: bool = False, noisy_buyer: bool = False) -> ValuationReport:
-    """One valuation round: query every seller endpoint, optionally subtract
-    each seller's sigma^2 I from its covariance, then score and rank.
+    """One valuation round: query every seller endpoint and score each reply
+    as it arrives (optionally less the seller's sigma^2 I), so the buyer
+    holds one seller summary at a time; then normalize and rank.
 
     buyer_data and sellers are as for orchestrate_valuation: buyer_data may
     be a function that loads the dataset while the first sellers compute. The
     report's params_echo records every setting that shaped it.
     """
-    buyer, outcomes = orchestrate_valuation(
-        buyer_data, sellers, spec, budget, master_seed=master_seed, noisy_buyer=noisy_buyer,
-    )
-    if debias:
-        for outcome in outcomes:
-            if outcome.summary is not None:
-                try:
-                    outcome.summary = debias_covariance(outcome.summary, outcome.sigma_used)
-                except PriartaError as exc:  # a hostile reply fails only its seller
-                    outcome.summary = None
-                    outcome.failure = f"debias failed: {type(exc).__name__}: {exc}"
+    _, scores = _round(buyer_data, sellers, spec, budget, master_seed, noisy_buyer,
+                       lambda buyer, outcome: _score(buyer, outcome, debias))
     params = {
         "epsilon": budget.epsilon,
         "delta": budget.delta,
@@ -269,7 +262,7 @@ def run_valuation(buyer_data, sellers, spec: EncoderSpec, budget: PrivacyBudget,
         "gaussian_sampler": GAUSSIAN_SAMPLER,
         "protocol_version": PROTOCOL_VERSION,
     }
-    return build_report(buyer, outcomes, objective, params)
+    return _assemble(scores, objective, params)
 
 
 def run_valuation_for_config(config: ScenarioConfig, objective: str = "diversify",

@@ -393,6 +393,30 @@ def test_value_against_dead_seller_exits_3(scenario_dir, tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("flags", [(), ("--noisy-buyer",)], ids=["plain", "noisy-buyer"])
+@pytest.mark.parametrize("radius", ["1e-200", "1e200"])
+def test_value_refuses_a_budget_without_a_finite_positive_sigma(scenario_dir, tmp_path, capsys,
+                                                                radius, flags):
+    # R^2 underflows to 0 or overflows: the budget is refused before any
+    # seller is asked, so the dead seller here is never reached (asking it
+    # would exit 3)
+    out = tmp_path / "r.json"
+    code = run_cli(
+        "value",
+        "--input", str(scenario_dir / "buyer.raw"),
+        "--sellers", f"ghost=127.0.0.1:{free_port()}",
+        "--spec", str(scenario_dir / "encoder.json"),
+        "--output", str(out),
+        "--seed", "7",
+        "--clip-radius", radius,
+        *flags,
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 def test_value_with_malformed_input_exits_1_and_the_seller_serves_on(scenario_dir, tmp_path,
                                                                       capsys):
     # The seller is asked before the buyer's file is read; the bad file still

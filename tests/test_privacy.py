@@ -1,6 +1,7 @@
 """Gaussian-mechanism calibration, sensitivities, and seed derivation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -36,6 +37,18 @@ def test_budget_validates_ranges():
         PrivacyBudget(0.8, 1e-5, 0.0, 4)
     with pytest.raises(ParameterError):
         PrivacyBudget(0.8, 1e-5, 1.0, 1)
+
+
+def test_budget_refuses_a_sigma_that_is_not_a_positive_finite_float():
+    # R^2 underflows to 0 at R = 1e-200, overflows as a power at R = 1e200,
+    # and 4R^2 reaches inf at R = 1e154; none of these calibrates a noise
+    # scale, and checking that emits no calibration warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for radius in (1e-200, 1e154, 1e200):
+            with pytest.raises(ParameterError, match="positive finite sigma"):
+                PrivacyBudget(0.8, 1e-5, radius, 512)
+        PrivacyBudget(0.8, 1e-5, 0.1, 4)  # warned about only when calibrated
 
 
 # ------------------------------------------------------------- sensitivity

@@ -10,6 +10,7 @@ import socket
 import struct
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -919,13 +920,16 @@ def test_secure_sessions_draw_different_seeds(monkeypatch):
 
 
 def test_seller_never_releases_an_unnoised_summary():
-    # a clip radius whose R^2 underflows calibrates sigma to 0; the seller
-    # refuses instead of skipping the noise
-    with pytest.warns(UserWarning, match="mean sensitivity"):
-        reply = decode_frame(ready_session().handle_bytes(
-            encode_frame(make_request(clip_radius=1e-200))))
-    assert isinstance(reply, ErrorMessage)
-    assert "sigma must be a positive real" in reply.message
+    # a clip radius whose R^2 underflows would calibrate sigma to 0, and one
+    # whose R^2 overflows leaves no finite sigma; the seller refuses either
+    # budget as an invalid parameter, without a calibration warning
+    for radius in (1e-200, 1e200):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reply = decode_frame(ready_session().handle_bytes(
+                encode_frame(make_request(clip_radius=radius))))
+        assert isinstance(reply, ErrorMessage)
+        assert reply.code == "INVALID_PARAMETER"
 
 
 # ---------------------------------------------------------- orchestration

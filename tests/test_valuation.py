@@ -1,10 +1,14 @@
 """Scoring, normalization, ranking, reports, and rendering."""
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from priarta import (
+    ConvergenceError,
     EmbeddingSet,
     EmptyInputError,
     EncoderSpec,
@@ -17,6 +21,8 @@ from priarta import (
     SellerScore,
     ValuationReport,
     build_report,
+    debias_covariance,
+    gaussian_geometry,
     load_report,
     minmax_normalize,
     rank_sellers,
@@ -514,3 +520,98 @@ def test_a_debias_decomposition_that_fails_fails_only_its_seller(monkeypatch):
     for entry in report.entries:
         assert entry.failed
         assert entry.failure_reason.startswith("debias failed: ConvergenceError")
+
+
+# ------------------------------------------------------- score as you go
+
+
+def _unreachable():
+    raise ConnectionRefusedError("nobody listens")
+
+
+@pytest.mark.parametrize("options", [
+    {}, {"debias": True}, {"noisy_buyer": True, "objective": "enrich"},
+], ids=["plain", "debias", "noisy-buyer-enrich"])
+def test_run_valuation_is_build_report_over_orchestrate_valuation(options):
+    # Scoring each reply as it arrives gives the report of scoring them all
+    # after the round: byte for byte, a failed seller included.
+    config = default_scenario(1003)
+    datasets = build_datasets(config)
+    nodes = [SellerNode(nid, raw=datasets[nid]) for nid in config.seller_ids()]
+
+    def endpoints():
+        return in_process_endpoints(nodes) + [("seller-0", _unreachable)]
+
+    report = run_valuation(datasets[BUYER_ID], endpoints(), config.encoder, config.budget,
+                           master_seed=1003, **options)
+    buyer, outcomes = orchestrate_valuation(
+        datasets[BUYER_ID], endpoints(), config.encoder, config.budget, master_seed=1003,
+        noisy_buyer=options.get("noisy_buyer", False),
+    )
+    if options.get("debias"):
+        outcomes = [o if o.failed else
+                    dataclasses.replace(o, summary=debias_covariance(o.summary, o.sigma_used))
+                    for o in outcomes]
+    expected = build_report(buyer, outcomes, options.get("objective", "diversify"),
+                            report.params_echo)
+    assert report.entry("seller-0").failed and len(report.ranking) == len(nodes)
+    assert dumps_report(report) == dumps_report(expected)
+
+
+def test_a_buyer_without_a_factor_aborts_the_round_and_closes_every_channel(monkeypatch,
+                                                                              rng):
+    # The buyer's singular covariance needs eigh for its W2 factor; when that
+    # fails, the round raises instead of failing every seller.
+    buyer_data, nodes, spec, budget = rank_deficient_round(rng)
+    channels = []
+
+    class Recorded(InProcessChannel):
+        def __init__(self, node):
+            super().__init__(node)
+            self.closed = False
+            channels.append(self)
+
+        def close(self):
+            self.closed = True
+
+    eigh = gaussian_geometry._eigh
+
+    def no_factor(sym, name, *args, **kwargs):
+        if name == "covariance of a":
+            raise ConvergenceError(f"eigendecomposition of {name} did not converge")
+        return eigh(sym, name, *args, **kwargs)
+
+    monkeypatch.setattr(gaussian_geometry, "_eigh", no_factor)
+    endpoints = [(node.node_id, lambda n=node: Recorded(n)) for node in nodes]
+    with pytest.raises(ConvergenceError, match="covariance of a"):
+        run_valuation(buyer_data, endpoints, spec, budget, master_seed=3)
+    assert len(channels) == len(nodes) and all(c.closed for c in channels)
+
+
+def test_buyer_memory_does_not_grow_with_the_seller_count():
+    # A d = 256 summary is 0.5 MB; a round that keeps each until the end
+    # peaks about that much higher for every further seller.
+    dim = 256
+    rng = np.random.default_rng(5)
+    spec = EncoderSpec("external", 5, dim, dim, dim, 0.0)
+    budget = PrivacyBudget(0.8, 1e-5, 1.0, 512)
+
+    def party():
+        return EmbeddingSet(rng.standard_normal((600, dim)) / np.sqrt(dim), 1.0, clipped=False)
+
+    buyer = party()
+    nodes = [SellerNode(f"seller-{i:02d}", embeddings=party()) for i in range(16)]
+
+    def peak(sellers):
+        tracemalloc.start()
+        try:
+            report = run_valuation(buyer, in_process_endpoints(nodes[:sellers]), spec, budget,
+                                   master_seed=7)
+            used = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(report.ranking) == sellers
+        return used
+
+    peak(1)  # first-use allocations (caches, imports) are not a seller's
+    assert peak(16) - peak(4) < 1_000_000
