@@ -8,6 +8,14 @@ good representation discards). The toy encoder projects
 ``[signal | alpha * nuisance]`` through a seeded random matrix, so
 ``leakage_alpha = 0`` gives exact augmentation invariance by construction,
 and augmentations act only on the nuisance block.
+
+A dataset is checked once, where it enters the package. The public RawDataset
+constructor, which files and callers go through, checks shapes, finiteness,
+labels and class probabilities, and copies every array. gen_mixture_dataset
+and augment build their points in place from draws they make and from a
+RawDataset that was checked when it was made. Each keeps one finiteness check
+on the points it makes, since a large scale can overflow, and wraps its arrays
+read-only without copying or checking them again.
 """
 
 from dataclasses import dataclass, fields
@@ -23,6 +31,7 @@ from .errors import (
     NumericInputError,
     ParameterError,
     ShapeError,
+    _trusted,
     require_bool,
     require_float,
     require_int,
@@ -134,6 +143,15 @@ class RawDataset:
         return self.points.shape[1]
 
 
+def _trusted_dataset(points: np.ndarray, labels: np.ndarray,
+                     class_probs: np.ndarray) -> RawDataset:
+    """A RawDataset over arrays its caller has just made, or took from a
+    RawDataset: finite float64 points checked by the caller, int64 labels in
+    range, a checked probability vector. Each is made read-only, not copied or
+    scanned."""
+    return _trusted(RawDataset, points=points, labels=labels, class_probs=class_probs)
+
+
 @dataclass(frozen=True)
 class AugmentationSpec:
     """Random nuisance-block perturbation applied pointwise."""
@@ -215,10 +233,18 @@ def gen_mixture_dataset(
 
     rng = np.random.Generator(np.random.PCG64(require_int(seed, "seed")))
     labels = rng.choice(probs.shape[0], size=m, p=probs)
+    # scale * z + mean, bit for bit, scaled and shifted in place.
+    signal = rng.standard_normal((m, s))
+    with np.errstate(over="ignore"):  # an overflowed point is rejected below
+        signal *= scale
+        signal += means[labels, :s]
+    if not np.isfinite(signal).all():
+        raise NumericInputError("points contain non-finite entries")
     points = np.empty((m, p))
-    points[:, :s] = means[labels, :s] + scale * rng.standard_normal((m, s))
+    points[:, :s] = signal
     points[:, s:] = rng.standard_normal((m, p - s))
-    return RawDataset(points, labels, probs)
+    # probs may be the caller's own array: the dataset keeps a copy.
+    return _trusted_dataset(points, labels, probs.copy())
 
 
 @functools.lru_cache(maxsize=8)
@@ -279,9 +305,18 @@ def augment(data: RawDataset, aug: AugmentationSpec, signal_dims: int) -> RawDat
     points = data.points.copy()
     if n_nuis > 0:
         noise = rng.normal(0.0, aug.nuisance_noise_scale, size=(data.count, n_nuis))
-        points[selected, s:] += noise[selected]
+        every = bool(selected.all())
+        # The selected rows' nuisance block: a view when every row is
+        # selected, else one gather, scattered back once below.
+        block = points[:, s:] if every else points[selected, s:]
+        with np.errstate(over="ignore"):  # an overflowed point is rejected below
+            block += noise if every else noise[selected]
+        if not np.isfinite(block).all():
+            raise NumericInputError("points contain non-finite entries")
         if aug.nuisance_permute:
             # Draws the same per-row shuffles, in row order, as one
             # rng.permutation(n_nuis) per selected row.
-            points[selected, s:] = rng.permuted(points[selected, s:], axis=1)
-    return RawDataset(points, data.labels, data.class_probs)
+            rng.permuted(block, axis=1, out=block)
+        if not every:
+            points[selected, s:] = block
+    return _trusted_dataset(points, data.labels, data.class_probs)

@@ -1,9 +1,13 @@
 """Exception types shared across the package, and the one rule per value
 type that every constructor applies to a value from a file, a frame or a
 caller: require_int, require_float, require_str and require_bool raise
-ParameterError on a value of the wrong type instead of converting it."""
+ParameterError on a value of the wrong type instead of converting it. An
+object the package builds from values it has just made, or has checked, is
+made by _trusted instead, which applies none of those rules."""
 
 import math
+
+import numpy as np
 
 __all__ = [
     "ConfigError", "ConvergenceError", "EmptyInputError", "FileFormatError",
@@ -121,3 +125,15 @@ def require_bool(value, field: str) -> bool:
     if not isinstance(value, bool):
         raise ParameterError(f"{field} must be a boolean")
     return value
+
+
+def _trusted(cls, **fields):
+    """An instance of the frozen dataclass cls over values its caller
+    guarantees, built without __post_init__: each array is made read-only,
+    nothing is copied or checked."""
+    out = object.__new__(cls)
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+        object.__setattr__(out, name, value)
+    return out

@@ -19,6 +19,21 @@ cannot factor and reject eigenvalues below -PSD_TOL * lambda_max; the
 negatives above that floor are noise, clamped to 0 (psd_clamp rebuilds
 only when one lies below the rounding band -d * eps * lambda_max).
 debias_covariance clamps every negative eigenvalue, since those are real.
+
+A covariance is checked once, where it enters the package, and every path
+ends at the covariance psd_clamp would give:
+- the public GaussianSummary constructor (the caller's arrays): finiteness,
+  symmetrize and psd_clamp, on a copy of the mean;
+- a seller's STATS_RESPONSE: decoding rejects non-finite entries and
+  expand_covariance is exactly symmetric, so the buyer checks only the
+  entries' range and PSD (Cholesky, else eigenvalues alone), once, and
+  rebuilds only a covariance with an eigenvalue below the rounding band;
+- summarize: the moments of an EmbeddingSet that was checked when it was
+  made are trusted. They are checked for finiteness and symmetrized, with no
+  factorization and no clamp: a seller sends them so. The buyer's own
+  summary is clamped and factored by one decomposition (_factored), which
+  also rejects a covariance that is not PSD.
+Trusted summaries are built by _trusted_summary, which neither copies nor scans.
 """
 
 from dataclasses import dataclass
@@ -33,6 +48,7 @@ from .errors import (
     NumericInputError,
     ParameterError,
     ShapeError,
+    _trusted,
     require_float,
     require_int,
 )
@@ -108,6 +124,12 @@ def _clamp_reconstruct(w: Array, q: Array) -> Array:
     return symmetrize((q * np.maximum(w, 0.0)) @ q.T)
 
 
+def _in_rounding_band(w: Array) -> bool:
+    """Whether ascending eigenvalues are all >= -d * eps * lambda_max: the
+    rounding of eigh itself, which psd_clamp does not rebuild."""
+    return float(w[0]) >= -w.shape[0] * _EPS * float(w[-1])
+
+
 def _cholesky_else_eigh(sym: Array, name: str):
     """(L, None, None) with L the lower Cholesky factor of a symmetric matrix,
     or (None, w, Q) from its PSD-checked eigh when Cholesky fails."""
@@ -131,7 +153,7 @@ def psd_clamp(a, name: str = "matrix") -> Array:
     """
     sym = symmetrize(a)
     _, w, q = _cholesky_else_eigh(sym, name)
-    if w is None or float(w[0]) >= -sym.shape[0] * _EPS * float(w[-1]):
+    if w is None or _in_rounding_band(w):
         return sym
     return _clamp_reconstruct(w, q)
 
@@ -140,8 +162,10 @@ def psd_clamp(a, name: str = "matrix") -> Array:
 class GaussianSummary:
     """A (mean, covariance, count) triple summarizing one embedded dataset.
 
-    The covariance is symmetrized and PSD-clamped on construction; both
-    arrays are frozen against later mutation.
+    The public constructor symmetrizes and PSD-clamps the covariance; both
+    arrays are frozen against later mutation. Summaries the package makes
+    itself are built by _trusted_summary and checked where they are made
+    (see the module docstring): summarize's are symmetrized, not clamped.
     """
 
     mean: Array
@@ -172,11 +196,54 @@ class GaussianSummary:
     def _covariance_factor(self) -> Array:
         """F with covariance ~= F @ F.T, made on first use as the left
         argument of W2 scoring; only the buyer's summary ever holds one."""
-        factor, w, q = _cholesky_else_eigh(self.covariance, "covariance of a")
-        if factor is None:
-            factor = q * np.sqrt(np.maximum(w, 0.0))
-        factor.flags.writeable = False
-        return factor
+        return _w2_factor(*_cholesky_else_eigh(self.covariance, "covariance of a"))
+
+
+def _w2_factor(factor, w: Array, q: Array) -> Array:
+    """The read-only W2 factor from _cholesky_else_eigh's output: L, else
+    Q diag(sqrt(max(w, 0)))."""
+    if factor is None:
+        factor = q * np.sqrt(np.maximum(w, 0.0))
+    factor.flags.writeable = False
+    return factor
+
+
+def _trusted_summary(mean: Array, covariance: Array, count: int) -> GaussianSummary:
+    """A GaussianSummary over arrays its caller has just made or checked: a
+    finite 1-D float64 mean, an exactly symmetric finite covariance of its
+    size, PSD by construction or by _require_psd, and a count >= 2. The
+    arrays are made read-only, not copied, and nothing is factored."""
+    return _trusted(GaussianSummary, mean=mean, covariance=covariance, count=count)
+
+
+def _require_psd(sym: Array, name: str) -> Array:
+    """psd_clamp of a finite, exactly symmetric matrix, with its errors:
+    NumericInputError for an entry past half the float range, NotPSDError
+    unless it is PSD within tolerance. It takes one Cholesky, else the
+    eigenvalues alone; only a matrix with an eigenvalue below the rounding
+    band goes on to psd_clamp's eigh and is rebuilt."""
+    if not np.abs(sym).max() <= _HALF_MAX:
+        raise NumericInputError("matrix entries overflow when symmetrized")
+    try:
+        np.linalg.cholesky(sym)
+        return sym
+    except np.linalg.LinAlgError:
+        w = _eigh(sym, name, vectors=False)
+    return sym if _in_rounding_band(w) else psd_clamp(sym, name)
+
+
+def _factored(summary: GaussianSummary) -> GaussianSummary:
+    """A summary made by summarize, with its covariance as the public
+    constructor would clamp it and its W2 factor cached. One Cholesky, else
+    one eigh, serves both, unless the covariance has an eigenvalue below the
+    rounding band: it is then rebuilt, and the rebuilt matrix factored."""
+    covariance = summary.covariance
+    parts = _cholesky_else_eigh(covariance, "covariance of a")
+    if parts[0] is None and not _in_rounding_band(parts[1]):
+        covariance = _clamp_reconstruct(*parts[1:])
+        parts = _cholesky_else_eigh(covariance, "covariance of a")
+    return _trusted(GaussianSummary, mean=summary.mean, covariance=covariance,
+                    count=summary.count, _covariance_factor=_w2_factor(*parts))
 
 
 def debias_covariance(summary: GaussianSummary, sigma: float) -> GaussianSummary:

@@ -11,7 +11,9 @@ covariance sensitivity
 for vectors clipped to the l2 ball of radius R. For R >= 1/2 the covariance
 sensitivity dominates the mean sensitivity; when it does not, calibration
 emits a warning instead of silently changing the formula. A budget whose
-sigma is not a positive finite float is refused when it is made.
+sigma is not a positive finite float, or so large that the noised covariance
+of the subset overflows at all but a 2^-40 share of draws, is refused when it
+is made.
 
 Determinism note: fixed seeds exist for tests and replay and VOID the privacy
 guarantee in deployment; secure mode draws seeds from OS entropy instead.
@@ -21,6 +23,7 @@ from dataclasses import dataclass
 import hashlib
 import math
 import secrets
+import sys
 import warnings
 
 import numpy as np
@@ -38,6 +41,7 @@ __all__ = [
 # ziggurat normal over the PCG64 stream. Recorded in run metadata so another
 # implementation with the same PRNG stream can reproduce draws bit-exactly.
 GAUSSIAN_SAMPLER = "pcg64-ziggurat"
+_SQRT_MAX = math.sqrt(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -62,11 +66,32 @@ class PrivacyBudget:
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "clip_radius", radius)
         try:  # R^2 can underflow to 0, or overflow
-            if 0.0 < _calibrate(self).sigma < math.inf:
-                return
+            sigma = _calibrate(self).sigma
         except OverflowError:
-            pass
-        raise ParameterError(f"no positive finite sigma at clip radius {radius!r}, epsilon {eps!r}")
+            sigma = math.inf
+        if not 0.0 < sigma < math.inf:
+            raise ParameterError(
+                f"no positive finite sigma at clip radius {radius!r}, epsilon {eps!r}")
+        if sigma > _overflow_sigma(radius, self.subset_size):
+            raise ParameterError(
+                f"sigma {sigma!r} at clip radius {radius!r}, epsilon {eps!r} overflows "
+                f"the noised covariance of {self.subset_size} rows")
+
+
+def _overflow_sigma(radius: float, count: int) -> float:
+    """The noise scale past which the noised covariance of count clipped rows
+    overflows at all but a 2^-40 share of noise draws.
+
+    In one coordinate the rows are x + z, |x_i| <= R, z ~ N(0, sigma^2 I).
+    The covariance entry before its 1/(n-1) is ||P(x + z)||^2, P the
+    centering projector, and ||P(x + z)|| >= ||P z|| - R sqrt(n), where
+    ||P z||^2 / sigma^2 is chi-squared with k = n - 1 degrees of freedom. The
+    Chernoff bound P(chi2_k <= t) <= (e t / k)^(k/2) is 2^-40 at
+    t = (k / e) 2^(-80/k); past the returned scale even that t leaves the
+    entry above the float range."""
+    k = count - 1
+    low = k / math.e * 2.0 ** (-80.0 / k)
+    return (_SQRT_MAX + radius * math.sqrt(count)) / math.sqrt(low)
 
 
 @dataclass(frozen=True)

@@ -46,11 +46,12 @@ from .errors import (
     PriartaError,
     ProtocolFailure,
     ShapeError,
+    _trusted,
     require_float,
     require_int,
     require_str,
 )
-from .gaussian_geometry import GaussianSummary
+from .gaussian_geometry import GaussianSummary, _factored, _require_psd, _trusted_summary
 from .privacy import (
     PrivacyBudget,
     apply_gaussian_mechanism,
@@ -179,6 +180,17 @@ class StatsResponse:
             return NotImplemented
         return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
                    for f in fields(self))
+
+
+def _trusted_response(summary: GaussianSummary, session_id: str, sigma_used: float,
+                      encoder_fingerprint: str) -> StatsResponse:
+    """The StatsResponse of a summary its seller has just made: the mean is
+    already a finite, read-only float64 vector and the packed covariance is
+    made here, so neither is copied or scanned again."""
+    return _trusted(StatsResponse, mean=summary.mean,
+                    covariance=pack_covariance(summary.covariance), count=summary.count,
+                    session_id=session_id, sigma_used=sigma_used,
+                    encoder_fingerprint=encoder_fingerprint)
 
 
 @dataclass(frozen=True)
@@ -454,11 +466,15 @@ def buyer_summary(data, spec: EncoderSpec, clip_radius: float,
                   noise_sigma: float = 0.0, noise_seed: int = None) -> GaussianSummary:
     """The party pipeline on the buyer's full dataset: noiseless by default,
     noised for ablation when noise_sigma > 0 (from OS entropy without a
-    noise_seed)."""
+    noise_seed). It is the left argument of W2: its covariance is clamped as
+    the public constructor would clamp it, and factored by the same
+    decomposition."""
     if not noise_sigma > 0.0:
-        return _party_summary(data, spec, clip_radius)
-    return _party_summary(data, spec, clip_radius, None, noise_sigma,
-                          secure_seed() if noise_seed is None else noise_seed)
+        summary = _party_summary(data, spec, clip_radius)
+    else:
+        summary = _party_summary(data, spec, clip_radius, None, noise_sigma,
+                                 secure_seed() if noise_seed is None else noise_seed)
+    return _factored(summary)
 
 
 def _spec_problem(node: SellerNode, spec: EncoderSpec):
@@ -567,14 +583,8 @@ class SellerSession:
         except (ShapeError, NumericInputError, ParameterError) as exc:
             return ErrorMessage("SPEC_MISMATCH", str(exc), msg.session_id)
         log.info("node %s served session %s", self.node.node_id, msg.session_id)
-        return StatsResponse(
-            mean=summary.mean,
-            covariance=pack_covariance(summary.covariance),
-            count=summary.count,
-            session_id=msg.session_id,
-            sigma_used=calibration.sigma,
-            encoder_fingerprint=self.spec.fingerprint(),
-        )
+        return _trusted_response(summary, msg.session_id, calibration.sigma,
+                                 self.spec.fingerprint())
 
 
 class _Channel:
@@ -781,11 +791,11 @@ def _collect(outcome: SellerOutcome, channel, spec: EncoderSpec, request: StatsR
         if reply.sigma_used < 0:
             outcome.failure = f"negative sigma_used {reply.sigma_used!r}"
             return
-        outcome.summary = GaussianSummary(
-            reply.mean,
-            expand_covariance(reply.covariance, len(reply.mean)),
-            reply.count,
-        )
+        # Decoding rejected non-finite entries and the expanded covariance
+        # is exactly symmetric: only its PSD check and clamp are left.
+        covariance = _require_psd(expand_covariance(reply.covariance, len(reply.mean)),
+                                  "covariance")
+        outcome.summary = _trusted_summary(reply.mean, covariance, reply.count)
         outcome.sigma_used = reply.sigma_used
     except (OSError, PriartaError) as exc:
         outcome.failure = f"{type(exc).__name__}: {exc}"

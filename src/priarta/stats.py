@@ -11,10 +11,11 @@ from .errors import (
     NumericInputError,
     ParameterError,
     ShapeError,
+    _trusted,
     require_bool,
     require_float,
 )
-from .gaussian_geometry import GaussianSummary, symmetrize
+from .gaussian_geometry import GaussianSummary, _check_finite, _trusted_summary, symmetrize
 
 __all__ = [
     "EmbeddingSet", "clip_to_ball", "sample_covariance", "sample_mean", "summarize",
@@ -120,12 +121,7 @@ def _trusted_set(vectors: np.ndarray, clip_radius: float, clipped: bool) -> Embe
     with a checked radius and a clipped flag that holds by construction: the
     shape is checked and the array made read-only, not copied or scanned."""
     _check_shape(vectors)
-    vectors.flags.writeable = False
-    out = object.__new__(EmbeddingSet)
-    object.__setattr__(out, "vectors", vectors)
-    object.__setattr__(out, "clip_radius", clip_radius)
-    object.__setattr__(out, "clipped", clipped)
-    return out
+    return _trusted(EmbeddingSet, vectors=vectors, clip_radius=clip_radius, clipped=clipped)
 
 
 def sample_mean(embeddings: EmbeddingSet) -> np.ndarray:
@@ -142,19 +138,25 @@ def sample_covariance(embeddings: EmbeddingSet) -> np.ndarray:
 
 def _covariance_about(embeddings: EmbeddingSet, mean: np.ndarray) -> np.ndarray:
     """sample_covariance before its symmetrize, centered on the rows' mean
-    computed by the caller; GaussianSummary symmetrizes on construction."""
+    computed by the caller. An entry past the float range reads inf, for the
+    caller's symmetrize to reject."""
     n = embeddings.count
     if n < 2:
         raise InsufficientSamplesError(f"covariance needs >= 2 rows, got {n}")
-    centered = embeddings.vectors - mean
-    return centered.T @ centered / (n - 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = embeddings.vectors - mean
+        return centered.T @ centered / (n - 1)
 
 
 def summarize(embeddings: EmbeddingSet) -> GaussianSummary:
-    """Package mean, covariance, and count into a GaussianSummary."""
-    mean = sample_mean(embeddings)
-    return GaussianSummary(
-        mean=mean,
-        covariance=_covariance_about(embeddings, mean),
-        count=embeddings.count,
-    )
+    """Package mean, covariance, and count into a GaussianSummary.
+
+    The set was checked when it was made, and the moments are made here: the
+    summary is checked for finiteness and symmetrized, not PSD-checked or
+    clamped, since a Gram matrix is PSD up to rounding. Where the public
+    constructor would rebuild it (an eigenvalue between -PSD_TOL * lambda_max
+    and -d * eps * lambda_max), the covariance is kept as computed; the buyer
+    clamps what it scores (buyer_summary, and each received reply)."""
+    mean = _check_finite(sample_mean(embeddings), "mean")
+    covariance = symmetrize(_covariance_about(embeddings, mean))
+    return _trusted_summary(mean, covariance, embeddings.count)

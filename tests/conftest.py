@@ -2,6 +2,7 @@
 
 import json
 import os
+from pathlib import Path
 import sys
 
 # One BLAS thread: with the default of one per core, the timed acceptance
@@ -14,7 +15,17 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np  # noqa: E402
 import pytest
 
+import priarta
 from priarta import GaussianSummary, default_scenario
+
+
+def package_env():
+    """The environment for a child process that imports the same package as
+    the tests, installed or not."""
+    package_root = str(Path(priarta.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return env
 
 
 def random_psd(rng, dim, scale=1.0):

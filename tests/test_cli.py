@@ -1,8 +1,6 @@
 """End-to-end command-line flows."""
 
 import json
-import os
-from pathlib import Path
 import socket
 import subprocess
 import sys
@@ -12,26 +10,16 @@ import time
 import numpy as np
 import pytest
 
-import priarta
 from priarta import SellerNode, SellerServer, default_scenario, load_report
 from priarta.cli import main, run_valuation_for_config
 from priarta.fileio import read_raw_dataset
 from priarta.valuation import dumps_report
 
-from conftest import HOSTILE_INPUTS, HOSTILE_JSON, HOSTILE_VALUES
+from conftest import HOSTILE_INPUTS, HOSTILE_JSON, HOSTILE_VALUES, package_env
 
 
 def run_cli(*argv):
     return main(list(argv))
-
-
-def package_env():
-    """The environment for a child process that imports the same package as
-    the tests, installed or not."""
-    package_root = str(Path(priarta.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    return env
 
 
 def dir_bytes(root):
@@ -414,6 +402,27 @@ def test_value_refuses_a_budget_without_a_finite_positive_sigma(scenario_dir, tm
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_value_refuses_a_budget_whose_noised_covariance_overflows(scenario_dir, tmp_path,
+                                                                 capsys):
+    # R = 1e100 gives sigma ~ 4.7e198 on 512-row subsets, so every seller's
+    # noised second moments would overflow: refused before any seller is asked
+    out = tmp_path / "r.json"
+    code = run_cli(
+        "value", "--offline",
+        "--input", str(scenario_dir / "buyer.raw"),
+        "--sellers", str(scenario_dir / "sellers"),
+        "--spec", str(scenario_dir / "encoder.json"),
+        "--output", str(out),
+        "--seed", "7",
+        "--clip-radius", "1e100",
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "overflows the noised covariance of 512 rows" in err
     assert not out.exists()
 
 

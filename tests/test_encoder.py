@@ -10,6 +10,7 @@ import pytest
 from priarta import (
     AugmentationSpec,
     EncoderSpec,
+    NumericInputError,
     ParameterError,
     RawDataset,
     ShapeError,
@@ -132,6 +133,52 @@ def test_gen_mixture_zero_scale_pins_signal_block():
 def test_gen_mixture_rejects_bad_probs():
     with pytest.raises(ParameterError):
         gen_mixture_dataset([0.5, 0.6], np.zeros((2, 3)), 0.1, 10, 1, 2)
+
+
+def _mixture_reference(probs, means, scale, m, seed, signal_dims):
+    """Reference: the mixture's formulas with numpy temporaries, row labels
+    first, then the signal draw, then the nuisance draw."""
+    s = signal_dims
+    rng = np.random.Generator(np.random.PCG64(seed))
+    labels = rng.choice(len(probs), size=m, p=np.asarray(probs, dtype=float))
+    points = np.empty((m, means.shape[1]))
+    points[:, :s] = means[labels, :s] + scale * rng.standard_normal((m, s))
+    points[:, s:] = rng.standard_normal((m, means.shape[1] - s))
+    return points, labels
+
+
+@pytest.mark.parametrize("signal_dims", [1, 3, 6])
+@pytest.mark.parametrize("scale", [0.0, 0.1, 2.5])
+def test_gen_mixture_matches_reference(rng, signal_dims, scale):
+    means = rng.standard_normal((3, 6)) * 4.0
+    probs = np.array([0.2, 0.3, 0.5])
+    for seed in (0, 11, 2**40 + 3):
+        data = gen_mixture_dataset(probs, means, scale, 257, seed, signal_dims)
+        points, labels = _mixture_reference(probs, means, scale, 257, seed, signal_dims)
+        assert data.points.tobytes() == points.tobytes()
+        assert data.labels.tobytes() == labels.tobytes()
+        assert data.class_probs.tobytes() == probs.tobytes()
+    assert probs.flags.writeable  # the dataset holds its own copy
+
+
+def test_generated_and_augmented_datasets_are_read_only(rng):
+    data = gen_mixture_dataset([0.5, 0.5], np.zeros((2, 4)), 0.1, 30, 3, 2)
+    for apply_prob in (0.0, 0.3, 1.0):
+        out = augment(data, AugmentationSpec(1.0, True, apply_prob, 5), 2)
+        for d in (data, out):
+            for arr in (d.points, d.labels, d.class_probs):
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[0] = 0
+
+
+def test_an_overflowing_scale_is_rejected():
+    with pytest.raises(NumericInputError, match="non-finite"):
+        gen_mixture_dataset([0.5, 0.5], np.full((2, 4), 1e308), 1e308, 50, 3, 2)
+    data = gen_mixture_dataset([0.5, 0.5], np.zeros((2, 4)), 0.1, 50, 3, 2)
+    for apply_prob in (0.3, 1.0):
+        with pytest.raises(NumericInputError, match="non-finite"):
+            augment(data, AugmentationSpec(1e308, False, apply_prob, 5), 2)
 
 
 # ------------------------------------------------------------------- encode
@@ -271,12 +318,15 @@ def _augment_row_loop(data, aug, signal_dims):
 
 
 @pytest.mark.parametrize("n_nuis", [0, 1, 2, 12])
-@pytest.mark.parametrize("apply_prob", [0.0, 0.37, 1.0])
+@pytest.mark.parametrize("apply_prob", [0.0, 0.3, 0.37, 1.0])
 @pytest.mark.parametrize("permute", [False, True])
 def test_augment_matches_row_loop_reference(rng, n_nuis, apply_prob, permute):
     data = small_dataset(rng, m=60, p=5 + n_nuis)
+    source = data.points.tobytes()
     for seed in (0, 7, 13, 2**40 + 3):
         aug = AugmentationSpec(0.5, permute, apply_prob, seed)
         out = augment(data, aug, 5)
         expected = _augment_row_loop(data, aug, 5)
         assert out.points.tobytes() == expected.tobytes()
+        assert out.labels is data.labels and out.class_probs is data.class_probs
+    assert data.points.tobytes() == source

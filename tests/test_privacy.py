@@ -51,6 +51,48 @@ def test_budget_refuses_a_sigma_that_is_not_a_positive_finite_float():
         PrivacyBudget(0.8, 1e-5, 0.1, 4)  # warned about only when calibrated
 
 
+def _refusal_radii(n):
+    """(accepted, refused): the clip radii either side of the smallest one
+    PrivacyBudget(0.8, 1e-5, R, n) refuses, by bisection on log R."""
+    accepted, refused = 1.0, 1e150
+    for _ in range(100):
+        mid = math.sqrt(accepted * refused)
+        try:
+            PrivacyBudget(0.8, 1e-5, mid, n)
+            accepted = mid
+        except ParameterError:
+            refused = mid
+    return accepted, refused
+
+
+@pytest.mark.parametrize("n", [2, 3, 16, 512])
+def test_a_budget_refused_for_overflow_never_had_a_finite_summary(n):
+    # Just past the refusal, the second moments of n noised rows clipped to
+    # the ball overflow in every coordinate at every seed tried; so the
+    # refusal turns away no budget that yields a summary. Oracle: sigma from
+    # the closed form and numpy's own draw, centering and product.
+    accepted, refused = _refusal_radii(n)
+    assert refused / accepted < 1.0 + 1e-12
+    with pytest.raises(ParameterError, match="overflows the noised covariance"):
+        PrivacyBudget(0.8, 1e-5, refused, n)
+    c = math.sqrt(2.0 * math.log(1.25 / 1e-5))
+    sigma = c * (4.0 * refused**2 / n + 8.0 * refused**2 / n**2) / 0.8
+    rows = np.random.default_rng(n).standard_normal((n, 4))
+    rows *= refused / np.linalg.norm(rows, axis=1)[:, None]
+    for seed in range(50):
+        noisy = rows + np.random.Generator(np.random.PCG64(seed)).normal(0.0, sigma, rows.shape)
+        with np.errstate(over="ignore", invalid="ignore"):
+            centered = noisy - noisy.mean(axis=0)
+            second = centered.T @ centered
+        assert not np.isfinite(np.diag(second)).any()
+
+
+def test_the_default_budget_at_clip_radius_1e100_is_refused():
+    # sigma ~ 4.7e198: its square alone is past the float range
+    with pytest.raises(ParameterError, match="overflows the noised covariance of 512 rows"):
+        PrivacyBudget(0.8, 1e-5, 1e100, 512)
+
+
 # ------------------------------------------------------------- sensitivity
 
 

@@ -22,6 +22,7 @@ from priarta import (
     ErrorMessage,
     FileFormatError,
     FrameError,
+    GaussianSummary,
     Hello,
     InProcessChannel,
     InsufficientSamplesError,
@@ -835,15 +836,20 @@ def public_stages(data, spec, budget, subset_seed, noise_seed):
         vectors = data.vectors[idx]
     clipped = clip_to_ball(vectors, budget.clip_radius)
     calibration = calibrate_sigma(budget)
-    noisy = apply_gaussian_mechanism(clipped, calibration.sigma, noise_seed)
-    return summarize(noisy), calibration
+    noisy = apply_gaussian_mechanism(clipped, calibration.sigma, noise_seed).vectors
+    # The moments in numpy, checked by the public constructor.
+    mean = noisy.mean(axis=0)
+    centered = noisy - mean
+    summary = GaussianSummary(mean, centered.T @ centered / (len(noisy) - 1), len(noisy))
+    return summary, calibration
 
 
-def embedding_node_input(d, seed):
+def embedding_node_input(d, seed, subset=300):
     # row norms near 0.15 sqrt(d) > 1, so clipping scales most rows
     rng = np.random.default_rng(seed)
     data = EmbeddingSet(rng.standard_normal((600, d)) * 0.15, 1.0, False)
-    return data, EncoderSpec("external", seed, d, d, d, 0.0), PrivacyBudget(0.8, 1e-5, 1.0, 300)
+    return (data, EncoderSpec("external", seed, d, d, d, 0.0),
+            PrivacyBudget(0.8, 1e-5, 1.0, subset))
 
 
 PIPELINE_INPUTS = {
@@ -866,6 +872,36 @@ def test_seller_pipeline_is_bitwise_its_public_stages(kind, seed):
     assert calibration == expected_calibration
 
 
+FRAME_INPUTS = {
+    "raw-d4": lambda: (make_dataset(seed=5), SPEC, BUDGET),
+    "embeddings-d64": lambda: embedding_node_input(64, 5),
+    "rank-deficient-d32": lambda: embedding_node_input(32, 5, subset=16),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FRAME_INPUTS))
+def test_seller_frames_equal_frames_of_the_public_constructors(kind):
+    # A seller builds its summary and reply without the public constructors'
+    # checks; its frame is still the one GaussianSummary and StatsResponse give.
+    data, spec, budget = FRAME_INPUTS[kind]()
+    node = (SellerNode("s1", raw=data) if isinstance(data, RawDataset)
+            else SellerNode("s1", embeddings=data))
+    session = SellerSession(node)
+    for msg in (Hello(PROTOCOL_VERSION), ModelSpec(spec)):
+        assert isinstance(decode_frame(session.handle_bytes(encode_frame(msg))), Hello)
+    request = make_request(subset=budget.subset_size, seed=99)
+    frame = session.handle_bytes(encode_frame(request))
+    summary, calibration = public_stages(data, spec, budget, *node_seeds(99, "s1"))
+    if kind.startswith("rank-deficient"):
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(summary.covariance)
+    expected = encode_frame(StatsResponse(
+        summary.mean, pack_covariance(summary.covariance), summary.count,
+        request.session_id, calibration.sigma, spec.fingerprint(),
+    ))
+    assert frame == expected
+
+
 def test_buyer_summary_noiseless_default():
     data = make_dataset()
     a = buyer_summary(data, SPEC, 1.0)
@@ -873,6 +909,28 @@ def test_buyer_summary_noiseless_default():
     np.testing.assert_array_equal(a.mean, b.mean)
     np.testing.assert_array_equal(a.covariance, b.covariance)
     assert a.count == data.count
+
+
+def test_a_covariance_in_the_clamp_band_is_kept_by_summarize_and_clamped_for_the_buyer():
+    # Rows (x, 0.9 x): the computed covariance's lowest eigenvalue is
+    # rounding below the band -d * eps * lambda_max, where the public
+    # constructor rebuilds it, and above the floor -PSD_TOL * lambda_max.
+    x = np.random.default_rng(1365).standard_normal(100)
+    rows = np.column_stack([x, 0.9 * x])
+    centered = rows - rows.mean(axis=0)
+    moments = centered.T @ centered / 99
+    moments = (moments + moments.T) / 2
+    w = np.linalg.eigvalsh(moments)
+    assert -1e-10 * w[-1] <= w[0] < -2 * np.finfo(float).eps * w[-1]
+    public = GaussianSummary(rows.mean(axis=0), moments, 100)
+    assert public.covariance.tobytes() != moments.tobytes()
+    # summarize (and so a seller's reply) keeps it as computed
+    assert summarize(EmbeddingSet(rows, 1e3, False)).covariance.tobytes() == moments.tobytes()
+    # the buyer's own summary is clamped as the public constructor clamps it
+    spec = EncoderSpec("external", 5, 2, 2, 2, 0.0)
+    buyer = buyer_summary(EmbeddingSet(rows, 1e3, False), spec, 1e3)
+    assert buyer.covariance.tobytes() == public.covariance.tobytes()
+    assert buyer._covariance_factor.tobytes() == public._covariance_factor.tobytes()
 
 
 def test_seeded_round_seed_streams():
@@ -930,6 +988,31 @@ def test_seller_never_releases_an_unnoised_summary():
                 encode_frame(make_request(clip_radius=radius))))
         assert isinstance(reply, ErrorMessage)
         assert reply.code == "INVALID_PARAMETER"
+
+
+def test_seller_refuses_a_budget_whose_noised_covariance_overflows():
+    # at R = 1e100, sigma ~ 1e201: every noised second moment would overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reply = decode_frame(ready_session().handle_bytes(
+            encode_frame(make_request(clip_radius=1e100))))
+    assert isinstance(reply, ErrorMessage)
+    assert reply.code == "INVALID_PARAMETER"
+    assert "overflows the noised covariance of 32 rows" in reply.message
+
+
+def test_an_accepted_budget_whose_covariance_overflows_gets_an_error_reply():
+    # R = 7.9e76 gives sigma ~ 5e153 on 32 rows: accepted, since the refusal
+    # bound keeps every budget that can yield a summary, yet the second
+    # moments overflow here. The reply is an ERROR, with no numpy warning.
+    PrivacyBudget(0.8, 1e-5, 7.9e76, 32)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reply = decode_frame(ready_session().handle_bytes(
+            encode_frame(make_request(clip_radius=7.9e76))))
+    assert isinstance(reply, ErrorMessage)
+    assert reply.code == "SPEC_MISMATCH"
+    assert reply.message == "matrix contains non-finite entries"
 
 
 # ---------------------------------------------------------- orchestration

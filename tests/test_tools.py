@@ -1,0 +1,31 @@
+"""The committed measurement scripts under tools/ still run."""
+
+import json
+import math
+from pathlib import Path
+import subprocess
+import sys
+
+from conftest import package_env
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+def test_corner_script_at_a_tiny_dimension():
+    proc = subprocess.run(
+        [sys.executable, str(TOOLS / "corner.py"), "--dim", "24", "--subset", "16",
+         "--rounds", "2"],
+        env=package_env(), capture_output=True, text=True, timeout=120, check=True,
+    )
+    out = json.loads(proc.stdout)
+    assert (out["dim"], out["subset"], out["sellers"]) == (24, 16, 4)
+    assert len(out["round_s"]) == 2 and all(t > 0 for t in out["round_s"])
+    sellers = [f"seller-{i}" for i in range(1, 5)]
+    assert sorted(out["raw_w2"]) == sorted(out["ranking"]) == sellers
+    assert all(math.isfinite(w) and w > 0 for w in out["raw_w2"].values())
+    # A 16-row subset in d = 24 leaves every seller covariance singular: the
+    # buyer checks each one's eigenvalues alone (Cholesky fails), then scores
+    # it with one more eigvalsh; its own 4096 rows factor by Cholesky, and no
+    # eigh runs anywhere.
+    for counts in out["decompositions"]:
+        assert counts == {"cholesky": 1 + 4, "eigh": 0, "eigvalsh": 4 + 4}

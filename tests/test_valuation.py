@@ -30,6 +30,7 @@ from priarta import (
     render_table,
     robustness_report,
     save_report,
+    wasserstein2_gaussian,
 )
 from priarta.protocol import (
     PROTOCOL_VERSION,
@@ -384,10 +385,12 @@ class _ForgingSession:
     answers STATS_REQUEST with a forged summary that carries the requested
     count and session id and the spec's fingerprint."""
 
-    def __init__(self, spec, extra_dim=0, cov_scale=1.0, sigma_used=0.5):
+    def __init__(self, spec, extra_dim=0, cov_scale=1.0, sigma_used=0.5, last_eigenvalue=None):
         self.spec = spec
         self.dim = spec.latent_dim + extra_dim
-        self.cov_scale = cov_scale
+        self.diagonal = np.full(self.dim, cov_scale)
+        if last_eigenvalue is not None:
+            self.diagonal[-1] = last_eigenvalue
         self.sigma_used = sigma_used
 
     def handle_bytes(self, frame):
@@ -395,7 +398,7 @@ class _ForgingSession:
         if not isinstance(msg, StatsRequest):
             return encode_frame(Hello(PROTOCOL_VERSION))
         return encode_frame(StatsResponse(
-            np.zeros(self.dim), pack_covariance(self.cov_scale * np.eye(self.dim)),
+            np.zeros(self.dim), pack_covariance(np.diag(self.diagonal)),
             msg.subset_size, msg.session_id, self.sigma_used, self.spec.fingerprint(),
         ))
 
@@ -406,6 +409,9 @@ FORGED_REPLIES = {
     "covariance-1e308": (dict(cov_scale=1e308), False, "NumericInputError: matrix entries"),
     "covariance-1e308-debias": (dict(cov_scale=1e308), True, "NumericInputError: matrix entries"),
     "negative-sigma-debias": (dict(sigma_used=-1.0), True, "negative sigma_used"),
+    # Cholesky fails, and the eigenvalue -1e-6 is below the floor -1e-10
+    "not-psd": (dict(last_eigenvalue=-1e-6), False, "NotPSDError: covariance is not PSD"),
+    "not-psd-debias": (dict(last_eigenvalue=-1e-6), True, "NotPSDError: covariance is not PSD"),
     "sigma-1e160-debias": (dict(sigma_used=1e160), True, "debias failed: ParameterError"),
 }
 
@@ -432,6 +438,30 @@ def test_one_hostile_seller_fails_alone(name):
     assert report.entry("mallory").failure_reason.startswith(reason)
     assert tuple(e for e in report.entries if e.node_id != "mallory") == honest.entries
     assert report.ranking == honest.ranking
+
+
+def test_a_reply_in_the_clamp_band_is_scored_as_the_public_constructor_clamps_it():
+    # Cholesky fails on the eigenvalue -1e-13, which lies below the rounding
+    # band -d * eps * lambda_max but above the floor -1e-10: the buyer
+    # rebuilds the covariance, as the public constructor does
+    config = default_scenario(7)
+    datasets = build_datasets(config)
+    forged = _ForgingSession(config.encoder, last_eigenvalue=-1e-13)
+
+    def mallory():
+        channel = InProcessChannel(SellerNode("mallory", raw=datasets[config.seller_ids()[0]]))
+        channel.session = forged
+        return channel
+
+    sent = np.diag(forged.diagonal)
+    clamped = GaussianSummary(np.zeros(forged.dim), sent, config.budget.subset_size)
+    assert clamped.covariance.tobytes() != sent.tobytes()
+    buyer, (outcome,) = orchestrate_valuation(datasets[BUYER_ID], [("mallory", mallory)],
+                                              config.encoder, config.budget, master_seed=7)
+    assert outcome.summary.covariance.tobytes() == clamped.covariance.tobytes()
+    report = run_valuation(datasets[BUYER_ID], [("mallory", mallory)], config.encoder,
+                           config.budget, master_seed=7)
+    assert report.entry("mallory").raw_w2 == wasserstein2_gaussian(buyer, clamped)
 
 
 # ------------------------------------------------------ rank-deficient rounds
@@ -469,28 +499,31 @@ def test_rank_deficient_round_matches_the_scipy_oracle(monkeypatch, rng, debias)
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.cholesky(buyer.covariance)
     seen = []
-    eigh = np.linalg.eigh
+    for name in ("eigh", "eigvalsh"):
 
-    def recorded(a):
-        w, q = eigh(a)
-        seen.append((a.tobytes(), float(w[0]), float(w[-1])))
-        return w, q
+        def recorded(a, _name=name, _original=getattr(np.linalg, name)):
+            out = _original(a)
+            w = out[0] if _name == "eigh" else out
+            seen.append((_name, a.tobytes(), float(w[0]), float(w[-1])))
+            return out
 
-    monkeypatch.setattr(np.linalg, "eigh", recorded)
+        monkeypatch.setattr(np.linalg, name, recorded)
     report = run_valuation(buyer_data, in_process_endpoints(nodes), spec, budget,
                            master_seed=3, debias=debias)
     monkeypatch.undo()
-    # Each seller covariance is eigendecomposed on the seller and again, with
-    # the same bits, after decoding; the buyer's in its summary and for its W2
-    # factor. Their negative eigenvalues are rounding, inside psd_clamp's band
-    # of d * eps * lambda_max, so none is rebuilt. Debias adds the eigh of
-    # each shifted covariance and the clamp of its result.
-    per_seller = 4 if debias else 2
-    assert len(seen) == 2 + per_seller * len(nodes)
-    for cov in [buyer.covariance] + [o.summary.covariance for o in outcomes]:
-        calls = [(low, high) for bits, low, high in seen if bits == cov.tobytes()]
-        assert len(calls) == 2
-        low, high = calls[0]
+    # The buyer's covariance is eigendecomposed once, for its W2 factor. A
+    # seller trusts the summary it has just made; the buyer takes each seller
+    # covariance's eigenvalues alone, once, after decoding. Their negative
+    # eigenvalues are rounding, inside psd_clamp's band of d * eps *
+    # lambda_max, so psd_clamp would not rebuild them either. Debias adds the
+    # eigh of each shifted covariance and the clamp of its result.
+    assert sum(name == "eigh" for name, *_ in seen) == 1 + (2 * len(nodes) if debias else 0)
+    expected = [(buyer.covariance, "eigh")] + [(o.summary.covariance, "eigvalsh")
+                                               for o in outcomes]
+    for cov, kind in expected:
+        calls = [(name, low, high) for name, bits, low, high in seen if bits == cov.tobytes()]
+        assert [name for name, _, _ in calls] == [kind]
+        _, low, high = calls[0]
         assert -len(cov) * np.finfo(float).eps * high <= low < 0.0
     assert not report.degenerate_normalization and len(report.ranking) == len(nodes)
     for o in outcomes:
