@@ -23,6 +23,16 @@ the three replies, stopping at the first ERROR. A seller still answers the
 requests after a rejected one: a rejected HELLO or MODEL_SPEC leaves its
 session without a spec, so the STATS_REQUEST behind it gets PROTOCOL_ORDER and
 touches no data.
+
+A SellerServer serves every connection on one thread, through one selector:
+it accepts, reads and writes without blocking, and each connection has its
+own session. A connection buffers at most one request frame past those it
+has answered. The replies to the frames one read delivered leave in one
+write; what the socket does not take waits until it is writable, so a peer
+that does not read holds only its own replies. A connection on which nothing
+is read or sent for 60 s (_IDLE_TIMEOUT_S) is closed, and while 256
+connections (_MAX_CONNECTIONS) are open the server accepts no more until one
+closes.
 """
 
 import collections
@@ -31,9 +41,11 @@ import functools
 import json
 import logging
 import secrets
+import selectors
 import socket
-import socketserver
 import struct
+import threading
+import time
 
 import numpy as np
 
@@ -77,6 +89,12 @@ PROTOCOL_VERSION = 3
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 # A seller reads requests, all well under 1 KB, against this much smaller cap.
 _MAX_REQUEST_BYTES = 64 * 1024
+# A seller closes a connection on which nothing was read or sent for this long.
+_IDLE_TIMEOUT_S = 60.0
+# Connections a seller holds open at once; at the cap it accepts no more until
+# one closes. Four rounds of a buyer's 64 in-flight sellers, and well under the
+# common soft limit of 1024 file descriptors.
+_MAX_CONNECTIONS = 256
 _HEADER = struct.Struct(">I")
 # Ends the JSON head of a payload that carries float64 arrays.
 _TAIL_MARK = b"\n"
@@ -353,9 +371,9 @@ def _decode_frame(data: bytes) -> object:
 _decode_shared = functools.lru_cache(maxsize=64)(_decode_frame)
 
 
-def _read_frame(sock, limit: int) -> bytes:
+def _read_frame(sock) -> bytes:
     """Read one whole frame, header included, from a stream socket; a declared
-    payload over limit bytes raises FrameError before any of it is read."""
+    payload over MAX_FRAME_BYTES raises FrameError before any of it is read."""
     frame = bytearray()
     size = _HEADER.size
     while len(frame) < size:
@@ -364,7 +382,7 @@ def _read_frame(sock, limit: int) -> bytes:
             raise ProtocolFailure("CONNECTION_CLOSED", "peer closed mid-frame")
         frame += chunk
         if size == _HEADER.size and len(frame) == size:
-            size += _declared_length(frame, limit)
+            size += _declared_length(frame, MAX_FRAME_BYTES)
     return bytes(frame)
 
 
@@ -580,7 +598,10 @@ class SellerSession:
         try:
             summary, calibration = seller_pipeline(data, self.spec, budget,
                                                    subset_seed, noise_seed)
-        except (ShapeError, NumericInputError, ParameterError) as exc:
+        except NumericInputError as exc:
+            # The spec fits: the budget's noise overflows this node's summary.
+            return ErrorMessage("INVALID_PARAMETER", str(exc), msg.session_id)
+        except (ShapeError, ParameterError) as exc:
             return ErrorMessage("SPEC_MISMATCH", str(exc), msg.session_id)
         log.info("node %s served session %s", self.node.node_id, msg.session_id)
         return _trusted_response(summary, msg.session_id, calibration.sigma,
@@ -663,7 +684,7 @@ class SocketChannel(_Channel):
 
     def receive(self) -> object:
         """Read and decode the next reply frame."""
-        return self._received(_read_frame(self.sock, MAX_FRAME_BYTES))
+        return self._received(_read_frame(self.sock))
 
     def close(self):
         try:
@@ -672,43 +693,187 @@ class SocketChannel(_Channel):
             pass
 
 
-class _SellerHandler(socketserver.BaseRequestHandler):
-    def handle(self):
-        session = SellerSession(self.server.node)
-        while True:
+class _Connection:
+    """One accepted socket, its session and its two buffers. inbox holds the
+    bytes read and not yet answered: less than one whole request frame
+    whenever the server reads. outbox holds the reply bytes not yet sent."""
+
+    __slots__ = ("sock", "peer", "session", "inbox", "outbox", "closing")
+
+    def __init__(self, sock, peer, node: SellerNode):
+        self.sock = sock
+        self.peer = peer
+        self.session = SellerSession(node)
+        self.inbox = bytearray()
+        self.outbox = memoryview(b"")
+        # Set once nothing more is read: close when the outbox is sent.
+        self.closing = False
+
+    def answer(self) -> bool:
+        """Move the replies to the complete frames in inbox to outbox, up to
+        _MAX_REQUEST_BYTES of replies at a time, so a peer that pipelines
+        many requests holds one batch of replies; False when none is due."""
+        inbox, start, replies, size = self.inbox, 0, [], 0
+        while size < _MAX_REQUEST_BYTES and len(inbox) - start >= _HEADER.size:
             try:
-                frame = _read_frame(self.request, _MAX_REQUEST_BYTES)
-            except (ProtocolFailure, OSError):
-                # A closed or reset connection ends the session. A buyer
-                # resets it when it closes with pipelined replies unread.
-                return
+                end = start + _HEADER.size + _declared_length(
+                    inbox[start:start + _HEADER.size], _MAX_REQUEST_BYTES)
             except FrameError as exc:
-                # The stream cannot be resynchronized past an oversized frame;
-                # a peer that is already gone ends the session all the same.
-                try:
-                    self.request.sendall(encode_frame(ErrorMessage(exc.code, exc.message, "")))
-                except OSError:
-                    pass
-                return
-            try:
-                self.request.sendall(session.handle_bytes(frame))
-            except OSError:
-                return
+                # The stream cannot be resynchronized past an oversized frame.
+                replies.append(encode_frame(ErrorMessage(exc.code, exc.message, "")))
+                self.closing = True
+                start = len(inbox)
+                break
+            if end > len(inbox):
+                break
+            replies.append(self.session.handle_bytes(bytes(inbox[start:end])))
+            size += len(replies[-1])
+            start = end
+        del inbox[:start]
+        self.outbox = memoryview(b"".join(replies))
+        return bool(replies)
 
 
-class SellerServer(socketserver.ThreadingTCPServer):
-    """Long-running seller endpoint; one session per connection, sessions
-    isolated, process stays up across malformed frames."""
-
-    allow_reuse_address = True
-    daemon_threads = True
+class SellerServer:
+    """Long-running seller endpoint: the thread that calls serve_forever
+    serves every connection through one selector. Each connection has its
+    own session; a malformed frame, a stalled peer or a reset connection
+    ends at most that session, and the process stays up."""
 
     def __init__(self, address, node: SellerNode):
         self.node = node
-        super().__init__(address, _SellerHandler)
+        # Binding raises OSError here, before anything is served.
+        self.socket = socket.create_server(address)
+        self.socket.setblocking(False)
+        self.server_address = self.socket.getsockname()
+        self._waker, self._wake = socket.socketpair()
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(self.socket, selectors.EVENT_READ)
+        self._selector.register(self._waker, selectors.EVENT_READ)
+        self._accepting = True
+        # Each open connection and the monotonic time of its last event,
+        # the longest idle first.
+        self._connections = collections.OrderedDict()
+        self._stopping = False
+        self._stopped = threading.Event()
 
-    def handle_error(self, request, client_address):
-        log.exception("node %s: connection %s failed", self.node.node_id, client_address)
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.server_close()
+
+    def serve_forever(self):
+        """Serve until shutdown() is called from another thread."""
+        self._stopped.clear()
+        try:
+            while not self._stopping:
+                for key, _ in self._selector.select(self._expire()):
+                    if key.fileobj is self.socket:
+                        self._accept()
+                    elif key.fileobj is self._waker:
+                        self._waker.recv(4096)
+                    else:
+                        self._serve_connection(key)
+        finally:
+            self._stopping = False
+            self._stopped.set()
+
+    def shutdown(self):
+        """Make serve_forever return and wait until it has; serve_forever
+        must be running, or about to run, in another thread."""
+        self._stopping = True
+        try:
+            self._wake.send(b"\0")
+        except OSError:  # a full buffer already holds a wake-up
+            pass
+        self._stopped.wait()
+
+    def server_close(self):
+        """Close every connection and the listening socket."""
+        for conn in list(self._connections):
+            self._close(conn)
+        self._selector.close()
+        self.socket.close()
+        self._waker.close()
+        self._wake.close()
+
+    def _expire(self):
+        """Close the connections idle for _IDLE_TIMEOUT_S; the seconds until
+        the next one would be, or None when none is open."""
+        now = time.monotonic()
+        while self._connections:
+            conn, since = next(iter(self._connections.items()))
+            if since + _IDLE_TIMEOUT_S > now:
+                return since + _IDLE_TIMEOUT_S - now
+            log.info("node %s: closing %s, idle for %.0f s", self.node.node_id, conn.peer,
+                     now - since)
+            self._close(conn)
+        return None
+
+    def _accept(self):
+        try:
+            sock, peer = self.socket.accept()
+        except OSError:  # the peer went away before it was accepted
+            return
+        sock.setblocking(False)
+        conn = _Connection(sock, peer, self.node)
+        self._selector.register(sock, selectors.EVENT_READ, conn)
+        self._connections[conn] = time.monotonic()
+        if len(self._connections) >= _MAX_CONNECTIONS:
+            self._selector.unregister(self.socket)
+            self._accepting = False
+
+    def _serve_connection(self, key):
+        conn = key.data
+        self._connections[conn] = time.monotonic()
+        self._connections.move_to_end(conn)
+        try:
+            # Registered to read only while nothing waits to be sent, and a
+            # hang-up is reported as readable and writable alike.
+            if key.events == selectors.EVENT_READ:
+                data = conn.sock.recv(_HEADER.size + _MAX_REQUEST_BYTES - len(conn.inbox))
+                conn.inbox += data
+                conn.closing = not data
+            # The replies to all frames one read delivered leave in one send.
+            while conn.outbox or conn.answer():
+                sent = conn.sock.send(conn.outbox)
+                conn.outbox = conn.outbox[sent:]
+                if conn.outbox:
+                    break
+        except BlockingIOError:  # the socket takes no more for now
+            pass
+        except OSError:
+            # A closed or reset connection ends the session. A buyer resets
+            # it when it closes with pipelined replies unread.
+            self._close(conn)
+            return
+        except Exception:  # one broken session must not stop the server
+            log.exception("node %s: connection %s failed", self.node.node_id, conn.peer)
+            self._close(conn)
+            return
+        if conn.outbox:
+            # A peer that does not read holds its replies here, not the loop.
+            wanted = selectors.EVENT_WRITE
+        elif conn.closing:
+            self._close(conn)
+            return
+        else:
+            wanted = selectors.EVENT_READ
+        if key.events != wanted:
+            self._selector.modify(conn.sock, wanted, conn)
+
+    def _close(self, conn):
+        del self._connections[conn]
+        self._selector.unregister(conn.sock)
+        try:
+            conn.sock.shutdown(socket.SHUT_WR)
+        except OSError:
+            pass
+        conn.sock.close()
+        if not self._accepting and len(self._connections) < _MAX_CONNECTIONS:
+            self._selector.register(self.socket, selectors.EVENT_READ)
+            self._accepting = True
 
 
 @dataclass

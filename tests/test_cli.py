@@ -309,23 +309,25 @@ def free_port():
 
 def test_serve_and_value_over_sockets(scenario_dir, tmp_path):
     # spawn two real seller processes, value against them, and compare with
-    # the offline route over the same two sellers
-    ports = [free_port(), free_port()]
+    # the offline route over the same two sellers. Each binds a port of its
+    # own choosing and reports it.
+    ports = []
     procs = []
     env = package_env()
     spec = str(scenario_dir / "encoder.json")
     try:
-        for i, port in enumerate(ports, start=1):
+        for i in (1, 2):
             procs.append(subprocess.Popen(
                 [sys.executable, "-m", "priarta.cli", "serve",
                  "--input", str(scenario_dir / "sellers" / f"seller-{i}.raw"),
-                 "--listen", f"127.0.0.1:{port}",
+                 "--listen", "127.0.0.1:0",
                  "--node-id", f"seller-{i}"],
                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
             ))
-        for proc in procs:
+        for i, proc in enumerate(procs, start=1):
             line = proc.stdout.readline()
-            assert "listening" in line
+            assert line.startswith(f"node seller-{i} listening on 127.0.0.1:"), line
+            ports.append(int(line.rsplit(":", 1)[1]))
 
         net_out = tmp_path / "net.json"
         code = run_cli(

@@ -10,6 +10,7 @@ import socket
 import struct
 import sys
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -1004,14 +1005,15 @@ def test_seller_refuses_a_budget_whose_noised_covariance_overflows():
 def test_an_accepted_budget_whose_covariance_overflows_gets_an_error_reply():
     # R = 7.9e76 gives sigma ~ 5e153 on 32 rows: accepted, since the refusal
     # bound keeps every budget that can yield a summary, yet the second
-    # moments overflow here. The reply is an ERROR, with no numpy warning.
+    # moments overflow here. The reply is an ERROR, with no numpy warning;
+    # the spec fits, so its code names the parameters.
     PrivacyBudget(0.8, 1e-5, 7.9e76, 32)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         reply = decode_frame(ready_session().handle_bytes(
             encode_frame(make_request(clip_radius=7.9e76))))
     assert isinstance(reply, ErrorMessage)
-    assert reply.code == "SPEC_MISMATCH"
+    assert reply.code == "INVALID_PARAMETER"
     assert reply.message == "matrix contains non-finite entries"
 
 
@@ -1362,10 +1364,33 @@ def serving(node):
     return server
 
 
+def full_session(address, spec=SPEC, request=None) -> StatsResponse:
+    """One pipelined round over a new connection: the STATS_RESPONSE."""
+    chan = SocketChannel(*address)
+    try:
+        chan.send(Hello(PROTOCOL_VERSION), ModelSpec(spec), request or make_request())
+        replies = [chan.receive() for _ in range(3)]
+    finally:
+        chan.close()
+    assert [type(reply) for reply in replies] == [Hello, Hello, StatsResponse]
+    return replies[-1]
+
+
+def recv_exact(sock, size: int) -> bytes:
+    """size bytes from sock, or fewer if the peer closes first."""
+    data = b""
+    while len(data) < size:
+        chunk = sock.recv(size - len(data))
+        if not chunk:
+            break
+        data += chunk
+    return data
+
+
 def read_reply(sock) -> bytes:
-    stream = sock.makefile("rb")
-    header = stream.read(4)
-    return header + stream.read(int.from_bytes(header, "big"))
+    """One frame, read without reading past it."""
+    header = recv_exact(sock, 4)
+    return header + recv_exact(sock, int.from_bytes(header, "big"))
 
 
 def test_server_replies_bad_payload_to_malformed_model_spec():
@@ -1400,38 +1425,20 @@ def test_server_answers_oversized_header_then_closes():
         server.server_close()
 
 
-class ResetAfterHeader:
-    """A request socket whose peer sent a 1 MiB length header and then reset
-    the connection (a close with SO_LINGER 0), so the reply cannot be sent."""
-
-    def __init__(self):
-        self.pending = (1 << 20).to_bytes(4, "big")
-        self.replies = 0
-
-    def recv(self, size):
-        chunk, self.pending = self.pending[:size], self.pending[size:]
-        return chunk
-
-    def sendall(self, data):
-        self.replies += 1
-        raise ConnectionResetError(104, "Connection reset by peer")
-
-    def shutdown(self, how):
-        pass
-
-    def close(self):
-        pass
-
-
 def test_server_ends_the_session_quietly_when_a_reset_peer_misses_its_error(caplog):
-    server = SellerServer(("127.0.0.1", 0), SellerNode("sock", raw=make_dataset()))
-    request = ResetAfterHeader()
-    try:
-        with caplog.at_level(logging.DEBUG, logger="priarta"):
-            server.process_request_thread(request, ("127.0.0.1", 9))
-    finally:
-        server.server_close()
-    assert request.replies == 1
+    with caplog.at_level(logging.DEBUG, logger="priarta"):
+        server = serving(SellerNode("sock", raw=make_dataset()))
+        try:
+            # A 1 MiB length header, then a reset (a close with SO_LINGER 0),
+            # so the FRAME_TOO_LARGE reply has nowhere to go.
+            with socket.create_connection(server.server_address, timeout=10) as sock:
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+                sock.sendall((1 << 20).to_bytes(4, "big"))
+            # the server serves the next connection
+            full_session(server.server_address)
+        finally:
+            server.shutdown()
+            server.server_close()
     assert not [r for r in caplog.records if r.levelno >= logging.ERROR]
 
 
@@ -1563,6 +1570,167 @@ def test_concurrent_sessions_are_isolated():
     assert all(isinstance(r, StatsResponse) for r in results)
     # same node, same seeded request: both sessions answer identically
     assert results[0] == results[1]
+
+
+# ------------------------------------- one server thread: faults and limits
+#
+# Each test runs one SellerServer on one thread and drives its peers from
+# the test's own thread; the limits are shrunk where a test needs them.
+
+ROUND_FRAMES = b"".join(encode_frame(msg)
+                        for msg in (Hello(PROTOCOL_VERSION), ModelSpec(SPEC), make_request()))
+
+
+def in_process_replies() -> list:
+    session = SellerSession(SellerNode("sock", raw=make_dataset()))
+    return [session.handle_bytes(encode_frame(msg))
+            for msg in (Hello(PROTOCOL_VERSION), ModelSpec(SPEC), make_request())]
+
+
+def test_a_stalled_half_frame_does_not_delay_another_session():
+    server = serving(SellerNode("sock", raw=make_dataset()))
+    try:
+        with socket.create_connection(server.server_address, timeout=10) as stalled:
+            stalled.sendall(ROUND_FRAMES[:7])
+            # SocketChannel gives up after 10 s, so a server stuck on the
+            # stalled peer would fail this session
+            full_session(server.server_address)
+            stalled.settimeout(0.2)
+            with pytest.raises(TimeoutError):
+                stalled.recv(1)
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_the_idle_deadline_closes_a_stalled_connection(monkeypatch):
+    monkeypatch.setattr(protocol, "_IDLE_TIMEOUT_S", 0.3)
+    server = serving(SellerNode("sock", raw=make_dataset()))
+    try:
+        with socket.create_connection(server.server_address, timeout=10) as stalled:
+            started = time.monotonic()  # before the server's last read
+            stalled.sendall(ROUND_FRAMES[:7])
+            assert stalled.recv(1) == b""
+            assert 0.3 <= time.monotonic() - started < 5
+        full_session(server.server_address)
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_a_half_closed_peer_gets_the_replies_to_its_whole_frames():
+    server = serving(SellerNode("sock", raw=make_dataset()))
+    try:
+        # whole frames, then a half frame, then the write side shut
+        with socket.create_connection(server.server_address, timeout=10) as sock:
+            sock.sendall(ROUND_FRAMES + ROUND_FRAMES[:7])
+            sock.shutdown(socket.SHUT_WR)
+            assert [read_reply(sock) for _ in range(3)] == in_process_replies()
+            assert sock.recv(1) == b""
+        full_session(server.server_address)
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_a_request_dripped_one_byte_per_write_is_answered():
+    server = serving(SellerNode("sock", raw=make_dataset()))
+    try:
+        with socket.create_connection(server.server_address, timeout=10) as sock:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            for byte in ROUND_FRAMES:
+                sock.sendall(bytes([byte]))
+                time.sleep(0.0002)
+            assert [read_reply(sock) for _ in range(3)] == in_process_replies()
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_a_long_pipeline_is_answered_in_order_past_one_read_and_one_batch():
+    # 500 STATS_REQUESTs: more request bytes than one read takes (64 KiB),
+    # and replies twice their size, more than the server answers before it
+    # sends
+    frames = [encode_frame(Hello(PROTOCOL_VERSION)), encode_frame(ModelSpec(SPEC))]
+    frames += [encode_frame(make_request())] * 500
+    session = SellerSession(SellerNode("sock", raw=make_dataset()))
+    expected = b"".join(session.handle_bytes(frame) for frame in frames)
+    assert len(expected) > 2 * _MAX_REQUEST_BYTES
+    server = serving(SellerNode("sock", raw=make_dataset()))
+    try:
+        with socket.create_connection(server.server_address, timeout=10) as sock:
+            sock.sendall(b"".join(frames))
+            assert recv_exact(sock, len(expected)) == expected
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_a_peer_that_never_reads_its_replies_does_not_block_another_session(rng):
+    # A 6.6 MB STATS_RESPONSE (d = 1280) overflows the server's send buffer
+    # (at most 4 MB by default on Linux) and the deaf peer's small receive
+    # buffer, so the server holds the rest of it.
+    d = 1280
+    node = SellerNode("wide", embeddings=EmbeddingSet(rng.standard_normal((8, d)), 1.0, False))
+    spec = EncoderSpec("external", 5, d, d, d, 0.0)
+    request = make_request(subset=4)
+    server = serving(node)
+    try:
+        with socket.socket() as deaf:
+            deaf.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            deaf.settimeout(10)
+            deaf.connect(server.server_address)
+            deaf.sendall(b"".join(encode_frame(msg)
+                                  for msg in (Hello(PROTOCOL_VERSION), ModelSpec(spec), request)))
+            reply = full_session(server.server_address, spec, request)
+            assert len(encode_frame(reply)) > 6_000_000
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_connections_one_after_another_are_served_on_one_thread():
+    server = serving(SellerNode("sock", raw=make_dataset()))
+    threads = threading.active_count()
+    try:
+        for seed in range(200):
+            chan = SocketChannel(*server.server_address)
+            try:
+                chan.send(Hello(PROTOCOL_VERSION), ModelSpec(SPEC), make_request(seed=seed))
+                replies = [chan.receive() for _ in range(3)]
+                # the open connection has no thread of its own
+                assert threading.active_count() == threads
+            finally:
+                chan.close()
+            assert isinstance(replies[-1], StatsResponse)
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_a_connection_past_the_cap_is_served_once_an_earlier_one_closes(monkeypatch):
+    monkeypatch.setattr(protocol, "_MAX_CONNECTIONS", 2)
+    server = serving(SellerNode("sock", raw=make_dataset()))
+    first = SocketChannel(*server.server_address)
+    second = SocketChannel(*server.server_address)
+    try:
+        for chan in (first, second):
+            assert isinstance(chan.request(Hello(PROTOCOL_VERSION)), Hello)
+        # the kernel completes the handshake; the server does not accept
+        with socket.create_connection(server.server_address, timeout=10) as third:
+            third.sendall(encode_frame(Hello(PROTOCOL_VERSION)))
+            third.settimeout(0.3)
+            with pytest.raises(TimeoutError):
+                third.recv(1)
+            first.close()
+            third.settimeout(10)
+            assert isinstance(decode_frame(read_reply(third)), Hello)
+            assert isinstance(second.request(ModelSpec(SPEC)), Hello)
+    finally:
+        first.close()
+        second.close()
+        server.shutdown()
+        server.server_close()
 
 
 OTHER_SPEC = EncoderSpec("toy_projection", 314159, 16, 4, 8, 0.0)
