@@ -14,8 +14,9 @@ constructor, which files and callers go through, checks shapes, finiteness,
 labels and class probabilities, and copies every array. gen_mixture_dataset
 and augment build their points in place from draws they make and from a
 RawDataset that was checked when it was made. Each keeps one finiteness check
-on the points it makes, since a large scale can overflow, and wraps its arrays
-read-only without copying or checking them again.
+on the points it makes, since a large scale can overflow. Each dataset ends
+in errors._trusted, which neither copies nor scans: finite float64 points,
+int64 labels in range and a checked probability vector.
 """
 
 from dataclasses import dataclass, fields
@@ -143,15 +144,6 @@ class RawDataset:
         return self.points.shape[1]
 
 
-def _trusted_dataset(points: np.ndarray, labels: np.ndarray,
-                     class_probs: np.ndarray) -> RawDataset:
-    """A RawDataset over arrays its caller has just made, or took from a
-    RawDataset: finite float64 points checked by the caller, int64 labels in
-    range, a checked probability vector. Each is made read-only, not copied or
-    scanned."""
-    return _trusted(RawDataset, points=points, labels=labels, class_probs=class_probs)
-
-
 @dataclass(frozen=True)
 class AugmentationSpec:
     """Random nuisance-block perturbation applied pointwise."""
@@ -244,7 +236,7 @@ def gen_mixture_dataset(
     points[:, :s] = signal
     points[:, s:] = rng.standard_normal((m, p - s))
     # probs may be the caller's own array: the dataset keeps a copy.
-    return _trusted_dataset(points, labels, probs.copy())
+    return _trusted(RawDataset, points=points, labels=labels, class_probs=probs.copy())
 
 
 @functools.lru_cache(maxsize=8)
@@ -319,4 +311,4 @@ def augment(data: RawDataset, aug: AugmentationSpec, signal_dims: int) -> RawDat
             rng.permuted(block, axis=1, out=block)
         if not every:
             points[selected, s:] = block
-    return _trusted_dataset(points, data.labels, data.class_probs)
+    return _trusted(RawDataset, points=points, labels=data.labels, class_probs=data.class_probs)

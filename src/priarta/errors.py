@@ -3,7 +3,9 @@ type that every constructor applies to a value from a file, a frame or a
 caller: require_int, require_float, require_str and require_bool raise
 ParameterError on a value of the wrong type instead of converting it. An
 object the package builds from values it has just made, or has checked, is
-made by _trusted instead, which applies none of those rules."""
+made by _trusted(cls, ...) instead, which applies none of those rules. It is
+the one path that skips a constructor: each module's docstring lists what
+the values it passes must already satisfy."""
 
 import math
 

@@ -32,8 +32,12 @@ ends at the covariance psd_clamp would give:
   made are trusted. They are checked for finiteness and symmetrized, with no
   factorization and no clamp: a seller sends them so. The buyer's own
   summary is clamped and factored by one decomposition (_factored), which
-  also rejects a covariance that is not PSD.
-Trusted summaries are built by _trusted_summary, which neither copies nor scans.
+  also rejects a covariance that is not PSD;
+- debias_covariance: its clamped rebuild is symmetric and PSD by
+  construction, a fixed point of psd_clamp.
+Every path but the public constructor ends in errors._trusted, which neither
+copies nor scans: a finite 1-D float64 mean, an exactly symmetric finite
+covariance of its size, PSD up to rounding, and a count >= 2.
 """
 
 from dataclasses import dataclass
@@ -164,8 +168,8 @@ class GaussianSummary:
 
     The public constructor symmetrizes and PSD-clamps the covariance; both
     arrays are frozen against later mutation. Summaries the package makes
-    itself are built by _trusted_summary and checked where they are made
-    (see the module docstring): summarize's are symmetrized, not clamped.
+    itself, debias_covariance's too, are built by errors._trusted and checked
+    where they are made (see the module docstring).
     """
 
     mean: Array
@@ -208,14 +212,6 @@ def _w2_factor(factor, w: Array, q: Array) -> Array:
     return factor
 
 
-def _trusted_summary(mean: Array, covariance: Array, count: int) -> GaussianSummary:
-    """A GaussianSummary over arrays its caller has just made or checked: a
-    finite 1-D float64 mean, an exactly symmetric finite covariance of its
-    size, PSD by construction or by _require_psd, and a count >= 2. The
-    arrays are made read-only, not copied, and nothing is factored."""
-    return _trusted(GaussianSummary, mean=mean, covariance=covariance, count=count)
-
-
 def _require_psd(sym: Array, name: str) -> Array:
     """psd_clamp of a finite, exactly symmetric matrix, with its errors:
     NumericInputError for an entry past half the float range, NotPSDError
@@ -250,7 +246,8 @@ def debias_covariance(summary: GaussianSummary, sigma: float) -> GaussianSummary
     """Remove the systematic sigma^2 * I inflation a noisy covariance carries.
 
     The result is clamped back onto the PSD cone (every negative eigenvalue
-    goes to 0, none is rejected); mean and count pass through.
+    goes to 0, none is rejected) by one eigh, and trusted as made: it is not
+    checked or clamped again. Mean and count pass through.
     Off by default in the pipeline: the noisy covariance is normally used
     as-is, this correction exists for buyers who want the inflation removed.
     """
@@ -265,7 +262,8 @@ def debias_covariance(summary: GaussianSummary, sigma: float) -> GaussianSummary
         raise ParameterError(f"sigma^2 is not finite for sigma = {sigma!r}") from exc
     shifted = summary.covariance - variance * np.eye(summary.dim)
     w, q = _eigh(shifted, "debiased covariance", psd=False)
-    return GaussianSummary(summary.mean, _clamp_reconstruct(w, q), summary.count)
+    return _trusted(GaussianSummary, mean=summary.mean, covariance=_clamp_reconstruct(w, q),
+                    count=summary.count)
 
 
 def wasserstein2_gaussian(a: GaussianSummary, b: GaussianSummary) -> float:

@@ -28,8 +28,8 @@ import warnings
 
 import numpy as np
 
-from .errors import NumericInputError, ParameterError, require_float, require_int
-from .stats import EmbeddingSet, _check_radius, _trusted_set
+from .errors import NumericInputError, ParameterError, _trusted, require_float, require_int
+from .stats import EmbeddingSet, _check_radius
 
 __all__ = [
     "GAUSSIAN_SAMPLER", "NoiseCalibration", "PrivacyBudget",
@@ -154,7 +154,8 @@ def apply_gaussian_mechanism(
     noisy = embeddings.vectors + rng.normal(0.0, sigma, size=embeddings.vectors.shape)
     if not np.isfinite(noisy).all():
         raise NumericInputError("embedding vectors contain non-finite entries")
-    return _trusted_set(noisy, embeddings.clip_radius, clipped=False)
+    return _trusted(EmbeddingSet, vectors=noisy, clip_radius=embeddings.clip_radius,
+                    clipped=False)
 
 
 def derive_seed(master_seed: int, node_id: str, purpose: str) -> int:

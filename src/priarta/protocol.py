@@ -63,7 +63,7 @@ from .errors import (
     require_int,
     require_str,
 )
-from .gaussian_geometry import GaussianSummary, _factored, _require_psd, _trusted_summary
+from .gaussian_geometry import GaussianSummary, _factored, _require_psd
 from .privacy import (
     PrivacyBudget,
     apply_gaussian_mechanism,
@@ -91,6 +91,8 @@ MAX_FRAME_BYTES = 64 * 1024 * 1024
 _MAX_REQUEST_BYTES = 64 * 1024
 # A seller closes a connection on which nothing was read or sent for this long.
 _IDLE_TIMEOUT_S = 60.0
+# A buyer's socket gives up on a connect, send or read that waits this long.
+_READ_TIMEOUT_S = 10.0
 # Connections a seller holds open at once; at the cap it accepts no more until
 # one closes. Four rounds of a buyer's 64 in-flight sellers, and well under the
 # common soft limit of 1024 file descriptors.
@@ -198,17 +200,6 @@ class StatsResponse:
             return NotImplemented
         return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
                    for f in fields(self))
-
-
-def _trusted_response(summary: GaussianSummary, session_id: str, sigma_used: float,
-                      encoder_fingerprint: str) -> StatsResponse:
-    """The StatsResponse of a summary its seller has just made: the mean is
-    already a finite, read-only float64 vector and the packed covariance is
-    made here, so neither is copied or scanned again."""
-    return _trusted(StatsResponse, mean=summary.mean,
-                    covariance=pack_covariance(summary.covariance), count=summary.count,
-                    session_id=session_id, sigma_used=sigma_used,
-                    encoder_fingerprint=encoder_fingerprint)
 
 
 @dataclass(frozen=True)
@@ -409,11 +400,8 @@ def expand_covariance(values, dim: int) -> np.ndarray:
 
 
 def _subset_indices(count: int, m_tilde: int, seed: int) -> np.ndarray:
-    require_int(m_tilde, "subset size", 1)
     if m_tilde > count:
-        raise InsufficientSamplesError(
-            f"subset of {m_tilde} requested from {count} available rows"
-        )
+        raise InsufficientSamplesError(f"subset of {m_tilde} requested, node holds {count} rows")
     rng = np.random.Generator(np.random.PCG64(int(seed)))
     return rng.choice(count, size=m_tilde, replace=False)
 
@@ -536,19 +524,16 @@ class SellerSession:
         """The reply frame; a frame that cannot be decoded, or a reply too
         large to frame, is answered with an ERROR frame."""
         try:
-            reply = self.handle_request(decode_frame(frame))
+            msg = decode_frame(frame)
+            try:
+                reply = self._dispatch(msg)
+            except Exception as exc:  # a node must answer, never crash
+                log.exception("node %s: unhandled failure", self.node.node_id)
+                reply = ErrorMessage("INTERNAL", f"{type(exc).__name__}: {exc}",
+                                     self.last_session_id)
             return _ACK_FRAME if reply is _ACK else encode_frame(reply)
         except FrameError as exc:
             return encode_frame(ErrorMessage(exc.code, exc.message, self.last_session_id))
-
-    def handle_request(self, msg) -> object:
-        try:
-            return self._dispatch(msg)
-        except Exception as exc:  # a node must answer, never crash
-            log.exception("node %s: unhandled failure", self.node.node_id)
-            return ErrorMessage(
-                "INTERNAL", f"{type(exc).__name__}: {exc}", self.last_session_id
-            )
 
     def _dispatch(self, msg) -> object:
         if isinstance(msg, Hello):
@@ -587,12 +572,6 @@ class SellerSession:
             budget = PrivacyBudget(msg.epsilon, msg.delta, msg.clip_radius, msg.subset_size)
         except ParameterError as exc:
             return ErrorMessage("INVALID_PARAMETER", str(exc), msg.session_id)
-        if msg.subset_size > self.node.count:
-            return ErrorMessage(
-                "INSUFFICIENT_DATA",
-                f"subset of {msg.subset_size} requested, node holds {self.node.count} rows",
-                msg.session_id,
-            )
         subset_seed, noise_seed = node_seeds(msg.seed, self.node.node_id)
         data = self.node.raw if self.node.raw is not None else self.node.embeddings
         try:
@@ -601,11 +580,16 @@ class SellerSession:
         except NumericInputError as exc:
             # The spec fits: the budget's noise overflows this node's summary.
             return ErrorMessage("INVALID_PARAMETER", str(exc), msg.session_id)
+        except InsufficientSamplesError as exc:  # before its base class, ParameterError
+            return ErrorMessage("INSUFFICIENT_DATA", str(exc), msg.session_id)
         except (ShapeError, ParameterError) as exc:
             return ErrorMessage("SPEC_MISMATCH", str(exc), msg.session_id)
         log.info("node %s served session %s", self.node.node_id, msg.session_id)
-        return _trusted_response(summary, msg.session_id, calibration.sigma,
-                                 self.spec.fingerprint())
+        # The mean is read-only already; the packed covariance is made here.
+        return _trusted(StatsResponse, mean=summary.mean,
+                        covariance=pack_covariance(summary.covariance), count=summary.count,
+                        session_id=msg.session_id, sigma_used=calibration.sigma,
+                        encoder_fingerprint=self.spec.fingerprint())
 
 
 class _Channel:
@@ -669,9 +653,9 @@ class InProcessChannel(_Channel):
 class SocketChannel(_Channel):
     """TCP transport speaking the same frames."""
 
-    def __init__(self, host: str, port: int, timeout: float = 10.0):
+    def __init__(self, host: str, port: int):
         super().__init__()
-        self.sock = socket.create_connection((host, port), timeout=timeout)
+        self.sock = socket.create_connection((host, port), timeout=_READ_TIMEOUT_S)
 
     request = _Channel.request
 
@@ -960,7 +944,8 @@ def _collect(outcome: SellerOutcome, channel, spec: EncoderSpec, request: StatsR
         # is exactly symmetric: only its PSD check and clamp are left.
         covariance = _require_psd(expand_covariance(reply.covariance, len(reply.mean)),
                                   "covariance")
-        outcome.summary = _trusted_summary(reply.mean, covariance, reply.count)
+        outcome.summary = _trusted(GaussianSummary, mean=reply.mean, covariance=covariance,
+                                   count=reply.count)
         outcome.sigma_used = reply.sigma_used
     except (OSError, PriartaError) as exc:
         outcome.failure = f"{type(exc).__name__}: {exc}"

@@ -1,5 +1,12 @@
 """Clipping and Gaussian summarization of embedding sets (the seller-side
-"compute mean and covariance" step)."""
+"compute mean and covariance" step).
+
+A set is checked once, by the public EmbeddingSet constructor or as
+clip_to_ball's input. clip_to_ball and the Gaussian mechanism build theirs
+with errors._trusted, which neither copies nor scans: a finite float64 matrix
+of n >= 2 rows and d >= 1 columns, a checked radius and a clipped flag that
+holds by construction.
+"""
 
 from dataclasses import dataclass
 
@@ -15,7 +22,7 @@ from .errors import (
     require_bool,
     require_float,
 )
-from .gaussian_geometry import GaussianSummary, _check_finite, _trusted_summary, symmetrize
+from .gaussian_geometry import GaussianSummary, _check_finite, symmetrize
 
 __all__ = [
     "EmbeddingSet", "clip_to_ball", "sample_covariance", "sample_mean", "summarize",
@@ -104,6 +111,7 @@ def clip_to_ball(vectors, radius: float) -> EmbeddingSet:
         raise ShapeError(f"vectors must be a 2-D matrix, got shape {v.shape}")
     if not np.isfinite(v).all():
         raise NumericInputError("vectors contain non-finite entries")
+    _check_shape(v)
     norms = _row_norms(v)
     # x * 1.0 is x bit for bit, so one pass scales the rows outside the ball
     # and carries the others over.
@@ -113,21 +121,11 @@ def clip_to_ball(vectors, radius: float) -> EmbeddingSet:
     if big.any():  # v * v overflowed: take these rows' norms at max |x| = 1
         unit = v[big] / np.abs(v[big]).max(axis=1)[:, None]
         out[big] = unit * (radius / _row_norms(unit))[:, None]
-    return _trusted_set(out, radius, clipped=True)
-
-
-def _trusted_set(vectors: np.ndarray, clip_radius: float, clipped: bool) -> EmbeddingSet:
-    """An EmbeddingSet over a finite float64 array its caller has just made,
-    with a checked radius and a clipped flag that holds by construction: the
-    shape is checked and the array made read-only, not copied or scanned."""
-    _check_shape(vectors)
-    return _trusted(EmbeddingSet, vectors=vectors, clip_radius=clip_radius, clipped=clipped)
+    return _trusted(EmbeddingSet, vectors=out, clip_radius=radius, clipped=True)
 
 
 def sample_mean(embeddings: EmbeddingSet) -> np.ndarray:
     """Arithmetic mean of the rows."""
-    if embeddings.count < 1:
-        raise EmptyInputError("cannot average an empty embedding set")
     return embeddings.vectors.mean(axis=0)
 
 
@@ -140,12 +138,9 @@ def _covariance_about(embeddings: EmbeddingSet, mean: np.ndarray) -> np.ndarray:
     """sample_covariance before its symmetrize, centered on the rows' mean
     computed by the caller. An entry past the float range reads inf, for the
     caller's symmetrize to reject."""
-    n = embeddings.count
-    if n < 2:
-        raise InsufficientSamplesError(f"covariance needs >= 2 rows, got {n}")
     with np.errstate(over="ignore", invalid="ignore"):
         centered = embeddings.vectors - mean
-        return centered.T @ centered / (n - 1)
+        return centered.T @ centered / (embeddings.count - 1)
 
 
 def summarize(embeddings: EmbeddingSet) -> GaussianSummary:
@@ -159,4 +154,4 @@ def summarize(embeddings: EmbeddingSet) -> GaussianSummary:
     clamps what it scores (buyer_summary, and each received reply)."""
     mean = _check_finite(sample_mean(embeddings), "mean")
     covariance = symmetrize(_covariance_about(embeddings, mean))
-    return _trusted_summary(mean, covariance, embeddings.count)
+    return _trusted(GaussianSummary, mean=mean, covariance=covariance, count=embeddings.count)

@@ -25,8 +25,8 @@ from .errors import (
 from .fileio import dumps_json, load_json, save_json
 from .gaussian_geometry import GaussianSummary, debias_covariance, wasserstein2_gaussian
 from .privacy import GAUSSIAN_SAMPLER, PrivacyBudget
-from .protocol import (PROTOCOL_VERSION, SellerNode, _round, in_process_endpoints,
-                       orchestrate_valuation)
+from .protocol import (MODE_SECURE, MODE_SEEDED, PROTOCOL_VERSION, SellerNode, _round,
+                       in_process_endpoints, orchestrate_valuation)
 from .scenario import BUYER_ID, ScenarioConfig, build_datasets
 
 __all__ = [
@@ -254,7 +254,7 @@ def run_valuation(buyer_data, sellers, spec: EncoderSpec, budget: PrivacyBudget,
         "clip_radius": budget.clip_radius,
         "subset_size": budget.subset_size,
         "master_seed": master_seed,
-        "mode": "seeded" if master_seed is not None else "secure",
+        "mode": MODE_SEEDED if master_seed is not None else MODE_SECURE,
         "objective": objective,
         "debias": debias,
         "noisy_buyer": noisy_buyer,

@@ -82,3 +82,54 @@ def test_the_linalg_scan_sees_imports_aliases_and_scipy(tmp_path):
         "n = np.linalg.norm(a, axis=1)\n"
     )
     assert sorted(line for line, _ in linalg_uses(source)) == [2, 3, 4, 5, 6, 7]
+
+
+def trusted_construction(path):
+    """In a source file: the function around each read of object.__new__
+    (None at module level), and each function whose name starts with _trusted."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    readers, trusted = [], []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, functions) and child.name.startswith("_trusted"):
+                trusted.append(child.name)
+            if isinstance(child, ast.Attribute) and ast.unparse(child) == "object.__new__":
+                readers.append(owner)
+            visit(child, child.name if isinstance(child, functions) else owner)
+
+    visit(tree, None)
+    return readers, trusted
+
+
+def test_one_trusted_constructor_skips_the_checks():
+    # errors._trusted is the one way to build a frozen object without its
+    # constructor; per-type wrappers around it would hide what each caller
+    # guarantees.
+    package = Path(priarta.__file__).parent
+    readers, trusted = [], []
+    for path in sorted(package.glob("*.py")):
+        found = trusted_construction(path)
+        readers += [f"{path.stem}.{owner}" for owner in found[0]]
+        trusted += [f"{path.stem}.{name}" for name in found[1]]
+    assert readers == ["errors._trusted"]
+    assert trusted == ["errors._trusted"]
+
+
+def test_the_trusted_construction_scan_sees_every_place(tmp_path):
+    source = tmp_path / "module.py"
+    source.write_text(
+        "new = object.__new__\n"
+        "def _trusted_thing(cls):\n"
+        "    return object.__new__(cls)\n"
+        "class A:\n"
+        "    def make(self):\n"
+        "        def inner():\n"
+        "            return object.__new__(A)\n"
+        "        return inner\n"
+        "    async def _trusted_later(self):\n"
+        "        pass\n"
+    )
+    assert trusted_construction(source) == ([None, "_trusted_thing", "inner"],
+                                            ["_trusted_thing", "_trusted_later"])

@@ -15,6 +15,7 @@ from priarta import (
     ShapeError,
     clip_to_ball,
     debias_covariance,
+    psd_clamp,
     sample_covariance,
     sample_mean,
     summarize,
@@ -302,3 +303,19 @@ def test_debias_bit_equal_to_eigh_clamp_formula(rng):
         out = debias_covariance(s, sigma)
         assert out.covariance.tobytes() == expected.covariance.tobytes()
         assert out.mean.tobytes() == s.mean.tobytes() and out.count == s.count
+
+
+@pytest.mark.parametrize("dim", [8, 64, 256])
+def test_debias_of_a_rank_deficient_covariance_is_trusted_as_rebuilt(rng, dim):
+    # n < d rows: the shift turns the null space and the smaller eigenvalues
+    # negative, and debias clamps them all. Its covariance is the rebuild bit
+    # for bit, and psd_clamp returns that rebuild unchanged: a check of the
+    # result could only give back the same bits.
+    sigma = 1.0
+    s = summarize(EmbeddingSet(rng.standard_normal((dim // 2, dim)), 100.0, False))
+    w, q = np.linalg.eigh(s.covariance - sigma**2 * np.eye(dim))
+    assert (w < 0.0).sum() > dim // 2 and w[-1] > 0.0
+    rebuilt = (q * np.maximum(w, 0.0)) @ q.T
+    out = debias_covariance(s, sigma)
+    assert out.covariance.tobytes() == ((rebuilt + rebuilt.T) / 2.0).tobytes()
+    assert psd_clamp(out.covariance).tobytes() == out.covariance.tobytes()
