@@ -2,7 +2,9 @@
 parameters, each seller samples a uniform subset, encodes, clips, noises,
 summarizes, and returns (mean, covariance, count).
 
-Frames are a 4-byte big-endian payload length followed by the payload. The
+Frames are a 4-byte big-endian payload length followed by the payload. One
+splitter, _frame_end, reads the header for decode_frame and for the buyer's
+and the seller's socket buffers, so both sides split frames alike. The
 payload starts with canonical JSON (keys sorted, compact separators): an
 object whose "type" tag names the message class and whose other keys are
 exactly that class's dataclass fields; an optional field (one with a default)
@@ -313,11 +315,16 @@ def _decode_message(obj, tail) -> object:
         raise FrameError("BAD_PAYLOAD", f"{tag}: {exc}") from exc
 
 
-def _declared_length(header, limit: int) -> int:
-    (length,) = _HEADER.unpack_from(header)
+def _frame_end(buffer, start: int, limit: int):
+    """The end of the frame that starts at buffer[start], or None while its
+    header is incomplete. A declared payload over limit raises FrameError
+    before any of it is read."""
+    if len(buffer) - start < _HEADER.size:
+        return None
+    (length,) = _HEADER.unpack_from(buffer, start)
     if length > limit:
         raise FrameError("FRAME_TOO_LARGE", f"declared payload of {length} bytes exceeds {limit}")
-    return length
+    return start + _HEADER.size + length
 
 
 def decode_frame(data) -> object:
@@ -338,14 +345,14 @@ def decode_frame(data) -> object:
 
 
 def _decode_frame(data: bytes) -> object:
-    if len(data) < _HEADER.size:
+    end = _frame_end(data, 0, MAX_FRAME_BYTES)
+    if end is None:
         raise FrameError("FRAME_TRUNCATED", f"got {len(data)} bytes, need a 4-byte header")
-    length = _declared_length(data, MAX_FRAME_BYTES)
-    body = len(data) - _HEADER.size
-    if body < length:
-        raise FrameError("FRAME_TRUNCATED", f"header declares {length} bytes, got {body}")
-    if body > length:
-        raise FrameError("FRAME_TRAILING", f"{body - length} bytes past the declared payload")
+    if len(data) < end:
+        raise FrameError("FRAME_TRUNCATED", f"header declares {end - _HEADER.size} bytes, "
+                                            f"got {len(data) - _HEADER.size}")
+    if len(data) > end:
+        raise FrameError("FRAME_TRAILING", f"{len(data) - end} bytes past the declared payload")
     # Canonical JSON escapes every control character, so the first newline,
     # if any, ends the JSON head.
     split = data.find(_TAIL_MARK, _HEADER.size)
@@ -360,21 +367,6 @@ def _decode_frame(data: bytes) -> object:
 # Every seller in a round reads the same three request frames and the buyer
 # the same ack from each; the bound keeps a stream of distinct frames small.
 _decode_shared = functools.lru_cache(maxsize=64)(_decode_frame)
-
-
-def _read_frame(sock) -> bytes:
-    """Read one whole frame, header included, from a stream socket; a declared
-    payload over MAX_FRAME_BYTES raises FrameError before any of it is read."""
-    frame = bytearray()
-    size = _HEADER.size
-    while len(frame) < size:
-        chunk = sock.recv(size - len(frame))
-        if not chunk:
-            raise ProtocolFailure("CONNECTION_CLOSED", "peer closed mid-frame")
-        frame += chunk
-        if size == _HEADER.size and len(frame) == size:
-            size += _declared_length(frame, MAX_FRAME_BYTES)
-    return bytes(frame)
 
 
 # At small d np.triu_indices outweighs the packing; the cached arrays are only read.
@@ -656,6 +648,7 @@ class SocketChannel(_Channel):
     def __init__(self, host: str, port: int):
         super().__init__()
         self.sock = socket.create_connection((host, port), timeout=_READ_TIMEOUT_S)
+        self._inbox = bytearray()
 
     request = _Channel.request
 
@@ -667,8 +660,18 @@ class SocketChannel(_Channel):
             self._sent(frame)
 
     def receive(self) -> object:
-        """Read and decode the next reply frame."""
-        return self._received(_read_frame(self.sock))
+        """Read and decode the next reply frame. A read takes up to 64 KiB, or
+        the rest of the frame if more; the bytes past the frame wait in
+        _inbox for the next call."""
+        inbox = self._inbox
+        while (end := _frame_end(inbox, 0, MAX_FRAME_BYTES)) is None or end > len(inbox):
+            chunk = self.sock.recv(max((end or 0) - len(inbox), _MAX_REQUEST_BYTES))
+            if not chunk:
+                raise ProtocolFailure("CONNECTION_CLOSED", "peer closed mid-frame")
+            inbox += chunk
+        frame = bytes(inbox[:end])
+        del inbox[:end]
+        return self._received(frame)
 
     def close(self):
         try:
@@ -698,17 +701,16 @@ class _Connection:
         _MAX_REQUEST_BYTES of replies at a time, so a peer that pipelines
         many requests holds one batch of replies; False when none is due."""
         inbox, start, replies, size = self.inbox, 0, [], 0
-        while size < _MAX_REQUEST_BYTES and len(inbox) - start >= _HEADER.size:
+        while size < _MAX_REQUEST_BYTES:
             try:
-                end = start + _HEADER.size + _declared_length(
-                    inbox[start:start + _HEADER.size], _MAX_REQUEST_BYTES)
+                end = _frame_end(inbox, start, _MAX_REQUEST_BYTES)
             except FrameError as exc:
                 # The stream cannot be resynchronized past an oversized frame.
                 replies.append(encode_frame(ErrorMessage(exc.code, exc.message, "")))
                 self.closing = True
                 start = len(inbox)
                 break
-            if end > len(inbox):
+            if end is None or end > len(inbox):
                 break
             replies.append(self.session.handle_bytes(bytes(inbox[start:end])))
             size += len(replies[-1])

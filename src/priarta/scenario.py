@@ -5,6 +5,10 @@ explicitly or derived from the master seed at load time.
 The shipped default scenario has one buyer concentrated on classes 0-4, a
 disjoint seller on classes 5-9, an overlapping seller with shifted weights,
 an augmented copy of that seller, and four augmented copies of the buyer.
+
+A config's privacy block and subset_size are one PrivacyBudget, and only its
+constructor checks them: a config is refused on exactly the budgets that
+`priarta value` and a seller refuse.
 """
 
 from dataclasses import dataclass
@@ -64,10 +68,7 @@ class ScenarioConfig:
     buyer_seed: int
     sellers: tuple
     encoder: EncoderSpec
-    epsilon: float
-    delta: float
-    clip_radius: float
-    subset_size: int
+    budget: PrivacyBudget
     master_seed: int
 
     def __post_init__(self):
@@ -77,10 +78,6 @@ class ScenarioConfig:
         object.__setattr__(self, "class_means", means)
         object.__setattr__(self, "buyer_probs", tuple(float(p) for p in self.buyer_probs))
         object.__setattr__(self, "sellers", tuple(self.sellers))
-
-    @property
-    def budget(self) -> PrivacyBudget:
-        return PrivacyBudget(self.epsilon, self.delta, self.clip_radius, self.subset_size)
 
     def seller_ids(self) -> list:
         return [s.node_id for s in self.sellers]
@@ -100,11 +97,11 @@ class ScenarioConfig:
             "sellers": [s.to_dict() for s in self.sellers],
             "encoder": self.encoder.to_dict(),
             "privacy": {
-                "epsilon": self.epsilon,
-                "delta": self.delta,
-                "clip_radius": self.clip_radius,
+                "epsilon": self.budget.epsilon,
+                "delta": self.budget.delta,
+                "clip_radius": self.budget.clip_radius,
             },
-            "subset_size": self.subset_size,
+            "subset_size": self.budget.subset_size,
             "master_seed": self.master_seed,
         }
 
@@ -192,23 +189,16 @@ def _parse_config(data: dict) -> ScenarioConfig:
         if s is not None and enc.signal_dims != s:
             problems.append(f"encoder.signal_dims: {enc.signal_dims} != signal_dims {s}")
 
-    epsilon = delta = clip_radius = None
+    budget = None
     privacy = get("privacy")
     if not isinstance(privacy, dict) or set(privacy) != {"epsilon", "delta", "clip_radius"}:
         problems.append("privacy: must be a mapping with exactly epsilon, delta, clip_radius")
     else:
-        epsilon, delta, clip_radius = (
-            _check(problems, require_float, privacy[field], f"privacy.{field}")
-            for field in ("epsilon", "delta", "clip_radius")
-        )
-        if epsilon is not None and not (0.0 < epsilon < 1.0):
-            problems.append("privacy.epsilon: must be in (0, 1)")
-        if delta is not None and not (0.0 < delta < 1.0):
-            problems.append("privacy.delta: must be in (0, 1)")
-        if clip_radius is not None and clip_radius <= 0:
-            problems.append("privacy.clip_radius: must be > 0")
-
-    subset_size = _check(problems, require_int, get("subset_size"), "subset_size", 2)
+        try:
+            budget = PrivacyBudget(privacy["epsilon"], privacy["delta"], privacy["clip_radius"],
+                                   get("subset_size"))
+        except ParameterError as exc:
+            problems.append(f"privacy: {exc}")
 
     if problems:
         raise ConfigError(problems)
@@ -224,10 +214,7 @@ def _parse_config(data: dict) -> ScenarioConfig:
         buyer_seed=buyer_seed,
         sellers=tuple(sellers),
         encoder=enc,
-        epsilon=epsilon,
-        delta=delta,
-        clip_radius=clip_radius,
-        subset_size=subset_size,
+        budget=budget,
         master_seed=master_seed,
     )
 

@@ -78,9 +78,9 @@ def _spec(**over) -> bytes:
     return json.dumps(dict(spec, **over)).encode()
 
 
-def _huge_epsilon_config() -> bytes:
+def _privacy_config(field: str, value) -> bytes:
     config = default_scenario(7).to_dict()
-    config["privacy"]["epsilon"] = 10**400
+    config["privacy"][field] = value
     return json.dumps(config).encode()
 
 
@@ -103,17 +103,20 @@ def _report(**over) -> bytes:
 # Well-formed JSON with a value no rule allows: a negative seed in an encoder
 # spec, and in a scenario config's augmentation and class-means generator;
 # an integer past the float range (1 and 400 zeros) as a spec's leakage_alpha
-# and as a config's privacy.epsilon; a report whose boolean is a string, whose
-# score is a string, whose ranking is a string of one-letter node ids, whose
-# ranking leaves out a seller that did not fail, or where such a seller has
-# no score.
+# and as a config's privacy.epsilon; a config's privacy.clip_radius of 1e100,
+# whose noise overflows the covariance, and of 1e-200, which gives no positive
+# finite sigma; a report whose boolean is a string, whose score is a string,
+# whose ranking is a string of one-letter node ids, whose ranking leaves out a
+# seller that did not fail, or where such a seller has no score.
 # Every command that reads one must exit 1 with one "error:" line.
 HOSTILE_VALUES = {
     "negative-seed.spec.json": _spec(seed=-5),
     "negative-augmentation-seed.config.json": _negative_seed_config("augmentation"),
     "negative-class-means-seed.config.json": _negative_seed_config("class_means"),
     "huge-alpha.spec.json": _spec(leakage_alpha=10**400),
-    "huge-epsilon.config.json": _huge_epsilon_config(),
+    "huge-epsilon.config.json": _privacy_config("epsilon", 10**400),
+    "huge-clip-radius.config.json": _privacy_config("clip_radius", 1e100),
+    "tiny-clip-radius.config.json": _privacy_config("clip_radius", 1e-200),
     "string-degenerate.report.json": _report(degenerate_normalization="false"),
     "string-score.report.json": _report(raw_w2="x"),
     "string-ranking.report.json": _report(ranking="ab"),

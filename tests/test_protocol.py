@@ -2,6 +2,7 @@
 
 import base64
 from collections import Counter
+import contextlib
 import dataclasses
 import json
 import logging
@@ -1489,26 +1490,105 @@ def test_socket_channel_reads_replies_past_the_request_cap(rng):
         server.server_close()
 
 
-def test_socket_channel_reports_reply_cut_mid_frame():
+@contextlib.contextmanager
+def raw_peer(serve):
+    """A listener whose one helper thread accepts one connection and runs
+    serve(conn) on it; yields the listener's address."""
     listener = socket.create_server(("127.0.0.1", 0))
 
-    def truncating_peer():
+    def run():
         conn, _ = listener.accept()
         with conn:
-            conn.recv(4096)
-            conn.sendall(encode_frame(Hello(PROTOCOL_VERSION))[:6])
+            serve(conn)
 
-    thread = threading.Thread(target=truncating_peer, daemon=True)
+    thread = threading.Thread(target=run, daemon=True)
     thread.start()
-    chan = SocketChannel(*listener.getsockname())
     try:
-        with pytest.raises(ProtocolFailure) as info:
-            chan.request(Hello(PROTOCOL_VERSION))
-        assert info.value.code == "CONNECTION_CLOSED"
+        yield listener.getsockname()
     finally:
-        chan.close()
         thread.join(timeout=10)
         listener.close()
+
+
+def test_socket_channel_reports_reply_cut_mid_frame():
+    def truncating_peer(conn):
+        conn.recv(4096)
+        conn.sendall(encode_frame(Hello(PROTOCOL_VERSION))[:6])
+
+    with raw_peer(truncating_peer) as address:
+        chan = SocketChannel(*address)
+        try:
+            with pytest.raises(ProtocolFailure) as info:
+                chan.request(Hello(PROTOCOL_VERSION))
+            assert info.value.code == "CONNECTION_CLOSED"
+        finally:
+            chan.close()
+
+
+def pipelined_round(address, replies: list):
+    """A SocketChannel's pipelined round against a raw peer: the frames it
+    received, each as its own receive() returned it."""
+    chan = SocketChannel(*address)
+    try:
+        chan.send(Hello(PROTOCOL_VERSION), ModelSpec(SPEC), make_request())
+        got = [chan.receive() for _ in replies]
+    finally:
+        chan.close()
+    assert got == [decode_frame(reply) for reply in replies]
+    return [frame for way, frame in chan.transcript if way == "recv"]
+
+
+def test_socket_channel_decodes_replies_dripped_one_byte_per_write():
+    replies = in_process_replies()
+
+    def drip(conn):
+        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        recv_exact(conn, len(ROUND_FRAMES))
+        for byte in b"".join(replies):
+            conn.sendall(bytes([byte]))
+            time.sleep(0.0002)
+
+    with raw_peer(drip) as address:
+        assert pipelined_round(address, replies) == replies
+
+
+def test_socket_channel_returns_replies_written_at_once_one_per_receive():
+    replies = in_process_replies()
+
+    def burst(conn):
+        recv_exact(conn, len(ROUND_FRAMES))
+        conn.sendall(b"".join(replies))
+
+    with raw_peer(burst) as address:
+        assert pipelined_round(address, replies) == replies
+
+
+@pytest.mark.parametrize("limit", [None, 1000])
+def test_socket_channel_refuses_an_oversized_header_before_its_payload(monkeypatch, limit):
+    if limit is not None:  # the cap is read when a frame arrives
+        monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", limit)
+    declared = protocol.MAX_FRAME_BYTES + 1
+    sent = threading.Event()
+
+    def oversized(conn):
+        recv_exact(conn, len(ROUND_FRAMES))
+        conn.sendall(declared.to_bytes(4, "big"))
+        sent.wait(10)  # no payload follows
+
+    with raw_peer(oversized) as address:
+        chan = SocketChannel(*address)
+        # a read that waited for the payload would time out instead
+        chan.sock.settimeout(2)
+        try:
+            chan.send(Hello(PROTOCOL_VERSION), ModelSpec(SPEC), make_request())
+            with pytest.raises(FrameError) as info:
+                chan.receive()
+        finally:
+            chan.close()
+            sent.set()
+    assert info.value.code == "FRAME_TOO_LARGE"
+    assert f"{declared} bytes exceeds {declared - 1}" in info.value.message
+    assert chan.bytes_received == 0
 
 
 def test_socket_matches_in_process_bitwise():

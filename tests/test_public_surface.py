@@ -84,22 +84,30 @@ def test_the_linalg_scan_sees_imports_aliases_and_scipy(tmp_path):
     assert sorted(line for line, _ in linalg_uses(source)) == [2, 3, 4, 5, 6, 7]
 
 
-def trusted_construction(path):
-    """In a source file: the function around each read of object.__new__
-    (None at module level), and each function whose name starts with _trusted."""
-    tree = ast.parse(path.read_text(), filename=str(path))
-    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
-    readers, trusted = [], []
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def attribute_readers(path, wanted):
+    """In a source file: the function around each attribute read for which
+    wanted(node) holds (None at module level)."""
+    readers = []
 
     def visit(node, owner):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, functions) and child.name.startswith("_trusted"):
-                trusted.append(child.name)
-            if isinstance(child, ast.Attribute) and ast.unparse(child) == "object.__new__":
+            if isinstance(child, ast.Attribute) and wanted(child):
                 readers.append(owner)
-            visit(child, child.name if isinstance(child, functions) else owner)
+            visit(child, child.name if isinstance(child, FUNCTIONS) else owner)
 
-    visit(tree, None)
+    visit(ast.parse(path.read_text(), filename=str(path)), None)
+    return readers
+
+
+def trusted_construction(path):
+    """In a source file: the function around each read of object.__new__
+    (None at module level), and each function whose name starts with _trusted."""
+    trusted = [node.name for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, FUNCTIONS) and node.name.startswith("_trusted")]
+    readers = attribute_readers(path, lambda node: ast.unparse(node) == "object.__new__")
     return readers, trusted
 
 
@@ -133,3 +141,36 @@ def test_the_trusted_construction_scan_sees_every_place(tmp_path):
     )
     assert trusted_construction(source) == ([None, "_trusted_thing", "inner"],
                                             ["_trusted_thing", "_trusted_later"])
+
+
+def header_readers(path):
+    """In a source file: the function around each read of a _HEADER method
+    that unpacks (unpack, unpack_from, iter_unpack; None at module level)."""
+    return attribute_readers(path, lambda node: "unpack" in node.attr
+                             and ast.unparse(node.value) == "_HEADER")
+
+
+def test_one_splitter_reads_the_frame_header():
+    # protocol._frame_end is the one reader of a frame's length header: the
+    # buyer's reads, the seller's buffers and decode_frame split with it.
+    package = Path(priarta.__file__).parent
+    readers = [f"{path.stem}.{owner}" for path in sorted(package.glob("*.py"))
+               for owner in header_readers(path)]
+    assert readers == ["protocol._frame_end"]
+
+
+def test_the_header_scan_sees_every_place(tmp_path):
+    source = tmp_path / "module.py"
+    source.write_text(
+        "read = _HEADER.unpack\n"
+        "def split(buffer):\n"
+        "    return _HEADER.unpack_from(buffer, 0)\n"
+        "class Reader:\n"
+        "    def each(self, data):\n"
+        "        def inner():\n"
+        "            return list(_HEADER.iter_unpack(data)), _HEADER.unpack(data)\n"
+        "        return inner\n"
+        "    def pack(self, n):\n"
+        "        return _HEADER.pack(n), _HEADER.size, OTHER.unpack(b'')\n"
+    )
+    assert header_readers(source) == [None, "split", "inner", "inner"]

@@ -5,7 +5,14 @@ import copy
 import numpy as np
 import pytest
 
-from priarta import ConfigError, ScenarioConfig, build_datasets, default_scenario
+from priarta import (
+    ConfigError,
+    ParameterError,
+    PrivacyBudget,
+    ScenarioConfig,
+    build_datasets,
+    default_scenario,
+)
 from priarta.fileio import load_json
 from priarta.scenario import BUYER_ID
 
@@ -46,6 +53,23 @@ def test_config_reports_every_problem(base_dict):
     text = str(info.value)
     for needle in ("num_classes", "class_scale", "epsilon", "class_probs"):
         assert needle in text, f"missing complaint about {needle}"
+
+
+# Each budget is refused by PrivacyBudget itself: epsilon and delta out of
+# range, a radius whose noise overflows the covariance or gives no positive
+# finite sigma, and a subset of one row.
+@pytest.mark.parametrize("field, value", [
+    ("epsilon", 1.0), ("delta", 0.0), ("clip_radius", 1e100), ("clip_radius", 1e-200),
+    ("subset_size", 1),
+])
+def test_config_refuses_what_the_budget_refuses_in_its_words(base_dict, field, value):
+    bad = copy.deepcopy(base_dict)
+    (bad if field == "subset_size" else bad["privacy"])[field] = value
+    with pytest.raises(ParameterError) as refused:
+        PrivacyBudget(**bad["privacy"], subset_size=bad["subset_size"])
+    with pytest.raises(ConfigError) as info:
+        ScenarioConfig.from_dict(bad)
+    assert info.value.problems == [f"privacy: {refused.value}"]
 
 
 def test_config_rejects_unknown_fields(base_dict):
