@@ -32,11 +32,12 @@ from .fileio import (
     write_raw_dataset,
 )
 from .privacy import PrivacyBudget
-from .protocol import SellerNode, SellerServer, in_process_endpoints, socket_endpoints
-from .scenario import BUYER_ID, ScenarioConfig, build_datasets, default_scenario
+from .protocol import BUYER_ID, SellerNode, SellerServer, in_process_endpoints, socket_endpoints
+from .scenario import ScenarioConfig, build_datasets, default_scenario
 from .stats import EmbeddingSet
 # run_valuation_for_config is re-exported for library callers
 from .valuation import (  # noqa: F401
+    OBJECTIVES,
     load_report,
     render_csv,
     render_table,
@@ -47,12 +48,10 @@ from .valuation import (  # noqa: F401
     with_robustness,
 )
 
-DEFAULT_MASTER_SEED = 1000
-
 
 def _load_scenario(config_path, seed) -> ScenarioConfig:
     if config_path is None:
-        return default_scenario(seed if seed is not None else DEFAULT_MASTER_SEED)
+        return default_scenario() if seed is None else default_scenario(seed)
     raw = load_json(config_path)
     if seed is not None and isinstance(raw, dict):
         raw = dict(raw, master_seed=seed)
@@ -68,7 +67,7 @@ def _node(node_id: str, data, pinned: str = None) -> SellerNode:
 
 def _parse_hostport(text: str) -> tuple:
     host, sep, port = text.rpartition(":")
-    if not sep or not port.isdigit():
+    if not sep or not (port.isascii() and port.isdigit()) or int(port) > 65535:
         raise ParameterError(f"address {text!r} must be host:port")
     return host or "127.0.0.1", int(port)
 
@@ -186,10 +185,10 @@ def cmd_report(args) -> int:
 def cmd_robustness(args) -> int:
     config = _load_scenario(args.config, args.seed)
     report = load_report(args.output)
-    if not any(s.kind == "augmented_copy" for s in config.sellers):
+    entries = robustness_for_config(config)
+    if not entries:
         print("no augmented-copy sellers in the scenario; nothing to do")
         return 0
-    entries = robustness_for_config(config)
     save_report(with_robustness(report, entries), args.output)
     print(f"appended robustness entries for {len(entries)} sellers to {args.output}")
     return 0
@@ -240,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     va.add_argument("--subset-size", type=int, default=512)
     va.add_argument("--seed", type=int,
                     help="master seed; omit to draw from OS entropy (not reproducible)")
-    va.add_argument("--objective", choices=["diversify", "enrich"], default="diversify")
+    va.add_argument("--objective", choices=OBJECTIVES, default="diversify")
     va.add_argument("--debias", action="store_true",
                     help="subtract sigma^2 I from seller covariances before scoring")
     va.add_argument("--offline", action="store_true",

@@ -181,8 +181,8 @@ def read_embeddings(path) -> EmbeddingSet:
         radius = float(parts[2])
     except ValueError as exc:
         raise FileFormatError(f"{path}:2: {exc}") from exc
-    if n < 2 or d < 1 or radius <= 0:
-        raise FileFormatError(f"{path}:2: need n >= 2, d >= 1, R > 0, got {lines[1]!r}")
+    if n < 2 or d < 1 or not 0.0 < radius < np.inf:
+        raise FileFormatError(f"{path}:2: need n >= 2, d >= 1, finite R > 0, got {lines[1]!r}")
     if len(lines) != 2 + n:
         raise FileFormatError(f"{path}: header declares {n} rows, file has {len(lines) - 2}")
     _check_row_width(d, lines[2], path, 3)

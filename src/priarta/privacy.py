@@ -13,7 +13,8 @@ sensitivity dominates the mean sensitivity; when it does not, calibration
 emits a warning instead of silently changing the formula. A budget whose
 sigma is not a positive finite float, or so large that the noised covariance
 of the subset overflows at all but a 2^-40 share of draws, is refused when it
-is made.
+is made. A budget calibrates its sigma once, and calibrate_sigma returns that
+calibration to the buyer and to every seller alike.
 
 Determinism note: fixed seeds exist for tests and replay and VOID the privacy
 guarantee in deployment; secure mode draws seeds from OS entropy instead.
@@ -65,8 +66,10 @@ class PrivacyBudget:
         object.__setattr__(self, "epsilon", eps)
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "clip_radius", radius)
+        # Computed once, as a plain attribute: eq, hash, repr and asdict ignore it.
         try:  # R^2 can underflow to 0, or overflow
-            sigma = _calibrate(self).sigma
+            object.__setattr__(self, "_calibration", _calibrate(self))
+            sigma = self._calibration.sigma
         except OverflowError:
             sigma = math.inf
         if not 0.0 < sigma < math.inf:
@@ -118,7 +121,7 @@ def covariance_sensitivity(radius: float, count: int) -> float:
 
 
 def _calibrate(budget: PrivacyBudget) -> NoiseCalibration:
-    """calibrate_sigma without its warning."""
+    """The budget's calibration, which its constructor computes once."""
     d_sigma = covariance_sensitivity(budget.clip_radius, budget.subset_size)
     c = math.sqrt(2.0 * math.log(1.25 / budget.delta))
     return NoiseCalibration(delta_mu=mean_sensitivity(budget.clip_radius, budget.subset_size),
@@ -127,7 +130,7 @@ def _calibrate(budget: PrivacyBudget) -> NoiseCalibration:
 
 def calibrate_sigma(budget: PrivacyBudget) -> NoiseCalibration:
     """Noise scale covering mean and covariance release at (epsilon, delta)."""
-    calibration = _calibrate(budget)
+    calibration = budget._calibration
     if calibration.delta_mu > calibration.delta_sigma:
         warnings.warn(f"mean sensitivity {calibration.delta_mu:.6g} exceeds covariance "
                       f"sensitivity {calibration.delta_sigma:.6g} (clip radius "

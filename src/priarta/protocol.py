@@ -14,6 +14,9 @@ then the packed covariance) holds its entry count in the JSON, and after the
 JSON come one newline byte and the arrays' little-endian IEEE-754 bytes,
 concatenated in field order. Canonical JSON escapes every control character,
 so the first newline ends the JSON.
+A STATS_RESPONSE must echo its STATS_REQUEST's session id and count, the
+spec's fingerprint and the sigma of the buyer's PrivacyBudget (to 1e-9
+relative), or that seller fails. No seller may carry the buyer's BUYER_ID.
 Every message the buyer sends gets exactly one reply, in the order sent.
 MODEL_SPEC is acknowledged with HELLO so transcripts stay deterministic and
 byte-countable. Every seller in a round gets the same three requests, so the
@@ -38,10 +41,11 @@ closes.
 """
 
 import collections
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 import functools
 import json
 import logging
+import math
 import secrets
 import selectors
 import socket
@@ -61,6 +65,7 @@ from .errors import (
     ProtocolFailure,
     ShapeError,
     _trusted,
+    require_bool,
     require_float,
     require_int,
     require_str,
@@ -105,6 +110,8 @@ _TAIL_MARK = b"\n"
 
 MODE_SECURE = "secure"
 MODE_SEEDED = "seeded"
+# The buyer's own party id: its seeds derive from it, and no seller may carry it.
+BUYER_ID = "buyer"
 
 
 def _float_array(values, field: str) -> np.ndarray:
@@ -912,7 +919,7 @@ def _ask(node_id: str, connect, frames: tuple) -> tuple:
     return outcome, channel
 
 
-def _collect(outcome: SellerOutcome, channel, spec: EncoderSpec, request: StatsRequest):
+def _collect(outcome: SellerOutcome, channel, spec: EncoderSpec, request, sigma: float):
     """Read an asked seller's replies in order, stopping at the first ERROR
     or unexpected reply, and record its summary or its failure."""
     try:
@@ -939,8 +946,9 @@ def _collect(outcome: SellerOutcome, channel, spec: EncoderSpec, request: StatsR
         if len(reply.mean) != spec.latent_dim:
             outcome.failure = f"mean has {len(reply.mean)} entries, latent_dim is {spec.latent_dim}"
             return
-        if reply.sigma_used < 0:
-            outcome.failure = f"negative sigma_used {reply.sigma_used!r}"
+        # Both parties calibrate sigma from the same four floats.
+        if not math.isclose(reply.sigma_used, sigma, rel_tol=1e-9):
+            outcome.failure = f"sigma_used {reply.sigma_used!r} is not the budget's {sigma!r}"
             return
         # Decoding rejected non-finite entries and the expanded covariance
         # is exactly symmetric: only its PSD check and clamp are left.
@@ -978,37 +986,30 @@ def orchestrate_valuation(buyer_data, sellers, spec: EncoderSpec, budget: Privac
     propagates.
     """
     buyer, outcomes = _round(buyer_data, sellers, spec, budget, master_seed, noisy_buyer,
-                             lambda _, outcome: outcome)
+                             lambda _, __, outcome: outcome)
     return buyer, sorted(outcomes, key=lambda o: o.node_id)
 
 
 def _round(buyer_data, sellers, spec, budget, master_seed, noisy_buyer, keep) -> tuple:
-    """The round loop: (buyer, [keep(buyer, outcome) for each seller, as its
-    channel closes]). An error from keep closes every open channel too."""
+    """The round loop: (buyer, [keep(buyer, sigma, outcome) for each seller,
+    as its channel closes]). An error from keep closes every open channel too."""
     if not sellers:
         raise ParameterError("at least one seller endpoint is required")
+    if any(node_id == BUYER_ID for node_id, _ in sellers):
+        raise ParameterError(f"seller node id {BUYER_ID!r} is reserved for the buyer")
+    require_bool(noisy_buyer, "noisy_buyer")
     if master_seed is not None:
-        seed = derive_seed(master_seed, "buyer", "stats-request")
-        session_id = f"sess-{derive_seed(master_seed, 'buyer', 'session'):016x}"
+        seed = derive_seed(require_int(master_seed, "master seed"), BUYER_ID, "stats-request")
+        session_id = f"sess-{derive_seed(master_seed, BUYER_ID, 'session'):016x}"
         mode = MODE_SEEDED
     else:
         session_id = f"sess-{secrets.token_hex(8)}"
         mode, seed = MODE_SECURE, None
-    request = StatsRequest(
-        subset_size=budget.subset_size,
-        epsilon=budget.epsilon,
-        delta=budget.delta,
-        clip_radius=budget.clip_radius,
-        session_id=session_id,
-        mode=mode,
-        seed=seed,
-    )
+    request = StatsRequest(**asdict(budget), session_id=session_id, mode=mode, seed=seed)
     frames = tuple(encode_frame(msg)
                    for msg in (Hello(PROTOCOL_VERSION), ModelSpec(spec), request))
-    noise_sigma, noise_seed = 0.0, None
-    if noisy_buyer:
-        noise_sigma = calibrate_sigma(budget).sigma
-        noise_seed = node_seeds(seed, "buyer")[1]
+    sigma = calibrate_sigma(budget).sigma
+    noise_seed = node_seeds(seed, BUYER_ID)[1] if noisy_buyer else None
 
     buyer = None
     kept = []
@@ -1019,16 +1020,17 @@ def _round(buyer_data, sellers, spec, budget, master_seed, noisy_buyer, keep) ->
                 asked.append(_ask(node_id, connect, frames))
             if buyer is None:
                 data = buyer_data() if callable(buyer_data) else buyer_data
-                buyer = buyer_summary(data, spec, budget.clip_radius, noise_sigma, noise_seed)
+                buyer = buyer_summary(data, spec, budget.clip_radius,
+                                      sigma if noisy_buyer else 0.0, noise_seed)
             while asked:
                 # Each channel, and the frames its transcript holds, goes as
                 # soon as its replies are read, and its outcome once kept.
                 outcome, channel = asked[0]
                 if outcome.failure is None:
-                    _collect(outcome, channel, spec, request)
+                    _collect(outcome, channel, spec, request, sigma)
                 _close(outcome, channel)
                 asked.popleft()
-                kept.append(keep(buyer, outcome))
+                kept.append(keep(buyer, sigma, outcome))
         finally:
             for outcome, channel in asked:
                 _close(outcome, channel)

@@ -11,17 +11,16 @@ constructor checks them: a config is refused on exactly the budgets that
 `priarta value` and a seller refuse.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .encoder import AugmentationSpec, EncoderSpec, augment, gen_mixture_dataset, require_probs
 from .errors import ConfigError, ParameterError, require_float, require_int
 from .privacy import PrivacyBudget, derive_seed
+from .protocol import BUYER_ID
 
 __all__ = ["ScenarioConfig", "build_datasets", "default_scenario"]
-
-BUYER_ID = "buyer"
 
 
 @dataclass(frozen=True)
@@ -96,11 +95,7 @@ class ScenarioConfig:
             },
             "sellers": [s.to_dict() for s in self.sellers],
             "encoder": self.encoder.to_dict(),
-            "privacy": {
-                "epsilon": self.budget.epsilon,
-                "delta": self.budget.delta,
-                "clip_radius": self.budget.clip_radius,
-            },
+            "privacy": {k: v for k, v in asdict(self.budget).items() if k != "subset_size"},
             "subset_size": self.budget.subset_size,
             "master_seed": self.master_seed,
         }
@@ -195,8 +190,7 @@ def _parse_config(data: dict) -> ScenarioConfig:
         problems.append("privacy: must be a mapping with exactly epsilon, delta, clip_radius")
     else:
         try:
-            budget = PrivacyBudget(privacy["epsilon"], privacy["delta"], privacy["clip_radius"],
-                                   get("subset_size"))
+            budget = PrivacyBudget(**privacy, subset_size=get("subset_size"))
         except ParameterError as exc:
             problems.append(f"privacy: {exc}")
 
@@ -241,17 +235,17 @@ def _parse_class_means(value, k, s, p, problems):
         return rows * norm
     if isinstance(value, list):
         try:
-            means = np.asarray(value, dtype=float)
-        except (TypeError, ValueError):
+            means = np.array([[require_float(v, "each entry") for v in row] for row in value])
+        except ParameterError as exc:
+            problems.append(f"class_means: {exc}")
+            return None
+        except (TypeError, ValueError):  # a row that is not a list, or ragged rows
             problems.append("class_means: rows must be numeric lists")
             return None
         if means.ndim != 2 or means.shape[0] != k or means.shape[1] not in (s, p):
             problems.append(
                 f"class_means: must be {k} rows of {s} (signal) or {p} (full) numbers"
             )
-            return None
-        if not np.all(np.isfinite(means)):
-            problems.append("class_means: entries must be finite")
             return None
         return means[:, :s]
     problems.append("class_means: must be a matrix or a {seed, norm} generator")

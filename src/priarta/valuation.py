@@ -4,7 +4,7 @@ the chosen objective, and report augmentation-robustness deviations, for a pair
 of summaries or for every augmented copy in a seeded scenario."""
 
 import csv
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 import io
 import math
 
@@ -25,9 +25,9 @@ from .errors import (
 from .fileio import dumps_json, load_json, save_json
 from .gaussian_geometry import GaussianSummary, debias_covariance, wasserstein2_gaussian
 from .privacy import GAUSSIAN_SAMPLER, PrivacyBudget
-from .protocol import (MODE_SECURE, MODE_SEEDED, PROTOCOL_VERSION, SellerNode, _round,
-                       in_process_endpoints, orchestrate_valuation)
-from .scenario import BUYER_ID, ScenarioConfig, build_datasets
+from .protocol import (BUYER_ID, MODE_SECURE, MODE_SEEDED, PROTOCOL_VERSION, SellerNode,
+                       _round, in_process_endpoints, orchestrate_valuation)
+from .scenario import ScenarioConfig, build_datasets
 
 __all__ = [
     "RobustnessEntry", "SellerScore", "ValuationReport", "build_report",
@@ -36,6 +36,11 @@ __all__ = [
 ]
 
 OBJECTIVES = ("diversify", "enrich")
+
+
+def _require_objective(objective: str):
+    if objective not in OBJECTIVES:
+        raise ParameterError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
 
 
 def minmax_normalize(raw) -> tuple:
@@ -96,8 +101,7 @@ class RobustnessEntry:
 def rank_sellers(entries, objective: str) -> list:
     """diversify: highest raw score first; enrich: lowest first. Ties break
     by node_id ascending either way."""
-    if objective not in OBJECTIVES:
-        raise ParameterError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
+    _require_objective(objective)
     candidates = [e for e in entries if not e.failed]
     if not candidates:
         raise NoCandidatesError("every seller failed; nothing to rank")
@@ -191,15 +195,15 @@ def _json_list(value, field: str) -> list:
     return value
 
 
-def _score(buyer: GaussianSummary, outcome, debias: bool) -> tuple:
+def _score(buyer: GaussianSummary, outcome, debias_sigma: float = None) -> tuple:
     """One seller's (node_id, raw_w2, failure), exactly one of the last two
-    None: its summary, less sigma_used^2 I when debiasing, scored by W2."""
+    None: its summary, less debias_sigma^2 I unless that is None, scored by W2."""
     buyer._covariance_factor  # a fault in the buyer's own summary raises, first
     summary = outcome.summary
     if summary is None:
         return outcome.node_id, None, outcome.failure or "unknown failure"
     try:
-        summary = debias_covariance(summary, outcome.sigma_used) if debias else summary
+        summary = summary if debias_sigma is None else debias_covariance(summary, debias_sigma)
     except PriartaError as exc:  # a hostile reply fails only its seller
         return outcome.node_id, None, f"debias failed: {type(exc).__name__}: {exc}"
     try:
@@ -210,9 +214,7 @@ def _score(buyer: GaussianSummary, outcome, debias: bool) -> tuple:
 
 def _assemble(scores, objective: str, params_echo: dict) -> ValuationReport:
     """The report over _score triples: entries sorted by node_id, the scored
-    ones normalized and ranked. A bad objective raises before scores are read."""
-    if objective not in OBJECTIVES:
-        raise ParameterError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
+    ones normalized and ranked. Its callers check the objective."""
     scores = sorted(scores, key=lambda s: s[0])
     raw = [w2 for _, w2, failure in scores if failure is None]
     values, degenerate = minmax_normalize(raw) if raw else ((), False)
@@ -232,27 +234,27 @@ def build_report(buyer: GaussianSummary, outcomes, objective: str,
     """Score protocol outcomes (objects with node_id, summary, None when
     failed, and failure) against the buyer, then normalize and rank. An
     all-failed round still gets a report, with an empty ranking."""
-    return _assemble((_score(buyer, o, False) for o in outcomes), objective, params_echo)
+    _require_objective(objective)
+    return _assemble((_score(buyer, o) for o in outcomes), objective, params_echo)
 
 
 def run_valuation(buyer_data, sellers, spec: EncoderSpec, budget: PrivacyBudget,
                   master_seed: int = None, objective: str = "diversify",
                   debias: bool = False, noisy_buyer: bool = False) -> ValuationReport:
     """One valuation round: query every seller endpoint and score each reply
-    as it arrives (optionally less the seller's sigma^2 I), so the buyer
+    as it arrives (optionally less the budget's sigma^2 I), so the buyer
     holds one seller summary at a time; then normalize and rank.
 
     buyer_data and sellers are as for orchestrate_valuation: buyer_data may
     be a function that loads the dataset while the first sellers compute. The
     report's params_echo records every setting that shaped it.
     """
+    _require_objective(objective)
+    require_bool(debias, "debias")
     _, scores = _round(buyer_data, sellers, spec, budget, master_seed, noisy_buyer,
-                       lambda buyer, outcome: _score(buyer, outcome, debias))
+                       lambda buyer, sigma, o: _score(buyer, o, sigma if debias else None))
     params = {
-        "epsilon": budget.epsilon,
-        "delta": budget.delta,
-        "clip_radius": budget.clip_radius,
-        "subset_size": budget.subset_size,
+        **asdict(budget),
         "master_seed": master_seed,
         "mode": MODE_SEEDED if master_seed is not None else MODE_SECURE,
         "objective": objective,

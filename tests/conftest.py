@@ -42,13 +42,16 @@ def random_summary(rng, dim, mean_scale=1.0, cov_scale=1.0, count=64):
 
 # Dataset files (their bytes) the readers must reject as FileFormatError
 # naming path:line, with that line: a label outside int64 (either sign), a
-# header width no row can have, and bytes that are not UTF-8 (a UTF-16
-# byte-order mark, or one stray byte in a row past the header).
+# header width no row can have, a header radius that is not finite, and bytes
+# that are not UTF-8 (a UTF-16 byte-order mark, or one stray byte in a row
+# past the header).
 HOSTILE_INPUTS = {
     "big-label.raw": (b"PRIARTA-RAW 1\n2 2 1\n1.0\n0 1.0 2.0\n99999999999999999999 3.0 4.0\n", 5),
     "neg-label.raw": (b"PRIARTA-RAW 1\n2 2 1\n1.0\n-99999999999999999999 1.0 2.0\n0 3.0 4.0\n", 4),
     "wide-p.raw": (b"PRIARTA-RAW 1\n1 100000000000000000000 1\n1.0\n0 1.0 2.0\n", 2),
     "wide-d.emb": (b"PRIARTA-EMB 1\n2 100000000000000000000 1.0\n0.1 0.2\n0.3 0.4\n", 2),
+    "nan-radius.emb": (b"PRIARTA-EMB 1\n2 2 nan\n0.1 0.2\n0.3 0.4\n", 2),
+    "inf-radius.emb": (b"PRIARTA-EMB 1\n2 2 inf\n0.1 0.2\n0.3 0.4\n", 2),
     "utf16-bom.raw": (b"\xff\xfeP\x00R\x00I\x00\n\x00", 1),
     "stray-byte.emb": (b"PRIARTA-EMB 1\n2 2 1.0\n0.1 0.2\n0.3 \xe90.4\n", 4),
 }
@@ -84,6 +87,14 @@ def _privacy_config(field: str, value) -> bytes:
     return json.dumps(config).encode()
 
 
+def _class_means_config(value) -> bytes:
+    """The seed-7 config, whose class_means is its matrix, with value as the
+    first entry."""
+    config = default_scenario(7).to_dict()
+    config["class_means"][0][0] = value
+    return json.dumps(config).encode()
+
+
 def _report(**over) -> bytes:
     """A two-seller valuation report, with over applied to its second entry
     (keys of SellerScore) or to the report itself."""
@@ -105,7 +116,8 @@ def _report(**over) -> bytes:
 # an integer past the float range (1 and 400 zeros) as a spec's leakage_alpha
 # and as a config's privacy.epsilon; a config's privacy.clip_radius of 1e100,
 # whose noise overflows the covariance, and of 1e-200, which gives no positive
-# finite sigma; a report whose boolean is a string, whose score is a string,
+# finite sigma; a class-means matrix with an entry that is a numeric string
+# or a boolean; a report whose boolean is a string, whose score is a string,
 # whose ranking is a string of one-letter node ids, whose ranking leaves out a
 # seller that did not fail, or where such a seller has no score.
 # Every command that reads one must exit 1 with one "error:" line.
@@ -117,6 +129,8 @@ HOSTILE_VALUES = {
     "huge-epsilon.config.json": _privacy_config("epsilon", 10**400),
     "huge-clip-radius.config.json": _privacy_config("clip_radius", 1e100),
     "tiny-clip-radius.config.json": _privacy_config("clip_radius", 1e-200),
+    "string-class-means.config.json": _class_means_config("0.25"),
+    "bool-class-means.config.json": _class_means_config(True),
     "string-degenerate.report.json": _report(degenerate_normalization="false"),
     "string-score.report.json": _report(raw_w2="x"),
     "string-ranking.report.json": _report(ranking="ab"),

@@ -1,6 +1,7 @@
 """End-to-end command-line flows."""
 
 import json
+import shutil
 import socket
 import subprocess
 import sys
@@ -10,8 +11,8 @@ import time
 import numpy as np
 import pytest
 
-from priarta import SellerNode, SellerServer, default_scenario, load_report
-from priarta.cli import main, run_valuation_for_config
+from priarta import ParameterError, SellerNode, SellerServer, default_scenario, load_report
+from priarta.cli import _parse_hostport, main, run_valuation_for_config
 from priarta.fileio import read_raw_dataset
 from priarta.valuation import dumps_report
 
@@ -207,6 +208,27 @@ def test_value_requires_directory_for_offline(scenario_dir, tmp_path, capsys):
     assert code == 1
 
 
+def test_value_refuses_a_seller_file_named_buyer(scenario_dir, tmp_path, capsys):
+    # buyer.raw among the sellers would share the buyer's seeds
+    sellers = tmp_path / "sellers"
+    shutil.copytree(scenario_dir / "sellers", sellers)
+    shutil.copy(scenario_dir / "buyer.raw", sellers)
+    out = tmp_path / "r.json"
+    args = list(value_args(scenario_dir, out))
+    args[args.index("--sellers") + 1] = str(sellers)
+    assert run_cli(*args, "--noisy-buyer") == 1
+    err = capsys.readouterr().err
+    assert err == "error: seller node id 'buyer' is reserved for the buyer\n"
+    assert not out.exists()
+
+
+def test_value_refuses_a_negative_seed(scenario_dir, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert run_cli(*value_args(scenario_dir, out)[:-1], "-1") == 1
+    assert capsys.readouterr().err == "error: master seed must be an integer >= 0\n"
+    assert not out.exists()
+
+
 # ------------------------------------------------------------------- report
 
 
@@ -305,6 +327,36 @@ def free_port():
     with socket.socket() as s:
         s.bind(("127.0.0.1", 0))
         return s.getsockname()[1]
+
+
+def test_a_port_is_ascii_digits_up_to_65535():
+    assert _parse_hostport("127.0.0.1:65535") == ("127.0.0.1", 65535)
+    assert _parse_hostport(":0") == ("127.0.0.1", 0)
+    for text in ("127.0.0.1:65536", "127.0.0.1:70000", "127.0.0.1:\uff18\uff10",
+                 "127.0.0.1:+80", "127.0.0.1:", "127.0.0.1"):
+        with pytest.raises(ParameterError, match="must be host:port"):
+            _parse_hostport(text)
+
+
+# 70000 wrapped modulo 65536 is port 4464; U+FF18 U+FF10 are full-width "80"
+@pytest.mark.parametrize("port", ["70000", "65536", "\uff18\uff10"])
+def test_value_refuses_a_port_past_65535_or_not_ascii(scenario_dir, tmp_path, capsys, port):
+    out = tmp_path / "r.json"
+    code = run_cli("value", "--input", str(scenario_dir / "buyer.raw"),
+                   "--sellers", f"a=127.0.0.1:{port}",
+                   "--spec", str(scenario_dir / "encoder.json"), "--output", str(out))
+    assert code == 1
+    assert capsys.readouterr().err == f"error: address '127.0.0.1:{port}' must be host:port\n"
+    assert not out.exists()
+
+
+# U+FF17 U+FF10 U+FF10 U+FF10 U+FF10 are full-width "70000"
+@pytest.mark.parametrize("port", ["70000", "65536", "\uff17\uff10\uff10\uff10\uff10"])
+def test_serve_refuses_a_port_past_65535_or_not_ascii(scenario_dir, capsys, port):
+    code = run_cli("serve", "--input", str(scenario_dir / "buyer.raw"),
+                   "--listen", f"127.0.0.1:{port}")
+    assert code == 1
+    assert capsys.readouterr().err == f"error: address '127.0.0.1:{port}' must be host:port\n"
 
 
 def test_serve_and_value_over_sockets(scenario_dir, tmp_path):

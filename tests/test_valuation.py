@@ -16,11 +16,13 @@ from priarta import (
     GaussianSummary,
     NoCandidatesError,
     NumericInputError,
+    ParameterError,
     PrivacyBudget,
     RobustnessEntry,
     SellerScore,
     ValuationReport,
     build_report,
+    calibrate_sigma,
     debias_covariance,
     gaussian_geometry,
     load_report,
@@ -38,6 +40,7 @@ from priarta.protocol import (
     InProcessChannel,
     SellerNode,
     SellerOutcome,
+    SellerSession,
     StatsRequest,
     StatsResponse,
     decode_frame,
@@ -380,12 +383,17 @@ def test_round_caches_factor_on_buyer_only():
 # ---------------------------------------------------------- hostile sellers
 
 
+# The sigma of every budget the scenarios below use.
+DEFAULT_SIGMA = calibrate_sigma(default_scenario(7).budget).sigma
+
+
 class _ForgingSession:
     """Stands in for a seller session: acknowledges HELLO and MODEL_SPEC, and
     answers STATS_REQUEST with a forged summary that carries the requested
     count and session id and the spec's fingerprint."""
 
-    def __init__(self, spec, extra_dim=0, cov_scale=1.0, sigma_used=0.5, last_eigenvalue=None):
+    def __init__(self, spec, extra_dim=0, cov_scale=1.0, sigma_used=DEFAULT_SIGMA,
+                 last_eigenvalue=None):
         self.spec = spec
         self.dim = spec.latent_dim + extra_dim
         self.diagonal = np.full(self.dim, cov_scale)
@@ -408,11 +416,11 @@ FORGED_REPLIES = {
     "mean-too-long": (dict(extra_dim=1), False, "mean has 5 entries"),
     "covariance-1e308": (dict(cov_scale=1e308), False, "NumericInputError: matrix entries"),
     "covariance-1e308-debias": (dict(cov_scale=1e308), True, "NumericInputError: matrix entries"),
-    "negative-sigma-debias": (dict(sigma_used=-1.0), True, "negative sigma_used"),
+    "negative-sigma-debias": (dict(sigma_used=-1.0), True, "sigma_used -1.0 is not"),
     # Cholesky fails, and the eigenvalue -1e-6 is below the floor -1e-10
     "not-psd": (dict(last_eigenvalue=-1e-6), False, "NotPSDError: covariance is not PSD"),
     "not-psd-debias": (dict(last_eigenvalue=-1e-6), True, "NotPSDError: covariance is not PSD"),
-    "sigma-1e160-debias": (dict(sigma_used=1e160), True, "debias failed: ParameterError"),
+    "sigma-1e160-debias": (dict(sigma_used=1e160), True, "sigma_used 1e+160 is not"),
 }
 
 
@@ -440,6 +448,61 @@ def test_one_hostile_seller_fails_alone(name):
     assert report.ranking == honest.ranking
 
 
+class _ClaimingSession(SellerSession):
+    """An honest seller session whose STATS_RESPONSE claims factor times the
+    sigma it noised at."""
+
+    def __init__(self, node, factor):
+        super().__init__(node)
+        self.factor = factor
+
+    def handle_bytes(self, frame):
+        reply = decode_frame(super().handle_bytes(frame))
+        if isinstance(reply, StatsResponse):
+            reply = dataclasses.replace(reply, sigma_used=reply.sigma_used * self.factor)
+        return encode_frame(reply)
+
+
+def _claiming_round(factor, debias):
+    """A seed-7 round, without and with mallory: an honest seller over
+    seller-1's data whose reply claims factor times its sigma."""
+    config = default_scenario(7)
+    datasets = build_datasets(config)
+    nodes = [SellerNode(nid, raw=datasets[nid]) for nid in config.seller_ids()]
+    liar = SellerNode("mallory", raw=datasets["seller-1"])
+
+    def mallory():
+        channel = InProcessChannel(liar)
+        channel.session = _ClaimingSession(liar, factor)
+        return channel
+
+    def valuation_round(endpoints):
+        return run_valuation(datasets[BUYER_ID], endpoints, config.encoder, config.budget,
+                             master_seed=7, debias=debias)
+
+    return (valuation_round(in_process_endpoints(nodes)),
+            valuation_round(in_process_endpoints(nodes) + [("mallory", mallory)]),
+            valuation_round(in_process_endpoints(nodes + [liar])))
+
+
+@pytest.mark.parametrize("debias", [False, True], ids=["plain", "debias"])
+@pytest.mark.parametrize("factor", [4.0, 1 + 1e-8, 1 - 1e-8])
+def test_a_seller_that_claims_another_sigma_fails_alone(debias, factor):
+    # The summary is honest; its sigma_used is off by more than 1e-9 relative.
+    without, report, _ = _claiming_round(factor, debias)
+    reason = report.entry("mallory").failure_reason
+    assert reason.startswith(f"sigma_used {DEFAULT_SIGMA * factor!r} is not"), reason
+    assert tuple(e for e in report.entries if e.node_id != "mallory") == without.entries
+    assert report.ranking == without.ranking
+
+
+@pytest.mark.parametrize("debias", [False, True], ids=["plain", "debias"])
+@pytest.mark.parametrize("factor", [1 + 1e-12, 1 - 1e-12])
+def test_a_sigma_used_within_1e_9_relative_is_the_honest_round(debias, factor):
+    _, report, honest = _claiming_round(factor, debias)
+    assert dumps_report(report) == dumps_report(honest)
+
+
 def test_a_reply_in_the_clamp_band_is_scored_as_the_public_constructor_clamps_it():
     # Cholesky fails on the eigenvalue -1e-13, which lies below the rounding
     # band -d * eps * lambda_max but above the floor -1e-10: the buyer
@@ -462,6 +525,48 @@ def test_a_reply_in_the_clamp_band_is_scored_as_the_public_constructor_clamps_it
     report = run_valuation(datasets[BUYER_ID], [("mallory", mallory)], config.encoder,
                            config.budget, master_seed=7)
     assert report.entry("mallory").raw_w2 == wasserstein2_gaussian(buyer, clamped)
+
+
+# ------------------------------------------------------- a round's own inputs
+
+
+def _never_called():
+    raise AssertionError("the round asked a seller or read the buyer's data")
+
+
+ROUNDS = {"run_valuation": run_valuation, "orchestrate_valuation": orchestrate_valuation}
+
+
+@pytest.mark.parametrize("call", sorted(ROUNDS))
+def test_a_seller_endpoint_named_buyer_is_refused_before_any_connect(call):
+    config = default_scenario(7)
+    endpoints = [("seller-1", _never_called), (BUYER_ID, _never_called)]
+    with pytest.raises(ParameterError, match="'buyer' is reserved for the buyer"):
+        ROUNDS[call](_never_called, endpoints, config.encoder, config.budget, master_seed=7)
+
+
+# Each argument of a round, the words its refusal starts with, and values it
+# refuses: an objective not in OBJECTIVES, a master seed that is not an
+# integer >= 0, and flags that are not booleans.
+BAD_ROUND_ARGUMENTS = {
+    "objective": ("objective must be one of", ["spread", "Enrich", None]),
+    "master_seed": ("master seed must be an integer >= 0", [7.9, 7.0, -1, True, "7"]),
+    "debias": ("debias must be a boolean", ["no", 1, None]),
+    "noisy_buyer": ("noisy_buyer must be a boolean", ["no", 1, None]),
+}
+ROUND_CASES = [(call, argument, value) for argument, (_, values) in BAD_ROUND_ARGUMENTS.items()
+               for value in values for call in sorted(ROUNDS)
+               if call == "run_valuation" or argument in ("master_seed", "noisy_buyer")]
+
+
+@pytest.mark.parametrize("call, argument, value", ROUND_CASES)
+def test_a_bad_round_argument_is_refused_before_any_connect(call, argument, value):
+    config = default_scenario(7)
+    options = dict({"master_seed": 7}, **{argument: value})
+    with pytest.raises(ParameterError) as info:
+        ROUNDS[call](_never_called, [("seller-1", _never_called)], config.encoder,
+                     config.budget, **options)
+    assert str(info.value).startswith(BAD_ROUND_ARGUMENTS[argument][0])
 
 
 # ------------------------------------------------------ rank-deficient rounds

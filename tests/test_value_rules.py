@@ -73,6 +73,10 @@ def _scenario_dict() -> dict:
 
 
 SCENARIO = _scenario_dict()
+# The same config with class_means in its matrix form, whose every entry is a
+# number field.
+MATRIX_SCENARIO = default_scenario(7).to_dict()
+MATRIX_KINDS = {("class_means", 0, 0): "number", ("class_means", 9, 7): "number"}
 
 
 def _with_value(data: dict, path: tuple, value) -> dict:
@@ -118,9 +122,9 @@ def _check_decode(field, value, caplog):
     assert info.value.code == "BAD_PAYLOAD"
 
 
-def _check_scenario(path, value, caplog):
+def _check_scenario(path, value, caplog, data=SCENARIO):
     with pytest.raises(ConfigError) as info:
-        ScenarioConfig.from_dict(_with_value(SCENARIO, path, value))
+        ScenarioConfig.from_dict(_with_value(data, path, value))
     assert len(info.value.problems) == 1, info.value.problems
 
 
@@ -135,11 +139,12 @@ CHECKS = {
     "PrivacyBudget": lambda f, v, _: _raises_one_line(
         ParameterError, lambda: PrivacyBudget(**dict(BUDGET_FIELDS, **{f: v}))),
     "ScenarioConfig": _check_scenario,
+    "ScenarioConfig-matrix": lambda f, v, c: _check_scenario(f, v, c, MATRIX_SCENARIO),
 }
 FIELDS = {
     "EncoderSpec": SPEC_KINDS, "decode_frame": SPEC_KINDS, "handle_bytes": SPEC_KINDS,
     "AugmentationSpec": AUG_KINDS, "PrivacyBudget": BUDGET_KINDS,
-    "ScenarioConfig": SCENARIO_KINDS,
+    "ScenarioConfig": SCENARIO_KINDS, "ScenarioConfig-matrix": MATRIX_KINDS,
 }
 CASES = [(target, field, value) for target, kinds in FIELDS.items()
          for field, kind in kinds.items() for value in BAD_VALUES[kind]]
@@ -150,6 +155,7 @@ def test_the_good_values_pass():
     assert AugmentationSpec.from_dict(AUG_FIELDS).to_dict() == AUG_FIELDS
     assert PrivacyBudget(**BUDGET_FIELDS).subset_size == 512
     assert ScenarioConfig.from_dict(SCENARIO).to_dict() == default_scenario(7).to_dict()
+    assert ScenarioConfig.from_dict(MATRIX_SCENARIO).to_dict() == MATRIX_SCENARIO
     assert isinstance(decode_frame(_model_spec_frame("seed", 1)).encoder, EncoderSpec)
 
 
