@@ -116,18 +116,21 @@ class RawDataset:
 
     def __post_init__(self):
         points = np.asarray(self.points, dtype=float)
-        labels = np.asarray(self.labels, dtype=int)
+        labels = np.asarray(self.labels)
         if points.ndim != 2 or points.shape[0] < 1:
             raise ShapeError(f"points must be a nonempty 2-D matrix, got shape {points.shape}")
         if not np.isfinite(points).all():
             raise NumericInputError("points contain non-finite entries")
         if labels.shape != (points.shape[0],):
             raise ShapeError("labels must align with points, one per row")
+        # Labels are checked by type, never truncated: 1.7 is not class 1.
+        if labels.dtype.kind not in "iu":
+            raise ParameterError(f"labels must be integers, got dtype {labels.dtype}")
         probs = require_probs(self.class_probs)
-        if labels.size and (labels.min() < 0 or labels.max() >= probs.shape[0]):
+        if labels.min() < 0 or labels.max() >= probs.shape[0]:
             raise ParameterError("labels must lie in [0, num_classes)")
         points = points.copy()
-        labels = labels.copy()
+        labels = labels.astype(np.int64)
         probs = probs.copy()
         for arr in (points, labels, probs):
             arr.flags.writeable = False

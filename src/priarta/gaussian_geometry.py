@@ -26,13 +26,16 @@ ends at the covariance psd_clamp would give:
   symmetrize and psd_clamp, on a copy of the mean;
 - a seller's STATS_RESPONSE: decoding rejects non-finite entries and
   expand_covariance is exactly symmetric, so the buyer checks only the
-  entries' range and PSD (Cholesky, else eigenvalues alone), once, and
-  rebuilds only a covariance with an eigenvalue below the rounding band;
+  entries' range and PSD (Cholesky, else eigenvalues alone; eigenvalues
+  alone when the reply's count is at most d, since such a covariance is
+  singular), once, and rebuilds only a covariance with an eigenvalue below
+  the rounding band;
 - summarize: the moments of an EmbeddingSet that was checked when it was
   made are trusted. They are checked for finiteness and symmetrized, with no
   factorization and no clamp: a seller sends them so. The buyer's own
   summary is clamped and factored by one decomposition (_factored), which
-  also rejects a covariance that is not PSD;
+  also rejects a covariance that is not PSD, once per dataset: the buyer
+  keeps it on the dataset for the rounds that follow;
 - debias_covariance: its clamped rebuild is symmetric and PSD by
   construction, a fixed point of psd_clamp.
 Every path but the public constructor ends in errors._trusted, which neither
@@ -212,19 +215,23 @@ def _w2_factor(factor, w: Array, q: Array) -> Array:
     return factor
 
 
-def _require_psd(sym: Array, name: str) -> Array:
-    """psd_clamp of a finite, exactly symmetric matrix, with its errors:
-    NumericInputError for an entry past half the float range, NotPSDError
-    unless it is PSD within tolerance. It takes one Cholesky, else the
-    eigenvalues alone; only a matrix with an eigenvalue below the rounding
-    band goes on to psd_clamp's eigh and is rebuilt."""
+def _require_psd(sym: Array, name: str, count: int) -> Array:
+    """psd_clamp of a finite, exactly symmetric sample covariance of count
+    rows, with its errors: NumericInputError for an entry past half the float
+    range, NotPSDError unless it is PSD within tolerance. It takes one
+    Cholesky, else the eigenvalues alone; only a matrix with an eigenvalue
+    below the rounding band goes on to psd_clamp's eigh and is rebuilt. A
+    covariance of count <= d rows has rank at most count - 1 < d: its
+    Cholesky would fail, so it goes straight to its eigenvalues."""
     if not np.abs(sym).max() <= _HALF_MAX:
         raise NumericInputError("matrix entries overflow when symmetrized")
-    try:
-        np.linalg.cholesky(sym)
-        return sym
-    except np.linalg.LinAlgError:
-        w = _eigh(sym, name, vectors=False)
+    if count > sym.shape[0]:
+        try:
+            np.linalg.cholesky(sym)
+            return sym
+        except np.linalg.LinAlgError:
+            pass
+    w = _eigh(sym, name, vectors=False)
     return sym if _in_rounding_band(w) else psd_clamp(sym, name)
 
 

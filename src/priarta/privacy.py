@@ -168,7 +168,8 @@ def derive_seed(master_seed: int, node_id: str, purpose: str) -> int:
     big-endian, masked to 63 bits. Gives every (seller, purpose) pair an
     independent deterministic stream in seeded mode.
     """
-    digest = hashlib.sha256(f"{int(master_seed)}|{node_id}|{purpose}".encode()).digest()
+    master_seed = require_int(master_seed, "master seed")
+    digest = hashlib.sha256(f"{master_seed}|{node_id}|{purpose}".encode()).digest()
     return int.from_bytes(digest[:8], "big") & (2**63 - 1)
 
 

@@ -78,7 +78,7 @@ from .privacy import (
     derive_seed,
     secure_seed,
 )
-from .stats import EmbeddingSet, clip_to_ball, summarize
+from .stats import EmbeddingSet, _check_radius, clip_to_ball, summarize
 
 __all__ = [
     "MAX_FRAME_BYTES", "PROTOCOL_VERSION", "ErrorMessage", "Hello",
@@ -473,13 +473,23 @@ def buyer_summary(data, spec: EncoderSpec, clip_radius: float,
     noised for ablation when noise_sigma > 0 (from OS entropy without a
     noise_seed). It is the left argument of W2: its covariance is clamped as
     the public constructor would clamp it, and factored by the same
-    decomposition."""
-    if not noise_sigma > 0.0:
-        summary = _party_summary(data, spec, clip_radius)
-    else:
-        summary = _party_summary(data, spec, clip_radius, None, noise_sigma,
-                                 secure_seed() if noise_seed is None else noise_seed)
-    return _factored(summary)
+    decomposition.
+
+    The noiseless summary is made once per dataset: it is kept on the
+    dataset object, in one slot that is not a dataclass field, and returned
+    again while the spec's fingerprint and the clip radius are the same. A
+    noised summary is never kept, and a summary that raises keeps nothing."""
+    if noise_sigma > 0.0:
+        return _factored(_party_summary(data, spec, clip_radius, None, noise_sigma,
+                                        secure_seed() if noise_seed is None else noise_seed))
+    key = (spec.fingerprint(), _check_radius(clip_radius))
+    kept = getattr(data, "_buyer_summary", None)
+    if kept is not None and kept[0] == key:
+        return kept[1]
+    summary = _factored(_party_summary(data, spec, clip_radius))
+    # The dataset is frozen, and its arrays are read-only.
+    object.__setattr__(data, "_buyer_summary", (key, summary))
+    return summary
 
 
 def _spec_problem(node: SellerNode, spec: EncoderSpec):
@@ -875,7 +885,6 @@ class SellerOutcome:
 
     node_id: str
     summary: GaussianSummary = None
-    sigma_used: float = None
     failure: str = None
     bytes_sent: int = 0
     bytes_received: int = 0
@@ -953,10 +962,9 @@ def _collect(outcome: SellerOutcome, channel, spec: EncoderSpec, request, sigma:
         # Decoding rejected non-finite entries and the expanded covariance
         # is exactly symmetric: only its PSD check and clamp are left.
         covariance = _require_psd(expand_covariance(reply.covariance, len(reply.mean)),
-                                  "covariance")
+                                  "covariance", reply.count)
         outcome.summary = _trusted(GaussianSummary, mean=reply.mean, covariance=covariance,
                                    count=reply.count)
-        outcome.sigma_used = reply.sigma_used
     except (OSError, PriartaError) as exc:
         outcome.failure = f"{type(exc).__name__}: {exc}"
 
@@ -999,7 +1007,7 @@ def _round(buyer_data, sellers, spec, budget, master_seed, noisy_buyer, keep) ->
         raise ParameterError(f"seller node id {BUYER_ID!r} is reserved for the buyer")
     require_bool(noisy_buyer, "noisy_buyer")
     if master_seed is not None:
-        seed = derive_seed(require_int(master_seed, "master seed"), BUYER_ID, "stats-request")
+        seed = derive_seed(master_seed, BUYER_ID, "stats-request")
         session_id = f"sess-{derive_seed(master_seed, BUYER_ID, 'session'):016x}"
         mode = MODE_SEEDED
     else:

@@ -387,6 +387,6 @@ def default_scenario(master_seed: int = 1000) -> ScenarioConfig:
             },
             "privacy": {"epsilon": 0.8, "delta": 1e-5, "clip_radius": 1.0},
             "subset_size": 512,
-            "master_seed": int(master_seed),
+            "master_seed": require_int(master_seed, "master seed"),
         }
     )

@@ -99,6 +99,23 @@ def test_raw_dataset_validates():
         RawDataset(np.zeros((3, 2)), [0, 1], [0.5, 0.5])  # label count mismatch
 
 
+@pytest.mark.parametrize("labels", [
+    [0.9, 1.7], [0.0, 1.0], np.array([0.0, 1.0]), [True, False], np.array([True, False]),
+    ["0", "1"],
+])
+def test_raw_dataset_refuses_labels_that_are_not_integers(labels):
+    # Checked by type, never truncated: 1.7 is not class 1.
+    with pytest.raises(ParameterError, match="labels must be integers"):
+        RawDataset(np.zeros((2, 2)), labels, [0.5, 0.5])
+
+
+@pytest.mark.parametrize("dtype", [None, np.int32, np.uint8, np.uint64])
+def test_raw_dataset_keeps_integer_labels_of_any_width_as_int64(dtype):
+    labels = [0, 1] if dtype is None else np.array([0, 1], dtype=dtype)
+    data = RawDataset(np.zeros((2, 2)), labels, [0.5, 0.5])
+    assert data.labels.dtype == np.int64 and data.labels.tolist() == [0, 1]
+
+
 # -------------------------------------------------------------- gen_mixture
 
 

@@ -227,6 +227,13 @@ def test_derive_seed_range():
             assert 0 <= s < 2**63
 
 
+@pytest.mark.parametrize("seed", [7.9, 7.0, True, -1, "7"])
+def test_derive_seed_refuses_a_master_seed_that_is_not_an_integer(seed):
+    # Checked by type, never truncated: 7.9 would share seed 7's streams.
+    with pytest.raises(ParameterError, match="master seed must be an integer >= 0"):
+        derive_seed(seed, "seller-1", "subset")
+
+
 def test_secure_seed_range_and_variation():
     draws = {secure_seed() for _ in range(8)}
     assert len(draws) > 1

@@ -29,6 +29,8 @@ from priarta import (
     InProcessChannel,
     InsufficientSamplesError,
     ModelSpec,
+    NotPSDError,
+    NumericInputError,
     ParameterError,
     PrivacyBudget,
     ProtocolFailure,
@@ -913,6 +915,106 @@ def test_buyer_summary_noiseless_default():
     assert a.count == data.count
 
 
+# The one slot a dataset keeps its buyer summary in: not a dataclass field.
+KEPT = "_buyer_summary"
+
+
+def assert_same_summary(a, b):
+    assert a.count == b.count
+    for name in ("mean", "covariance", "_covariance_factor"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+
+
+def test_the_buyer_summary_is_made_once_per_dataset_spec_and_clip_radius():
+    data = make_dataset(seed=10)
+    first = buyer_summary(data, SPEC, 1.0)
+    assert buyer_summary(data, SPEC, 1.0) is first
+    assert buyer_summary(data, SPEC, 1) is first  # the radius as the float it is
+    # Another spec or clip radius is made again, as for an equal new dataset,
+    # and takes the one slot; going back makes the first summary again.
+    other = dataclasses.replace(SPEC, seed=SPEC.seed + 1)
+    for spec, radius in ((other, 1.0), (SPEC, 0.5), (SPEC, 1.0)):
+        made = buyer_summary(data, spec, radius)
+        assert made is not first and vars(data)[KEPT][1] is made
+        assert_same_summary(made, buyer_summary(
+            RawDataset(data.points, data.labels, data.class_probs), spec, radius))
+    assert_same_summary(made, first)
+    with pytest.raises(ParameterError, match="clip radius"):
+        buyer_summary(data, SPEC, True)
+
+
+def test_a_noisy_buyer_round_neither_reads_nor_keeps_the_buyer_summary():
+    data = make_dataset(seed=10)
+    nodes = [SellerNode("alpha", raw=make_dataset(seed=11))]
+
+    def noisy_round():
+        buyer, _ = orchestrate_valuation(data, in_process_endpoints(nodes), SPEC, BUDGET,
+                                         master_seed=1000, noisy_buyer=True)
+        return buyer
+
+    noisy = noisy_round()
+    assert KEPT not in vars(data)
+    kept = buyer_summary(data, SPEC, BUDGET.clip_radius)
+    again = noisy_round()
+    assert vars(data)[KEPT][1] is kept
+    assert_same_summary(again, noisy)
+    assert again.covariance.tobytes() != kept.covariance.tobytes()
+
+
+def test_a_buyer_summary_that_raises_keeps_nothing_and_raises_again(monkeypatch):
+    # Rows on the sphere of radius 1e300 give a covariance past the float range.
+    rows = np.array([[1e200, 0.0], [-1e200, 0.0], [0.0, 1e200]])
+    wide = EmbeddingSet(rows, 1e300, False)
+    spec = EncoderSpec("external", 5, 2, 2, 2, 0.0)
+    for _ in range(2):
+        with pytest.raises(NumericInputError):
+            buyer_summary(wide, spec, 1e300)
+        assert KEPT not in vars(wide)
+    # A covariance whose factorization finds it far from PSD.
+    data = make_dataset(seed=10)
+    eigh = np.linalg.eigh
+
+    def not_psd(a):
+        w, q = eigh(a)
+        w[0] = -w[-1]
+        return w, q
+
+    def no_cholesky(a):
+        raise np.linalg.LinAlgError("not positive definite")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(np.linalg, "cholesky", no_cholesky)
+        patched.setattr(np.linalg, "eigh", not_psd)
+        for _ in range(2):
+            with pytest.raises(NotPSDError):
+                buyer_summary(data, SPEC, 1.0)
+            assert KEPT not in vars(data)
+    assert_same_summary(buyer_summary(data, SPEC, 1.0), buyer_summary(
+        RawDataset(data.points, data.labels, data.class_probs), SPEC, 1.0))
+
+
+@pytest.mark.parametrize("kind", ["raw", "embeddings"])
+def test_a_kept_buyer_summary_is_no_field_of_its_dataset(kind, rng):
+    if kind == "raw":
+        data, spec, nodes = make_dataset(seed=10), SPEC, [SellerNode("alpha", raw=make_dataset())]
+    else:
+        data = EmbeddingSet(rng.standard_normal((64, 4)), 1.0, False)
+        spec = EncoderSpec("external", 5, 4, 4, 4, 0.0)
+        nodes = [SellerNode("alpha", embeddings=EmbeddingSet(rng.standard_normal((64, 4)),
+                                                              1.0, False))]
+
+    def surface():
+        return ([f.name for f in dataclasses.fields(data)], repr(data), data == data,
+                {name: np.asarray(value).tobytes()
+                 for name, value in dataclasses.asdict(data).items()})
+
+    before = surface()
+    orchestrate_valuation(data, in_process_endpoints(nodes), spec, BUDGET, master_seed=1000)
+    assert KEPT in vars(data)
+    assert surface() == before
+    assert KEPT not in vars(dataclasses.replace(data))
+
+
 def test_a_covariance_in_the_clamp_band_is_kept_by_summarize_and_clamped_for_the_buyer():
     # Rows (x, 0.9 x): the computed covariance's lowest eigenvalue is
     # rounding below the band -d * eps * lambda_max, where the public
@@ -1151,7 +1253,8 @@ def test_round_wire_bytes_follow_the_v3_layout(rng):
         assert not outcome.failed
         response = canonical_json({"type": "STATS_RESPONSE", "mean": d,
                                    "covariance": d * (d + 1) // 2, "count": subset,
-                                   "session_id": session_id, "sigma_used": outcome.sigma_used,
+                                   "session_id": session_id,
+                                   "sigma_used": calibrate_sigma(budget).sigma,
                                    "encoder_fingerprint": spec.fingerprint()})
         sent = 3 * 4 + len(hello) + len(model_spec) + len(request)
         received = 2 * (4 + len(hello)) + 4 + len(response) + 1 + 8 * (d + d * (d + 1) // 2)
@@ -1292,8 +1395,8 @@ def test_round_of_150_sellers_holds_at_most_64_channels_open():
         assert not outcome.failed
         np.testing.assert_array_equal(outcome.summary.mean, alone.summary.mean)
         np.testing.assert_array_equal(outcome.summary.covariance, alone.summary.covariance)
-        assert (outcome.sigma_used, outcome.bytes_sent, outcome.bytes_received) == (
-            alone.sigma_used, alone.bytes_sent, alone.bytes_received)
+        assert (outcome.bytes_sent, outcome.bytes_received) == (
+            alone.bytes_sent, alone.bytes_received)
     np.testing.assert_array_equal(buyer.mean, alone_buyer.mean)
     np.testing.assert_array_equal(buyer.covariance, alone_buyer.covariance)
 

@@ -32,6 +32,13 @@ def test_default_scenario_shape():
     assert cfg.seller_ids() == [f"seller-{i}" for i in range(1, 8)]
 
 
+@pytest.mark.parametrize("seed", [7.9, 7.0, True, -1, "7"])
+def test_default_scenario_refuses_a_master_seed_that_is_not_an_integer(seed):
+    # Checked by type, never truncated: 7.9 is not seed 7, and True is not 1.
+    with pytest.raises(ParameterError, match="master seed must be an integer >= 0"):
+        default_scenario(seed)
+
+
 def test_config_round_trips_through_dict(base_dict):
     cfg = ScenarioConfig.from_dict(base_dict)
     assert cfg.to_dict() == base_dict

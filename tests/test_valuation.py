@@ -32,6 +32,7 @@ from priarta import (
     render_table,
     robustness_report,
     save_report,
+    stats,
     wasserstein2_gaussian,
 )
 from priarta.protocol import (
@@ -64,7 +65,7 @@ PARAMS = {"epsilon": 0.8, "delta": 1e-5, "objective": "diversify"}
 
 
 def outcome(node_id, summary=None, failure=None):
-    return SellerOutcome(node_id=node_id, summary=summary, sigma_used=9.0, failure=failure)
+    return SellerOutcome(node_id=node_id, summary=summary, failure=failure)
 
 
 # ---------------------------------------------------------------- normalize
@@ -380,6 +381,42 @@ def test_round_caches_factor_on_buyer_only():
     assert not any("_covariance_factor" in vars(s) for s in summaries)
 
 
+def test_a_second_round_on_the_same_buyer_reuses_its_summary(monkeypatch):
+    config = default_scenario(7)
+    datasets = build_datasets(config)
+    nodes = [SellerNode(nid, raw=datasets[nid]) for nid in config.seller_ids()]
+    rows = []
+    covariance_about = stats._covariance_about
+
+    def summarized(embeddings, mean):
+        rows.append(embeddings.count)
+        return covariance_about(embeddings, mean)
+
+    def counted_round(data):
+        rows.clear()
+        counts = counting(monkeypatch, DECOMPOSITIONS)
+        monkeypatch.setattr(stats, "_covariance_about", summarized)
+        report = run_valuation(data, in_process_endpoints(nodes), config.encoder,
+                               config.budget, master_seed=7)
+        monkeypatch.undo()
+        return dumps_report(report), list(rows), counts
+
+    buyer = datasets[BUYER_ID]
+    first, first_rows, first_counts = counted_round(buyer)
+    second, second_rows, second_counts = counted_round(buyer)
+    fresh, _, _ = counted_round(build_datasets(config)[BUYER_ID])
+    # Each seller summarizes its 512-row subset, which the buyer checks by one
+    # Cholesky and scores by one eigvalsh. The buyer's own 4096 rows are
+    # summarized and factored in the first round on that dataset only.
+    sellers = dict.fromkeys(DECOMPOSITIONS, 0) | {"cholesky": len(nodes),
+                                                  "eigvalsh": len(nodes)}
+    assert sorted(first_rows) == [config.budget.subset_size] * len(nodes) + [buyer.count]
+    assert first_counts == dict(sellers, cholesky=len(nodes) + 1)
+    assert second_rows == [config.budget.subset_size] * len(nodes)
+    assert second_counts == sellers
+    assert second == first == fresh
+
+
 # ---------------------------------------------------------- hostile sellers
 
 
@@ -599,42 +636,58 @@ def w2_squared_sqrtm(buyer_cov, buyer_mean, cov, mean):
 @pytest.mark.parametrize("debias", [False, True])
 def test_rank_deficient_round_matches_the_scipy_oracle(monkeypatch, rng, debias):
     buyer_data, nodes, spec, budget = rank_deficient_round(rng)
-    buyer, outcomes = orchestrate_valuation(buyer_data, in_process_endpoints(nodes), spec,
-                                            budget, master_seed=3)
-    with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.cholesky(buyer.covariance)
-    seen = []
-    for name in ("eigh", "eigvalsh"):
+    rounds = []
+    for name in ("cholesky", "eigh", "eigvalsh"):
 
         def recorded(a, _name=name, _original=getattr(np.linalg, name)):
+            call = [_name, a.tobytes(), None, None]
+            rounds[-1].append(call)
             out = _original(a)
-            w = out[0] if _name == "eigh" else out
-            seen.append((_name, a.tobytes(), float(w[0]), float(w[-1])))
+            if _name != "cholesky":
+                w = out[0] if _name == "eigh" else out
+                call[2:] = float(w[0]), float(w[-1])
             return out
 
         monkeypatch.setattr(np.linalg, name, recorded)
+    rounds.append([])
+    buyer, outcomes = orchestrate_valuation(buyer_data, in_process_endpoints(nodes), spec,
+                                            budget, master_seed=3)
+    rounds.append([])
     report = run_valuation(buyer_data, in_process_endpoints(nodes), spec, budget,
                            master_seed=3, debias=debias)
     monkeypatch.undo()
-    # The buyer's covariance is eigendecomposed once, for its W2 factor. A
-    # seller trusts the summary it has just made; the buyer takes each seller
-    # covariance's eigenvalues alone, once, after decoding. Their negative
-    # eigenvalues are rounding, inside psd_clamp's band of d * eps *
-    # lambda_max, so psd_clamp would not rebuild them either. Debias adds the
-    # eigh of each shifted covariance; its clamped rebuild is trusted as made.
-    assert sum(name == "eigh" for name, *_ in seen) == 1 + (len(nodes) if debias else 0)
-    expected = [(buyer.covariance, "eigh")] + [(o.summary.covariance, "eigvalsh")
-                                               for o in outcomes]
-    for cov, kind in expected:
-        calls = [(name, low, high) for name, bits, low, high in seen if bits == cov.tobytes()]
-        assert [name for name, _, _ in calls] == [kind]
-        _, low, high = calls[0]
-        assert -len(cov) * np.finfo(float).eps * high <= low < 0.0
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(buyer.covariance)
+    # The buyer's 48 rows in d = 64 fail Cholesky, and its covariance is
+    # eigendecomposed once, for its W2 factor, in the first round on that
+    # dataset only. A seller trusts the summary it has just made; the buyer
+    # takes each seller covariance's eigenvalues alone, once, after decoding,
+    # with no Cholesky, since 32 rows in d = 64 make it singular. Their
+    # negative eigenvalues are rounding, inside psd_clamp's band of d * eps *
+    # lambda_max, so psd_clamp would not rebuild them either. Scoring adds one
+    # eigvalsh per seller, and debias the eigh of each shifted covariance; its
+    # clamped rebuild is trusted as made.
+    first, later = rounds
+    assert [name for name, *_ in first].count("cholesky") == 1
+    assert [name for name, *_ in later].count("cholesky") == 0
+    assert [name for name, *_ in first].count("eigh") == 1
+    assert [name for name, *_ in later].count("eigh") == (len(nodes) if debias else 0)
+    assert [name for name, *_ in later].count("eigvalsh") == 2 * len(nodes)
+    expected = [(buyer.covariance, ["cholesky", "eigh"], [])] + [
+        (o.summary.covariance, ["eigvalsh"], ["eigvalsh"]) for o in outcomes]
+    for cov, *kinds in expected:
+        for calls, kind in zip(rounds, kinds):
+            calls = [(name, low, high) for name, bits, low, high in calls
+                     if bits == cov.tobytes()]
+            assert [name for name, _, _ in calls] == kind
+            for name, low, high in calls:
+                if name != "cholesky":
+                    assert -len(cov) * np.finfo(float).eps * high <= low < 0.0
     assert not report.degenerate_normalization and len(report.ranking) == len(nodes)
     for o in outcomes:
         cov = o.summary.covariance
         if debias:
-            w, q = scipy.linalg.eigh(cov - o.sigma_used**2 * np.eye(len(cov)))
+            w, q = scipy.linalg.eigh(cov - calibrate_sigma(budget).sigma**2 * np.eye(len(cov)))
             cov = (q * np.maximum(w, 0.0)) @ q.T
         expected, scale = w2_squared_sqrtm(buyer.covariance, buyer.mean, cov, o.summary.mean)
         assert abs(report.entry(o.node_id).raw_w2**2 - expected) <= 1e-8 * scale
@@ -688,7 +741,8 @@ def test_run_valuation_is_build_report_over_orchestrate_valuation(options):
     )
     if options.get("debias"):
         outcomes = [o if o.failed else
-                    dataclasses.replace(o, summary=debias_covariance(o.summary, o.sigma_used))
+                    dataclasses.replace(o, summary=debias_covariance(
+                        o.summary, calibrate_sigma(config.budget).sigma))
                     for o in outcomes]
     expected = build_report(buyer, outcomes, options.get("objective", "diversify"),
                             report.params_echo)

@@ -4,9 +4,12 @@ The set-up: a buyer and four sellers, each holding 4096 random pre-encoded
 rows in d = 768 (row norms near 0.9, so clipping to R = 1 touches some), a
 subset of 512 rows per seller, master seed 7, in-process sellers and one BLAS
 thread. The subset is smaller than d, so every seller covariance is singular
-and Cholesky rejects it. Each round is one ``run_valuation``; the output holds
-each round's wall time, the numpy.linalg decompositions it made, the peak RSS
-and the report's raw_w2 per seller.
+and the buyer checks it by its eigenvalues alone. Each round is one
+``run_valuation`` on the same buyer dataset, whose summary is made once per
+dataset: the first round clips, summarizes and factors the buyer's rows, and
+the later rounds reuse that summary. The output holds each round's wall time,
+the numpy.linalg decompositions it made, the peak RSS and the report's raw_w2
+per seller.
 
     PYTHONPATH=src python tools/corner.py [--dim 768] [--subset 512] [--rounds 3]
 """
