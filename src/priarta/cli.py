@@ -81,14 +81,10 @@ def _seller_endpoints(arg: str, offline: bool) -> list:
         )
         if not files:
             raise ParameterError(f"no .raw or .emb seller files in {arg}")
-        stems = [p.stem for p in files]
-        if len(set(stems)) != len(stems):
-            raise ParameterError(f"duplicate seller node ids in {arg}")
         return in_process_endpoints([_node(p.stem, read_dataset_any(p)) for p in files])
     if offline:
         raise ParameterError(f"--offline requires --sellers to be a directory, got {arg!r}")
     addresses = []
-    seen = set()
     for part in arg.split(","):
         part = part.strip()
         if not part:
@@ -96,9 +92,6 @@ def _seller_endpoints(arg: str, offline: bool) -> list:
         node_id, sep, addr = part.partition("=")
         if not sep or not node_id:
             raise ParameterError(f"endpoint {part!r} must be id=host:port")
-        if node_id in seen:
-            raise ParameterError(f"duplicate seller node id {node_id!r}")
-        seen.add(node_id)
         host, port = _parse_hostport(addr)
         addresses.append((node_id, host, port))
     if not addresses:

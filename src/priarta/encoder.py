@@ -32,7 +32,9 @@ from .errors import (
     NumericInputError,
     ParameterError,
     ShapeError,
+    _fields_equal,
     _trusted,
+    _unhashable,
     require_bool,
     require_float,
     require_int,
@@ -113,6 +115,9 @@ class RawDataset:
     points: np.ndarray
     labels: np.ndarray
     class_probs: np.ndarray
+
+    __eq__ = _fields_equal
+    __hash__ = _unhashable
 
     def __post_init__(self):
         points = np.asarray(self.points, dtype=float)

@@ -5,8 +5,10 @@ ParameterError on a value of the wrong type instead of converting it. An
 object the package builds from values it has just made, or has checked, is
 made by _trusted(cls, ...) instead, which applies none of those rules. It is
 the one path that skips a constructor: each module's docstring lists what
-the values it passes must already satisfy."""
+the values it passes must already satisfy. A frozen dataclass with array
+fields takes its __eq__ and __hash__ from _fields_equal and _unhashable."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -127,6 +129,22 @@ def require_bool(value, field: str) -> bool:
     if not isinstance(value, bool):
         raise ParameterError(f"{field} must be a boolean")
     return value
+
+
+def _fields_equal(self, other):
+    """__eq__ of a frozen dataclass with array fields: the same class and
+    np.array_equal field by field. The generated __eq__ would take the truth
+    value of an array comparison."""
+    if type(other) is not type(self):
+        return NotImplemented
+    return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+               for f in dataclasses.fields(self))
+
+
+def _unhashable(self):
+    """__hash__ of a dataclass compared by _fields_equal: its arrays are not
+    hashable, so neither is it."""
+    raise TypeError(f"unhashable type: {type(self).__name__!r}")
 
 
 def _trusted(cls, **fields):

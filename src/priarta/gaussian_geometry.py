@@ -26,10 +26,13 @@ ends at the covariance psd_clamp would give:
   symmetrize and psd_clamp, on a copy of the mean;
 - a seller's STATS_RESPONSE: decoding rejects non-finite entries and
   expand_covariance is exactly symmetric, so the buyer checks only the
-  entries' range and PSD (Cholesky, else eigenvalues alone; eigenvalues
-  alone when the reply's count is at most d, since such a covariance is
-  singular), once, and rebuilds only a covariance with an eigenvalue below
-  the rounding band;
+  entries' range and PSD, once (_checked_against). Where the buyer's W2
+  factor is a Cholesky factor and the reply has more rows than d, the cross
+  term's eigenvalue solve is the check, and W2 reuses its eigenvalues (see
+  below). Every other reply, and one that solve does not certify, takes
+  Cholesky, else eigenvalues alone (eigenvalues alone when the reply's count
+  is at most d, since such a covariance is singular), and is rebuilt only
+  with an eigenvalue below the rounding band;
 - summarize: the moments of an EmbeddingSet that was checked when it was
   made are trusted. They are checked for finiteness and symmetrized, with no
   factorization and no clamp: a seller sends them so. The buyer's own
@@ -41,6 +44,22 @@ ends at the covariance psd_clamp would give:
 Every path but the public constructor ends in errors._trusted, which neither
 copies nor scans: a finite 1-D float64 mean, an exactly symmetric finite
 covariance of its size, PSD up to rounding, and a count >= 2.
+
+The cross term certifies a reply. Let F be the buyer's Cholesky factor,
+S_b = ||F||_F^2 ||Sigma_b||_F, gamma = d * eps, and M = F^T Sigma_b F. F is
+nonsingular, so M is congruent to Sigma_b (Sylvester's law of inertia), and
+lambda_min(Sigma_b) >= lambda_min(M) / sigma_max(F)^2 >= lambda_min(M) / ||F||_F^2.
+The computed product fl(fl(F^T Sigma_b) F) is within gamma (2 + gamma) S_b of
+M in the Frobenius norm (each product is within gamma |A||B| entrywise,
+Higham, Accuracy and Stability, section 3.5), and symmetrizing plus the
+eigensolver's backward error add at most gamma S_b more (LAPACK's p(d) eps,
+taken as d eps). So by Weyl's inequality a smallest computed eigenvalue
+w_0 >= (2 + K) gamma S_b gives lambda_min(M) >= (K - 1 - gamma) gamma S_b,
+hence lambda_min(Sigma_b) >= ~(K - 1) d eps ||Sigma_b||_F
+>= (K - 1) d eps lambda_max(Sigma_b). With K = 16 that is 15 times the width
+of the rounding band, where Cholesky or the eigenvalues psd_clamp looks at
+would keep Sigma_b as sent: the certified reply is kept as sent, with no
+factorization of its own. ||F||_F^2 is computed once, beside the factor.
 """
 
 from dataclasses import dataclass
@@ -55,7 +74,9 @@ from .errors import (
     NumericInputError,
     ParameterError,
     ShapeError,
+    _fields_equal,
     _trusted,
+    _unhashable,
     require_float,
     require_int,
 )
@@ -71,6 +92,8 @@ Array = np.ndarray
 PSD_TOL = 1e-10
 _EPS = float(np.finfo(float).eps)
 _HALF_MAX = float(np.finfo(float).max) / 2.0
+# K of the cross-term certificate (see the module docstring).
+_CERTIFY_MARGIN = 16.0
 
 
 def _check_finite(a: Array, name: str) -> Array:
@@ -114,15 +137,21 @@ def _eigh(sym: Array, name: str, vectors: bool = True, psd: bool = True):
         out = np.linalg.eigh(sym) if vectors else np.linalg.eigvalsh(sym)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigendecomposition of {name} did not converge: {exc}") from exc
-    w = out[0] if vectors else out
+    if psd:
+        _psd_floor(out[0] if vectors else out, name)
+    return out
+
+
+def _psd_floor(w: Array, name: str):
+    """Raise NotPSDError when the lowest of ascending eigenvalues w is below
+    -PSD_TOL * lambda_max."""
     floor = -PSD_TOL * max(float(w[-1]), 0.0)
-    if psd and float(w[0]) < floor:
+    if float(w[0]) < floor:
         raise NotPSDError(
             f"{name} is not PSD within tolerance: eigenvalue {float(w[0]):.6e} "
             f"is below {floor:.6e}",
             offending_eigenvalue=float(w[0]),
         )
-    return out
 
 
 def _clamp_reconstruct(w: Array, q: Array) -> Array:
@@ -179,6 +208,15 @@ class GaussianSummary:
     covariance: Array
     count: int
 
+    __eq__ = _fields_equal
+    __hash__ = _unhashable
+    # Not fields, so eq, repr, asdict and replace ignore them. _factored sets
+    # ||F||_F^2 when its W2 factor F is a Cholesky factor; _checked_against
+    # sets (buyer, eigenvalues of the cross term) on a reply it checked
+    # against that buyer's factor.
+    _cholesky_norm2 = None
+    _cross = None
+
     def __post_init__(self):
         mean = _check_finite(self.mean, "mean")
         if mean.ndim != 1 or mean.shape[0] < 1:
@@ -217,14 +255,12 @@ def _w2_factor(factor, w: Array, q: Array) -> Array:
 
 def _require_psd(sym: Array, name: str, count: int) -> Array:
     """psd_clamp of a finite, exactly symmetric sample covariance of count
-    rows, with its errors: NumericInputError for an entry past half the float
-    range, NotPSDError unless it is PSD within tolerance. It takes one
-    Cholesky, else the eigenvalues alone; only a matrix with an eigenvalue
-    below the rounding band goes on to psd_clamp's eigh and is rebuilt. A
-    covariance of count <= d rows has rank at most count - 1 < d: its
-    Cholesky would fail, so it goes straight to its eigenvalues."""
-    if not np.abs(sym).max() <= _HALF_MAX:
-        raise NumericInputError("matrix entries overflow when symmetrized")
+    rows whose entries are at most half the float range, with its
+    NotPSDError unless it is PSD within tolerance. It takes one Cholesky,
+    else the eigenvalues alone; only a matrix with an eigenvalue below the
+    rounding band goes on to psd_clamp's eigh and is rebuilt. A covariance of
+    count <= d rows has rank at most count - 1 < d: its Cholesky would fail,
+    so it goes straight to its eigenvalues."""
     if count > sym.shape[0]:
         try:
             np.linalg.cholesky(sym)
@@ -233,6 +269,38 @@ def _require_psd(sym: Array, name: str, count: int) -> Array:
             pass
     w = _eigh(sym, name, vectors=False)
     return sym if _in_rounding_band(w) else psd_clamp(sym, name)
+
+
+def _checked_against(buyer, mean: Array, sym: Array, count: int) -> GaussianSummary:
+    """The trusted summary of a seller's reply: a finite mean, and a finite,
+    exactly symmetric covariance of count rows, checked as psd_clamp would
+    clamp it (NumericInputError for an entry past half the float range,
+    NotPSDError unless PSD within tolerance).
+
+    buyer is the round's summary, made by _factored, or None when the reply is
+    not scored as sent (debias). When count > d and the buyer's W2 factor is a
+    Cholesky factor, the eigenvalues of the cross term W2 solves certify the
+    covariance (see the module docstring) and are kept for W2; a covariance
+    they do not certify takes _require_psd, and keeps them only if it comes
+    back unchanged."""
+    if not np.abs(sym).max() <= _HALF_MAX:
+        raise NumericInputError("matrix entries overflow when symmetrized")
+    cross, certified = None, False
+    if buyer is not None and buyer._cholesky_norm2 is not None and count > sym.shape[0]:
+        try:
+            cross = _cross_eigenvalues(buyer._covariance_factor, sym)
+        except (ConvergenceError, NumericInputError):
+            pass  # scoring solves afresh and fails as it would have
+        else:
+            bound = ((2.0 + _CERTIFY_MARGIN) * sym.shape[0] * _EPS * buyer._cholesky_norm2
+                     * float(np.linalg.norm(sym)))
+            certified = bool(np.isfinite(cross).all()) and float(cross[0]) >= bound
+    covariance = sym if certified else _require_psd(sym, "covariance", count)
+    if cross is None or covariance is not sym:
+        return _trusted(GaussianSummary, mean=mean, covariance=covariance, count=count)
+    cross.flags.writeable = False
+    return _trusted(GaussianSummary, mean=mean, covariance=sym, count=count,
+                    _cross=(buyer, cross))
 
 
 def _factored(summary: GaussianSummary) -> GaussianSummary:
@@ -245,8 +313,10 @@ def _factored(summary: GaussianSummary) -> GaussianSummary:
     if parts[0] is None and not _in_rounding_band(parts[1]):
         covariance = _clamp_reconstruct(*parts[1:])
         parts = _cholesky_else_eigh(covariance, "covariance of a")
+    factor = _w2_factor(*parts)
     return _trusted(GaussianSummary, mean=summary.mean, covariance=covariance,
-                    count=summary.count, _covariance_factor=_w2_factor(*parts))
+                    count=summary.count, _covariance_factor=factor,
+                    _cholesky_norm2=None if parts[0] is None else float(np.vdot(factor, factor)))
 
 
 def debias_covariance(summary: GaussianSummary, sigma: float) -> GaussianSummary:
@@ -273,6 +343,13 @@ def debias_covariance(summary: GaussianSummary, sigma: float) -> GaussianSummary
                     count=summary.count)
 
 
+def _cross_eigenvalues(factor: Array, covariance: Array) -> Array:
+    """Ascending eigenvalues of F^T Sigma_b F, re-symmetrized, with no PSD
+    floor applied."""
+    return _eigh(symmetrize(factor.T @ covariance @ factor), "cross-covariance term",
+                 vectors=False, psd=False)
+
+
 def wasserstein2_gaussian(a: GaussianSummary, b: GaussianSummary) -> float:
     """Closed-form 2-Wasserstein distance between two Gaussian summaries.
 
@@ -280,7 +357,9 @@ def wasserstein2_gaussian(a: GaussianSummary, b: GaussianSummary) -> float:
     F^T Sigma_b F, with F the cached factor of Sigma_a. That matrix is
     re-symmetrized before its eigenvalue solve, its noise eigenvalues are
     clamped, and the scalar under the outer root is clamped at 0: all are
-    nonnegative/symmetric analytically but not numerically.
+    nonnegative/symmetric analytically but not numerically. A reply that
+    _checked_against certified against a itself brings those eigenvalues
+    with it, and they are not solved again.
     """
     if a.dim != b.dim:
         raise ShapeError(f"dimension mismatch: {a.dim} vs {b.dim}")
@@ -289,9 +368,12 @@ def wasserstein2_gaussian(a: GaussianSummary, b: GaussianSummary) -> float:
         # cancellation noise under the outer root would exceed the identity
         # tolerance otherwise
         return 0.0
-    factor = a._covariance_factor
-    inner = symmetrize(factor.T @ b.covariance @ factor)
-    eigenvalues = np.maximum(_eigh(inner, "cross-covariance term", vectors=False), 0.0)
+    if b._cross is not None and b._cross[0] is a:
+        w = b._cross[1]
+    else:
+        w = _cross_eigenvalues(a._covariance_factor, b.covariance)
+    _psd_floor(w, "cross-covariance term")
+    eigenvalues = np.maximum(w, 0.0)
     diff = a.mean - b.mean
     squared = (
         float(diff @ diff)

@@ -16,7 +16,8 @@ concatenated in field order. Canonical JSON escapes every control character,
 so the first newline ends the JSON.
 A STATS_RESPONSE must echo its STATS_REQUEST's session id and count, the
 spec's fingerprint and the sigma of the buyer's PrivacyBudget (to 1e-9
-relative), or that seller fails. No seller may carry the buyer's BUYER_ID.
+relative), or that seller fails. No seller may carry the buyer's BUYER_ID, and
+no two sellers in a round may share a node id.
 Every message the buyer sends gets exactly one reply, in the order sent.
 MODEL_SPEC is acknowledged with HELLO so transcripts stay deterministic and
 byte-countable. Every seller in a round gets the same three requests, so the
@@ -64,13 +65,15 @@ from .errors import (
     PriartaError,
     ProtocolFailure,
     ShapeError,
+    _fields_equal,
     _trusted,
+    _unhashable,
     require_bool,
     require_float,
     require_int,
     require_str,
 )
-from .gaussian_geometry import GaussianSummary, _factored, _require_psd
+from .gaussian_geometry import GaussianSummary, _checked_against, _factored
 from .privacy import (
     PrivacyBudget,
     apply_gaussian_mechanism,
@@ -203,12 +206,8 @@ class StatsResponse:
         object.__setattr__(self, "sigma_used", require_float(self.sigma_used, "sigma_used"))
         require_str(self.encoder_fingerprint, "encoder_fingerprint")
 
-    def __eq__(self, other):
-        # The generated __eq__ would take the truth value of an array comparison.
-        if type(other) is not StatsResponse:
-            return NotImplemented
-        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
-                   for f in fields(self))
+    __eq__ = _fields_equal
+    __hash__ = _unhashable
 
 
 @dataclass(frozen=True)
@@ -376,14 +375,24 @@ def _decode_frame(data: bytes) -> object:
 _decode_shared = functools.lru_cache(maxsize=64)(_decode_frame)
 
 
-# At small d np.triu_indices outweighs the packing; the cached arrays are only read.
-_triu_indices = functools.lru_cache(maxsize=8)(np.triu_indices)
+@functools.lru_cache(maxsize=8)
+def _flat_triangle(dim: int) -> tuple:
+    """The row-major flat indices of a dim x dim matrix's upper triangle, in
+    pack order, and of their mirror entries: one 1-D gather or scatter each
+    instead of a 2-D fancy index. Cached, since at small d making them
+    outweighs the packing; the arrays are only read."""
+    rows, cols = np.triu_indices(dim)
+    upper, lower = rows * dim + cols, cols * dim + rows
+    upper.flags.writeable = lower.flags.writeable = False
+    return upper, lower
 
 
 def pack_covariance(cov) -> np.ndarray:
     """Upper triangle, row-major, d(d+1)/2 floats."""
     cov = np.asarray(cov, dtype=float)
-    return cov[_triu_indices(cov.shape[0])]
+    if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
+        raise ShapeError(f"expected a square matrix, got shape {cov.shape}")
+    return cov.take(_flat_triangle(cov.shape[0])[0])
 
 
 def expand_covariance(values, dim: int) -> np.ndarray:
@@ -391,11 +400,11 @@ def expand_covariance(values, dim: int) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     if values.shape != (dim * (dim + 1) // 2,):
         raise ShapeError(f"{values.size} triangular entries do not fill a {dim}x{dim} matrix")
-    rows, cols = _triu_indices(dim)
-    out = np.empty((dim, dim))
-    out[rows, cols] = values
-    out[cols, rows] = values
-    return out
+    upper, lower = _flat_triangle(dim)
+    out = np.empty(dim * dim)
+    out[upper] = values
+    out[lower] = values
+    return out.reshape(dim, dim)
 
 
 def _subset_indices(count: int, m_tilde: int, seed: int) -> np.ndarray:
@@ -928,9 +937,12 @@ def _ask(node_id: str, connect, frames: tuple) -> tuple:
     return outcome, channel
 
 
-def _collect(outcome: SellerOutcome, channel, spec: EncoderSpec, request, sigma: float):
+def _collect(outcome: SellerOutcome, channel, spec: EncoderSpec, request, sigma: float,
+             buyer: GaussianSummary):
     """Read an asked seller's replies in order, stopping at the first ERROR
-    or unexpected reply, and record its summary or its failure."""
+    or unexpected reply, and record its summary or its failure. The summary
+    is checked against buyer, the summary it is scored against as sent, or
+    None when it is not (debias)."""
     try:
         for expected, name in _REPLIES:
             reply = channel.receive()
@@ -960,11 +972,10 @@ def _collect(outcome: SellerOutcome, channel, spec: EncoderSpec, request, sigma:
             outcome.failure = f"sigma_used {reply.sigma_used!r} is not the budget's {sigma!r}"
             return
         # Decoding rejected non-finite entries and the expanded covariance
-        # is exactly symmetric: only its PSD check and clamp are left.
-        covariance = _require_psd(expand_covariance(reply.covariance, len(reply.mean)),
-                                  "covariance", reply.count)
-        outcome.summary = _trusted(GaussianSummary, mean=reply.mean, covariance=covariance,
-                                   count=reply.count)
+        # is exactly symmetric: only its range and PSD check are left.
+        outcome.summary = _checked_against(
+            buyer, reply.mean, expand_covariance(reply.covariance, len(reply.mean)),
+            reply.count)
     except (OSError, PriartaError) as exc:
         outcome.failure = f"{type(exc).__name__}: {exc}"
 
@@ -994,17 +1005,24 @@ def orchestrate_valuation(buyer_data, sellers, spec: EncoderSpec, budget: Privac
     propagates.
     """
     buyer, outcomes = _round(buyer_data, sellers, spec, budget, master_seed, noisy_buyer,
-                             lambda _, __, outcome: outcome)
+                             lambda _, __, outcome: outcome, scored_as_sent=True)
     return buyer, sorted(outcomes, key=lambda o: o.node_id)
 
 
-def _round(buyer_data, sellers, spec, budget, master_seed, noisy_buyer, keep) -> tuple:
+def _round(buyer_data, sellers, spec, budget, master_seed, noisy_buyer, keep,
+           scored_as_sent: bool) -> tuple:
     """The round loop: (buyer, [keep(buyer, sigma, outcome) for each seller,
-    as its channel closes]). An error from keep closes every open channel too."""
+    as its channel closes]). An error from keep closes every open channel too.
+    scored_as_sent: whether keep scores each reply's covariance as it came
+    (not debiased), so the buyer may check it by the W2 cross term."""
     if not sellers:
         raise ParameterError("at least one seller endpoint is required")
-    if any(node_id == BUYER_ID for node_id, _ in sellers):
+    ids = collections.Counter(node_id for node_id, _ in sellers)
+    if BUYER_ID in ids:
         raise ParameterError(f"seller node id {BUYER_ID!r} is reserved for the buyer")
+    repeated = [node_id for node_id, n in ids.items() if n > 1]
+    if repeated:
+        raise ParameterError(f"duplicate seller node id {repeated[0]!r}")
     require_bool(noisy_buyer, "noisy_buyer")
     if master_seed is not None:
         seed = derive_seed(master_seed, BUYER_ID, "stats-request")
@@ -1035,7 +1053,8 @@ def _round(buyer_data, sellers, spec, budget, master_seed, noisy_buyer, keep) ->
                 # soon as its replies are read, and its outcome once kept.
                 outcome, channel = asked[0]
                 if outcome.failure is None:
-                    _collect(outcome, channel, spec, request, sigma)
+                    _collect(outcome, channel, spec, request, sigma,
+                             buyer if scored_as_sent else None)
                 _close(outcome, channel)
                 asked.popleft()
                 kept.append(keep(buyer, sigma, outcome))

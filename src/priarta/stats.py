@@ -18,7 +18,9 @@ from .errors import (
     NumericInputError,
     ParameterError,
     ShapeError,
+    _fields_equal,
     _trusted,
+    _unhashable,
     require_bool,
     require_float,
 )
@@ -72,6 +74,9 @@ class EmbeddingSet:
     vectors: np.ndarray
     clip_radius: float
     clipped: bool
+
+    __eq__ = _fields_equal
+    __hash__ = _unhashable
 
     def __post_init__(self):
         v = np.asarray(self.vectors, dtype=float)

@@ -179,6 +179,9 @@ class ValuationReport:
             raise FileFormatError(f"malformed valuation report: {exc}") from exc
         if report.objective not in OBJECTIVES:
             raise FileFormatError(f"malformed valuation report: objective {report.objective!r}")
+        node_ids = [e.node_id for e in report.entries]
+        if len(set(node_ids)) != len(node_ids):
+            raise FileFormatError("malformed valuation report: two entries share a node id")
         scored = [e for e in report.entries if not e.failed]
         if sorted(report.ranking) != sorted(e.node_id for e in scored):
             raise FileFormatError("malformed valuation report: ranking must list each "
@@ -252,7 +255,8 @@ def run_valuation(buyer_data, sellers, spec: EncoderSpec, budget: PrivacyBudget,
     _require_objective(objective)
     require_bool(debias, "debias")
     _, scores = _round(buyer_data, sellers, spec, budget, master_seed, noisy_buyer,
-                       lambda buyer, sigma, o: _score(buyer, o, sigma if debias else None))
+                       lambda buyer, sigma, o: _score(buyer, o, sigma if debias else None),
+                       scored_as_sent=not debias)
     params = {
         **asdict(budget),
         "master_seed": master_seed,

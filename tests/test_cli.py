@@ -222,6 +222,30 @@ def test_value_refuses_a_seller_file_named_buyer(scenario_dir, tmp_path, capsys)
     assert not out.exists()
 
 
+def test_value_refuses_two_seller_files_with_one_node_id(scenario_dir, tmp_path, capsys):
+    # seller-1.raw and seller-1.emb would both be node seller-1
+    sellers = tmp_path / "sellers"
+    shutil.copytree(scenario_dir / "sellers", sellers)
+    (sellers / "seller-1.emb").write_text("PRIARTA-EMB 1\n2 2 1.0\n0.1 0.2\n0.3 0.4\n")
+    out = tmp_path / "r.json"
+    args = list(value_args(scenario_dir, out))
+    args[args.index("--sellers") + 1] = str(sellers)
+    assert run_cli(*args) == 1
+    assert capsys.readouterr().err == "error: duplicate seller node id 'seller-1'\n"
+    assert not out.exists()
+
+
+def test_value_refuses_two_endpoints_with_one_node_id(scenario_dir, tmp_path, capsys):
+    # refused before any connect: nothing listens on port 9
+    out = tmp_path / "r.json"
+    args = list(value_args(scenario_dir, out))
+    args[args.index("--sellers") + 1] = "s1=127.0.0.1:9,s2=127.0.0.1:9,s1=127.0.0.1:9"
+    args.remove("--offline")
+    assert run_cli(*args) == 1
+    assert capsys.readouterr().err == "error: duplicate seller node id 's1'\n"
+    assert not out.exists()
+
+
 def test_value_refuses_a_negative_seed(scenario_dir, tmp_path, capsys):
     out = tmp_path / "r.json"
     assert run_cli(*value_args(scenario_dir, out)[:-1], "-1") == 1
@@ -246,6 +270,21 @@ def test_report_table_and_csv(scenario_dir, tmp_path, capsys):
     csv_text = capsys.readouterr().out
     assert csv_text.startswith("node_id,raw_w2,normalized,rank,failed,failure_reason")
     assert csv_text.count("\n") == 8  # header + 7 sellers
+
+
+def test_report_with_a_repeated_node_id_exits_1(scenario_dir, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert run_cli(*value_args(scenario_dir, out)) == 0
+    capsys.readouterr()
+    report = json.loads(out.read_text(encoding="utf-8"))
+    # two scored seller-1 entries, each ranked once: only the entries repeat
+    report["entries"][1] = dict(report["entries"][0])
+    report["ranking"] = [node_id for node_id in report["ranking"] if node_id != "seller-2"]
+    report["ranking"].append("seller-1")
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(report))
+    assert run_cli("report", "--input", str(bad)) == 1
+    assert "two entries share a node id" in capsys.readouterr().err
 
 
 def test_report_corrupt_file_exits_1(tmp_path, capsys):

@@ -634,6 +634,33 @@ def test_expand_rejects_wrong_length():
         expand_covariance((1.0, 2.0), 2)
 
 
+@pytest.mark.parametrize("d", [1, 4, 256])
+def test_pack_and_expand_match_the_2d_index_form_bit_for_bit(rng, d):
+    # The oracle packs and mirrors through np.triu_indices' 2-D fancy index;
+    # a signed zero on either side of the diagonal must keep its sign.
+    c = rng.standard_normal((d, d))
+    c[rng.random((d, d)) < 0.25] = -0.0
+    c[rng.random((d, d)) < 0.25] = 0.0
+    rows, cols = np.triu_indices(d)
+    packed = pack_covariance(c)
+    assert packed.tobytes() == c[rows, cols].tobytes()
+    assert np.array_equal(np.signbit(packed), np.signbit(c[rows, cols]))
+    expected = np.empty((d, d))
+    expected[rows, cols] = packed
+    expected[cols, rows] = packed
+    back = expand_covariance(packed, d)
+    assert back.shape == (d, d) and back.flags.c_contiguous
+    assert back.tobytes() == expected.tobytes()
+    assert np.array_equal(np.signbit(back), np.signbit(expected))
+    # a transposed (not C-contiguous) input packs the same as its copy
+    assert pack_covariance(c.T).tobytes() == pack_covariance(c.T.copy()).tobytes()
+
+
+def test_pack_rejects_a_matrix_that_is_not_square():
+    with pytest.raises(ShapeError):
+        pack_covariance(np.zeros((2, 3)))
+
+
 # ------------------------------------------------------------ subset draw
 
 

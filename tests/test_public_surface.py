@@ -6,6 +6,8 @@ import inspect
 import pkgutil
 from pathlib import Path
 
+import pytest
+
 import priarta
 
 
@@ -174,3 +176,33 @@ def test_the_header_scan_sees_every_place(tmp_path):
         "        return _HEADER.pack(n), _HEADER.size, OTHER.unpack(b'')\n"
     )
     assert header_readers(source) == [None, "split", "inner", "inner"]
+
+
+def array_dataclasses():
+    """(name, make) per frozen dataclass with array fields: make(k) builds a
+    fresh object from fresh arrays, equal for equal k."""
+    import numpy as np
+
+    from priarta import EmbeddingSet, GaussianSummary, RawDataset
+    from priarta.protocol import StatsResponse
+
+    return {
+        "RawDataset": lambda k: RawDataset(np.full((2, 2), float(k)), [0, 1], [0.5, 0.5]),
+        "EmbeddingSet": lambda k: EmbeddingSet(np.full((3, 2), k / 10), 1.0, clipped=False),
+        "GaussianSummary": lambda k: GaussianSummary(np.full(2, float(k)), np.eye(2), 3),
+        "StatsResponse": lambda k: StatsResponse([float(k), 0.0], [1.0, 0.0, 1.0], 3,
+                                                 "sess-1", 0.5, "f" * 64),
+    }
+
+
+@pytest.mark.parametrize("name", ["RawDataset", "EmbeddingSet", "GaussianSummary",
+                                  "StatsResponse"])
+def test_array_dataclasses_compare_by_value_and_refuse_hash(name):
+    make = array_dataclasses()[name]
+    a, same, other = make(1), make(1), make(2)
+    assert a is not same and a.__dict__.keys() == same.__dict__.keys()
+    assert a == same and not a != same
+    assert a != other and not a == other
+    assert a != "not a dataclass"
+    with pytest.raises(TypeError, match=f"unhashable type: '{name}'"):
+        hash(a)

@@ -15,6 +15,7 @@ from priarta import (
     FileFormatError,
     GaussianSummary,
     NoCandidatesError,
+    NotPSDError,
     NumericInputError,
     ParameterError,
     PrivacyBudget,
@@ -58,7 +59,7 @@ from priarta.valuation import (
     with_robustness,
 )
 
-from conftest import random_summary
+from conftest import random_psd, random_summary
 
 
 PARAMS = {"epsilon": 0.8, "delta": 1e-5, "objective": "diversify"}
@@ -405,13 +406,12 @@ def test_a_second_round_on_the_same_buyer_reuses_its_summary(monkeypatch):
     first, first_rows, first_counts = counted_round(buyer)
     second, second_rows, second_counts = counted_round(buyer)
     fresh, _, _ = counted_round(build_datasets(config)[BUYER_ID])
-    # Each seller summarizes its 512-row subset, which the buyer checks by one
-    # Cholesky and scores by one eigvalsh. The buyer's own 4096 rows are
-    # summarized and factored in the first round on that dataset only.
-    sellers = dict.fromkeys(DECOMPOSITIONS, 0) | {"cholesky": len(nodes),
-                                                  "eigvalsh": len(nodes)}
+    # Each seller summarizes its 512-row subset, which the buyer checks and
+    # scores by one eigvalsh, the W2 cross term's. The buyer's own 4096 rows
+    # are summarized and factored in the first round on that dataset only.
+    sellers = dict.fromkeys(DECOMPOSITIONS, 0) | {"eigvalsh": len(nodes)}
     assert sorted(first_rows) == [config.budget.subset_size] * len(nodes) + [buyer.count]
-    assert first_counts == dict(sellers, cholesky=len(nodes) + 1)
+    assert first_counts == dict(sellers, cholesky=1)
     assert second_rows == [config.budget.subset_size] * len(nodes)
     assert second_counts == sellers
     assert second == first == fresh
@@ -582,6 +582,24 @@ def test_a_seller_endpoint_named_buyer_is_refused_before_any_connect(call):
         ROUNDS[call](_never_called, endpoints, config.encoder, config.budget, master_seed=7)
 
 
+@pytest.mark.parametrize("call", sorted(ROUNDS))
+def test_two_seller_endpoints_with_one_node_id_are_refused_before_any_connect(call):
+    config = default_scenario(7)
+    endpoints = [("seller-1", _never_called), ("seller-2", _never_called),
+                 ("seller-1", _never_called)]
+    with pytest.raises(ParameterError, match="^duplicate seller node id 'seller-1'$"):
+        ROUNDS[call](_never_called, endpoints, config.encoder, config.budget, master_seed=7)
+
+
+def test_a_report_whose_entries_repeat_a_node_id_is_malformed(rng):
+    buyer, outcomes = make_outcomes(rng)
+    data = build_report(buyer, outcomes, "diversify", PARAMS).to_dict()
+    data["entries"] = [data["entries"][0], dict(data["entries"][0])]
+    data["ranking"] = [data["entries"][0]["node_id"]]
+    with pytest.raises(FileFormatError, match="two entries share a node id"):
+        ValuationReport.from_dict(data)
+
+
 # Each argument of a round, the words its refusal starts with, and values it
 # refuses: an objective not in OBJECTIVES, a master seed that is not an
 # integer >= 0, and flags that are not booleans.
@@ -711,6 +729,154 @@ def test_a_debias_decomposition_that_fails_fails_only_its_seller(monkeypatch):
     for entry in report.entries:
         assert entry.failed
         assert entry.failure_reason.startswith("debias failed: ConvergenceError")
+
+
+# ------------------------------------------------ replies checked by the W2 solve
+
+
+def wide_round(rng, subset=512, buyer_rows=600):
+    """perfbench's wide-d256 at its tiny size: a buyer and two sellers of 600
+    pre-encoded rows in d = 16, asked for 512-row subsets."""
+    return rank_deficient_round(rng, dim=16, subset=subset, buyer_rows=buyer_rows,
+                                seller_rows=600, sellers=2)
+
+
+def test_a_wide_round_checks_each_reply_by_its_w2_cross_term(monkeypatch, rng):
+    buyer_data, nodes, spec, budget = wide_round(rng)
+    orchestrate_valuation(buyer_data, in_process_endpoints(nodes), spec, budget, master_seed=2)
+    counts = counting(monkeypatch, DECOMPOSITIONS)
+    buyer, outcomes = orchestrate_valuation(buyer_data, in_process_endpoints(nodes), spec,
+                                            budget, master_seed=3)
+    collected = dict(counts)
+    report = build_report(buyer, outcomes, "diversify", PARAMS)
+    monkeypatch.undo()
+    # The buyer's summary was made in the first round. Each reply takes one
+    # eigvalsh, its cross term's, which is its PSD check and its W2 solve.
+    assert collected == dict.fromkeys(DECOMPOSITIONS, 0) | {"eigvalsh": len(nodes)}
+    assert counts == collected
+    for o in outcomes:
+        assert o.summary._cross[0] is buyer
+        # kept as sent, as the public constructor keeps it, and scored with
+        # the bits of a fresh solve
+        public = GaussianSummary(o.summary.mean, o.summary.covariance, o.summary.count)
+        assert public.covariance.tobytes() == o.summary.covariance.tobytes()
+        assert public._cross is None
+        assert report.entry(o.node_id).raw_w2 == wasserstein2_gaussian(buyer, public)
+        expected, scale = w2_squared_sqrtm(buyer.covariance, buyer.mean,
+                                           o.summary.covariance, o.summary.mean)
+        assert abs(report.entry(o.node_id).raw_w2**2 - expected) <= 1e-8 * scale
+
+
+CERTIFY_FACTOR = 2.0 + 16.0  # (2 + K) of the certificate, K = 16
+
+
+def certificate_case(rng, dim, ratio):
+    """A Cholesky-factored buyer and an exactly symmetric covariance whose
+    cross term F^T Sigma F has a smallest eigenvalue of about ratio times the
+    certificate's bound (2 + K) d eps ||F||_F^2 ||Sigma||_F, and that bound,
+    and that eigenvalue as scipy computes it."""
+    buyer = gaussian_geometry._factored(
+        GaussianSummary(np.zeros(dim), random_psd(rng, dim) + np.eye(dim), 1000))
+    factor = buyer._covariance_factor
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+
+    def covariance(smallest):
+        cross = (q * np.r_[smallest, np.linspace(1.0, 2.0, dim - 1)]) @ q.T
+        inverse_t = scipy.linalg.solve_triangular(factor, np.eye(dim), lower=True).T
+        sigma = inverse_t @ cross @ inverse_t.T
+        return (sigma + sigma.T) / 2.0
+
+    def bound(sigma):
+        return (CERTIFY_FACTOR * dim * np.finfo(float).eps * float((factor**2).sum())
+                * float(np.sqrt((sigma**2).sum())))
+
+    sigma = covariance(ratio * bound(covariance(0.0)))
+    cross = factor.T @ sigma @ factor
+    oracle = scipy.linalg.eigvalsh((cross + cross.T) / 2.0)[0]
+    return buyer, sigma, bound(sigma), oracle
+
+
+@pytest.mark.parametrize("ratio, certified", [(4.0, True), (0.25, False)])
+def test_a_reply_is_kept_as_sent_when_its_cross_term_clears_the_bound(monkeypatch, rng,
+                                                                      ratio, certified):
+    buyer, sigma, bound, oracle = certificate_case(rng, 8, ratio)
+    assert (oracle >= 2.0 * bound) if certified else (0.0 < oracle <= bound / 2.0)
+    counts = counting(monkeypatch, DECOMPOSITIONS)
+    summary = gaussian_geometry._checked_against(buyer, np.zeros(8), sigma, 1000)
+    # Below the bound the reply takes its own Cholesky, which succeeds:
+    # it is kept as sent, and so are the cross term's eigenvalues.
+    assert counts == dict.fromkeys(DECOMPOSITIONS, 0) | {"eigvalsh": 1,
+                                                         "cholesky": 0 if certified else 1}
+    assert summary.covariance is sigma
+    assert summary._cross[0] is buyer
+    assert abs(summary._cross[1][0] - oracle) <= 1e-3 * bound
+
+
+def test_a_reply_that_is_not_psd_fails_after_its_cross_term(monkeypatch, rng):
+    buyer, sigma, _, oracle = certificate_case(rng, 8, -1e9)
+    assert oracle < 0.0
+    counts = counting(monkeypatch, DECOMPOSITIONS)
+    with pytest.raises(NotPSDError, match="^covariance is not PSD"):
+        gaussian_geometry._checked_against(buyer, np.zeros(8), sigma, 1000)
+    assert counts == dict.fromkeys(DECOMPOSITIONS, 0) | {"eigvalsh": 2, "cholesky": 1}
+
+
+def test_a_reply_checked_against_one_buyer_is_solved_afresh_for_another(monkeypatch, rng):
+    buyer, sigma, _, _ = certificate_case(rng, 8, 4.0)
+    summary = gaussian_geometry._checked_against(buyer, np.ones(8), sigma, 1000)
+    twin = gaussian_geometry._factored(GaussianSummary(buyer.mean, buyer.covariance, 1000))
+    assert twin == buyer and twin is not buyer
+    counts = counting(monkeypatch, DECOMPOSITIONS)
+    reused = wasserstein2_gaussian(buyer, summary)
+    assert counts["eigvalsh"] == 0
+    assert wasserstein2_gaussian(twin, summary) == reused
+    assert counts["eigvalsh"] == 1
+
+
+def test_kept_cross_term_eigenvalues_meet_the_psd_floor_of_a_fresh_solve(monkeypatch):
+    # The reply's eigenvalue -4 eps lies inside the rounding band, so it is
+    # kept as sent. The buyer's factor stretches it by 1e4 and shrinks the
+    # others by 1e-4: the cross term's -1e4 * 4 eps is below its floor
+    # -1e-10 * 1e-4, on reuse as on a fresh solve.
+    buyer = gaussian_geometry._factored(
+        GaussianSummary(np.zeros(8), np.diag([1e4] + [1e-4] * 7), 1000))
+    sent = np.diag([-4.0 * np.finfo(float).eps] + [1.0] * 7)
+    summary = gaussian_geometry._checked_against(buyer, np.ones(8), sent, 1000)
+    assert summary.covariance is sent and summary._cross[0] is buyer
+    counts = counting(monkeypatch, DECOMPOSITIONS)
+    with pytest.raises(NotPSDError, match="^cross-covariance term is not PSD") as reused:
+        wasserstein2_gaussian(buyer, summary)
+    assert counts["eigvalsh"] == 0
+    public = GaussianSummary(np.ones(8), sent, 1000)
+    with pytest.raises(NotPSDError, match="^cross-covariance term is not PSD") as fresh:
+        wasserstein2_gaussian(buyer, public)
+    assert counts["eigvalsh"] == 1
+    assert str(reused.value) == str(fresh.value)
+
+
+@pytest.mark.parametrize("case", ["reply-of-at-most-d-rows", "eigen-factored-buyer", "debias"])
+def test_a_reply_the_cross_term_cannot_check_keeps_its_own_check(monkeypatch, rng, case):
+    # A reply of at most d rows is singular, a buyer factored by eigh gives
+    # no congruence, and debias scores another covariance than the one sent:
+    # none takes a cross-term solve before it is scored.
+    subset, buyer_rows = {"reply-of-at-most-d-rows": (12, 600),
+                          "eigen-factored-buyer": (512, 12), "debias": (512, 600)}[case]
+    buyer_data, nodes, spec, budget = wide_round(rng, subset, buyer_rows)
+    orchestrate_valuation(buyer_data, in_process_endpoints(nodes), spec, budget, master_seed=2)
+    counts = counting(monkeypatch, DECOMPOSITIONS)
+    if case == "debias":
+        run_valuation(buyer_data, in_process_endpoints(nodes), spec, budget, master_seed=3,
+                      debias=True)
+        # Cholesky checks each reply, eigh debiases it and W2 solves once
+        expected = {"cholesky": len(nodes), "eigh": len(nodes), "eigvalsh": len(nodes)}
+    else:
+        buyer, outcomes = orchestrate_valuation(buyer_data, in_process_endpoints(nodes), spec,
+                                                budget, master_seed=3)
+        assert (buyer._cholesky_norm2 is None) == (case == "eigen-factored-buyer")
+        assert all(o.summary._cross is None for o in outcomes)
+        expected = ({"eigvalsh": len(nodes)} if case == "reply-of-at-most-d-rows"
+                    else {"cholesky": len(nodes)})
+    assert counts == dict.fromkeys(DECOMPOSITIONS, 0) | expected
 
 
 # ------------------------------------------------------- score as you go
