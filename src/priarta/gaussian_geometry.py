@@ -60,6 +60,13 @@ hence lambda_min(Sigma_b) >= ~(K - 1) d eps ||Sigma_b||_F
 of the rounding band, where Cholesky or the eigenvalues psd_clamp looks at
 would keep Sigma_b as sent: the certified reply is kept as sent, with no
 factorization of its own. ||F||_F^2 is computed once, beside the factor.
+Those error bounds hold without underflow. Gradual underflow adds at most
+eps * tiny / 2 to each product in the two matrix products, so at most
+d^2 (1 + ||F||_F) eps * tiny / 2 to the Frobenius error, and the threshold
+adds d^2 (1 + ||F||_F) tiny (tiny the smallest normal float), well above
+that. A reply whose first term underflows, one with subnormal entries say,
+is certified only when its cross term clears that underflow term, and
+otherwise takes the check every other reply takes.
 """
 
 from dataclasses import dataclass
@@ -91,6 +98,7 @@ Array = np.ndarray
 # and clamped to zero (threshold: -PSD_TOL * lambda_max).
 PSD_TOL = 1e-10
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 _HALF_MAX = float(np.finfo(float).max) / 2.0
 # K of the cross-term certificate (see the module docstring).
 _CERTIFY_MARGIN = 16.0
@@ -277,24 +285,29 @@ def _checked_against(buyer, mean: Array, sym: Array, count: int) -> GaussianSumm
     clamp it (NumericInputError for an entry past half the float range,
     NotPSDError unless PSD within tolerance).
 
-    buyer is the round's summary, made by _factored, or None when the reply is
-    not scored as sent (debias). When count > d and the buyer's W2 factor is a
-    Cholesky factor, the eigenvalues of the cross term W2 solves certify the
-    covariance (see the module docstring) and are kept for W2; a covariance
-    they do not certify takes _require_psd, and keeps them only if it comes
-    back unchanged."""
-    if not np.abs(sym).max() <= _HALF_MAX:
-        raise NumericInputError("matrix entries overflow when symmetrized")
-    cross, certified = None, False
-    if buyer is not None and buyer._cholesky_norm2 is not None and count > sym.shape[0]:
-        try:
-            cross = _cross_eigenvalues(buyer._covariance_factor, sym)
-        except (ConvergenceError, NumericInputError):
-            pass  # scoring solves afresh and fails as it would have
-        else:
-            bound = ((2.0 + _CERTIFY_MARGIN) * sym.shape[0] * _EPS * buyer._cholesky_norm2
-                     * float(np.linalg.norm(sym)))
-            certified = bool(np.isfinite(cross).all()) and float(cross[0]) >= bound
+    buyer is the round's summary, made by _factored. When count > d and the
+    buyer's W2 factor is a Cholesky factor, the eigenvalues of the cross term
+    W2 solves certify the covariance (see the module docstring) and are kept
+    for W2; a covariance they do not certify takes _require_psd, and keeps
+    them only if it comes back unchanged. The check does not depend on how
+    the reply is scored: a debiased round checks the covariance as sent too."""
+    dim, norm2, cross = sym.shape[0], buyer._cholesky_norm2, None
+    # An overflow here makes the norm infinite or leaves the reply uncertified,
+    # and W2's own solve warns and fails as it would have.
+    with np.errstate(over="ignore", invalid="ignore"):
+        frobenius = math.sqrt(float(np.vdot(sym, sym)))
+        # a Frobenius norm in range bounds every entry; else look at them
+        if not frobenius <= _HALF_MAX and not np.abs(sym).max() <= _HALF_MAX:
+            raise NumericInputError("matrix entries overflow when symmetrized")
+        if norm2 is not None and count > dim:
+            try:
+                cross = _cross_eigenvalues(buyer._covariance_factor, sym)
+            except (ConvergenceError, NumericInputError):
+                pass
+    # A bound that overflowed to inf, or is NaN, certifies nothing.
+    certified = cross is not None and float(cross[0]) >= (
+        (2.0 + _CERTIFY_MARGIN) * dim * _EPS * norm2 * frobenius
+        + dim * dim * (1.0 + math.sqrt(norm2)) * _TINY)
     covariance = sym if certified else _require_psd(sym, "covariance", count)
     if cross is None or covariance is not sym:
         return _trusted(GaussianSummary, mean=mean, covariance=covariance, count=count)

@@ -940,9 +940,8 @@ def _ask(node_id: str, connect, frames: tuple) -> tuple:
 def _collect(outcome: SellerOutcome, channel, spec: EncoderSpec, request, sigma: float,
              buyer: GaussianSummary):
     """Read an asked seller's replies in order, stopping at the first ERROR
-    or unexpected reply, and record its summary or its failure. The summary
-    is checked against buyer, the summary it is scored against as sent, or
-    None when it is not (debias)."""
+    or unexpected reply, and record its summary or its failure, its
+    covariance checked against buyer, the round's summary."""
     try:
         for expected, name in _REPLIES:
             reply = channel.receive()
@@ -1005,16 +1004,13 @@ def orchestrate_valuation(buyer_data, sellers, spec: EncoderSpec, budget: Privac
     propagates.
     """
     buyer, outcomes = _round(buyer_data, sellers, spec, budget, master_seed, noisy_buyer,
-                             lambda _, __, outcome: outcome, scored_as_sent=True)
+                             lambda _, __, outcome: outcome)
     return buyer, sorted(outcomes, key=lambda o: o.node_id)
 
 
-def _round(buyer_data, sellers, spec, budget, master_seed, noisy_buyer, keep,
-           scored_as_sent: bool) -> tuple:
+def _round(buyer_data, sellers, spec, budget, master_seed, noisy_buyer, keep) -> tuple:
     """The round loop: (buyer, [keep(buyer, sigma, outcome) for each seller,
-    as its channel closes]). An error from keep closes every open channel too.
-    scored_as_sent: whether keep scores each reply's covariance as it came
-    (not debiased), so the buyer may check it by the W2 cross term."""
+    as its channel closes]). An error from keep closes every open channel too."""
     if not sellers:
         raise ParameterError("at least one seller endpoint is required")
     ids = collections.Counter(node_id for node_id, _ in sellers)
@@ -1053,8 +1049,7 @@ def _round(buyer_data, sellers, spec, budget, master_seed, noisy_buyer, keep,
                 # soon as its replies are read, and its outcome once kept.
                 outcome, channel = asked[0]
                 if outcome.failure is None:
-                    _collect(outcome, channel, spec, request, sigma,
-                             buyer if scored_as_sent else None)
+                    _collect(outcome, channel, spec, request, sigma, buyer)
                 _close(outcome, channel)
                 asked.popleft()
                 kept.append(keep(buyer, sigma, outcome))

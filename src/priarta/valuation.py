@@ -255,8 +255,7 @@ def run_valuation(buyer_data, sellers, spec: EncoderSpec, budget: PrivacyBudget,
     _require_objective(objective)
     require_bool(debias, "debias")
     _, scores = _round(buyer_data, sellers, spec, budget, master_seed, noisy_buyer,
-                       lambda buyer, sigma, o: _score(buyer, o, sigma if debias else None),
-                       scored_as_sent=not debias)
+                       lambda buyer, sigma, o: _score(buyer, o, sigma if debias else None))
     params = {
         **asdict(budget),
         "master_seed": master_seed,

@@ -854,29 +854,111 @@ def test_kept_cross_term_eigenvalues_meet_the_psd_floor_of_a_fresh_solve(monkeyp
     assert str(reused.value) == str(fresh.value)
 
 
-@pytest.mark.parametrize("case", ["reply-of-at-most-d-rows", "eigen-factored-buyer", "debias"])
+@pytest.mark.parametrize("case", ["reply-of-at-most-d-rows", "eigen-factored-buyer"])
 def test_a_reply_the_cross_term_cannot_check_keeps_its_own_check(monkeypatch, rng, case):
-    # A reply of at most d rows is singular, a buyer factored by eigh gives
-    # no congruence, and debias scores another covariance than the one sent:
-    # none takes a cross-term solve before it is scored.
+    # A reply of at most d rows is singular, and a buyer factored by eigh
+    # gives no congruence: neither takes a cross-term solve before it is scored.
     subset, buyer_rows = {"reply-of-at-most-d-rows": (12, 600),
-                          "eigen-factored-buyer": (512, 12), "debias": (512, 600)}[case]
+                          "eigen-factored-buyer": (512, 12)}[case]
     buyer_data, nodes, spec, budget = wide_round(rng, subset, buyer_rows)
     orchestrate_valuation(buyer_data, in_process_endpoints(nodes), spec, budget, master_seed=2)
     counts = counting(monkeypatch, DECOMPOSITIONS)
-    if case == "debias":
-        run_valuation(buyer_data, in_process_endpoints(nodes), spec, budget, master_seed=3,
-                      debias=True)
-        # Cholesky checks each reply, eigh debiases it and W2 solves once
-        expected = {"cholesky": len(nodes), "eigh": len(nodes), "eigvalsh": len(nodes)}
-    else:
-        buyer, outcomes = orchestrate_valuation(buyer_data, in_process_endpoints(nodes), spec,
-                                                budget, master_seed=3)
-        assert (buyer._cholesky_norm2 is None) == (case == "eigen-factored-buyer")
-        assert all(o.summary._cross is None for o in outcomes)
-        expected = ({"eigvalsh": len(nodes)} if case == "reply-of-at-most-d-rows"
-                    else {"cholesky": len(nodes)})
+    buyer, outcomes = orchestrate_valuation(buyer_data, in_process_endpoints(nodes), spec,
+                                            budget, master_seed=3)
+    assert (buyer._cholesky_norm2 is None) == (case == "eigen-factored-buyer")
+    assert all(o.summary._cross is None for o in outcomes)
+    expected = ({"eigvalsh": len(nodes)} if case == "reply-of-at-most-d-rows"
+                else {"cholesky": len(nodes)})
     assert counts == dict.fromkeys(DECOMPOSITIONS, 0) | expected
+
+
+def test_a_debiased_round_checks_each_reply_as_sent_and_scores_it_afresh(monkeypatch, rng):
+    # The check depends only on the covariance sent and the buyer's factor,
+    # so a debiased round checks each reply by its cross term too; the
+    # debiased covariance it scores is another matrix, solved afresh.
+    buyer_data, nodes, spec, budget = wide_round(rng)
+    buyer, outcomes = orchestrate_valuation(buyer_data, in_process_endpoints(nodes), spec,
+                                            budget, master_seed=3)
+    counts = counting(monkeypatch, DECOMPOSITIONS)
+    report = run_valuation(buyer_data, in_process_endpoints(nodes), spec, budget,
+                           master_seed=3, debias=True)
+    # per reply: the cross-term check, the debiasing eigh and W2's solve
+    assert counts == dict.fromkeys(DECOMPOSITIONS, 0) | {"eigh": len(nodes),
+                                                         "eigvalsh": 2 * len(nodes)}
+    monkeypatch.undo()
+    sigma = calibrate_sigma(budget).sigma
+    for o in outcomes:
+        public = GaussianSummary(o.summary.mean, o.summary.covariance, o.summary.count)
+        assert report.entry(o.node_id).raw_w2 == wasserstein2_gaussian(
+            buyer, debias_covariance(public, sigma))
+
+
+@pytest.mark.parametrize("smallest, outcome", [(-1e-318, "not-psd"), (-1e-322, "rebuilt")])
+def test_a_subnormal_reply_is_checked_as_the_public_constructor_checks_it(smallest, outcome):
+    # The cross term of diag(1e-310, smallest) against a buyer of covariance
+    # 1e-8 I underflows to -0.0, and the GEMM error term of the bound to 0:
+    # only the bound's underflow term keeps the reply from being certified.
+    buyer = gaussian_geometry._factored(GaussianSummary(np.zeros(2), 1e-8 * np.eye(2), 1000))
+    sent = np.diag([1e-310, smallest])
+    if outcome == "not-psd":
+        with pytest.raises(NotPSDError, match="^covariance is not PSD"):
+            gaussian_geometry._checked_against(buyer, np.zeros(2), sent, 1000)
+        with pytest.raises(NotPSDError, match="^covariance is not PSD"):
+            GaussianSummary(np.zeros(2), sent, 1000)
+    else:
+        summary = gaussian_geometry._checked_against(buyer, np.zeros(2), sent, 1000)
+        public = GaussianSummary(np.zeros(2), sent, 1000)
+        assert summary.covariance is not sent and summary._cross is None
+        assert summary.covariance.tobytes() == public.covariance.tobytes()
+
+
+@pytest.mark.parametrize("entry", [5e307, 1e308])
+def test_a_reply_near_the_end_of_the_float_range_is_checked_entry_by_entry(entry):
+    # At 5e307 every entry is within half the float range but the Frobenius
+    # norm overflows: the entries are looked at, and the reply is kept as
+    # sent. At 1e308 an entry is past half the float range.
+    buyer = gaussian_geometry._factored(GaussianSummary(np.zeros(4), np.eye(4), 1000))
+    sent = entry * np.eye(4)
+    if entry > np.finfo(float).max / 2.0:
+        with pytest.raises(NumericInputError, match="^matrix entries overflow when symmetrized"):
+            gaussian_geometry._checked_against(buyer, np.zeros(4), sent, 1000)
+    else:
+        assert gaussian_geometry._checked_against(buyer, np.zeros(4), sent,
+                                                  1000).covariance is sent
+
+
+def test_a_certified_reply_is_what_the_cholesky_else_eigenvalues_check_gives(monkeypatch,
+                                                                            rng):
+    # Buyers and replies from 1e-300 to 1e300, some indefinite or nearly
+    # singular, many whose cross term underflows or overflows: the certified
+    # check ends where the check it replaces ends, kept, rebuilt or refused.
+    certified = 0
+    for _ in range(1500):
+        dim = int(rng.integers(1, 7))
+        scale = 10.0 ** rng.uniform(-300, 300)
+        buyer = gaussian_geometry._factored(GaussianSummary(
+            np.zeros(dim), (random_psd(rng, dim) + 1e-3 * np.eye(dim)) * scale, 1000))
+        q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+        w = rng.uniform(0.0, 1.0, dim)
+        w[0] = rng.choice([w[0], -w[0] * 10.0 ** rng.uniform(-20, 0),
+                           10.0 ** rng.uniform(-20, -8)])
+        sent = (q * w) @ q.T * 10.0 ** rng.uniform(-323, 300)
+        sent = (sent + sent.T) / 2.0
+
+        def ends(check):
+            try:
+                covariance = check()
+            except NotPSDError:
+                return "not-psd"
+            return "kept" if covariance is sent else covariance.tobytes()
+
+        counts = counting(monkeypatch, ["cholesky", "eigvalsh"])
+        checked = ends(lambda: gaussian_geometry._checked_against(
+            buyer, np.zeros(dim), sent, 1000).covariance)
+        certified += counts == {"cholesky": 0, "eigvalsh": 1}
+        monkeypatch.undo()
+        assert checked == ends(lambda: gaussian_geometry._require_psd(sent, "covariance", 1000))
+    assert certified > 300
 
 
 # ------------------------------------------------------- score as you go
