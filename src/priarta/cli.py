@@ -32,7 +32,8 @@ from .fileio import (
     write_raw_dataset,
 )
 from .privacy import PrivacyBudget
-from .protocol import BUYER_ID, SellerNode, SellerServer, in_process_endpoints, socket_endpoints
+from .protocol import (BUYER_ID, SellerNode, SellerServer, _spec_problem, in_process_endpoints,
+                       socket_endpoints)
 from .scenario import ScenarioConfig, build_datasets, default_scenario
 from .stats import EmbeddingSet
 # run_valuation_for_config is re-exported for library callers
@@ -129,11 +130,12 @@ def cmd_serve(args) -> int:
     host, port = _parse_hostport(args.listen)
     data = read_dataset_any(args.input)
     node_id = args.node_id or Path(args.input).stem
-    pinned = None
-    if args.spec is not None:
-        pinned = EncoderSpec.from_dict(load_json(args.spec)).fingerprint()
+    spec = None if args.spec is None else EncoderSpec.from_dict(load_json(args.spec))
+    node = _node(node_id, data, None if spec is None else spec.fingerprint())
+    if spec is not None and (problem := _spec_problem(node, spec)) is not None:
+        raise ParameterError(f"{args.input} cannot serve the spec in {args.spec}: {problem}")
     try:
-        server = SellerServer((host, port), _node(node_id, data, pinned))
+        server = SellerServer((host, port), node)
     except OSError as exc:
         print(f"error: cannot bind {args.listen}: {exc}", file=sys.stderr)
         return 2

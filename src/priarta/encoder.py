@@ -262,20 +262,30 @@ def projection_matrix(spec: EncoderSpec) -> np.ndarray:
 
 
 def _project(spec: EncoderSpec, points: np.ndarray) -> np.ndarray:
-    """encode on a matrix of rows; points must be a fresh float64 array,
-    which this scales in place."""
-    if spec.kind != "toy_projection":
-        raise ParameterError(
-            "only toy_projection encoders run in-process; external encoders "
-            "supply embeddings through the embedding file format"
-        )
-    if points.shape[1] != spec.input_dim:
-        raise ShapeError(f"data has {points.shape[1]} coordinates, spec expects {spec.input_dim}")
+    """The toy projection of fresh float64 rows that fit spec, scaled in place."""
     if spec.leakage_alpha == 0.0:
         points[:, spec.signal_dims :] = 0.0
     else:
         points[:, spec.signal_dims :] *= spec.leakage_alpha
     return points @ projection_matrix(spec)
+
+
+def _encoder(spec: EncoderSpec, data):
+    """What spec does to a party's data, one rule for every party: a function
+    from rows (an index array, or None for all) of a RawDataset or EmbeddingSet
+    to their encoded vectors. Raw rows need a toy_projection spec of their
+    width and are projected; embeddings, encoded already, need its latent_dim."""
+    if isinstance(data, RawDataset):
+        if spec.kind != "toy_projection":
+            raise ParameterError(f"raw data needs a toy_projection spec, not {spec.kind!r}")
+        if data.dim != spec.input_dim:
+            raise ShapeError(f"raw data has {data.dim} coordinates, input_dim is {spec.input_dim}")
+        # _project scales in place: a fresh copy or a gather, never a view.
+        return lambda rows: _project(spec, data.points.copy() if rows is None
+                                     else data.points[rows])
+    if data.dim != spec.latent_dim:
+        raise ShapeError(f"embeddings have {data.dim} coordinates, latent_dim is {spec.latent_dim}")
+    return lambda rows: data.vectors if rows is None else data.vectors[rows]
 
 
 def encode(spec: EncoderSpec, data: RawDataset) -> np.ndarray:
@@ -285,7 +295,9 @@ def encode(spec: EncoderSpec, data: RawDataset) -> np.ndarray:
     zeroed exactly, so points differing only in nuisance coordinates encode
     bit-identically.
     """
-    return _project(spec, data.points.copy())
+    if not isinstance(data, RawDataset):
+        raise ParameterError(f"encode takes raw data, not {type(data).__name__}")
+    return _encoder(spec, data)(None)
 
 
 def augment(data: RawDataset, aug: AugmentationSpec, signal_dims: int) -> RawDataset:

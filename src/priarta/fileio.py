@@ -21,7 +21,7 @@ import json
 import numpy as np
 
 from .encoder import RawDataset
-from .errors import FileFormatError
+from .errors import FileFormatError, require_float
 from .stats import CLIP_SLACK, EmbeddingSet, _row_norms
 
 RAW_MAGIC = "PRIARTA-RAW 1"
@@ -197,10 +197,14 @@ def read_embeddings(path) -> EmbeddingSet:
     return EmbeddingSet(vectors, radius, clipped=inside)
 
 
+def _finite_float(text: str) -> float:
+    return require_float(float(text), f"JSON number {text}")
+
+
 def load_json(path) -> dict:
     text = _read_text(path)
     try:
-        return json.loads(text)
+        return json.loads(text, parse_constant=_finite_float, parse_float=_finite_float)
     except json.JSONDecodeError as exc:
         # exc.pos counts characters of the text, whose line endings are "\n";
         # a line's own bytes are the file's, so the offset counts UTF-8 bytes
@@ -209,7 +213,7 @@ def load_json(path) -> dict:
         raise FileFormatError(
             f"{path}:{exc.lineno}: parse error at byte {offset} of the line: {exc.msg}"
         ) from exc
-    except ValueError as exc:  # an integer literal past Python's digit limit
+    except ValueError as exc:  # NaN, Infinity, 1e400, or an int past Python's digit limit
         raise FileFormatError(f"{path}: {exc}") from exc
     except RecursionError as exc:
         raise FileFormatError(f"{path}: JSON nested too deeply") from exc

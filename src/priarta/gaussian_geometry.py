@@ -21,7 +21,9 @@ only when one lies below the rounding band -d * eps * lambda_max).
 debias_covariance clamps every negative eigenvalue, since those are real.
 
 A covariance is checked once, where it enters the package, and every path
-ends at the covariance psd_clamp would give:
+ends at the covariance psd_clamp would give, except that a reply's band test
+reads eigvalsh's eigenvalues and psd_clamp's reads eigh's: at the band's edge
+a reply can be kept as sent where psd_clamp would rebuild it. The paths:
 - the public GaussianSummary constructor (the caller's arrays): finiteness,
   symmetrize and psd_clamp, on a copy of the mean;
 - a seller's STATS_RESPONSE: decoding rejects non-finite entries and

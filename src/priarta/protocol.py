@@ -56,7 +56,7 @@ import time
 
 import numpy as np
 
-from .encoder import EncoderSpec, RawDataset, _project
+from .encoder import EncoderSpec, RawDataset, _encoder
 from .errors import (
     FrameError,
     InsufficientSamplesError,
@@ -430,10 +430,6 @@ class SellerNode:
         if (self.raw is None) == (self.embeddings is None):
             raise ParameterError("node needs exactly one of raw data or embeddings")
 
-    @property
-    def count(self) -> int:
-        return self.raw.count if self.raw is not None else self.embeddings.count
-
 
 def node_seeds(request_seed: int, node_id: str) -> tuple:
     """Per-party (subset_seed, noise_seed). A seeded request's seed is mixed
@@ -452,13 +448,7 @@ def _party_summary(data, spec: EncoderSpec, clip_radius: float, rows=None,
     """rows -> encode -> clip -> noise -> summarize, the one pipeline of
     every party. rows indexes the dataset (None: every row); a sigma of None
     adds no noise, any other goes to the mechanism, which refuses sigma <= 0."""
-    # The rows of a validated, read-only dataset need no second validation.
-    if isinstance(data, RawDataset):
-        # _project scales in place: give it a fresh copy, never a view.
-        vectors = _project(spec, data.points.copy() if rows is None else data.points[rows])
-    else:
-        vectors = data.vectors if rows is None else data.vectors[rows]
-    prepared = clip_to_ball(vectors, clip_radius)
+    prepared = clip_to_ball(_encoder(spec, data)(rows), clip_radius)
     if sigma is not None:
         prepared = apply_gaussian_mechanism(prepared, sigma, noise_seed)
     return summarize(prepared)
@@ -502,24 +492,15 @@ def buyer_summary(data, spec: EncoderSpec, clip_radius: float,
 
 
 def _spec_problem(node: SellerNode, spec: EncoderSpec):
+    """Why node does not serve spec, or None: its own rules, then every party's."""
     if node.pinned_fingerprint is not None and spec.fingerprint() != node.pinned_fingerprint:
         return "encoder spec does not match the spec this node was started with"
-    if node.raw is not None:
-        if spec.kind != "toy_projection":
-            return f"raw-data node cannot serve encoder kind {spec.kind!r}"
-        if spec.input_dim != node.raw.dim:
-            return (
-                f"spec expects {spec.input_dim}-dimensional input, "
-                f"node data has {node.raw.dim}"
-            )
-    else:
-        if spec.kind != "external":
-            return "pre-encoded node serves only external encoder specs"
-        if spec.latent_dim != node.embeddings.dim:
-            return (
-                f"spec declares latent_dim {spec.latent_dim}, "
-                f"node embeddings have {node.embeddings.dim}"
-            )
+    if node.embeddings is not None and spec.kind != "external":
+        return "pre-encoded node serves only external encoder specs"
+    try:
+        _encoder(spec, node.raw if node.raw is not None else node.embeddings)
+    except (ParameterError, ShapeError) as exc:
+        return str(exc)
     return None
 
 
@@ -598,10 +579,8 @@ class SellerSession:
         except NumericInputError as exc:
             # The spec fits: the budget's noise overflows this node's summary.
             return ErrorMessage("INVALID_PARAMETER", str(exc), msg.session_id)
-        except InsufficientSamplesError as exc:  # before its base class, ParameterError
+        except InsufficientSamplesError as exc:
             return ErrorMessage("INSUFFICIENT_DATA", str(exc), msg.session_id)
-        except (ShapeError, ParameterError) as exc:
-            return ErrorMessage("SPEC_MISMATCH", str(exc), msg.session_id)
         log.info("node %s served session %s", self.node.node_id, msg.session_id)
         # The mean is read-only already; the packed covariance is made here.
         return _trusted(StatsResponse, mean=summary.mean,

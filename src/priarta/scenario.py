@@ -75,7 +75,7 @@ class ScenarioConfig:
         means = means.copy()
         means.flags.writeable = False
         object.__setattr__(self, "class_means", means)
-        object.__setattr__(self, "buyer_probs", tuple(float(p) for p in self.buyer_probs))
+        object.__setattr__(self, "buyer_probs", tuple(self.buyer_probs))
         object.__setattr__(self, "sellers", tuple(self.sellers))
 
     def seller_ids(self) -> list:

@@ -56,15 +56,6 @@ HOSTILE_INPUTS = {
     "stray-byte.emb": (b"PRIARTA-EMB 1\n2 2 1.0\n0.1 0.2\n0.3 \xe90.4\n", 4),
 }
 
-# JSON files (configs, specs, reports) every command that reads one must
-# reject with exit code 1: bytes that are not UTF-8, nesting deeper than the
-# parser's recursion limit, and an integer past Python's digit limit.
-HOSTILE_JSON = {
-    "utf16-bom.json": b"\xff\xfe{\x00}\x00",
-    "deep.json": b"[" * 100_000,
-    "long-int.json": b"1" * 5000,
-}
-
 
 def _negative_seed_config(where: str) -> bytes:
     config = default_scenario(7).to_dict()
@@ -109,6 +100,21 @@ def _report(**over) -> bytes:
     for key, value in over.items():
         (entries[1] if key in entries[1] else report)[key] = value
     return json.dumps(report).encode()
+
+
+# JSON files (configs, specs, reports) every command that reads one must
+# reject with exit code 1: bytes that are not UTF-8, nesting deeper than the
+# parser's recursion limit, an integer past Python's digit limit, and the
+# numbers canonical JSON never holds: NaN in a report's params_echo (which
+# renders, and which a robustness append could not write back), and a float
+# literal past the float range as a score.
+HOSTILE_JSON = {
+    "utf16-bom.json": b"\xff\xfe{\x00}\x00",
+    "deep.json": b"[" * 100_000,
+    "long-int.json": b"1" * 5000,
+    "nan-echo.report.json": _report(params_echo={"epsilon": float("nan")}),
+    "huge-score.report.json": _report().replace(b"0.25", b"1e400"),
+}
 
 
 # Well-formed JSON with a value no rule allows: a negative seed in an encoder

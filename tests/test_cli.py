@@ -11,9 +11,17 @@ import time
 import numpy as np
 import pytest
 
-from priarta import ParameterError, SellerNode, SellerServer, default_scenario, load_report
+from priarta import (
+    EmbeddingSet,
+    ParameterError,
+    SellerNode,
+    SellerServer,
+    default_scenario,
+    load_report,
+)
+from priarta import cli
 from priarta.cli import _parse_hostport, main, run_valuation_for_config
-from priarta.fileio import read_raw_dataset
+from priarta.fileio import read_raw_dataset, save_json, write_embeddings
 from priarta.valuation import dumps_report
 
 from conftest import HOSTILE_INPUTS, HOSTILE_JSON, HOSTILE_VALUES, package_env
@@ -552,6 +560,72 @@ def test_serve_hostile_input_exits_1(tmp_path, capsys, name):
     bad.write_bytes(content)
     assert run_cli("serve", "--input", str(bad), "--listen", "127.0.0.1:0") == 1
     assert capsys.readouterr().err.startswith(f"error: {bad}:{line}: ")
+
+
+def external_spec(latent_dim: int) -> dict:
+    return {"kind": "external", "seed": 5, "input_dim": 16, "latent_dim": latent_dim,
+            "signal_dims": 8, "leakage_alpha": 0.0}
+
+
+def write_rows(path, d: int, seed: int, rows: int = 64):
+    vectors = np.random.default_rng(seed).standard_normal((rows, d))
+    write_embeddings(path, EmbeddingSet(vectors, 1.0, False))
+
+
+def test_value_refuses_a_buyer_file_the_spec_does_not_fit(tmp_path, capsys):
+    # an 8-wide buyer.emb, 4-wide sellers and an external spec of latent_dim 4
+    sellers = tmp_path / "sellers"
+    sellers.mkdir()
+    write_rows(tmp_path / "buyer.emb", 8, 1)
+    for seed in (2, 3):
+        write_rows(sellers / f"seller-{seed}.emb", 4, seed)
+    save_json(tmp_path / "spec.json", external_spec(4))
+    out = tmp_path / "r.json"
+    code = run_cli("value", "--offline", "--input", str(tmp_path / "buyer.emb"),
+                   "--sellers", str(sellers), "--spec", str(tmp_path / "spec.json"),
+                   "--output", str(out), "--seed", "7", "--subset-size", "32")
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: embeddings have 8 coordinates, latent_dim is 4\n")
+    assert not out.exists()
+
+
+# A seller file and a spec to pin, from the scenario ({scn}) or made here
+# ({tmp}), and the problem the node would answer every MODEL_SPEC with, or
+# None when the spec fits.
+SERVE_PINS = {
+    "embeddings-toy": ("{tmp}/seller.emb", "{scn}/encoder.json",
+                       "pre-encoded node serves only external encoder specs"),
+    "embeddings-latent-8": ("{tmp}/seller.emb", "{tmp}/external8.json",
+                            "embeddings have 4 coordinates, latent_dim is 8"),
+    "raw-external": ("{scn}/sellers/seller-1.raw", "{tmp}/external4.json",
+                     "raw data needs a toy_projection spec, not 'external'"),
+    "raw-toy": ("{scn}/sellers/seller-1.raw", "{scn}/encoder.json", None),
+    "embeddings-external": ("{tmp}/seller.emb", "{tmp}/external4.json", None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SERVE_PINS))
+def test_serve_refuses_a_pinned_spec_its_data_cannot_serve(scenario_dir, tmp_path, capsys,
+                                                           monkeypatch, name):
+    # refused before the bind: a fitting spec reaches it, and the bind fails
+    def bind(address, node):
+        raise OSError("no bind in this test")
+
+    monkeypatch.setattr(cli, "SellerServer", bind)
+    write_rows(tmp_path / "seller.emb", 4, 2)
+    save_json(tmp_path / "external4.json", external_spec(4))
+    save_json(tmp_path / "external8.json", external_spec(8))
+    data, spec, problem = (arg and arg.format(scn=scenario_dir, tmp=tmp_path)
+                           for arg in SERVE_PINS[name])
+    code = run_cli("serve", "--input", data, "--spec", spec, "--listen", "127.0.0.1:0")
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    if problem is None:
+        assert code == 2 and err.startswith("error: cannot bind ")
+    else:
+        assert code == 1 and err.startswith(f"error: {data} cannot serve the spec in {spec}: ")
+        assert problem in err
 
 
 # Every command that reads a JSON file, with {bad} in that file's place; the

@@ -1042,6 +1042,54 @@ def test_a_kept_buyer_summary_is_no_field_of_its_dataset(kind, rng):
     assert KEPT not in vars(dataclasses.replace(data))
 
 
+EXTERNAL_D4 = EncoderSpec("external", 5, 4, 4, 4, 0.0)
+
+
+def random_embeddings(d: int, rows: int = 64, seed: int = 3) -> EmbeddingSet:
+    return EmbeddingSet(np.random.default_rng(seed).standard_normal((rows, d)), 1.0, False)
+
+
+# Data and a spec that cannot encode it, with the error the buyer gets.
+MISFITS = {
+    "embeddings-8-latent-4": (lambda: random_embeddings(8), EXTERNAL_D4, ShapeError),
+    "raw-16-input-12": (make_dataset, EncoderSpec("toy_projection", 271828, 12, 4, 8, 0.0),
+                        ShapeError),
+    "raw-external": (make_dataset, EncoderSpec("external", 5, 16, 4, 4, 0.0), ParameterError),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MISFITS))
+def test_a_buyer_the_spec_does_not_fit_is_refused_before_any_reply(name):
+    # the round's sellers fit the spec; the buyer's own data does not
+    make_data, spec, error = MISFITS[name]
+    seller = (SellerNode("alpha", embeddings=random_embeddings(spec.latent_dim))
+              if spec.kind == "external"
+              else SellerNode("alpha", raw=make_dataset(seed=11, p=spec.input_dim)))
+    channels = []
+    (node_id, connect), = in_process_endpoints([seller])
+    with pytest.raises(error) as info:
+        orchestrate_valuation(make_data(), [(node_id, kept(connect, channels))], spec, BUDGET,
+                              master_seed=1000)
+    # the seller was asked, and no reply met the buyer
+    assert [kind for kind, _ in channels[0].transcript] == ["send"] * 3
+    # a seller holding the same data refuses the spec with the same words
+    node = (SellerNode("s", embeddings=make_data()) if name.startswith("embeddings")
+            else SellerNode("s", raw=make_data()))
+    session = SellerSession(node)
+    session.handle_bytes(encode_frame(Hello(PROTOCOL_VERSION)))
+    reply = decode_frame(session.handle_bytes(encode_frame(ModelSpec(spec))))
+    assert (reply.code, reply.message) == ("SPEC_MISMATCH", str(info.value))
+
+
+def test_a_pre_encoded_buyer_takes_any_spec_of_its_latent_dim():
+    # the seller's rule that a pre-encoded node serves only external specs
+    # is the seller's own: a buyer's embeddings meet a toy spec of their width
+    nodes = [SellerNode("alpha", raw=make_dataset(seed=11))]
+    buyer, (outcome,) = orchestrate_valuation(random_embeddings(4), in_process_endpoints(nodes),
+                                              SPEC, BUDGET, master_seed=1000)
+    assert not outcome.failed and buyer.dim == 4
+
+
 def test_a_covariance_in_the_clamp_band_is_kept_by_summarize_and_clamped_for_the_buyer():
     # Rows (x, 0.9 x): the computed covariance's lowest eigenvalue is
     # rounding below the band -d * eps * lambda_max, where the public

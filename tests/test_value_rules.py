@@ -185,8 +185,8 @@ def _is_field(node, field_locals) -> bool:
 
 
 def field_coercions(source: str) -> list:
-    """Line numbers where a __post_init__ passes one of its fields to int,
-    float or bool."""
+    """Line numbers where a __post_init__ passes one of its fields, or an
+    item a comprehension takes from one, to int, float or bool."""
     found = []
     for func in ast.walk(ast.parse(source)):
         if not (isinstance(func, ast.FunctionDef) and func.name == "__post_init__"):
@@ -196,6 +196,11 @@ def field_coercions(source: str) -> list:
             for node in ast.walk(func) if isinstance(node, ast.Assign)
             and _is_field(node.value, ())
             for target in node.targets if isinstance(target, ast.Name)
+        }
+        field_locals |= {
+            node.target.id for node in ast.walk(func)
+            if isinstance(node, ast.comprehension) and isinstance(node.target, ast.Name)
+            and _is_field(node.iter, field_locals)
         }
         found += [
             node.lineno for node in ast.walk(func)
@@ -214,10 +219,11 @@ def test_field_coercion_scan_sees_each_form():
         "        x = self.x\n"
         "        int(self.a), float(getattr(self, 'b')), bool(x), int(value)\n"
         "        int(3), float(other), str(self.c)\n"
+        "        tuple(float(p) for p in self.ps), [int(q) for q in x], [str(r) for r in self.rs]\n"
         "    def elsewhere(self):\n"
         "        return int(self.a)\n"
     )
-    assert field_coercions(source) == [5, 5, 5, 5]
+    assert field_coercions(source) == [5, 5, 5, 5, 7, 7]
 
 
 def test_no_post_init_coerces_a_field():
