@@ -14,16 +14,17 @@ from an eigendecomposition when Cholesky fails on a singular covariance.
 
 Every eigendecomposition runs through one private routine: numpy's eigh
 (or eigvalsh), in its ascending order, raising ConvergenceError when it
-fails. PSD validation and the W2 factor eigendecompose only what Cholesky
-cannot factor and reject eigenvalues below -PSD_TOL * lambda_max; the
-negatives above that floor are noise, clamped to 0 (psd_clamp rebuilds
-only when one lies below the rounding band -d * eps * lambda_max).
-debias_covariance clamps every negative eigenvalue, since those are real.
+fails. debias_covariance clamps every negative eigenvalue, since those are
+real. Every check below keeps, rebuilds or refuses by one rule
+(_kept_or_rebuilt): a symmetric matrix that Cholesky does not factor is kept
+as sent when eigh's or eigvalsh's eigenvalues all lie in the rounding band
+>= -d * eps * lambda_max, else rebuilt from eigh with its eigenvalues clamped
+at 0 (the projection onto the PSD cone, Higham 1988), and refused when a
+solver finds one below -PSD_TOL * lambda_max. A caller asks the other solver
+only when its first puts an eigenvalue below the band.
 
 A covariance is checked once, where it enters the package, and every path
-ends at the covariance psd_clamp would give, except that a reply's band test
-reads eigvalsh's eigenvalues and psd_clamp's reads eigh's: at the band's edge
-a reply can be kept as sent where psd_clamp would rebuild it. The paths:
+ends at the covariance psd_clamp would give. The paths:
 - the public GaussianSummary constructor (the caller's arrays): finiteness,
   symmetrize and psd_clamp, on a copy of the mean;
 - a seller's STATS_RESPONSE: decoding rejects non-finite entries and
@@ -32,9 +33,8 @@ a reply can be kept as sent where psd_clamp would rebuild it. The paths:
   factor is a Cholesky factor and the reply has more rows than d, the cross
   term's eigenvalue solve is the check, and W2 reuses its eigenvalues (see
   below). Every other reply, and one that solve does not certify, takes
-  Cholesky, else eigenvalues alone (eigenvalues alone when the reply's count
-  is at most d, since such a covariance is singular), and is rebuilt only
-  with an eigenvalue below the rounding band;
+  Cholesky (none when its count is at most d: it is singular), else the
+  rule, eigvalsh first;
 - summarize: the moments of an EmbeddingSet that was checked when it was
   made are trusted. They are checked for finiteness and symmetrized, with no
   factorization and no clamp: a seller sends them so. The buyer's own
@@ -171,18 +171,33 @@ def _clamp_reconstruct(w: Array, q: Array) -> Array:
 
 
 def _in_rounding_band(w: Array) -> bool:
-    """Whether ascending eigenvalues are all >= -d * eps * lambda_max: the
-    rounding of eigh itself, which psd_clamp does not rebuild."""
+    """Whether ascending eigenvalues, eigh's or eigvalsh's, are all >=
+    -d * eps * lambda_max: the rounding band _kept_or_rebuilt alone reads."""
     return float(w[0]) >= -w.shape[0] * _EPS * float(w[-1])
 
 
-def _cholesky_else_eigh(sym: Array, name: str):
-    """(L, None, None) with L the lower Cholesky factor of a symmetric matrix,
-    or (None, w, Q) from its PSD-checked eigh when Cholesky fails."""
+def _cholesky(sym: Array):
+    """The lower Cholesky factor of a symmetric matrix, or None when Cholesky
+    fails."""
     try:
-        return np.linalg.cholesky(sym), None, None
+        return np.linalg.cholesky(sym)
     except np.linalg.LinAlgError:
-        return None, *_eigh(sym, name)
+        return None
+
+
+def _kept_or_rebuilt(sym: Array, name: str, vectors: bool = True):
+    """(C, eig) by the one keep-or-rebuild rule (see the module docstring)
+    for a symmetric matrix that Cholesky does not factor: C is sym as sent or
+    its rebuild, and eig eigh's (w, Q) of sym, or None if eigh was not asked.
+    eigh is asked first with vectors, else eigvalsh."""
+    eig = None
+    for with_vectors in (vectors, not vectors):
+        out = _eigh(sym, name, with_vectors)
+        if with_vectors:
+            eig = out
+        if _in_rounding_band(out[0] if with_vectors else out):
+            return sym, eig
+    return _clamp_reconstruct(*eig), eig
 
 
 def psd_clamp(a, name: str = "matrix") -> Array:
@@ -190,18 +205,15 @@ def psd_clamp(a, name: str = "matrix") -> Array:
 
     Rejects matrices whose most negative eigenvalue exceeds the noise
     tolerance rather than silently repairing them. Input that Cholesky
-    factors, or whose eigenvalues are all >= -d * eps * lambda_max, is
-    returned symmetrized but not rebuilt: eigenvalues that close to 0 are
-    the rounding of eigh itself, and a rebuilt matrix carries the same.
-    Only lower noise negatives are clamped to 0 and the matrix rebuilt, so
+    factors, or whose eigenvalues from eigh or else eigvalsh are all
+    >= -d * eps * lambda_max, is returned symmetrized but not rebuilt: that
+    is the solvers' rounding, and a rebuilt matrix carries the same. Only
+    lower noise negatives are clamped to 0 and the matrix rebuilt, so
     clamping is idempotent at the bit level and summaries survive wire
     round-trips unchanged.
     """
     sym = symmetrize(a)
-    _, w, q = _cholesky_else_eigh(sym, name)
-    if w is None or _in_rounding_band(w):
-        return sym
-    return _clamp_reconstruct(w, q)
+    return sym if _cholesky(sym) is not None else _kept_or_rebuilt(sym, name)[0]
 
 
 @dataclass(frozen=True)
@@ -251,34 +263,18 @@ class GaussianSummary:
     def _covariance_factor(self) -> Array:
         """F with covariance ~= F @ F.T, made on first use as the left
         argument of W2 scoring; only the buyer's summary ever holds one."""
-        return _w2_factor(*_cholesky_else_eigh(self.covariance, "covariance of a"))
+        return _w2_factor(self.covariance, _cholesky(self.covariance))
 
 
-def _w2_factor(factor, w: Array, q: Array) -> Array:
-    """The read-only W2 factor from _cholesky_else_eigh's output: L, else
-    Q diag(sqrt(max(w, 0)))."""
+def _w2_factor(covariance: Array, factor, eig=None) -> Array:
+    """The read-only W2 factor of a covariance: its Cholesky factor when one
+    is given, else Q diag(sqrt(max(w, 0))) from its PSD-checked eigh (w, Q),
+    solved here unless eig holds it."""
     if factor is None:
+        w, q = _eigh(covariance, "covariance of a") if eig is None else eig
         factor = q * np.sqrt(np.maximum(w, 0.0))
     factor.flags.writeable = False
     return factor
-
-
-def _require_psd(sym: Array, name: str, count: int) -> Array:
-    """psd_clamp of a finite, exactly symmetric sample covariance of count
-    rows whose entries are at most half the float range, with its
-    NotPSDError unless it is PSD within tolerance. It takes one Cholesky,
-    else the eigenvalues alone; only a matrix with an eigenvalue below the
-    rounding band goes on to psd_clamp's eigh and is rebuilt. A covariance of
-    count <= d rows has rank at most count - 1 < d: its Cholesky would fail,
-    so it goes straight to its eigenvalues."""
-    if count > sym.shape[0]:
-        try:
-            np.linalg.cholesky(sym)
-            return sym
-        except np.linalg.LinAlgError:
-            pass
-    w = _eigh(sym, name, vectors=False)
-    return sym if _in_rounding_band(w) else psd_clamp(sym, name)
 
 
 def _checked_against(buyer, mean: Array, sym: Array, count: int) -> GaussianSummary:
@@ -290,9 +286,10 @@ def _checked_against(buyer, mean: Array, sym: Array, count: int) -> GaussianSumm
     buyer is the round's summary, made by _factored. When count > d and the
     buyer's W2 factor is a Cholesky factor, the eigenvalues of the cross term
     W2 solves certify the covariance (see the module docstring) and are kept
-    for W2; a covariance they do not certify takes _require_psd, and keeps
-    them only if it comes back unchanged. The check does not depend on how
-    the reply is scored: a debiased round checks the covariance as sent too."""
+    for W2. An uncertified covariance takes one Cholesky (none when count <= d:
+    its rank is then below d), else the keep-or-rebuild rule, eigvalsh first,
+    and keeps them only if it comes back unchanged. The check does not depend
+    on how the reply is scored: a debiased round checks it as sent too."""
     dim, norm2, cross = sym.shape[0], buyer._cholesky_norm2, None
     # An overflow here makes the norm infinite or leaves the reply uncertified,
     # and W2's own solve warns and fails as it would have.
@@ -310,7 +307,8 @@ def _checked_against(buyer, mean: Array, sym: Array, count: int) -> GaussianSumm
     certified = cross is not None and float(cross[0]) >= (
         (2.0 + _CERTIFY_MARGIN) * dim * _EPS * norm2 * frobenius
         + dim * dim * (1.0 + math.sqrt(norm2)) * _TINY)
-    covariance = sym if certified else _require_psd(sym, "covariance", count)
+    kept = certified or count > dim and _cholesky(sym) is not None
+    covariance = sym if kept else _kept_or_rebuilt(sym, "covariance", vectors=False)[0]
     if cross is None or covariance is not sym:
         return _trusted(GaussianSummary, mean=mean, covariance=covariance, count=count)
     cross.flags.writeable = False
@@ -321,17 +319,18 @@ def _checked_against(buyer, mean: Array, sym: Array, count: int) -> GaussianSumm
 def _factored(summary: GaussianSummary) -> GaussianSummary:
     """A summary made by summarize, with its covariance as the public
     constructor would clamp it and its W2 factor cached. One Cholesky, else
-    one eigh, serves both, unless the covariance has an eigenvalue below the
-    rounding band: it is then rebuilt, and the rebuilt matrix factored."""
+    the keep-or-rebuild rule's eigh, serves both, unless the covariance is
+    rebuilt: the rebuilt matrix is then factored."""
     covariance = summary.covariance
-    parts = _cholesky_else_eigh(covariance, "covariance of a")
-    if parts[0] is None and not _in_rounding_band(parts[1]):
-        covariance = _clamp_reconstruct(*parts[1:])
-        parts = _cholesky_else_eigh(covariance, "covariance of a")
-    factor = _w2_factor(*parts)
+    factor, eig = _cholesky(covariance), None
+    if factor is None:
+        covariance, eig = _kept_or_rebuilt(covariance, "covariance of a")
+        if covariance is not summary.covariance:
+            factor, eig = _cholesky(covariance), None
+    norm2 = None if factor is None else float(np.vdot(factor, factor))
     return _trusted(GaussianSummary, mean=summary.mean, covariance=covariance,
-                    count=summary.count, _covariance_factor=factor,
-                    _cholesky_norm2=None if parts[0] is None else float(np.vdot(factor, factor)))
+                    count=summary.count, _covariance_factor=_w2_factor(covariance, factor, eig),
+                    _cholesky_norm2=norm2)
 
 
 def debias_covariance(summary: GaussianSummary, sigma: float) -> GaussianSummary:

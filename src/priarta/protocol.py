@@ -110,6 +110,13 @@ _MAX_CONNECTIONS = 256
 _HEADER = struct.Struct(">I")
 # Ends the JSON head of a payload that carries float64 arrays.
 _TAIL_MARK = b"\n"
+# The widest latent_dim whose STATS_RESPONSE fits in MAX_FRAME_BYTES: a JSON
+# head, the tail mark and d + d(d+1)/2 = d(d + 3)/2 float64s. The head echoes
+# the session id of a request of at most _MAX_REQUEST_BYTES, which json.dumps
+# writes in at most 6 bytes per byte read; its other fields take about 220
+# bytes, and 1 KiB is kept for them.
+_REPLY_ROOM = (MAX_FRAME_BYTES - 6 * _MAX_REQUEST_BYTES - 1024 - len(_TAIL_MARK)) // 8
+_WIDEST_REPLY = (math.isqrt(9 + 8 * _REPLY_ROOM) - 3) // 2
 
 MODE_SECURE = "secure"
 MODE_SEEDED = "seeded"
@@ -491,12 +498,24 @@ def buyer_summary(data, spec: EncoderSpec, clip_radius: float,
     return summary
 
 
+def _reply_too_wide(spec: EncoderSpec):
+    """Why no STATS_RESPONSE for spec can be framed, or None."""
+    if spec.latent_dim > _WIDEST_REPLY:
+        return (f"latent_dim {spec.latent_dim} is above {_WIDEST_REPLY}, "
+                "the widest reply a frame holds")
+    return None
+
+
 def _spec_problem(node: SellerNode, spec: EncoderSpec):
-    """Why node does not serve spec, or None: its own rules, then every party's."""
+    """Why node does not serve spec, or None: its own rules, the reply's
+    frame, then every party's."""
     if node.pinned_fingerprint is not None and spec.fingerprint() != node.pinned_fingerprint:
         return "encoder spec does not match the spec this node was started with"
     if node.embeddings is not None and spec.kind != "external":
         return "pre-encoded node serves only external encoder specs"
+    too_wide = _reply_too_wide(spec)
+    if too_wide is not None:
+        return too_wide
     try:
         _encoder(spec, node.raw if node.raw is not None else node.embeddings)
     except (ParameterError, ShapeError) as exc:
@@ -1009,6 +1028,9 @@ def _round(buyer_data, sellers, spec, budget, master_seed, noisy_buyer, keep) ->
     request = StatsRequest(**asdict(budget), session_id=session_id, mode=mode, seed=seed)
     frames = tuple(encode_frame(msg)
                    for msg in (Hello(PROTOCOL_VERSION), ModelSpec(spec), request))
+    too_wide = _reply_too_wide(spec)
+    if too_wide is not None:
+        raise ParameterError(too_wide)
     sigma = calibrate_sigma(budget).sigma
     noise_seed = node_seeds(seed, BUYER_ID)[1] if noisy_buyer else None
 

@@ -827,6 +827,67 @@ def test_pinned_fingerprint_rejects_other_specs():
     assert reply.code == "SPEC_MISMATCH"
 
 
+def widest_framed_reply():
+    """The widest latent_dim whose STATS_RESPONSE fits MAX_FRAME_BYTES, from
+    the frame's layout: a JSON head of at most 6 bytes per byte of a request
+    (the echoed session id) and 1 KiB for its other fields, the newline, and
+    d + d(d+1)/2 float64s."""
+    head = 6 * _MAX_REQUEST_BYTES + 1024
+    dim = 1
+    while head + 1 + 8 * (dim + 1) * (dim + 4) // 2 <= MAX_FRAME_BYTES:
+        dim += 1
+    return dim
+
+
+def wide_spec(latent_dim):
+    """A spec, and a node of raw data it fits, as wide as latent_dim (so the
+    projection can be signal-faithful)."""
+    return (EncoderSpec("toy_projection", 271828, 4096, latent_dim, 4096, 0.0),
+            SellerNode("s1", raw=make_dataset(m=20, p=4096)))
+
+
+def test_a_reply_head_stays_within_the_room_a_frame_keeps_for_it():
+    # A session id longer than any request holds, of characters json.dumps
+    # escapes to 6 bytes each, with the largest count and the longest sigma.
+    session = "\x00" * _MAX_REQUEST_BYTES
+    reply = StatsResponse((0.5,), (1.0,), 2**63 - 1, session, -2.2250738585072014e-308,
+                          SPEC.fingerprint())
+    frame = encode_frame(reply)
+    head = frame.index(b"\n") - 4
+    assert 6 * _MAX_REQUEST_BYTES < head <= 6 * _MAX_REQUEST_BYTES + 1024
+
+
+@pytest.mark.parametrize("over", [0, 1])
+def test_a_spec_whose_reply_cannot_be_framed_is_refused_at_model_spec(monkeypatch, over):
+    # Nothing is drawn for a spec: the projection is made on the first request.
+    def not_drawn(spec):
+        raise AssertionError("the projection was drawn")
+
+    monkeypatch.setattr("priarta.encoder.projection_matrix", not_drawn)
+    spec, node = wide_spec(widest_framed_reply() + over)
+    session = SellerSession(node)
+    session.handle_bytes(encode_frame(Hello(PROTOCOL_VERSION)))
+    reply = decode_frame(session.handle_bytes(encode_frame(ModelSpec(spec))))
+    if over:
+        assert reply.code == "SPEC_MISMATCH"
+        assert reply.message.startswith(f"latent_dim {spec.latent_dim} is above")
+    else:
+        assert reply == Hello(PROTOCOL_VERSION)
+
+
+def test_a_buyer_refuses_a_spec_whose_reply_cannot_be_framed_before_any_connect():
+    spec, node = wide_spec(widest_framed_reply() + 1)
+    connects = []
+    with pytest.raises(ParameterError) as info:
+        orchestrate_valuation(node.raw, [("s1", lambda: connects.append(1))], spec, BUDGET,
+                              master_seed=1)
+    assert connects == []
+    session = SellerSession(node)
+    session.handle_bytes(encode_frame(Hello(PROTOCOL_VERSION)))
+    reply = decode_frame(session.handle_bytes(encode_frame(ModelSpec(spec))))
+    assert (reply.code, reply.message) == ("SPEC_MISMATCH", str(info.value))
+
+
 def test_raw_rows_never_cross_the_wire():
     # no raw coordinate appears in any reply payload
     data = make_dataset()

@@ -178,6 +178,47 @@ def test_the_header_scan_sees_every_place(tmp_path):
     assert header_readers(source) == [None, "split", "inner", "inner"]
 
 
+def band_readers(path):
+    """In a source file: the function around each read of _in_rounding_band,
+    by its bare name or as an attribute (None at module level)."""
+    readers = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if "_in_rounding_band" in (getattr(child, "id", None), getattr(child, "attr", None)):
+                readers.append(owner)
+            visit(child, child.name if isinstance(child, FUNCTIONS) else owner)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), None)
+    return readers
+
+
+def test_one_rule_keeps_or_rebuilds_every_covariance():
+    # gaussian_geometry._kept_or_rebuilt is the one reader of the rounding
+    # band: psd_clamp, a reply's check and the buyer's factor all decide by it.
+    package = Path(priarta.__file__).parent
+    readers = {f"{path.stem}.{owner}" for path in sorted(package.glob("*.py"))
+               for owner in band_readers(path)}
+    assert readers == {"gaussian_geometry._kept_or_rebuilt"}
+
+
+def test_the_band_scan_sees_every_place(tmp_path):
+    source = tmp_path / "module.py"
+    source.write_text(
+        "test = _in_rounding_band\n"
+        "def _in_rounding_band(w):\n"
+        "    return w\n"
+        "def keep(w):\n"
+        "    return _in_rounding_band(w) and _in_rounding_band(w)\n"
+        "class Rule:\n"
+        "    def rebuild(self, w):\n"
+        "        def inner():\n"
+        "            return gaussian_geometry._in_rounding_band(w)\n"
+        "        return inner, _in_rounding_bands(w), in_rounding_band(w)\n"
+    )
+    assert band_readers(source) == [None, "keep", "keep", "inner"]
+
+
 def array_dataclasses():
     """(name, make) per frozen dataclass with array fields: make(k) builds a
     fresh object from fresh arrays, equal for equal k."""

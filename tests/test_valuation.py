@@ -28,6 +28,7 @@ from priarta import (
     gaussian_geometry,
     load_report,
     minmax_normalize,
+    psd_clamp,
     rank_sellers,
     render_csv,
     render_table,
@@ -36,6 +37,7 @@ from priarta import (
     stats,
     wasserstein2_gaussian,
 )
+from priarta.errors import _trusted
 from priarta.protocol import (
     PROTOCOL_VERSION,
     Hello,
@@ -947,18 +949,60 @@ def test_a_certified_reply_is_what_the_cholesky_else_eigenvalues_check_gives(mon
 
         def ends(check):
             try:
-                covariance = check()
+                return check().tobytes()
             except NotPSDError:
                 return "not-psd"
-            return "kept" if covariance is sent else covariance.tobytes()
 
         counts = counting(monkeypatch, ["cholesky", "eigvalsh"])
         checked = ends(lambda: gaussian_geometry._checked_against(
             buyer, np.zeros(dim), sent, 1000).covariance)
         certified += counts == {"cholesky": 0, "eigvalsh": 1}
         monkeypatch.undo()
-        assert checked == ends(lambda: gaussian_geometry._require_psd(sent, "covariance", 1000))
+        assert checked == ends(lambda: psd_clamp(sent, "covariance"))
     assert certified > 300
+
+
+def band_edge_matrix(rng, dim):
+    """An exactly symmetric matrix of largest eigenvalue 1 whose smallest lies
+    at 0.5 to 1.5 times the rounding band's edge -d eps lambda_max: eigh and
+    eigvalsh, which round differently, may put it on either side."""
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    edge = -rng.uniform(0.5, 1.5) * dim * np.finfo(float).eps
+    sent = (q * np.r_[edge, rng.uniform(0.1, 1.0, dim - 2), 1.0]) @ q.T
+    return (sent + sent.T) / 2.0
+
+
+def covariance_or_refusal(make):
+    try:
+        return make().covariance.tobytes()
+    except NotPSDError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("case", ["reply-of-d-rows", "eigen-factored-buyer", "buyer"])
+def test_a_covariance_at_the_band_edge_ends_where_the_public_constructor_does(rng, case):
+    # A reply's check asks eigvalsh first, the constructor and the buyer's
+    # summary eigh first; by the one keep-or-rebuild rule every path keeps,
+    # rebuilds or refuses the same matrices, and rebuilds them to the same bits.
+    rebuilt = 0
+    for _ in range(300):
+        dim = int(rng.integers(2, 40))
+        sent = band_edge_matrix(rng, dim)
+        mean = np.zeros(dim)
+        public = covariance_or_refusal(lambda: GaussianSummary(mean, sent, dim))
+        if case == "buyer":
+            got = covariance_or_refusal(lambda: gaussian_geometry._factored(
+                _trusted(GaussianSummary, mean=mean, covariance=sent, count=dim)))
+        else:
+            singular = np.diag(np.r_[0.0, np.ones(dim - 1)])
+            buyer = gaussian_geometry._factored(GaussianSummary(
+                mean, singular if case == "eigen-factored-buyer" else np.eye(dim), 1000))
+            count = dim if case == "reply-of-d-rows" else 1000
+            got = covariance_or_refusal(lambda: gaussian_geometry._checked_against(
+                buyer, mean, sent, count))
+        assert got == public
+        rebuilt += public != sent.tobytes()
+    assert 30 <= rebuilt <= 270
 
 
 # ------------------------------------------------------- score as you go
