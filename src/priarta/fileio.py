@@ -11,9 +11,11 @@ trailing whitespace. Configs, encoder specs, and reports are canonical JSON.
 Every file priarta reads or writes is opened here, by _read_text or
 _write_text: UTF-8, "\n" line endings, and path:line on undecodable bytes.
 
+Both dataset formats share one codec: _read_table, _read_rows and _write_table.
 Rows are read by numpy's C text reader when that provably gives what the
-per-row Python loops give; the loops stay as the definition of the format and
-word every rejection as path:line.
+per-row Python loop gives; the loop stays as the definition of the format.
+Every refusal starts with the file's path: path:line for a malformed line, and
+path: for a value that RawDataset or EmbeddingSet refuses.
 """
 
 import json
@@ -21,15 +23,16 @@ import json
 import numpy as np
 
 from .encoder import RawDataset
-from .errors import FileFormatError, require_float
+from .errors import FileFormatError, PriartaError, require_float
 from .stats import CLIP_SLACK, EmbeddingSet, _row_norms
 
 RAW_MAGIC = "PRIARTA-RAW 1"
 EMB_MAGIC = "PRIARTA-EMB 1"
 
 
-def _fmt(value) -> str:
-    return repr(float(value))
+def _fmt(row: np.ndarray) -> str:
+    """A row of floats as shortest round-trip decimals, one space apart."""
+    return " ".join(map(repr, row.tolist()))
 
 
 def _read_text(path, first_line: bool = False) -> str:
@@ -57,13 +60,6 @@ def dumps_json(data) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
-def _read_lines(path) -> list:
-    text = _read_text(path)
-    if text.endswith("\n"):
-        text = text[:-1]
-    return text.split("\n")
-
-
 def _parse_floats(line: str, expected: int, path, lineno: int) -> list:
     parts = line.split(" ")
     if len(parts) != expected:
@@ -75,7 +71,7 @@ def _parse_floats(line: str, expected: int, path, lineno: int) -> list:
 
 
 # Row bodies made only of these bytes read alike through numpy's C reader and
-# the Python loops: both split fields on single spaces, reject an empty field
+# the Python loop: both split fields on single spaces, reject an empty field
 # and convert with the same correctly rounded strtod, and for labels both take
 # an optional sign and decimal digits. Other whitespace, "_" and non-ASCII
 # digits are where Python's int()/float() and the C reader part ways; letters
@@ -96,105 +92,107 @@ def _load_rows(rows: list, dtype: np.dtype):
     return parsed if parsed.shape == (len(rows),) else None
 
 
-def _parse_header_ints(line: str, count: int, path) -> list:
-    parts = line.split(" ")
-    if len(parts) != count:
-        raise FileFormatError(f"{path}:2: header needs {count} fields, got {len(parts)}")
-    return parts
+def _read_table(path, magic: str, meta: int):
+    """The three fields of the dimension header, the meta lines after it and
+    the row lines of a file that starts with the magic line."""
+    text = _read_text(path)
+    lines = (text[:-1] if text.endswith("\n") else text).split("\n")
+    if lines[0] != magic:
+        raise FileFormatError(f"{path}:1: expected header {magic!r}")
+    if len(lines) < 2 + meta:
+        raise FileFormatError(f"{path}: truncated, no dimension header")
+    fields = lines[1].split(" ")
+    if len(fields) != 3:
+        raise FileFormatError(f"{path}:2: header needs 3 fields, got {len(fields)}")
+    return fields, lines[2:2 + meta], lines[2 + meta:]
 
 
-def _check_row_width(width: int, first_row: str, path, lineno: int):
-    """Reject a header width that no row can have, before any array or dtype
-    is sized from it: a row of width coordinates is at least width
-    characters long."""
-    if width > len(first_row):
-        raise FileFormatError(
-            f"{path}:2: header declares {width} coordinates per row, "
-            f"but line {lineno} is {len(first_row)} characters long"
-        )
+def _read_rows(rows: list, count: int, width: int, labeled: bool, path, first: int):
+    """The labels (None unless labeled) and points of count rows, rows[0]
+    being line first. A width is refused before any array is sized from it
+    when no row can have it: a row of width coordinates has width characters."""
+    if len(rows) != count:
+        raise FileFormatError(f"{path}: header declares {count} rows, file has {len(rows)}")
+    if width > len(rows[0]):
+        raise FileFormatError(f"{path}:2: header declares {width} coordinates per row, "
+                              f"but line {first} is {len(rows[0])} characters long")
+    label = [("label", int)] if labeled else []
+    parsed = _load_rows(rows, np.dtype(label + [("point", float, (width,))]))
+    if parsed is not None:
+        return parsed["label"] if labeled else None, parsed["point"]
+    points = np.empty((count, width))
+    labels = np.empty(count, dtype=int) if labeled else None
+    for i, row in enumerate(rows):
+        lineno = first + i
+        if labeled:
+            parts = row.split(" ", 1)
+            if len(parts) != 2:
+                raise FileFormatError(f"{path}:{lineno}: expected label and {width} coordinates")
+            try:
+                labels[i] = int(parts[0])
+            except ValueError as exc:
+                raise FileFormatError(f"{path}:{lineno}: {exc}") from exc
+            except OverflowError as exc:
+                raise FileFormatError(f"{path}:{lineno}: label {parts[0]} is outside int64") from exc
+            row = parts[1]
+        points[i] = _parse_floats(row, width, path, lineno)
+    return labels, points
+
+
+def _dataset(path, cls, *fields):
+    """cls(*fields), its refusal worded as a FileFormatError on path."""
+    try:
+        return cls(*fields)
+    except PriartaError as exc:
+        raise FileFormatError(f"{path}: {exc}") from exc
+
+
+def _write_table(path, head_lines: list, points: np.ndarray, labels=None):
+    """The head lines, then each row of points after its label, if any: one
+    row at a time, so at most one row is held as Python floats."""
+    rows = map(_fmt, points)
+    if labels is not None:
+        rows = (f"{label} {row}" for label, row in zip(labels.tolist(), rows))
+    _write_text(path, "\n".join([*head_lines, *rows]) + "\n")
 
 
 def write_raw_dataset(path, data: RawDataset):
-    k = data.class_probs.shape[0]
-    lines = [RAW_MAGIC, f"{data.count} {data.dim} {k}"]
-    lines.append(" ".join(_fmt(p) for p in data.class_probs))
-    for label, row in zip(data.labels, data.points):
-        lines.append(f"{int(label)} " + " ".join(_fmt(v) for v in row))
-    _write_text(path, "\n".join(lines) + "\n")
+    head = [f"{data.count} {data.dim} {data.class_probs.shape[0]}", _fmt(data.class_probs)]
+    _write_table(path, [RAW_MAGIC, *head], data.points, data.labels)
 
 
 def read_raw_dataset(path) -> RawDataset:
-    lines = _read_lines(path)
-    if not lines or lines[0] != RAW_MAGIC:
-        raise FileFormatError(f"{path}:1: expected header {RAW_MAGIC!r}")
-    if len(lines) < 3:
-        raise FileFormatError(f"{path}: truncated, no dimension header")
-    parts = _parse_header_ints(lines[1], 3, path)
+    fields, (probs,), rows = _read_table(path, RAW_MAGIC, 1)
     try:
-        m, p, k = (int(v) for v in parts)
+        m, p, k = (int(v) for v in fields)
     except ValueError as exc:
         raise FileFormatError(f"{path}:2: {exc}") from exc
     if m < 1 or p < 1 or k < 1:
         raise FileFormatError(f"{path}:2: dimensions must be positive, got {m} {p} {k}")
-    if len(lines) != 3 + m:
-        raise FileFormatError(f"{path}: header declares {m} rows, file has {len(lines) - 3}")
-    _check_row_width(p, lines[3], path, 4)
-    probs = _parse_floats(lines[2], k, path, 3)
-    parsed = _load_rows(lines[3:], np.dtype([("label", int), ("point", float, (p,))]))
-    if parsed is not None:
-        return RawDataset(parsed["point"], parsed["label"], np.asarray(probs))
-    points = np.empty((m, p))
-    labels = np.empty(m, dtype=int)
-    for i in range(m):
-        lineno = 4 + i
-        parts = lines[3 + i].split(" ", 1)
-        if len(parts) != 2:
-            raise FileFormatError(f"{path}:{lineno}: expected label and {p} coordinates")
-        try:
-            labels[i] = int(parts[0])
-        except ValueError as exc:
-            raise FileFormatError(f"{path}:{lineno}: {exc}") from exc
-        except OverflowError as exc:
-            raise FileFormatError(f"{path}:{lineno}: label {parts[0]} is outside int64") from exc
-        points[i] = _parse_floats(parts[1], p, path, lineno)
-    return RawDataset(points, labels, np.asarray(probs))
+    probs = _parse_floats(probs, k, path, 3)
+    labels, points = _read_rows(rows, m, p, True, path, 4)
+    return _dataset(path, RawDataset, points, labels, np.asarray(probs))
 
 
 def write_embeddings(path, embeddings: EmbeddingSet):
-    lines = [EMB_MAGIC, f"{embeddings.count} {embeddings.dim} {_fmt(embeddings.clip_radius)}"]
-    for row in embeddings.vectors:
-        lines.append(" ".join(_fmt(v) for v in row))
-    _write_text(path, "\n".join(lines) + "\n")
+    head = f"{embeddings.count} {embeddings.dim} {float(embeddings.clip_radius)!r}"
+    _write_table(path, [EMB_MAGIC, head], embeddings.vectors)
 
 
 def read_embeddings(path) -> EmbeddingSet:
     """The clipped flag is recomputed from the data: set only when every row
     actually fits the declared radius."""
-    lines = _read_lines(path)
-    if not lines or lines[0] != EMB_MAGIC:
-        raise FileFormatError(f"{path}:1: expected header {EMB_MAGIC!r}")
-    if len(lines) < 2:
-        raise FileFormatError(f"{path}: truncated, no dimension header")
-    parts = _parse_header_ints(lines[1], 3, path)
+    fields, _, rows = _read_table(path, EMB_MAGIC, 0)
     try:
-        n, d = int(parts[0]), int(parts[1])
-        radius = float(parts[2])
+        n, d, radius = int(fields[0]), int(fields[1]), float(fields[2])
     except ValueError as exc:
         raise FileFormatError(f"{path}:2: {exc}") from exc
     if n < 2 or d < 1 or not 0.0 < radius < np.inf:
-        raise FileFormatError(f"{path}:2: need n >= 2, d >= 1, finite R > 0, got {lines[1]!r}")
-    if len(lines) != 2 + n:
-        raise FileFormatError(f"{path}: header declares {n} rows, file has {len(lines) - 2}")
-    _check_row_width(d, lines[2], path, 3)
-    parsed = _load_rows(lines[2:], np.dtype([("vector", float, (d,))]))
-    if parsed is not None:
-        vectors = parsed["vector"]
-    else:
-        vectors = np.empty((n, d))
-        for i in range(n):
-            vectors[i] = _parse_floats(lines[2 + i], d, path, 3 + i)
+        raise FileFormatError(f"{path}:2: need n >= 2, d >= 1, finite R > 0, "
+                              f"got {' '.join(fields)!r}")
+    _, vectors = _read_rows(rows, n, d, False, path, 3)
     inside = bool((_row_norms(vectors) <= radius * (1.0 + CLIP_SLACK)).all())
-    return EmbeddingSet(vectors, radius, clipped=inside)
+    return _dataset(path, EmbeddingSet, vectors, radius, inside)
 
 
 def _finite_float(text: str) -> float:

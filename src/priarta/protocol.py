@@ -35,10 +35,11 @@ it accepts, reads and writes without blocking, and each connection has its
 own session. A connection buffers at most one request frame past those it
 has answered. The replies to the frames one read delivered leave in one
 write; what the socket does not take waits until it is writable, so a peer
-that does not read holds only its own replies. A connection on which nothing
-is read or sent for 60 s (_IDLE_TIMEOUT_S) is closed, and while 256
-connections (_MAX_CONNECTIONS) are open the server accepts no more until one
-closes.
+that does not read holds only its own replies. A connection's clock starts at
+accept and restarts only when its frames are answered, not on a read or a
+write; it is closed 60 s (_IDLE_TIMEOUT_S) after that, so a peer that drips
+bytes holds a slot that long at most. While 256 connections
+(_MAX_CONNECTIONS) are open the server accepts no more until one closes.
 """
 
 import collections
@@ -99,7 +100,8 @@ PROTOCOL_VERSION = 3
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 # A seller reads requests, all well under 1 KB, against this much smaller cap.
 _MAX_REQUEST_BYTES = 64 * 1024
-# A seller closes a connection on which nothing was read or sent for this long.
+# A seller closes a connection this long after it was accepted or last had
+# frames answered.
 _IDLE_TIMEOUT_S = 60.0
 # A buyer's socket gives up on a connect, send or read that waits this long.
 _READ_TIMEOUT_S = 10.0
@@ -761,8 +763,8 @@ class SellerServer:
         self._selector.register(self.socket, selectors.EVENT_READ)
         self._selector.register(self._waker, selectors.EVENT_READ)
         self._accepting = True
-        # Each open connection and the monotonic time of its last event,
-        # the longest idle first.
+        # Each open connection and the monotonic time it was accepted or last
+        # had frames answered, the longest idle first.
         self._connections = collections.OrderedDict()
         self._stopping = False
         self._stopped = threading.Event()
@@ -836,8 +838,6 @@ class SellerServer:
 
     def _serve_connection(self, key):
         conn = key.data
-        self._connections[conn] = time.monotonic()
-        self._connections.move_to_end(conn)
         try:
             # Registered to read only while nothing waits to be sent, and a
             # hang-up is reported as readable and writable alike.
@@ -845,8 +845,14 @@ class SellerServer:
                 data = conn.sock.recv(_HEADER.size + _MAX_REQUEST_BYTES - len(conn.inbox))
                 conn.inbox += data
                 conn.closing = not data
-            # The replies to all frames one read delivered leave in one send.
-            while conn.outbox or conn.answer():
+            # The replies to all frames one read delivered leave in one send,
+            # and answering frames restarts the connection's clock.
+            while True:
+                if not conn.outbox:
+                    if not conn.answer():
+                        break
+                    self._connections[conn] = time.monotonic()
+                    self._connections.move_to_end(conn)
                 sent = conn.sock.send(conn.outbox)
                 conn.outbox = conn.outbox[sent:]
                 if conn.outbox:

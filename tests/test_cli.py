@@ -243,6 +243,34 @@ def test_value_refuses_two_seller_files_with_one_node_id(scenario_dir, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field, value, message", [
+    (0, "12", "labels must lie in [0, num_classes)"),  # k = 10
+    (1, "1e400", "points contain non-finite entries"),
+])
+def test_a_seller_file_with_a_value_its_dataset_refuses_is_named(scenario_dir, tmp_path, capsys,
+                                                                  field, value, message):
+    sellers = tmp_path / "sellers"
+    shutil.copytree(scenario_dir / "sellers", sellers)
+    bad = sellers / "seller-3.raw"
+    lines = bad.read_text().split("\n")
+    row = lines[3].split(" ")
+    row[field] = value
+    lines[3] = " ".join(row)
+    bad.write_text("\n".join(lines))
+    out = tmp_path / "r.json"
+    args = list(value_args(scenario_dir, out))
+    args[args.index("--sellers") + 1] = str(sellers)
+    assert run_cli(*args) == 1
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+    assert not out.exists()
+    # serve and encode read their input alike
+    assert run_cli("serve", "--input", str(bad), "--listen", "127.0.0.1:0") == 1
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+    assert run_cli("encode", "--spec", str(scenario_dir / "encoder.json"), "--input", str(bad),
+                   "--output", str(tmp_path / "e.emb")) == 1
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+
+
 def test_value_refuses_two_endpoints_with_one_node_id(scenario_dir, tmp_path, capsys):
     # refused before any connect: nothing listens on port 9
     out = tmp_path / "r.json"

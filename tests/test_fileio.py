@@ -3,11 +3,15 @@
 import ast
 from pathlib import Path
 import re
+import sys
 
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 import numpy as np
 import pytest
 
-from priarta import EncoderSpec, FileFormatError, RawDataset, clip_to_ball, encode
+from priarta import (EncoderSpec, FileFormatError, PriartaError, RawDataset, clip_to_ball,
+                     encode)
 from priarta import fileio
 from priarta.fileio import (
     load_json,
@@ -217,6 +221,14 @@ def reference_parse_floats(line, expected, path, lineno):
         raise FileFormatError(f"{path}:{lineno}: {exc}") from exc
 
 
+def reference_dataset(path, cls, *fields):
+    """cls(*fields); a value it refuses is a malformed file, named by path."""
+    try:
+        return cls(*fields)
+    except PriartaError as exc:
+        raise FileFormatError(f"{path}: {exc}") from exc
+
+
 def reference_read_raw(path):
     """read_raw_dataset as it was before the C reader: one Python loop per row."""
     lines = reference_read_lines(path)
@@ -250,7 +262,7 @@ def reference_read_raw(path):
         except OverflowError as exc:
             raise FileFormatError(f"{path}:{lineno}: label {parts[0]} is outside int64") from exc
         points[i] = reference_parse_floats(parts[1], p, path, lineno)
-    return RawDataset(points, labels, np.asarray(probs))
+    return reference_dataset(path, RawDataset, points, labels, np.asarray(probs))
 
 
 def reference_read_embeddings(path):
@@ -264,7 +276,7 @@ def reference_read_embeddings(path):
     for i in range(n):
         vectors[i] = reference_parse_floats(lines[2 + i], d, path, 3 + i)
     inside = bool(np.all(np.linalg.norm(vectors, axis=1) <= radius * (1.0 + 1e-12)))
-    return EmbeddingSet(vectors, radius, clipped=inside)
+    return reference_dataset(path, EmbeddingSet, vectors, radius, inside)
 
 
 def read_outcome(read, path):
@@ -340,6 +352,85 @@ def test_canonical_files_skip_the_row_loop(tmp_path, rng, monkeypatch):
     assert again.labels.dtype == data.labels.dtype
     np.testing.assert_array_equal(read_embeddings(emb_path).vectors, e.vectors)
     assert len(calls) == 1
+
+
+# --------------------------------------------------- round-trip properties
+
+# Reproducible and quick: the same examples on every run, none stored.
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+# Any finite float, and the subnormal and overflow edges named once more.
+EDGES = [0.0, -0.0, 5e-324, -5e-324, 1.1125369292536007e-308, 1e308, -1e308,
+         sys.float_info.max, -sys.float_info.max]
+FLOATS = st.one_of(st.sampled_from(EDGES), st.floats(allow_nan=False, allow_infinity=False))
+INT64 = (-2**63, 2**63 - 1)
+
+
+def text_of(*rows) -> bytes:
+    """The file a writer must produce: each row's ints by str and floats by
+    repr(float(v)), one space apart, one line each."""
+    return "".join(" ".join(v if isinstance(v, str) else repr(float(v)) for v in row) + "\n"
+                   for row in rows).encode()
+
+
+@st.composite
+def raw_datasets(draw):
+    m, p, k = draw(st.integers(1, 6)), draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    weights = np.array(draw(st.lists(st.integers(1, 1000), min_size=k, max_size=k)), float)
+    points = draw(arrays(np.float64, (m, p), elements=FLOATS))
+    return RawDataset(points, draw(arrays(np.int64, m, elements=st.integers(0, k - 1))),
+                      weights / weights.sum())
+
+
+@PROPERTY
+@given(data=raw_datasets())
+def test_a_raw_file_reads_back_bit_for_bit(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("raw") / "d.raw"
+    write_raw_dataset(path, data)
+    m, p = data.points.shape
+    assert path.read_bytes() == text_of(
+        ["PRIARTA-RAW 1"], [str(m), str(p), str(len(data.class_probs))], data.class_probs,
+        *([str(label), *row] for label, row in zip(data.labels.tolist(), data.points)))
+    again = read_raw_dataset(path)
+    assert again.points.tobytes() == data.points.tobytes() and again.points.shape == (m, p)
+    assert again.labels.tobytes() == data.labels.tobytes() and again.labels.dtype == np.int64
+    assert again.class_probs.tobytes() == data.class_probs.tobytes()
+
+
+@PROPERTY
+@given(vectors=st.tuples(st.integers(2, 6), st.integers(1, 5)).flatmap(
+           lambda shape: arrays(np.float64, shape, elements=FLOATS)),
+       radius=st.one_of(st.sampled_from([5e-324, 1e308, sys.float_info.max]),
+                        st.floats(min_value=5e-324, allow_infinity=False)))
+def test_an_embedding_file_reads_back_bit_for_bit(tmp_path_factory, vectors, radius):
+    path = tmp_path_factory.mktemp("emb") / "d.emb"
+    write_embeddings(path, EmbeddingSet(vectors, radius, False))
+    n, d = vectors.shape
+    assert path.read_bytes() == text_of(["PRIARTA-EMB 1"], [str(n), str(d), radius], *vectors)
+    again = read_embeddings(path)
+    assert again.vectors.tobytes() == vectors.tobytes() and again.vectors.shape == (n, d)
+    assert again.clip_radius.hex() == radius.hex()
+
+
+@PROPERTY
+@given(label=st.one_of(st.sampled_from([*INT64, INT64[0] - 1, INT64[1] + 1, 0, 2, 3]),
+                       st.integers(INT64[0] - 2, INT64[1] + 2)),
+       row=st.integers(0, 1))
+def test_a_label_reads_back_or_is_refused_to_the_int64_limits(tmp_path_factory, label, row):
+    # k = 3: a label in [0, 3) reads back, another int64 is refused by the
+    # dataset and one past int64 by the reader, each refusal naming the file
+    path = tmp_path_factory.mktemp("label") / "d.raw"
+    labels = [1, label] if row else [label, 1]
+    path.write_bytes(text_of(["PRIARTA-RAW 1"], ["2", "2", "3"], [0.25, 0.25, 0.5],
+                             *([str(v), 1.5, -0.0] for v in labels)))
+    if 0 <= label < 3:
+        assert read_raw_dataset(path).labels.tolist() == labels
+        return
+    with pytest.raises(FileFormatError) as info:
+        read_raw_dataset(path)
+    if INT64[0] <= label <= INT64[1]:
+        assert str(info.value) == f"{path}: labels must lie in [0, num_classes)"
+    else:
+        assert str(info.value) == f"{path}:{4 + row}: label {label} is outside int64"
 
 
 # ----------------------------------------------------------- one file layer

@@ -7,6 +7,7 @@ import dataclasses
 import json
 import logging
 import math
+import select
 import socket
 import struct
 import sys
@@ -1926,13 +1927,44 @@ def test_the_idle_deadline_closes_a_stalled_connection(monkeypatch):
     monkeypatch.setattr(protocol, "_IDLE_TIMEOUT_S", 0.3)
     server = serving(SellerNode("sock", raw=make_dataset()))
     try:
+        started = time.monotonic()  # before the server accepts
         with socket.create_connection(server.server_address, timeout=10) as stalled:
-            started = time.monotonic()  # before the server's last read
             stalled.sendall(ROUND_FRAMES[:7])
             assert stalled.recv(1) == b""
             assert 0.3 <= time.monotonic() - started < 5
         full_session(server.server_address)
     finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_peers_that_drip_bytes_hold_every_slot_for_the_idle_timeout_at_most(monkeypatch):
+    # Only answered frames restart a connection's clock: three peers that
+    # fill the slots and drip a declared 60,000-byte request a byte every
+    # 0.4 s are closed 1 s after their HELLO, and the queued peer is served.
+    monkeypatch.setattr(protocol, "_MAX_CONNECTIONS", 3)
+    monkeypatch.setattr(protocol, "_IDLE_TIMEOUT_S", 1.0)
+    server = serving(SellerNode("sock", raw=make_dataset()))
+    drippers = []
+    try:
+        for _ in range(3):
+            drippers.append(socket.create_connection(server.server_address, timeout=10))
+            drippers[-1].sendall(encode_frame(Hello(PROTOCOL_VERSION)))
+            assert isinstance(decode_frame(read_reply(drippers[-1])), Hello)
+            drippers[-1].sendall(struct.pack(">I", 60_000))
+        with socket.create_connection(server.server_address, timeout=10) as queued:
+            started = time.monotonic()
+            queued.sendall(encode_frame(Hello(PROTOCOL_VERSION)))
+            while not select.select([queued], [], [], 0.4)[0]:
+                assert time.monotonic() - started < 5, "the drippers still hold every slot"
+                for sock in drippers:
+                    with contextlib.suppress(OSError):  # closed by the server
+                        sock.send(b"\0")
+            assert isinstance(decode_frame(read_reply(queued)), Hello)
+            assert time.monotonic() - started > 0.5
+    finally:
+        for sock in drippers:
+            sock.close()
         server.shutdown()
         server.server_close()
 

@@ -178,19 +178,24 @@ def test_the_header_scan_sees_every_place(tmp_path):
     assert header_readers(source) == [None, "split", "inner", "inner"]
 
 
-def band_readers(path):
-    """In a source file: the function around each read of _in_rounding_band,
-    by its bare name or as an attribute (None at module level)."""
+def name_readers(path, name):
+    """In a source file: the function around each read of name, by its bare
+    name or as an attribute (None at module level)."""
     readers = []
 
     def visit(node, owner):
         for child in ast.iter_child_nodes(node):
-            if "_in_rounding_band" in (getattr(child, "id", None), getattr(child, "attr", None)):
+            if name in (getattr(child, "id", None), getattr(child, "attr", None)):
                 readers.append(owner)
             visit(child, child.name if isinstance(child, FUNCTIONS) else owner)
 
     visit(ast.parse(path.read_text(), filename=str(path)), None)
     return readers
+
+
+def band_readers(path):
+    """The function around each read of _in_rounding_band."""
+    return name_readers(path, "_in_rounding_band")
 
 
 def test_one_rule_keeps_or_rebuilds_every_covariance():
@@ -217,6 +222,39 @@ def test_the_band_scan_sees_every_place(tmp_path):
         "        return inner, _in_rounding_bands(w), in_rounding_band(w)\n"
     )
     assert band_readers(source) == [None, "keep", "keep", "inner"]
+
+
+def test_one_codec_reads_and_writes_both_dataset_formats():
+    # fileio._read_rows is the one caller of the C-reader fast path, and
+    # fileio._write_table the one writer of rows: the .raw and .emb readers
+    # and writers each go through them.
+    package = Path(priarta.__file__).parent
+
+    def readers(name):
+        return sorted(f"{path.stem}.{owner}" for path in sorted(package.glob("*.py"))
+                      for owner in name_readers(path, name))
+
+    assert readers("_load_rows") == ["fileio._read_rows"]
+    assert readers("_read_rows") == ["fileio.read_embeddings", "fileio.read_raw_dataset"]
+    assert readers("_write_table") == ["fileio.write_embeddings", "fileio.write_raw_dataset"]
+    assert readers("_write_text") == ["fileio._write_table", "fileio.save_json"]
+
+
+def test_the_codec_scan_sees_every_place(tmp_path):
+    source = tmp_path / "module.py"
+    source.write_text(
+        "fast = _load_rows\n"
+        "def _load_rows(rows):\n"
+        "    return rows\n"
+        "def read(rows):\n"
+        "    return _load_rows(rows) or _load_rows(rows[1:])\n"
+        "class Reader:\n"
+        "    def each(self, rows):\n"
+        "        def inner():\n"
+        "            return fileio._load_rows(rows)\n"
+        "        return inner, _load_rows_twice(rows), load_rows(rows)\n"
+    )
+    assert name_readers(source, "_load_rows") == [None, "read", "read", "inner"]
 
 
 def array_dataclasses():
