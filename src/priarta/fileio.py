@@ -108,9 +108,9 @@ def _read_table(path, magic: str, meta: int):
 
 
 def _read_rows(rows: list, count: int, width: int, labeled: bool, path, first: int):
-    """The labels (None unless labeled) and points of count rows, rows[0]
-    being line first. A width is refused before any array is sized from it
-    when no row can have it: a row of width coordinates has width characters."""
+    """The labels (None unless labeled) and the points of count rows, rows[0]
+    being line first. A width no row can have is refused before any array is
+    sized from it: a row of width coordinates is at least width characters."""
     if len(rows) != count:
         raise FileFormatError(f"{path}: header declares {count} rows, file has {len(rows)}")
     if width > len(rows[0]):
