@@ -9,38 +9,38 @@ For any factor Sigma_a = F F^T the matrix F^T Sigma_b F is similar to
 Sigma_b Sigma_a, so the cross term is sum_i sqrt(lambda_i(F^T Sigma_b F))
 (Dowson & Landau 1982; Olkin & Pukelsheim 1982). Scoring therefore factors
 its left argument once, keeps F on that summary, and runs one symmetric
-eigenvalue solve per call. F is the Cholesky factor, or Q sqrt(max(w, 0))
-from an eigendecomposition when Cholesky fails on a singular covariance.
+eigenvalue solve per call.
 
 Every eigendecomposition runs through one private routine: numpy's eigh
 (or eigvalsh), in its ascending order, raising ConvergenceError when it
 fails. debias_covariance clamps every negative eigenvalue, since those are
-real. Every check below keeps, rebuilds or refuses by one rule
-(_kept_or_rebuilt): a symmetric matrix that Cholesky does not factor is kept
-as sent when eigh's or eigvalsh's eigenvalues all lie in the rounding band
->= -d * eps * lambda_max, else rebuilt from eigh with its eigenvalues clamped
-at 0 (the projection onto the PSD cone, Higham 1988), and refused when a
-solver finds one below -PSD_TOL * lambda_max. A caller asks the other solver
-only when its first puts an eigenvalue below the band.
+real. Every other covariance the package keeps is settled by one step
+(_settled): Cholesky, else one keep-or-rebuild rule (_kept_or_rebuilt) that
+keeps the matrix as sent when eigh's or eigvalsh's eigenvalues all lie in the
+rounding band >= -d * eps * lambda_max, else rebuilds it from eigh with its
+eigenvalues clamped at 0 (the projection onto the PSD cone, Higham 1988), and
+refuses it when a solver finds one below -PSD_TOL * lambda_max. The other
+solver is asked only when the first puts an eigenvalue below the band. The W2
+factor F comes from the factorization that ran: the Cholesky factor, else
+Q sqrt(max(w, 0)) from that eigh, for a kept and a rebuilt matrix alike.
 
 A covariance is checked once, where it enters the package, and every path
 ends at the covariance psd_clamp would give. The paths:
 - the public GaussianSummary constructor (the caller's arrays): finiteness,
-  symmetrize and psd_clamp, on a copy of the mean;
+  symmetrize and psd_clamp (the step, eigh first), on a copy of the mean;
+  its lazy W2 factor takes the step again, with eigh alone after Cholesky;
 - a seller's STATS_RESPONSE: decoding rejects non-finite entries and
   expand_covariance is exactly symmetric, so the buyer checks only the
   entries' range and PSD, once (_checked_against). Where the buyer's W2
   factor is a Cholesky factor and the reply has more rows than d, the cross
   term's eigenvalue solve is the check, and W2 reuses its eigenvalues (see
-  below). Every other reply, and one that solve does not certify, takes
-  Cholesky (none when its count is at most d: it is singular), else the
-  rule, eigvalsh first;
+  below). Every other reply takes the step, eigvalsh first, and with no
+  Cholesky when its count is at most d (it is singular);
 - summarize: the moments of an EmbeddingSet that was checked when it was
-  made are trusted. They are checked for finiteness and symmetrized, with no
-  factorization and no clamp: a seller sends them so. The buyer's own
-  summary is clamped and factored by one decomposition (_factored), which
-  also rejects a covariance that is not PSD, once per dataset: the buyer
-  keeps it on the dataset for the rounds that follow;
+  made are trusted: checked for finiteness and symmetrized, with no
+  factorization and no clamp, as a seller sends them. The buyer's own
+  summary takes the step, eigh first, once per dataset (_factored), and is
+  kept on the dataset for the rounds that follow;
 - debias_covariance: its clamped rebuild is symmetric and PSD by
   construction, a fixed point of psd_clamp.
 Every path but the public constructor ends in errors._trusted, which neither
@@ -185,19 +185,36 @@ def _cholesky(sym: Array):
         return None
 
 
-def _kept_or_rebuilt(sym: Array, name: str, vectors: bool = True):
+def _kept_or_rebuilt(sym: Array, name: str, solvers):
     """(C, eig) by the one keep-or-rebuild rule (see the module docstring)
-    for a symmetric matrix that Cholesky does not factor: C is sym as sent or
-    its rebuild, and eig eigh's (w, Q) of sym, or None if eigh was not asked.
-    eigh is asked first with vectors, else eigvalsh."""
+    for a symmetric matrix that Cholesky does not factor: C is sym as sent,
+    kept at the first of solvers (True asks eigh, False eigvalsh) that puts
+    every eigenvalue in the rounding band, else its rebuild from eigh; eig is
+    eigh's (w, Q) of sym, or None if eigh was not asked."""
     eig = None
-    for with_vectors in (vectors, not vectors):
-        out = _eigh(sym, name, with_vectors)
-        if with_vectors:
+    for vectors in solvers:
+        out = _eigh(sym, name, vectors)
+        if vectors:
             eig = out
-        if _in_rounding_band(out[0] if with_vectors else out):
+        if _in_rounding_band(out[0] if vectors else out):
             return sym, eig
     return _clamp_reconstruct(*eig), eig
+
+
+def _settled(sym: Array, name: str, cholesky: bool = True, solvers=(True, False)):
+    """(C, F, by_cholesky) for a symmetric matrix: Cholesky unless cholesky
+    is false, else _kept_or_rebuilt asking solvers in order. C is sym as
+    kept, or its rebuild. F is the read-only W2 factor from the factorization
+    that ran: sym's Cholesky factor (by_cholesky), else Q sqrt(max(w, 0))
+    from eigh's (w, Q) of sym, else None when only eigvalsh ran."""
+    factor = _cholesky(sym) if cholesky else None
+    by_cholesky = factor is not None
+    if not by_cholesky:
+        sym, eig = _kept_or_rebuilt(sym, name, solvers)
+        factor = None if eig is None else eig[1] * np.sqrt(np.maximum(eig[0], 0.0))
+    if factor is not None:
+        factor.flags.writeable = False
+    return sym, factor, by_cholesky
 
 
 def psd_clamp(a, name: str = "matrix") -> Array:
@@ -206,14 +223,12 @@ def psd_clamp(a, name: str = "matrix") -> Array:
     Rejects matrices whose most negative eigenvalue exceeds the noise
     tolerance rather than silently repairing them. Input that Cholesky
     factors, or whose eigenvalues from eigh or else eigvalsh are all
-    >= -d * eps * lambda_max, is returned symmetrized but not rebuilt: that
-    is the solvers' rounding, and a rebuilt matrix carries the same. Only
-    lower noise negatives are clamped to 0 and the matrix rebuilt, so
-    clamping is idempotent at the bit level and summaries survive wire
-    round-trips unchanged.
+    >= -d * eps * lambda_max (the solvers' rounding), is returned symmetrized
+    but not rebuilt; lower noise negatives are clamped to 0 and the matrix
+    rebuilt. Clamping is idempotent at the bit level, so summaries survive
+    wire round-trips unchanged.
     """
-    sym = symmetrize(a)
-    return sym if _cholesky(sym) is not None else _kept_or_rebuilt(sym, name)[0]
+    return _settled(symmetrize(a), name)[0]
 
 
 @dataclass(frozen=True)
@@ -262,19 +277,9 @@ class GaussianSummary:
     @cached_property
     def _covariance_factor(self) -> Array:
         """F with covariance ~= F @ F.T, made on first use as the left
-        argument of W2 scoring; only the buyer's summary ever holds one."""
-        return _w2_factor(self.covariance, _cholesky(self.covariance))
-
-
-def _w2_factor(covariance: Array, factor, eig=None) -> Array:
-    """The read-only W2 factor of a covariance: its Cholesky factor when one
-    is given, else Q diag(sqrt(max(w, 0))) from its PSD-checked eigh (w, Q),
-    solved here unless eig holds it."""
-    if factor is None:
-        w, q = _eigh(covariance, "covariance of a") if eig is None else eig
-        factor = q * np.sqrt(np.maximum(w, 0.0))
-    factor.flags.writeable = False
-    return factor
+        argument of W2 scoring; only the buyer's summary ever holds one.
+        Only F is read, so the step asks eigh alone after Cholesky."""
+        return _settled(self.covariance, "covariance of a", solvers=(True,))[1]
 
 
 def _checked_against(buyer, mean: Array, sym: Array, count: int) -> GaussianSummary:
@@ -286,8 +291,8 @@ def _checked_against(buyer, mean: Array, sym: Array, count: int) -> GaussianSumm
     buyer is the round's summary, made by _factored. When count > d and the
     buyer's W2 factor is a Cholesky factor, the eigenvalues of the cross term
     W2 solves certify the covariance (see the module docstring) and are kept
-    for W2. An uncertified covariance takes one Cholesky (none when count <= d:
-    its rank is then below d), else the keep-or-rebuild rule, eigvalsh first,
+    for W2. An uncertified covariance takes the _settled step, with no
+    Cholesky when count <= d (its rank is then below d) and eigvalsh first,
     and keeps them only if it comes back unchanged. The check does not depend
     on how the reply is scored: a debiased round checks it as sent too."""
     dim, norm2, cross = sym.shape[0], buyer._cholesky_norm2, None
@@ -307,8 +312,8 @@ def _checked_against(buyer, mean: Array, sym: Array, count: int) -> GaussianSumm
     certified = cross is not None and float(cross[0]) >= (
         (2.0 + _CERTIFY_MARGIN) * dim * _EPS * norm2 * frobenius
         + dim * dim * (1.0 + math.sqrt(norm2)) * _TINY)
-    kept = certified or count > dim and _cholesky(sym) is not None
-    covariance = sym if kept else _kept_or_rebuilt(sym, "covariance", vectors=False)[0]
+    covariance = sym if certified else _settled(sym, "covariance", cholesky=count > dim,
+                                                solvers=(False, True))[0]
     if cross is None or covariance is not sym:
         return _trusted(GaussianSummary, mean=mean, covariance=covariance, count=count)
     cross.flags.writeable = False
@@ -318,19 +323,11 @@ def _checked_against(buyer, mean: Array, sym: Array, count: int) -> GaussianSumm
 
 def _factored(summary: GaussianSummary) -> GaussianSummary:
     """A summary made by summarize, with its covariance as the public
-    constructor would clamp it and its W2 factor cached. One Cholesky, else
-    the keep-or-rebuild rule's eigh, serves both, unless the covariance is
-    rebuilt: the rebuilt matrix is then factored."""
-    covariance = summary.covariance
-    factor, eig = _cholesky(covariance), None
-    if factor is None:
-        covariance, eig = _kept_or_rebuilt(covariance, "covariance of a")
-        if covariance is not summary.covariance:
-            factor, eig = _cholesky(covariance), None
-    norm2 = None if factor is None else float(np.vdot(factor, factor))
+    constructor would clamp it and its W2 factor cached, both from one step."""
+    covariance, factor, by_cholesky = _settled(summary.covariance, "covariance of a")
+    norm2 = float(np.vdot(factor, factor)) if by_cholesky else None
     return _trusted(GaussianSummary, mean=summary.mean, covariance=covariance,
-                    count=summary.count, _covariance_factor=_w2_factor(covariance, factor, eig),
-                    _cholesky_norm2=norm2)
+                    count=summary.count, _covariance_factor=factor, _cholesky_norm2=norm2)
 
 
 def debias_covariance(summary: GaussianSummary, sigma: float) -> GaussianSummary:

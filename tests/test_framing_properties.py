@@ -1,5 +1,6 @@
-"""Properties of the frame codec, over any message and any bytes, and of
-frame splitting, over any chunking of a byte stream.
+"""Properties of the frame codec, over any message and any bytes, of frame
+splitting, over any chunking of a byte stream, and of the seller session,
+over any sequence of requests.
 
 A decoded message is compared with the one encoded field by field, each
 float by float.hex, so -0.0 and 0.0 differ. The frames are built here from
@@ -13,9 +14,11 @@ import dataclasses
 import json
 import struct
 import sys
+import warnings
 
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
+from hypothesis.stateful import RuleBasedStateMachine, precondition, rule
 import numpy as np
 import pytest
 
@@ -267,3 +270,172 @@ def test_a_payload_at_the_limit_is_a_frame_and_one_byte_more_is_refused():
     with pytest.raises(FrameError) as info:
         _frame_end(frame(b"x" * 41), 0, 40)
     assert info.value.code == "FRAME_TOO_LARGE"
+
+
+# ----------------------------------------------------------------- session
+
+# The codes a seller answers with: FrameError's, for a frame it cannot
+# decode, and the session's own. INTERNAL, the node's answer to a fault of
+# its own, is not among them.
+FRAME_CODES = {"FRAME_TRUNCATED", "FRAME_TOO_LARGE", "FRAME_TRAILING", "UNKNOWN_MESSAGE",
+               "BAD_PAYLOAD"}
+SESSION_CODES = {"VERSION_MISMATCH", "PROTOCOL_ORDER", "SPEC_MISMATCH", "INVALID_PARAMETER",
+                 "INSUFFICIENT_DATA"}
+WIDEST = 4082  # the widest latent_dim a seller accepts
+
+
+def spec(input_dim, latent_dim, kind="toy_projection", seed=271828) -> EncoderSpec:
+    with warnings.catch_warnings():  # latent_dim above signal_dims warns
+        warnings.simplefilter("ignore")
+        return EncoderSpec(kind, seed, input_dim, latent_dim, min(8, input_dim), 0.0)
+
+
+# (spec, accepted): NODE is a 16-wide raw node, so it takes toy_projection
+# specs of input_dim 16 and latent_dim up to WIDEST.
+SPECS = st.one_of(
+    st.builds(lambda d, seed: (spec(16, d, seed=seed), True), st.integers(1, 8), INTS),
+    st.builds(lambda n, d: (spec(n, d), False),
+              st.integers(1, 64).filter(lambda n: n != 16), st.integers(1, 8)),
+    st.builds(lambda d: (spec(16, d, "external"), False), st.integers(1, 16)),
+    st.builds(lambda d: (spec(16, d), False), st.integers(WIDEST + 1, 10**7)),
+)
+SESSION_IDS = st.text(max_size=12)
+# (request, the code it is refused with or None): one fault at most.
+GOOD_REQUESTS = st.builds(
+    lambda subset, eps, delta, radius, sid, seed: (StatsRequest(
+        subset, eps, delta, radius, sid, MODE_SECURE if seed is None else MODE_SEEDED, seed),
+        None),
+    st.integers(2, 64), st.floats(0.05, 0.95), st.floats(1e-9, 1e-3), st.floats(1.0, 10.0),
+    SESSION_IDS, st.none() | INTS)
+BAD_REQUESTS = st.one_of(
+    st.builds(lambda subset, sid: (StatsRequest(subset, 0.8, 1e-5, 1.0, sid, MODE_SEEDED, 1),
+                                   "INSUFFICIENT_DATA"), st.integers(65, 2**64), SESSION_IDS),
+    st.builds(lambda bad, sid: (StatsRequest(
+        **{"subset_size": 16, "epsilon": 0.8, "delta": 1e-5, "clip_radius": 1.0, bad[0]: bad[1]},
+        session_id=sid, mode=MODE_SEEDED, seed=1), "INVALID_PARAMETER"),
+        st.sampled_from([("epsilon", 0.0), ("epsilon", 1.0), ("epsilon", -0.5),
+                         ("delta", 0.0), ("delta", 1.0), ("delta", -1e-5),
+                         ("clip_radius", 0.0), ("clip_radius", -1.0), ("clip_radius", 1e300)]),
+        SESSION_IDS),
+    st.builds(lambda sid: (StatsRequest(1, 0.8, 1e-5, 1.0, sid, MODE_SEEDED, 1),
+                           "INVALID_PARAMETER"), SESSION_IDS),
+)
+# Frames no decoder takes: cut, with bytes past the payload, not a JSON
+# object, or of an unknown tag.
+GARBAGE = st.one_of(
+    st.binary(max_size=3),
+    st.builds(lambda data, cut: data[:cut % len(data)],
+              st.sampled_from(REQUESTS[:4]), st.integers(0, 10**6)),
+    st.builds(lambda data, tail: data + tail, st.sampled_from(REQUESTS[:4]),
+              st.binary(min_size=1, max_size=8)),
+    st.binary(max_size=40).map(lambda payload: frame(b"\xff" + payload)),
+    JSON.filter(lambda value: not isinstance(value, dict)).map(
+        lambda value: frame(json.dumps(value).encode())),
+    st.text(max_size=8).map(lambda tag: frame(json.dumps({"type": "NOT-" + tag}).encode())),
+)
+
+
+class SellerSessionMachine(RuleBasedStateMachine):
+    """A model of one SellerSession: HELLO of this version makes it ready, a
+    MODEL_SPEC sets or clears its spec, and a STATS_REQUEST sets the session
+    id that later replies echo. Every frame sent is checked for exactly one
+    reply frame, a documented code, and the id it echoes."""
+
+    def __init__(self):
+        super().__init__()
+        self.session = SellerSession(NODE)
+        self.ready, self.spec, self.session_id = False, None, ""
+
+    def reply(self, data: bytes, session_id: str, code=None):
+        """The one reply frame to data: an ERROR of code (with session_id),
+        or the message the caller checks."""
+        with warnings.catch_warnings():  # a spec past signal_dims warns as it decodes
+            warnings.filterwarnings("ignore", "latent_dim .* cannot be signal-faithful")
+            got = self.session.handle_bytes(data)
+        assert len(got) >= 4 and struct.unpack(">I", got[:4])[0] == len(got) - 4
+        msg = decode_frame(got)
+        if isinstance(msg, ErrorMessage):
+            assert msg.code in FRAME_CODES | SESSION_CODES
+            assert msg.session_id == session_id
+        if isinstance(msg, StatsResponse):
+            assert self.ready and self.spec is not None
+        if code is not None:
+            assert isinstance(msg, ErrorMessage) and msg.code == code, msg
+        return msg
+
+    def order_refused(self, data: bytes):
+        """data before HELLO: PROTOCOL_ORDER, with no session id."""
+        self.reply(data, "", "PROTOCOL_ORDER")
+
+    @rule(version=st.sampled_from([PROTOCOL_VERSION]) | st.integers(1, 2**64))
+    def hello(self, version):
+        if version == PROTOCOL_VERSION:
+            assert self.reply(encode_frame(Hello(version)), "") == Hello(PROTOCOL_VERSION)
+            self.ready = True
+        else:
+            self.reply(encode_frame(Hello(version)), "", "VERSION_MISMATCH")
+
+    @rule(case=SPECS)
+    def model_spec(self, case):
+        encoder, accepted = case
+        data = encode_frame(ModelSpec(encoder))
+        if not self.ready:
+            self.order_refused(data)
+        elif accepted:
+            assert self.reply(data, "") == Hello(PROTOCOL_VERSION)
+            self.spec = encoder
+        else:
+            self.reply(data, "", "SPEC_MISMATCH")
+            self.spec = None
+
+    @rule(case=GOOD_REQUESTS | BAD_REQUESTS)
+    def stats_request(self, case):
+        request, refusal = case
+        data = encode_frame(request)
+        if not self.ready:
+            self.order_refused(data)
+            return
+        self.session_id = request.session_id
+        if self.spec is None:
+            refusal = "PROTOCOL_ORDER"
+        msg = self.reply(data, request.session_id, refusal)
+        if refusal is None:
+            assert isinstance(msg, StatsResponse)
+            assert msg.session_id == request.session_id
+            assert msg.count == request.subset_size
+            assert msg.encoder_fingerprint == self.spec.fingerprint()
+
+    @rule(msg=MESSAGES["STATS_RESPONSE"] | MESSAGES["ERROR"])
+    def seller_message(self, msg):
+        # a message only a seller sends
+        data = encode_frame(msg)
+        if self.ready:
+            self.reply(data, self.session_id, "PROTOCOL_ORDER")
+        else:
+            self.order_refused(data)
+
+    @rule(data=GARBAGE)
+    def garbage(self, data):
+        msg = self.reply(data, self.session_id)
+        assert isinstance(msg, ErrorMessage) and msg.code in FRAME_CODES
+
+    # Rules that move the session on, each where it can: they weight the
+    # walk towards sessions that get to serve data.
+    @precondition(lambda self: not self.ready)
+    @rule()
+    def hello_first(self):
+        self.hello(PROTOCOL_VERSION)
+
+    @precondition(lambda self: self.ready and self.spec is None)
+    @rule()
+    def spec_next(self):
+        self.model_spec((SPEC, True))
+
+    @precondition(lambda self: self.ready and self.spec is not None)
+    @rule(case=GOOD_REQUESTS)
+    def request_data(self, case):
+        self.stats_request(case)
+
+
+SellerSessionMachine.TestCase.settings = settings(PROPERTY, stateful_step_count=25)
+test_seller_session_answers_like_its_model = SellerSessionMachine.TestCase

@@ -89,19 +89,25 @@ def test_the_linalg_scan_sees_imports_aliases_and_scipy(tmp_path):
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
-def attribute_readers(path, wanted):
-    """In a source file: the function around each attribute read for which
-    wanted(node) holds (None at module level)."""
+def node_readers(path, wanted):
+    """In a source file: the function around each node for which wanted(node)
+    holds (None at module level)."""
     readers = []
 
     def visit(node, owner):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Attribute) and wanted(child):
+            if wanted(child):
                 readers.append(owner)
             visit(child, child.name if isinstance(child, FUNCTIONS) else owner)
 
     visit(ast.parse(path.read_text(), filename=str(path)), None)
     return readers
+
+
+def attribute_readers(path, wanted):
+    """In a source file: the function around each attribute read for which
+    wanted(node) holds (None at module level)."""
+    return node_readers(path, lambda node: isinstance(node, ast.Attribute) and wanted(node))
 
 
 def trusted_construction(path):
@@ -181,16 +187,8 @@ def test_the_header_scan_sees_every_place(tmp_path):
 def name_readers(path, name):
     """In a source file: the function around each read of name, by its bare
     name or as an attribute (None at module level)."""
-    readers = []
-
-    def visit(node, owner):
-        for child in ast.iter_child_nodes(node):
-            if name in (getattr(child, "id", None), getattr(child, "attr", None)):
-                readers.append(owner)
-            visit(child, child.name if isinstance(child, FUNCTIONS) else owner)
-
-    visit(ast.parse(path.read_text(), filename=str(path)), None)
-    return readers
+    return node_readers(path, lambda node: name in (getattr(node, "id", None),
+                                                    getattr(node, "attr", None)))
 
 
 def band_readers(path):
@@ -222,6 +220,53 @@ def test_the_band_scan_sees_every_place(tmp_path):
         "        return inner, _in_rounding_bands(w), in_rounding_band(w)\n"
     )
     assert band_readers(source) == [None, "keep", "keep", "inner"]
+
+
+def factor_makers(path):
+    """In a source file: the function around each square root of a clamp at
+    zero, sqrt(maximum(...)) under any module prefix, the one way to make a
+    factor from eigenvalues (None at module level)."""
+    def called(node, name):
+        return isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == name
+
+    return node_readers(path, lambda node: called(node, "sqrt") and len(node.args) == 1
+                        and called(node.args[0], "maximum"))
+
+
+def test_one_step_settles_every_covariance():
+    # gaussian_geometry._settled is the one step that settles a covariance:
+    # Cholesky, else the keep-or-rebuild rule. psd_clamp, a reply's check,
+    # the buyer's summary and the lazy W2 factor each call it once, and it
+    # alone makes a W2 factor from eigh's eigenpairs.
+    package = Path(priarta.__file__).parent
+
+    def readers(scan):
+        return sorted(f"{path.stem}.{owner}" for path in sorted(package.glob("*.py"))
+                      for owner in scan(path))
+
+    assert readers(lambda path: attribute_readers(path, lambda node: node.attr == "cholesky")
+                   ) == ["gaussian_geometry._cholesky"]
+    for name in ("_cholesky", "_kept_or_rebuilt"):
+        assert readers(lambda path: name_readers(path, name)) == ["gaussian_geometry._settled"]
+    assert readers(lambda path: name_readers(path, "_settled")) == [
+        "gaussian_geometry._checked_against", "gaussian_geometry._covariance_factor",
+        "gaussian_geometry._factored", "gaussian_geometry.psd_clamp"]
+    assert readers(factor_makers) == ["gaussian_geometry._settled"]
+
+
+def test_the_factor_scan_sees_every_place(tmp_path):
+    source = tmp_path / "module.py"
+    source.write_text(
+        "f = q * np.sqrt(np.maximum(w, 0.0))\n"
+        "def factor(w, q):\n"
+        "    return q * sqrt(maximum(w, 0)), np.sqrt(w), np.maximum(np.sqrt(w), 0)\n"
+        "class Summary:\n"
+        "    def factor(self, w, q):\n"
+        "        def inner():\n"
+        "            return q * numpy.sqrt(numpy.maximum(w, 0.0))\n"
+        "        return inner, math.sqrt(max(w, 0)), np.sqrt(clamped(w))\n"
+    )
+    assert factor_makers(source) == [None, "factor", "inner"]
 
 
 def test_one_codec_reads_and_writes_both_dataset_formats():

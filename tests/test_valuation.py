@@ -1005,6 +1005,53 @@ def test_a_covariance_at_the_band_edge_ends_where_the_public_constructor_does(rn
     assert 30 <= rebuilt <= 270
 
 
+def test_a_rebuilt_buyer_takes_its_factor_from_the_eigh_that_rebuilt_it(monkeypatch, rng):
+    # diag(1, 0.5, -1e-14) lies below the rounding band and above the floor,
+    # as do the seeded matrices of smallest eigenvalue -1e-14 to -1e-11; the
+    # band-edge ones are kept or rebuilt. A rebuilt buyer makes one Cholesky
+    # (which fails), one eigh and one eigvalsh, and its W2 factor is
+    # Q sqrt(max(w, 0)) from that eigh: no second Cholesky or eigh.
+    #
+    # The oracle is scipy's eigh by QR iteration (LAPACK syev, not numpy's
+    # divide and conquer) projected onto the PSD cone. Each side is within
+    # (4 + sqrt(d)) d eps ||A||_F of the exact projection: the eigensolver's
+    # backward error, taken as d eps ||A||_F, passes through the projection,
+    # which is nonexpansive in the Frobenius norm; Q's departure from
+    # orthogonality, d eps, enters on both sides of diag(max(w, 0)); and
+    # forming F and the product F F^T rounds each entry by d eps |F| |F|^T,
+    # whose norm is at most tr = sum(max(w, 0)) <= sqrt(d) ||A||_F.
+    eps = np.finfo(float).eps
+    cases = [np.diag([1.0, 0.5, -1e-14])]
+    for k in range(24):
+        dim = int(rng.integers(3, 40))
+        if k % 2:
+            cases.append(band_edge_matrix(rng, dim))
+        else:
+            q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+            sent = (q * np.r_[-(10.0 ** rng.uniform(-14, -11)),
+                              rng.uniform(0.1, 1.0, dim - 2), 1.0]) @ q.T
+            cases.append((sent + sent.T) / 2.0)
+    rebuilt = 0
+    for sent in cases:
+        dim = sent.shape[0]
+        counts = counting(monkeypatch, DECOMPOSITIONS)
+        buyer = gaussian_geometry._factored(
+            _trusted(GaussianSummary, mean=np.zeros(dim), covariance=sent, count=dim))
+        monkeypatch.undo()
+        w, v = scipy.linalg.eigh(sent, driver="ev")
+        oracle = (v * np.maximum(w, 0.0)) @ v.T
+        bound = 2.0 * (4.0 + np.sqrt(dim)) * dim * eps * np.linalg.norm(sent)
+        factor = buyer._covariance_factor
+        assert np.linalg.norm(factor @ factor.T - oracle) <= bound
+        assert np.linalg.norm(buyer.covariance - oracle) <= bound
+        if buyer.covariance is not sent:
+            rebuilt += 1
+            assert counts == dict.fromkeys(DECOMPOSITIONS, 0) | {
+                "cholesky": 1, "eigh": 1, "eigvalsh": 1}
+            assert buyer._cholesky_norm2 is None
+    assert rebuilt >= 13
+
+
 # ------------------------------------------------------- score as you go
 
 
