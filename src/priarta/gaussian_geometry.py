@@ -15,20 +15,21 @@ Every eigendecomposition runs through one private routine: numpy's eigh
 (or eigvalsh), in its ascending order, raising ConvergenceError when it
 fails. debias_covariance clamps every negative eigenvalue, since those are
 real. Every other covariance the package keeps is settled by one step
-(_settled): Cholesky, else one keep-or-rebuild rule (_kept_or_rebuilt) that
-keeps the matrix as sent when eigh's or eigvalsh's eigenvalues all lie in the
-rounding band >= -d * eps * lambda_max, else rebuilds it from eigh with its
-eigenvalues clamped at 0 (the projection onto the PSD cone, Higham 1988), and
-refuses it when a solver finds one below -PSD_TOL * lambda_max. The other
-solver is asked only when the first puts an eigenvalue below the band. The W2
-factor F comes from the factorization that ran: the Cholesky factor, else
+(_settled): Cholesky, else one keep-or-rebuild rule that keeps the matrix as
+sent when eigh's or eigvalsh's eigenvalues all lie in the rounding band
+>= -d * eps * lambda_max, else rebuilds it from eigh with its eigenvalues
+clamped at 0 (the projection onto the PSD cone, Higham 1988), and refuses it
+when a solver finds one below -PSD_TOL * lambda_max. The other solver is
+asked only when the first puts an eigenvalue below the band. The W2 factor F
+comes from the factorization that ran: the Cholesky factor, else
 Q sqrt(max(w, 0)) from that eigh, for a kept and a rebuilt matrix alike.
 
 A covariance is checked once, where it enters the package, and every path
 ends at the covariance psd_clamp would give. The paths:
 - the public GaussianSummary constructor (the caller's arrays): finiteness,
-  symmetrize and psd_clamp (the step, eigh first), on a copy of the mean;
-  its lazy W2 factor takes the step again, with eigh alone after Cholesky;
+  symmetrize and the step, eigh first, on a copy of the mean. It keeps the
+  W2 factor of a covariance it rebuilt, which the rebuild cannot give back;
+  any other summary makes its factor on first use by the step;
 - a seller's STATS_RESPONSE: decoding rejects non-finite entries and
   expand_covariance is exactly symmetric, so the buyer checks only the
   entries' range and PSD, once (_checked_against). Where the buyer's W2
@@ -172,49 +173,40 @@ def _clamp_reconstruct(w: Array, q: Array) -> Array:
 
 def _in_rounding_band(w: Array) -> bool:
     """Whether ascending eigenvalues, eigh's or eigvalsh's, are all >=
-    -d * eps * lambda_max: the rounding band _kept_or_rebuilt alone reads."""
+    -d * eps * lambda_max: the rounding band _settled alone reads."""
     return float(w[0]) >= -w.shape[0] * _EPS * float(w[-1])
 
 
-def _cholesky(sym: Array):
-    """The lower Cholesky factor of a symmetric matrix, or None when Cholesky
-    fails."""
-    try:
-        return np.linalg.cholesky(sym)
-    except np.linalg.LinAlgError:
-        return None
-
-
-def _kept_or_rebuilt(sym: Array, name: str, solvers):
-    """(C, eig) by the one keep-or-rebuild rule (see the module docstring)
-    for a symmetric matrix that Cholesky does not factor: C is sym as sent,
-    kept at the first of solvers (True asks eigh, False eigvalsh) that puts
-    every eigenvalue in the rounding band, else its rebuild from eigh; eig is
-    eigh's (w, Q) of sym, or None if eigh was not asked."""
+def _settled(sym: Array, name: str, cholesky: bool = True, solvers=(True, False)):
+    """(C, F, by_cholesky) for a symmetric matrix by the one step (see the
+    module docstring): Cholesky unless cholesky is false, else the
+    keep-or-rebuild rule asking solvers in order (True asks eigh, False
+    eigvalsh). C is sym as sent, kept by Cholesky or by the first solver that
+    puts every eigenvalue in the rounding band, else its rebuild from eigh.
+    F is the read-only W2 factor from the factorization that ran: sym's
+    Cholesky factor (by_cholesky), else Q sqrt(max(w, 0)) from eigh's (w, Q)
+    of sym, else None when only eigvalsh ran."""
+    if cholesky:
+        try:
+            factor = np.linalg.cholesky(sym)
+            factor.flags.writeable = False
+            return sym, factor, True
+        except np.linalg.LinAlgError:
+            pass
     eig = None
     for vectors in solvers:
         out = _eigh(sym, name, vectors)
         if vectors:
             eig = out
         if _in_rounding_band(out[0] if vectors else out):
-            return sym, eig
-    return _clamp_reconstruct(*eig), eig
-
-
-def _settled(sym: Array, name: str, cholesky: bool = True, solvers=(True, False)):
-    """(C, F, by_cholesky) for a symmetric matrix: Cholesky unless cholesky
-    is false, else _kept_or_rebuilt asking solvers in order. C is sym as
-    kept, or its rebuild. F is the read-only W2 factor from the factorization
-    that ran: sym's Cholesky factor (by_cholesky), else Q sqrt(max(w, 0))
-    from eigh's (w, Q) of sym, else None when only eigvalsh ran."""
-    factor = _cholesky(sym) if cholesky else None
-    by_cholesky = factor is not None
-    if not by_cholesky:
-        sym, eig = _kept_or_rebuilt(sym, name, solvers)
-        factor = None if eig is None else eig[1] * np.sqrt(np.maximum(eig[0], 0.0))
-    if factor is not None:
-        factor.flags.writeable = False
-    return sym, factor, by_cholesky
+            break
+    else:
+        sym = _clamp_reconstruct(*eig)
+    if eig is None:
+        return sym, None, False
+    factor = eig[1] * np.sqrt(np.maximum(eig[0], 0.0))
+    factor.flags.writeable = False
+    return sym, factor, False
 
 
 def psd_clamp(a, name: str = "matrix") -> Array:
@@ -258,7 +250,8 @@ class GaussianSummary:
         mean = _check_finite(self.mean, "mean")
         if mean.ndim != 1 or mean.shape[0] < 1:
             raise ShapeError(f"mean must be a 1-D vector, got shape {mean.shape}")
-        cov = psd_clamp(self.covariance, name="covariance")
+        sym = symmetrize(self.covariance)
+        cov, factor, _ = _settled(sym, "covariance")
         if cov.shape[0] != mean.shape[0]:
             raise ShapeError(
                 f"mean length {mean.shape[0]} != covariance dimension {cov.shape[0]}"
@@ -269,6 +262,8 @@ class GaussianSummary:
         cov.flags.writeable = False
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "covariance", cov)
+        if cov is not sym:  # rebuilt: its factor comes from the eigh that rebuilt it
+            object.__setattr__(self, "_covariance_factor", factor)
 
     @property
     def dim(self) -> int:
@@ -277,8 +272,9 @@ class GaussianSummary:
     @cached_property
     def _covariance_factor(self) -> Array:
         """F with covariance ~= F @ F.T, made on first use as the left
-        argument of W2 scoring; only the buyer's summary ever holds one.
-        Only F is read, so the step asks eigh alone after Cholesky."""
+        argument of W2 scoring; the buyer's summary, and a public one whose
+        covariance was rebuilt, hold it from the start. Only F is read, so the step asks eigh alone after Cholesky: eigvalsh
+        would cost more than the rebuild it might save."""
         return _settled(self.covariance, "covariance of a", solvers=(True,))[1]
 
 

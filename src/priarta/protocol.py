@@ -558,6 +558,7 @@ class SellerSession:
     def _dispatch(self, msg) -> object:
         if isinstance(msg, Hello):
             if msg.protocol_version != PROTOCOL_VERSION:
+                self.ready, self.spec = False, None  # as if it had sent no HELLO
                 return ErrorMessage(
                     "VERSION_MISMATCH",
                     f"node speaks version {PROTOCOL_VERSION}, peer sent {msg.protocol_version}",

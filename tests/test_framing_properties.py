@@ -336,8 +336,9 @@ GARBAGE = st.one_of(
 
 
 class SellerSessionMachine(RuleBasedStateMachine):
-    """A model of one SellerSession: HELLO of this version makes it ready, a
-    MODEL_SPEC sets or clears its spec, and a STATS_REQUEST sets the session
+    """A model of one SellerSession: HELLO of this version makes it ready and
+    one of another version makes it a fresh session, a MODEL_SPEC sets or
+    clears its spec, and a STATS_REQUEST sets the session
     id that later replies echo. Every frame sent is checked for exactly one
     reply frame, a documented code, and the id it echoes."""
 
@@ -374,6 +375,7 @@ class SellerSessionMachine(RuleBasedStateMachine):
             self.ready = True
         else:
             self.reply(encode_frame(Hello(version)), "", "VERSION_MISMATCH")
+            self.ready, self.spec = False, None
 
     @rule(case=SPECS)
     def model_spec(self, case):

@@ -739,6 +739,23 @@ def test_session_rejects_version_2_hello():
     assert reply.code == "PROTOCOL_ORDER"
 
 
+def test_a_refused_hello_leaves_a_session_that_served_data_as_if_it_had_none():
+    session = SellerSession(SellerNode("s1", raw=make_dataset()))
+    for msg in (Hello(PROTOCOL_VERSION), ModelSpec(SPEC)):
+        session.handle_bytes(encode_frame(msg))
+    assert isinstance(decode_frame(session.handle_bytes(encode_frame(make_request()))),
+                      StatsResponse)
+    reply = decode_frame(session.handle_bytes(encode_frame(Hello(PROTOCOL_VERSION + 1))))
+    assert reply.code == "VERSION_MISMATCH"
+    reply = decode_frame(session.handle_bytes(encode_frame(make_request())))
+    assert reply.code == "PROTOCOL_ORDER"
+    assert reply.message == "HELLO must precede any other message"
+    # a HELLO of this version makes it ready, with no spec
+    session.handle_bytes(encode_frame(Hello(PROTOCOL_VERSION)))
+    reply = decode_frame(session.handle_bytes(encode_frame(make_request())))
+    assert reply.message == "MODEL_SPEC must precede STATS_REQUEST"
+
+
 def test_session_requires_spec_before_stats():
     session = SellerSession(SellerNode("s1", raw=make_dataset()))
     session.handle_bytes(encode_frame(Hello(PROTOCOL_VERSION)))
@@ -1171,14 +1188,7 @@ def test_a_covariance_in_the_clamp_band_is_kept_by_summarize_and_clamped_for_the
     spec = EncoderSpec("external", 5, 2, 2, 2, 0.0)
     buyer = buyer_summary(EmbeddingSet(rows, 1e3, False), spec, 1e3)
     assert buyer.covariance.tobytes() == public.covariance.tobytes()
-    # The buyer's factor comes from the eigh that rebuilt it; the public
-    # summary's lazy factor solves the rebuilt matrix afresh. Both factor it
-    # within the eigh bound of test_a_rebuilt_buyer_takes_its_factor_from_the_eigh_that_rebuilt_it.
-    w, q = np.linalg.eigh(moments)
-    assert buyer._covariance_factor.tobytes() == (q * np.sqrt(np.maximum(w, 0.0))).tobytes()
-    bound = 2.0 * (4.0 + np.sqrt(2)) * 2 * np.finfo(float).eps * np.linalg.norm(moments)
-    for f in (buyer._covariance_factor, public._covariance_factor):
-        assert np.linalg.norm(f @ f.T - public.covariance) <= bound
+    assert buyer._covariance_factor.tobytes() == public._covariance_factor.tobytes()
 
 
 def test_seeded_round_seed_streams():

@@ -197,12 +197,12 @@ def band_readers(path):
 
 
 def test_one_rule_keeps_or_rebuilds_every_covariance():
-    # gaussian_geometry._kept_or_rebuilt is the one reader of the rounding
-    # band: psd_clamp, a reply's check and the buyer's factor all decide by it.
+    # gaussian_geometry._settled is the one reader of the rounding band:
+    # psd_clamp, a reply's check and the buyer's factor all decide by it.
     package = Path(priarta.__file__).parent
     readers = {f"{path.stem}.{owner}" for path in sorted(package.glob("*.py"))
                for owner in band_readers(path)}
-    assert readers == {"gaussian_geometry._kept_or_rebuilt"}
+    assert readers == {"gaussian_geometry._settled"}
 
 
 def test_the_band_scan_sees_every_place(tmp_path):
@@ -235,9 +235,10 @@ def factor_makers(path):
 
 def test_one_step_settles_every_covariance():
     # gaussian_geometry._settled is the one step that settles a covariance:
-    # Cholesky, else the keep-or-rebuild rule. psd_clamp, a reply's check,
-    # the buyer's summary and the lazy W2 factor each call it once, and it
-    # alone makes a W2 factor from eigh's eigenpairs.
+    # Cholesky, else the keep-or-rebuild rule. psd_clamp, the public
+    # constructor, a reply's check, the buyer's summary and the lazy W2
+    # factor each call it once, and it alone makes a W2 factor from eigh's
+    # eigenpairs.
     package = Path(priarta.__file__).parent
 
     def readers(scan):
@@ -245,12 +246,11 @@ def test_one_step_settles_every_covariance():
                       for owner in scan(path))
 
     assert readers(lambda path: attribute_readers(path, lambda node: node.attr == "cholesky")
-                   ) == ["gaussian_geometry._cholesky"]
-    for name in ("_cholesky", "_kept_or_rebuilt"):
-        assert readers(lambda path: name_readers(path, name)) == ["gaussian_geometry._settled"]
+                   ) == ["gaussian_geometry._settled"]
     assert readers(lambda path: name_readers(path, "_settled")) == [
-        "gaussian_geometry._checked_against", "gaussian_geometry._covariance_factor",
-        "gaussian_geometry._factored", "gaussian_geometry.psd_clamp"]
+        "gaussian_geometry.__post_init__", "gaussian_geometry._checked_against",
+        "gaussian_geometry._covariance_factor", "gaussian_geometry._factored",
+        "gaussian_geometry.psd_clamp"]
     assert readers(factor_makers) == ["gaussian_geometry._settled"]
 
 
