@@ -39,6 +39,7 @@ from .stats import EmbeddingSet
 # run_valuation_for_config is re-exported for library callers
 from .valuation import (  # noqa: F401
     OBJECTIVES,
+    _scenario_problem,
     load_report,
     render_csv,
     render_table,
@@ -180,6 +181,10 @@ def cmd_report(args) -> int:
 def cmd_robustness(args) -> int:
     config = _load_scenario(args.config, args.seed)
     report = load_report(args.output)
+    problem = _scenario_problem(report, config)
+    if problem is not None:
+        raise ParameterError(f"{args.output} is the report of another scenario: it records "
+                             f"{problem}")
     entries = robustness_for_config(config)
     if not entries:
         print("no augmented-copy sellers in the scenario; nothing to do")

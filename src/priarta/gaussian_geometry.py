@@ -26,10 +26,11 @@ Q sqrt(max(w, 0)) from that eigh, for a kept and a rebuilt matrix alike.
 
 A covariance is checked once, where it enters the package, and every path
 ends at the covariance psd_clamp would give. The paths:
-- the public GaussianSummary constructor (the caller's arrays): finiteness,
-  symmetrize and the step, eigh first, on a copy of the mean. It keeps the
-  W2 factor of a covariance it rebuilt, which the rebuild cannot give back;
-  any other summary makes its factor on first use by the step;
+- the public GaussianSummary constructor (the caller's arrays, and the
+  buyer's own summary): finiteness, symmetrize and the step, eigh first, on
+  a copy of the mean. It keeps the W2 factor the step made, and ||F||_F^2
+  beside a Cholesky factor; a summary the package trusts makes its factor
+  on first use by the step;
 - a seller's STATS_RESPONSE: decoding rejects non-finite entries and
   expand_covariance is exactly symmetric, so the buyer checks only the
   entries' range and PSD, once (_checked_against). Where the buyer's W2
@@ -39,9 +40,7 @@ ends at the covariance psd_clamp would give. The paths:
   Cholesky when its count is at most d (it is singular);
 - summarize: the moments of an EmbeddingSet that was checked when it was
   made are trusted: checked for finiteness and symmetrized, with no
-  factorization and no clamp, as a seller sends them. The buyer's own
-  summary takes the step, eigh first, once per dataset (_factored), and is
-  kept on the dataset for the rounds that follow;
+  factorization and no clamp, as a seller sends them;
 - debias_covariance: its clamped rebuild is symmetric and PSD by
   construction, a fixed point of psd_clamp.
 Every path but the public constructor ends in errors._trusted, which neither
@@ -239,10 +238,10 @@ class GaussianSummary:
 
     __eq__ = _fields_equal
     __hash__ = _unhashable
-    # Not fields, so eq, repr, asdict and replace ignore them. _factored sets
-    # ||F||_F^2 when its W2 factor F is a Cholesky factor; _checked_against
-    # sets (buyer, eigenvalues of the cross term) on a reply it checked
-    # against that buyer's factor.
+    # Not fields, so eq, repr, asdict and replace ignore them. The constructor
+    # sets ||F||_F^2 when its W2 factor F is a Cholesky factor;
+    # _checked_against sets (buyer, eigenvalues of the cross term) on a reply
+    # it checked against that buyer's factor.
     _cholesky_norm2 = None
     _cross = None
 
@@ -250,8 +249,7 @@ class GaussianSummary:
         mean = _check_finite(self.mean, "mean")
         if mean.ndim != 1 or mean.shape[0] < 1:
             raise ShapeError(f"mean must be a 1-D vector, got shape {mean.shape}")
-        sym = symmetrize(self.covariance)
-        cov, factor, _ = _settled(sym, "covariance")
+        cov, factor, by_cholesky = _settled(symmetrize(self.covariance), "covariance")
         if cov.shape[0] != mean.shape[0]:
             raise ShapeError(
                 f"mean length {mean.shape[0]} != covariance dimension {cov.shape[0]}"
@@ -262,8 +260,9 @@ class GaussianSummary:
         cov.flags.writeable = False
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "covariance", cov)
-        if cov is not sym:  # rebuilt: its factor comes from the eigh that rebuilt it
-            object.__setattr__(self, "_covariance_factor", factor)
+        object.__setattr__(self, "_covariance_factor", factor)
+        if by_cholesky:
+            object.__setattr__(self, "_cholesky_norm2", float(np.vdot(factor, factor)))
 
     @property
     def dim(self) -> int:
@@ -271,10 +270,11 @@ class GaussianSummary:
 
     @cached_property
     def _covariance_factor(self) -> Array:
-        """F with covariance ~= F @ F.T, made on first use as the left
-        argument of W2 scoring; the buyer's summary, and a public one whose
-        covariance was rebuilt, hold it from the start. Only F is read, so the step asks eigh alone after Cholesky: eigvalsh
-        would cost more than the rebuild it might save."""
+        """F with covariance ~= F @ F.T. The public constructor keeps the
+        factor its step made; a trusted summary makes it here on first use
+        as W2's left argument. Only F is read, so the step asks eigh alone
+        after Cholesky: eigvalsh would cost more than the rebuild it might
+        save."""
         return _settled(self.covariance, "covariance of a", solvers=(True,))[1]
 
 
@@ -284,13 +284,14 @@ def _checked_against(buyer, mean: Array, sym: Array, count: int) -> GaussianSumm
     clamp it (NumericInputError for an entry past half the float range,
     NotPSDError unless PSD within tolerance).
 
-    buyer is the round's summary, made by _factored. When count > d and the
-    buyer's W2 factor is a Cholesky factor, the eigenvalues of the cross term
-    W2 solves certify the covariance (see the module docstring) and are kept
-    for W2. An uncertified covariance takes the _settled step, with no
-    Cholesky when count <= d (its rank is then below d) and eigvalsh first,
-    and keeps them only if it comes back unchanged. The check does not depend
-    on how the reply is scored: a debiased round checks it as sent too."""
+    buyer is the round's summary, made by the public constructor. When
+    count > d and the buyer's W2 factor is a Cholesky factor, the eigenvalues
+    of the cross term W2 solves certify the covariance (see the module
+    docstring) and are kept for W2. An uncertified covariance takes the
+    _settled step, with no Cholesky when count <= d (its rank is then below
+    d) and eigvalsh first, and keeps them only if it comes back unchanged.
+    The check does not depend on how the reply is scored: a debiased round
+    checks it as sent too."""
     dim, norm2, cross = sym.shape[0], buyer._cholesky_norm2, None
     # An overflow here makes the norm infinite or leaves the reply uncertified,
     # and W2's own solve warns and fails as it would have.
@@ -315,15 +316,6 @@ def _checked_against(buyer, mean: Array, sym: Array, count: int) -> GaussianSumm
     cross.flags.writeable = False
     return _trusted(GaussianSummary, mean=mean, covariance=sym, count=count,
                     _cross=(buyer, cross))
-
-
-def _factored(summary: GaussianSummary) -> GaussianSummary:
-    """A summary made by summarize, with its covariance as the public
-    constructor would clamp it and its W2 factor cached, both from one step."""
-    covariance, factor, by_cholesky = _settled(summary.covariance, "covariance of a")
-    norm2 = float(np.vdot(factor, factor)) if by_cholesky else None
-    return _trusted(GaussianSummary, mean=summary.mean, covariance=covariance,
-                    count=summary.count, _covariance_factor=factor, _cholesky_norm2=norm2)
 
 
 def debias_covariance(summary: GaussianSummary, sigma: float) -> GaussianSummary:

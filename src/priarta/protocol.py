@@ -16,8 +16,8 @@ concatenated in field order. Canonical JSON escapes every control character,
 so the first newline ends the JSON.
 A STATS_RESPONSE must echo its STATS_REQUEST's session id and count, the
 spec's fingerprint and the sigma of the buyer's PrivacyBudget (to 1e-9
-relative), or that seller fails. No seller may carry the buyer's BUYER_ID, and
-no two sellers in a round may share a node id.
+relative), or that seller fails. No seller may carry the buyer's BUYER_ID (a
+SellerNode refuses it too), and no two sellers in a round may share a node id.
 Every message the buyer sends gets exactly one reply, in the order sent.
 MODEL_SPEC is acknowledged with HELLO so transcripts stay deterministic and
 byte-countable. Every seller in a round gets the same three requests, so the
@@ -74,7 +74,7 @@ from .errors import (
     require_int,
     require_str,
 )
-from .gaussian_geometry import GaussianSummary, _checked_against, _factored
+from .gaussian_geometry import GaussianSummary, _checked_against
 from .privacy import (
     PrivacyBudget,
     apply_gaussian_mechanism,
@@ -124,6 +124,7 @@ MODE_SECURE = "secure"
 MODE_SEEDED = "seeded"
 # The buyer's own party id: its seeds derive from it, and no seller may carry it.
 BUYER_ID = "buyer"
+_RESERVED = f"seller node id {BUYER_ID!r} is reserved for the buyer"
 
 
 def _float_array(values, field: str) -> np.ndarray:
@@ -436,6 +437,8 @@ class SellerNode:
     def __post_init__(self):
         if not isinstance(self.node_id, str) or not self.node_id:
             raise ParameterError("node_id must be a nonempty string")
+        if self.node_id == BUYER_ID:
+            raise ParameterError(_RESERVED)
         if (self.raw is None) == (self.embeddings is None):
             raise ParameterError("node needs exactly one of raw data or embeddings")
 
@@ -479,22 +482,24 @@ def buyer_summary(data, spec: EncoderSpec, clip_radius: float,
                   noise_sigma: float = 0.0, noise_seed: int = None) -> GaussianSummary:
     """The party pipeline on the buyer's full dataset: noiseless by default,
     noised for ablation when noise_sigma > 0 (from OS entropy without a
-    noise_seed). It is the left argument of W2: its covariance is clamped as
-    the public constructor would clamp it, and factored by the same
-    decomposition.
+    noise_seed). It is the left argument of W2: the public GaussianSummary of
+    the pipeline's moments, so its covariance is clamped and factored by the
+    constructor's one step.
 
     The noiseless summary is made once per dataset: it is kept on the
     dataset object, in one slot that is not a dataclass field, and returned
     again while the spec's fingerprint and the clip radius are the same. A
     noised summary is never kept, and a summary that raises keeps nothing."""
     if noise_sigma > 0.0:
-        return _factored(_party_summary(data, spec, clip_radius, None, noise_sigma,
-                                        secure_seed() if noise_seed is None else noise_seed))
+        m = _party_summary(data, spec, clip_radius, None, noise_sigma,
+                           secure_seed() if noise_seed is None else noise_seed)
+        return GaussianSummary(m.mean, m.covariance, m.count)
     key = (spec.fingerprint(), _check_radius(clip_radius))
     kept = getattr(data, "_buyer_summary", None)
     if kept is not None and kept[0] == key:
         return kept[1]
-    summary = _factored(_party_summary(data, spec, clip_radius))
+    m = _party_summary(data, spec, clip_radius)
+    summary = GaussianSummary(m.mean, m.covariance, m.count)
     # The dataset is frozen, and its arrays are read-only.
     object.__setattr__(data, "_buyer_summary", (key, summary))
     return summary
@@ -1020,7 +1025,7 @@ def _round(buyer_data, sellers, spec, budget, master_seed, noisy_buyer, keep) ->
         raise ParameterError("at least one seller endpoint is required")
     ids = collections.Counter(node_id for node_id, _ in sellers)
     if BUYER_ID in ids:
-        raise ParameterError(f"seller node id {BUYER_ID!r} is reserved for the buyer")
+        raise ParameterError(_RESERVED)
     repeated = [node_id for node_id, n in ids.items() if n > 1]
     if repeated:
         raise ParameterError(f"duplicate seller node id {repeated[0]!r}")

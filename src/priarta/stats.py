@@ -156,7 +156,8 @@ def summarize(embeddings: EmbeddingSet) -> GaussianSummary:
     clamped, since a Gram matrix is PSD up to rounding. Where the public
     constructor would rebuild it (an eigenvalue between -PSD_TOL * lambda_max
     and -d * eps * lambda_max), the covariance is kept as computed; the buyer
-    clamps what it scores (buyer_summary, and each received reply)."""
+    clamps what it scores: buyer_summary passes these moments to the public
+    constructor, and each received reply is checked as it arrives."""
     mean = _check_finite(sample_mean(embeddings), "mean")
     covariance = symmetrize(_covariance_about(embeddings, mean))
     return _trusted(GaussianSummary, mean=mean, covariance=covariance, count=embeddings.count)

@@ -157,7 +157,8 @@ class ValuationReport:
     @classmethod
     def from_dict(cls, data: dict) -> "ValuationReport":
         """The report a JSON object holds. Every value is checked by type,
-        never coerced, and the ranking must list each scored seller once."""
+        never coerced, and must be what the package would have written (see
+        _report_problem)."""
         try:
             if not isinstance(data, dict):
                 raise ParameterError("a report is a JSON object")
@@ -177,19 +178,42 @@ class ValuationReport:
                 raise ParameterError("params_echo must be an object")
         except (KeyError, TypeError, ValueError) as exc:
             raise FileFormatError(f"malformed valuation report: {exc}") from exc
-        if report.objective not in OBJECTIVES:
-            raise FileFormatError(f"malformed valuation report: objective {report.objective!r}")
-        node_ids = [e.node_id for e in report.entries]
-        if len(set(node_ids)) != len(node_ids):
-            raise FileFormatError("malformed valuation report: two entries share a node id")
-        scored = [e for e in report.entries if not e.failed]
-        if sorted(report.ranking) != sorted(e.node_id for e in scored):
-            raise FileFormatError("malformed valuation report: ranking must list each "
-                                  "seller that did not fail, once")
-        if any(e.raw_w2 is None or e.normalized is None for e in scored):
-            raise FileFormatError("malformed valuation report: a seller that did not fail "
-                                  "needs raw_w2 and normalized")
+        problem = _report_problem(report)
+        if problem is not None:
+            raise FileFormatError(f"malformed valuation report: {problem}")
         return report
+
+
+def _report_problem(report: ValuationReport):
+    """Why a loaded report is not one the package could have written, or
+    None. Its entries, ranking and degenerate_normalization must be those
+    _assemble rebuilds from its node ids, raw scores and failures; its
+    robustness entries must name distinct sellers of the report and carry
+    |baseline_w2 - augmented_w2|."""
+    if report.objective not in OBJECTIVES:
+        return f"objective {report.objective!r}"
+    node_ids = [e.node_id for e in report.entries]
+    if len(set(node_ids)) != len(node_ids):
+        return "two entries share a node id"
+    if node_ids != sorted(node_ids):
+        return "entries must be sorted by node_id"
+    if any(e.raw_w2 is None for e in report.entries if not e.failed):
+        return "a seller that did not fail needs raw_w2"
+    rebuilt = _assemble([(e.node_id, e.raw_w2, (e.failure_reason or "") if e.failed else None)
+                         for e in report.entries], report.objective, report.params_echo)
+    for got, want in zip(report.entries, rebuilt.entries):
+        if got != want:
+            return f"entry {got.node_id!r} is not what its raw score gives"
+    for field in ("ranking", "degenerate_normalization"):
+        if getattr(report, field) != getattr(rebuilt, field):
+            return f"{field} is not what the raw scores give"
+    robustness = report.robustness or ()
+    robust = [r.node_id for r in robustness]
+    if len(set(robust)) != len(robust) or not set(robust) <= set(node_ids):
+        return "robustness entries must name distinct sellers of the report"
+    if any(r.deviation != abs(r.baseline_w2 - r.augmented_w2) for r in robustness):
+        return "a robustness deviation is not |baseline_w2 - augmented_w2|"
+    return None
 
 
 def _json_list(value, field: str) -> list:
@@ -306,6 +330,18 @@ def robustness_for_config(config: ScenarioConfig) -> list:
     return [RobustnessEntry(s.node_id, **robustness_report(buyer, baseline[s.node_id],
                                                           augmented[s.node_id]))
             for s in copies]
+
+
+def _scenario_problem(report: ValuationReport, config: ScenarioConfig):
+    """The first setting the report records with another value than the
+    scenario's (master seed, encoder fingerprint, budget), or None. A setting
+    the report does not record is not checked."""
+    made = {"master_seed": config.master_seed,
+            "encoder_fingerprint": config.encoder.fingerprint(), **asdict(config.budget)}
+    for key, value in made.items():
+        if key in report.params_echo and report.params_echo[key] != value:
+            return f"{key} {report.params_echo[key]!r}, the scenario {value!r}"
+    return None
 
 
 def with_robustness(report: ValuationReport, entries) -> ValuationReport:

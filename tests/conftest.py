@@ -102,6 +102,12 @@ def _report(**over) -> bytes:
     return json.dumps(report).encode()
 
 
+def _robustness(node_id: str, deviation: float = 0.25) -> dict:
+    """A robustness entry of baseline 0.5 and augmented 0.25."""
+    return {"node_id": node_id, "baseline_w2": 0.5, "augmented_w2": 0.25,
+            "deviation": deviation}
+
+
 # JSON files (configs, specs, reports) every command that reads one must
 # reject with exit code 1: bytes that are not UTF-8, nesting deeper than the
 # parser's recursion limit, an integer past Python's digit limit, and the
@@ -125,7 +131,11 @@ HOSTILE_JSON = {
 # finite sigma; a class-means matrix with an entry that is a numeric string
 # or a boolean; a report whose boolean is a string, whose score is a string,
 # whose ranking is a string of one-letter node ids, whose ranking leaves out a
-# seller that did not fail, or where such a seller has no score.
+# seller that did not fail, or where such a seller has no score; and a report
+# whose values do not follow from its raw scores: its ranking reversed, a
+# normalized score or degenerate_normalization its scores do not give, a
+# robustness deviation other than |baseline - augmented|, a robustness entry
+# for a node id it does not score, and two for one seller.
 # Every command that reads one must exit 1 with one "error:" line.
 HOSTILE_VALUES = {
     "negative-seed.spec.json": _spec(seed=-5),
@@ -142,6 +152,13 @@ HOSTILE_VALUES = {
     "string-ranking.report.json": _report(ranking="ab"),
     "unranked-seller.report.json": _report(ranking=["a"]),
     "unscored-seller.report.json": _report(raw_w2=None),
+    "reversed-ranking.report.json": _report(ranking=["b", "a"]),
+    "wrong-normalized.report.json": _report(normalized=0.5),
+    "wrong-degenerate.report.json": _report(degenerate_normalization=True),
+    "wrong-deviation.report.json": _report(robustness=[_robustness("a", 0.5)]),
+    "unknown-robustness-seller.report.json": _report(robustness=[_robustness("c")]),
+    "repeated-robustness-seller.report.json": _report(
+        robustness=[_robustness("a"), _robustness("a")]),
 }
 
 

@@ -357,6 +357,27 @@ def test_robustness_baselines_match_report_scores(scenario_dir, tmp_path):
         assert r.augmented_w2 == by_id[r.node_id].raw_w2
 
 
+@pytest.mark.parametrize("over", [("--seed", "8"), ("--config", "{tmp}/cfg.json")],
+                         ids=["seed", "budget"])
+def test_robustness_refuses_the_report_of_another_scenario(scenario_dir, tmp_path, capsys,
+                                                           over):
+    out = tmp_path / "report.json"
+    assert run_cli(*value_args(scenario_dir, out)) == 0
+    before = out.read_bytes()
+    cfg = default_scenario(7).to_dict()
+    cfg["subset_size"] = 256
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    capsys.readouterr()
+    argv = [arg.format(tmp=tmp_path) for arg in over]
+    assert run_cli("robustness", *argv, "--output", str(out)) == 1
+    key, got, want = (("master_seed", 7, 8) if over[0] == "--seed"
+                      else ("subset_size", 512, 256))
+    assert capsys.readouterr().err == (
+        f"error: {out} is the report of another scenario: it records {key} {got!r}, "
+        f"the scenario {want!r}\n")
+    assert out.read_bytes() == before
+
+
 def test_robustness_without_augmented_sellers_notices(tmp_path, capsys):
     cfg = default_scenario(7).to_dict()
     cfg["sellers"] = cfg["sellers"][:2]  # fresh sellers only
@@ -723,7 +744,21 @@ def test_serve_bind_conflict_exits_2(scenario_dir):
         blocker.listen(1)
         code = run_cli(
             "serve",
-            "--input", str(scenario_dir / "buyer.raw"),
+            "--input", str(scenario_dir / "sellers" / "seller-1.raw"),
             "--listen", f"127.0.0.1:{port}",
         )
     assert code == 2
+
+
+@pytest.mark.parametrize("named", ["by-file", "by-option"])
+def test_serve_refuses_the_buyers_id_before_it_binds(scenario_dir, capsys, named):
+    # The port is taken, so a node that tried to bind would exit 2.
+    port = free_port()
+    argv = (["--input", str(scenario_dir / "buyer.raw")] if named == "by-file" else
+            ["--input", str(scenario_dir / "sellers" / "seller-1.raw"), "--node-id", "buyer"])
+    with socket.socket() as blocker:
+        blocker.bind(("127.0.0.1", port))
+        blocker.listen(1)
+        code = run_cli("serve", *argv, "--listen", f"127.0.0.1:{port}")
+    assert code == 1
+    assert capsys.readouterr().err == "error: seller node id 'buyer' is reserved for the buyer\n"

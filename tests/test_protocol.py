@@ -1099,6 +1099,15 @@ def test_a_buyer_summary_that_raises_keeps_nothing_and_raises_again(monkeypatch)
         RawDataset(data.points, data.labels, data.class_probs), SPEC, 1.0))
 
 
+def test_a_seller_node_refuses_the_buyers_id_in_the_words_of_a_round():
+    with pytest.raises(ParameterError) as node:
+        SellerNode(protocol.BUYER_ID, raw=make_dataset())
+    with pytest.raises(ParameterError) as round_:
+        orchestrate_valuation(make_dataset(), [(protocol.BUYER_ID, None)], SPEC, BUDGET)
+    assert str(node.value) == str(round_.value) == (
+        "seller node id 'buyer' is reserved for the buyer")
+
+
 @pytest.mark.parametrize("kind", ["raw", "embeddings"])
 def test_a_kept_buyer_summary_is_no_field_of_its_dataset(kind, rng):
     if kind == "raw":
@@ -1169,12 +1178,16 @@ def test_a_pre_encoded_buyer_takes_any_spec_of_its_latent_dim():
     assert not outcome.failed and buyer.dim == 4
 
 
-def test_a_covariance_in_the_clamp_band_is_kept_by_summarize_and_clamped_for_the_buyer():
-    # Rows (x, 0.9 x): the computed covariance's lowest eigenvalue is
-    # rounding below the band -d * eps * lambda_max, where the public
-    # constructor rebuilds it, and above the floor -PSD_TOL * lambda_max.
+def clamp_band_rows():
+    """Rows (x, 0.9 x): the computed covariance's lowest eigenvalue is
+    rounding below the band -d * eps * lambda_max, where the public
+    constructor rebuilds it, and above the floor -PSD_TOL * lambda_max."""
     x = np.random.default_rng(1365).standard_normal(100)
-    rows = np.column_stack([x, 0.9 * x])
+    return np.column_stack([x, 0.9 * x])
+
+
+def test_a_covariance_in_the_clamp_band_is_kept_by_summarize_and_clamped_for_the_buyer():
+    rows = clamp_band_rows()
     centered = rows - rows.mean(axis=0)
     moments = centered.T @ centered / 99
     moments = (moments + moments.T) / 2
@@ -1189,6 +1202,38 @@ def test_a_covariance_in_the_clamp_band_is_kept_by_summarize_and_clamped_for_the
     buyer = buyer_summary(EmbeddingSet(rows, 1e3, False), spec, 1e3)
     assert buyer.covariance.tobytes() == public.covariance.tobytes()
     assert buyer._covariance_factor.tobytes() == public._covariance_factor.tobytes()
+
+
+# (data, spec, clip radius, noise sigma) of buyers whose W2 factor is a
+# Cholesky factor, an eigh factor of a singular covariance, an eigh factor of
+# a covariance rebuilt from that eigh, and a Cholesky factor of noised rows.
+BUYERS = {
+    "positive-definite": (lambda: random_embeddings(4), EXTERNAL_D4, 1.0, 0.0),
+    "singular": (lambda: random_embeddings(4, rows=4), EXTERNAL_D4, 1.0, 0.0),
+    "band-edge-rebuilt": (lambda: EmbeddingSet(clamp_band_rows(), 1e3, False),
+                          EncoderSpec("external", 5, 2, 2, 2, 0.0), 1e3, 0.0),
+    "noised": (make_dataset, SPEC, 1.0, 0.5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BUYERS))
+def test_the_buyer_summary_is_the_public_summary_of_its_moments(case):
+    make_data, spec, radius, sigma = BUYERS[case]
+    data = make_data()
+    buyer = buyer_summary(data, spec, radius, sigma, 3)
+    assert "_covariance_factor" in vars(buyer)  # made with the summary
+    # the moments by the public stages, then the public constructor
+    vectors = encode(spec, data) if isinstance(data, RawDataset) else data.vectors
+    prepared = clip_to_ball(vectors, radius)
+    if sigma > 0.0:
+        prepared = apply_gaussian_mechanism(prepared, sigma, 3)
+    moments = summarize(prepared)
+    public = GaussianSummary(moments.mean, moments.covariance, moments.count)
+    assert_same_summary(buyer, public)
+    assert buyer._cholesky_norm2 == public._cholesky_norm2
+    assert (public._cholesky_norm2 is None) == (case in ("singular", "band-edge-rebuilt"))
+    assert ((public.covariance.tobytes() != moments.covariance.tobytes())
+            == (case == "band-edge-rebuilt"))
 
 
 def test_seeded_round_seed_streams():
@@ -1395,7 +1440,7 @@ def test_round_wire_bytes_follow_the_v3_layout(rng):
     spec = EncoderSpec("external", 9, d, d, d, 0.0)
     budget = PrivacyBudget(0.8, 1e-5, 1.0, subset)
     nodes = [embedding_node(f"s{i}", rng, d, rows=400) for i in range(2)]
-    buyer = embedding_node("buyer", rng, d, rows=400).embeddings
+    buyer = embedding_node("own", rng, d, rows=400).embeddings
     _, outcomes = orchestrate_valuation(buyer, in_process_endpoints(nodes), spec, budget)
     session_id = "sess-" + "0" * 16  # secure mode: 8 random bytes in hex
     hello = canonical_json({"type": "HELLO", "protocol_version": 3})
@@ -1421,7 +1466,7 @@ def test_reply_too_large_to_frame_fails_alike_on_both_transports(monkeypatch, ca
     d = 16
     node = embedding_node("wide", rng, d)
     spec = EncoderSpec("external", 5, d, d, d, 0.0)
-    buyer = embedding_node("buyer", rng, d).embeddings
+    buyer = embedding_node("own", rng, d).embeddings
     server = serving(node)
     endpoints = (socket_endpoints([("tcp", *server.server_address)])
                  + in_process_endpoints([SellerNode("local", embeddings=node.embeddings)]))

@@ -236,9 +236,9 @@ def factor_makers(path):
 def test_one_step_settles_every_covariance():
     # gaussian_geometry._settled is the one step that settles a covariance:
     # Cholesky, else the keep-or-rebuild rule. psd_clamp, the public
-    # constructor, a reply's check, the buyer's summary and the lazy W2
-    # factor each call it once, and it alone makes a W2 factor from eigh's
-    # eigenpairs.
+    # constructor (the buyer's summary among its callers), a reply's check
+    # and the lazy W2 factor each call it once, and it alone makes a W2
+    # factor from eigh's eigenpairs.
     package = Path(priarta.__file__).parent
 
     def readers(scan):
@@ -249,8 +249,7 @@ def test_one_step_settles_every_covariance():
                    ) == ["gaussian_geometry._settled"]
     assert readers(lambda path: name_readers(path, "_settled")) == [
         "gaussian_geometry.__post_init__", "gaussian_geometry._checked_against",
-        "gaussian_geometry._covariance_factor", "gaussian_geometry._factored",
-        "gaussian_geometry.psd_clamp"]
+        "gaussian_geometry._covariance_factor", "gaussian_geometry.psd_clamp"]
     assert readers(factor_makers) == ["gaussian_geometry._settled"]
 
 
@@ -267,6 +266,69 @@ def test_the_factor_scan_sees_every_place(tmp_path):
         "        return inner, math.sqrt(max(w, 0)), np.sqrt(clamped(w))\n"
     )
     assert factor_makers(source) == [None, "factor", "inner"]
+
+
+FACTOR_CACHE = ("_covariance_factor", "_cholesky_norm2")
+
+
+def factor_setters(path):
+    """In a source file: the function around each place that sets a
+    summary's W2 factor or its ||F||_F^2 by name (None at module level): a
+    setattr or object.__setattr__ naming it, and an assignment to or deletion
+    of the attribute; then each function of its name (a cached property), as
+    itself. Second, the function around each keyword argument of its name,
+    as to errors._trusted."""
+    def names_it(node):
+        if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] in (
+                "setattr", "__setattr__"):
+            return any(isinstance(arg, ast.Constant) and arg.value in FACTOR_CACHE
+                       for arg in node.args)
+        return (isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Load)
+                and node.attr in FACTOR_CACHE)
+
+    made = [node.name for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, FUNCTIONS) and node.name in FACTOR_CACHE]
+    keywords = node_readers(path, lambda node: isinstance(node, ast.keyword)
+                            and node.arg in FACTOR_CACHE)
+    return node_readers(path, names_it) + made, keywords
+
+
+def test_only_the_constructor_and_the_lazy_property_set_a_w2_factor():
+    # The public constructor keeps the factor its one step made, and ||F||_F^2
+    # beside a Cholesky factor; a trusted summary makes its factor lazily.
+    # No trusted construction passes either, so no second maker can hand the
+    # buyer a factor the constructor would not have made.
+    package = Path(priarta.__file__).parent
+    setters, keywords = [], []
+    for path in sorted(package.glob("*.py")):
+        found = factor_setters(path)
+        setters += [f"{path.stem}.{owner}" for owner in found[0]]
+        keywords += [f"{path.stem}.{owner}" for owner in found[1]]
+    assert sorted(setters) == ["gaussian_geometry.__post_init__"] * 2 + [
+        "gaussian_geometry._covariance_factor"]
+    assert keywords == []
+
+
+def test_the_factor_setter_scan_sees_every_place(tmp_path):
+    source = tmp_path / "module.py"
+    source.write_text(
+        "object.__setattr__(s, '_covariance_factor', f)\n"
+        "def make(s, f):\n"
+        "    object.__setattr__(s, '_cholesky_norm2', 1.0)\n"
+        "    setattr(s, '_covariance_factor', f)\n"
+        "    s._cholesky_norm2 = 2.0\n"
+        "    return _trusted(GaussianSummary, mean=m, _covariance_factor=f)\n"
+        "class Summary:\n"
+        "    _cholesky_norm2 = None\n"
+        "    @cached_property\n"
+        "    def _covariance_factor(self):\n"
+        "        def inner():\n"
+        "            del self._covariance_factor\n"
+        "            return self._covariance_factor, getattr(self, '_cholesky_norm2')\n"
+        "        return inner, object.__setattr__(self, '_cross', 1), Summary(_cross=2)\n"
+    )
+    assert factor_setters(source) == ([None, "make", "make", "make", "inner",
+                                       "_covariance_factor"], ["make"])
 
 
 def test_one_codec_reads_and_writes_both_dataset_formats():

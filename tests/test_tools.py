@@ -1,5 +1,6 @@
 """The committed measurement scripts under tools/ still run."""
 
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -7,6 +8,8 @@ import subprocess
 import sys
 
 from conftest import package_env
+from priarta import default_scenario
+from priarta.valuation import dumps_report, run_valuation_for_config
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
@@ -30,3 +33,14 @@ def test_corner_script_at_a_tiny_dimension():
     first, later = out["decompositions"]
     assert first == {"cholesky": 1, "eigh": 0, "eigvalsh": 4 + 4}
     assert later == {"cholesky": 0, "eigh": 0, "eigvalsh": 4 + 4}
+
+
+def test_identity_script_prints_the_digest_of_a_seeded_report():
+    proc = subprocess.run(
+        [sys.executable, str(TOOLS / "identity.py"), "--seeds", "7"],
+        env=package_env(), capture_output=True, text=True, timeout=120, check=True,
+    )
+    out = json.loads(proc.stdout)
+    report = dumps_report(run_valuation_for_config(default_scenario(7)))
+    digest = hashlib.sha256(report.encode("utf-8")).hexdigest()
+    assert out == {"sha256": {"7": digest}, "prefix": {"7": digest[:16]}}

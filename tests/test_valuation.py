@@ -349,6 +349,8 @@ DECOMPOSITIONS = ("cholesky", "eigh", "eigvalsh", "eig", "eigvals", "svd")
 @pytest.mark.parametrize("singular_buyer", [False, True])
 def test_build_report_factors_buyer_once(monkeypatch, rng, singular_buyer):
     dim, k = 12, 5
+    sellers = [outcome(f"seller-{i}", random_summary(rng, dim)) for i in range(k)]
+    counts = counting(monkeypatch, DECOMPOSITIONS)
     if singular_buyer:
         # 6 rows in 12 dimensions: Cholesky fails, the factor comes from eigh
         x = rng.standard_normal((6, dim))
@@ -356,17 +358,14 @@ def test_build_report_factors_buyer_once(monkeypatch, rng, singular_buyer):
         buyer = GaussianSummary(x.mean(axis=0), centered.T @ centered / 5, 6)
     else:
         buyer = random_summary(rng, dim)
-    sellers = [outcome(f"seller-{i}", random_summary(rng, dim)) for i in range(k)]
-    counts = counting(monkeypatch, DECOMPOSITIONS)
-    report = build_report(buyer, sellers, "diversify", PARAMS)
-    assert len(report.ranking) == k
-    expected = dict.fromkeys(DECOMPOSITIONS, 0)
-    expected.update(cholesky=1, eigvalsh=k, eigh=1 if singular_buyer else 0)
-    assert counts == expected
-    # a second report reuses the buyer's cached factor
-    counts.update(dict.fromkeys(DECOMPOSITIONS, 0))
-    build_report(buyer, sellers, "diversify", PARAMS)
-    assert counts == dict(expected, cholesky=0, eigh=0)
+    # the constructor keeps the factor its Cholesky or eigh made
+    assert counts == dict.fromkeys(DECOMPOSITIONS, 0) | {
+        "cholesky": 1, "eigh": int(singular_buyer)}
+    for _ in range(2):  # so each report makes only the sellers' cross-term solves
+        counts.update(dict.fromkeys(DECOMPOSITIONS, 0))
+        report = build_report(buyer, sellers, "diversify", PARAMS)
+        assert len(report.ranking) == k
+        assert counts == dict.fromkeys(DECOMPOSITIONS, 0) | {"eigvalsh": k}
 
 
 def test_round_caches_factor_on_buyer_only():
@@ -777,8 +776,7 @@ def certificate_case(rng, dim, ratio):
     cross term F^T Sigma F has a smallest eigenvalue of about ratio times the
     certificate's bound (2 + K) d eps ||F||_F^2 ||Sigma||_F, and that bound,
     and that eigenvalue as scipy computes it."""
-    buyer = gaussian_geometry._factored(
-        GaussianSummary(np.zeros(dim), random_psd(rng, dim) + np.eye(dim), 1000))
+    buyer = GaussianSummary(np.zeros(dim), random_psd(rng, dim) + np.eye(dim), 1000)
     factor = buyer._covariance_factor
     q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
 
@@ -826,7 +824,7 @@ def test_a_reply_that_is_not_psd_fails_after_its_cross_term(monkeypatch, rng):
 def test_a_reply_checked_against_one_buyer_is_solved_afresh_for_another(monkeypatch, rng):
     buyer, sigma, _, _ = certificate_case(rng, 8, 4.0)
     summary = gaussian_geometry._checked_against(buyer, np.ones(8), sigma, 1000)
-    twin = gaussian_geometry._factored(GaussianSummary(buyer.mean, buyer.covariance, 1000))
+    twin = GaussianSummary(buyer.mean, buyer.covariance, 1000)
     assert twin == buyer and twin is not buyer
     counts = counting(monkeypatch, DECOMPOSITIONS)
     reused = wasserstein2_gaussian(buyer, summary)
@@ -840,8 +838,7 @@ def test_kept_cross_term_eigenvalues_meet_the_psd_floor_of_a_fresh_solve(monkeyp
     # kept as sent. The buyer's factor stretches it by 1e4 and shrinks the
     # others by 1e-4: the cross term's -1e4 * 4 eps is below its floor
     # -1e-10 * 1e-4, on reuse as on a fresh solve.
-    buyer = gaussian_geometry._factored(
-        GaussianSummary(np.zeros(8), np.diag([1e4] + [1e-4] * 7), 1000))
+    buyer = GaussianSummary(np.zeros(8), np.diag([1e4] + [1e-4] * 7), 1000)
     sent = np.diag([-4.0 * np.finfo(float).eps] + [1.0] * 7)
     summary = gaussian_geometry._checked_against(buyer, np.ones(8), sent, 1000)
     assert summary.covariance is sent and summary._cross[0] is buyer
@@ -900,7 +897,7 @@ def test_a_subnormal_reply_is_checked_as_the_public_constructor_checks_it(smalle
     # The cross term of diag(1e-310, smallest) against a buyer of covariance
     # 1e-8 I underflows to -0.0, and the GEMM error term of the bound to 0:
     # only the bound's underflow term keeps the reply from being certified.
-    buyer = gaussian_geometry._factored(GaussianSummary(np.zeros(2), 1e-8 * np.eye(2), 1000))
+    buyer = GaussianSummary(np.zeros(2), 1e-8 * np.eye(2), 1000)
     sent = np.diag([1e-310, smallest])
     if outcome == "not-psd":
         with pytest.raises(NotPSDError, match="^covariance is not PSD"):
@@ -919,7 +916,7 @@ def test_a_reply_near_the_end_of_the_float_range_is_checked_entry_by_entry(entry
     # At 5e307 every entry is within half the float range but the Frobenius
     # norm overflows: the entries are looked at, and the reply is kept as
     # sent. At 1e308 an entry is past half the float range.
-    buyer = gaussian_geometry._factored(GaussianSummary(np.zeros(4), np.eye(4), 1000))
+    buyer = GaussianSummary(np.zeros(4), np.eye(4), 1000)
     sent = entry * np.eye(4)
     if entry > np.finfo(float).max / 2.0:
         with pytest.raises(NumericInputError, match="^matrix entries overflow when symmetrized"):
@@ -938,8 +935,8 @@ def test_a_certified_reply_is_what_the_cholesky_else_eigenvalues_check_gives(mon
     for _ in range(1500):
         dim = int(rng.integers(1, 7))
         scale = 10.0 ** rng.uniform(-300, 300)
-        buyer = gaussian_geometry._factored(GaussianSummary(
-            np.zeros(dim), (random_psd(rng, dim) + 1e-3 * np.eye(dim)) * scale, 1000))
+        buyer = GaussianSummary(
+            np.zeros(dim), (random_psd(rng, dim) + 1e-3 * np.eye(dim)) * scale, 1000)
         q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
         w = rng.uniform(0.0, 1.0, dim)
         w[0] = rng.choice([w[0], -w[0] * 10.0 ** rng.uniform(-20, 0),
@@ -990,13 +987,14 @@ def test_a_covariance_at_the_band_edge_ends_where_the_public_constructor_does(rn
         sent = band_edge_matrix(rng, dim)
         mean = np.zeros(dim)
         public = covariance_or_refusal(lambda: GaussianSummary(mean, sent, dim))
-        if case == "buyer":
-            got = covariance_or_refusal(lambda: gaussian_geometry._factored(
-                _trusted(GaussianSummary, mean=mean, covariance=sent, count=dim)))
+        if case == "buyer":  # as buyer_summary makes it from its moments
+            moments = _trusted(GaussianSummary, mean=mean, covariance=sent, count=dim)
+            got = covariance_or_refusal(lambda: GaussianSummary(
+                moments.mean, moments.covariance, moments.count))
         else:
             singular = np.diag(np.r_[0.0, np.ones(dim - 1)])
-            buyer = gaussian_geometry._factored(GaussianSummary(
-                mean, singular if case == "eigen-factored-buyer" else np.eye(dim), 1000))
+            buyer = GaussianSummary(
+                mean, singular if case == "eigen-factored-buyer" else np.eye(dim), 1000)
             count = dim if case == "reply-of-d-rows" else 1000
             got = covariance_or_refusal(lambda: gaussian_geometry._checked_against(
                 buyer, mean, sent, count))
@@ -1035,8 +1033,7 @@ def test_a_rebuilt_buyer_takes_its_factor_from_the_eigh_that_rebuilt_it(monkeypa
     for sent in cases:
         dim = sent.shape[0]
         counts = counting(monkeypatch, DECOMPOSITIONS)
-        buyer = gaussian_geometry._factored(
-            _trusted(GaussianSummary, mean=np.zeros(dim), covariance=sent, count=dim))
+        buyer = GaussianSummary(np.zeros(dim), sent, dim)
         monkeypatch.undo()
         w, v = scipy.linalg.eigh(sent, driver="ev")
         oracle = (v * np.maximum(w, 0.0)) @ v.T
@@ -1044,7 +1041,7 @@ def test_a_rebuilt_buyer_takes_its_factor_from_the_eigh_that_rebuilt_it(monkeypa
         factor = buyer._covariance_factor
         assert np.linalg.norm(factor @ factor.T - oracle) <= bound
         assert np.linalg.norm(buyer.covariance - oracle) <= bound
-        if buyer.covariance is not sent:
+        if not np.array_equal(buyer.covariance, sent):
             rebuilt += 1
             assert counts == dict.fromkeys(DECOMPOSITIONS, 0) | {
                 "cholesky": 1, "eigh": 1, "eigvalsh": 1}
@@ -1108,13 +1105,13 @@ def test_a_buyer_without_a_factor_aborts_the_round_and_closes_every_channel(monk
     eigh = gaussian_geometry._eigh
 
     def no_factor(sym, name, *args, **kwargs):
-        if name == "covariance of a":
+        if name == "covariance":
             raise ConvergenceError(f"eigendecomposition of {name} did not converge")
         return eigh(sym, name, *args, **kwargs)
 
     monkeypatch.setattr(gaussian_geometry, "_eigh", no_factor)
     endpoints = [(node.node_id, lambda n=node: Recorded(n)) for node in nodes]
-    with pytest.raises(ConvergenceError, match="covariance of a"):
+    with pytest.raises(ConvergenceError, match="^eigendecomposition of covariance did not"):
         run_valuation(buyer_data, endpoints, spec, budget, master_seed=3)
     assert len(channels) == len(nodes) and all(c.closed for c in channels)
 
