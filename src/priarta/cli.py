@@ -39,7 +39,6 @@ from .stats import EmbeddingSet
 # run_valuation_for_config is re-exported for library callers
 from .valuation import (  # noqa: F401
     OBJECTIVES,
-    _scenario_problem,
     load_report,
     render_csv,
     render_table,
@@ -181,15 +180,15 @@ def cmd_report(args) -> int:
 def cmd_robustness(args) -> int:
     config = _load_scenario(args.config, args.seed)
     report = load_report(args.output)
-    problem = _scenario_problem(report, config)
-    if problem is not None:
-        raise ParameterError(f"{args.output} is the report of another scenario: it records "
-                             f"{problem}")
     entries = robustness_for_config(config)
     if not entries:
         print("no augmented-copy sellers in the scenario; nothing to do")
         return 0
-    save_report(with_robustness(report, entries), args.output)
+    try:
+        report = with_robustness(report, entries)
+    except ParameterError as exc:
+        raise ParameterError(f"{args.output} is not the report of the scenario's round: {exc}")
+    save_report(report, args.output)
     print(f"appended robustness entries for {len(entries)} sellers to {args.output}")
     return 0
 

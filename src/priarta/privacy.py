@@ -139,6 +139,38 @@ def calibrate_sigma(budget: PrivacyBudget) -> NoiseCalibration:
     return calibration
 
 
+def _mean_epsilon(budget: PrivacyBudget) -> float:
+    """The epsilon, at delta = budget.delta, that the released mean alone
+    achieves: a lower bound on the summary's, which the mean post-processes.
+    The mean's noise std is s = sigma/sqrt(n) and its l2 sensitivity D = 2R/n,
+    so by the analytic Gaussian mechanism (Balle & Wang, ICML 2018) it is the
+    least epsilon with, for u = D/s,
+
+        Phi(u/2 - epsilon/u) - e^epsilon Phi(-u/2 - epsilon/u) <= delta,
+
+    found by bisection. Where the condition leaves the float range (u/2 +
+    epsilon/u past about 37, or epsilon past 709) it raises OverflowError."""
+    u = budget._calibration.delta_mu * math.sqrt(budget.subset_size) / budget._calibration.sigma
+
+    def holds(eps: float) -> bool:
+        head = 0.5 * math.erfc((eps / u - u / 2) / math.sqrt(2.0))
+        if head <= budget.delta:  # the term subtracted is not negative
+            return True
+        tail = 0.5 * math.erfc((u / 2 + eps / u) / math.sqrt(2.0))
+        if tail < sys.float_info.min:
+            raise OverflowError(f"Phi(-u/2 - epsilon/u) underflows at epsilon {eps!r}")
+        return head - math.exp(eps) * tail <= budget.delta
+
+    if holds(0.0):
+        return 0.0
+    low, high = 0.0, 1.0
+    while not holds(high):
+        low, high = high, 2.0 * high
+    while low < (mid := (low + high) / 2) < high:
+        low, high = (low, mid) if holds(mid) else (mid, high)
+    return high
+
+
 def apply_gaussian_mechanism(
     embeddings: EmbeddingSet, sigma: float, rng_seed: int
 ) -> EmbeddingSet:

@@ -1,7 +1,7 @@
 """Buyer-side decision layer: run a valuation round that scores each seller by
 the closed-form W2 distance as its reply arrives, min-max normalize, rank under
-the chosen objective, and report augmentation-robustness deviations, for a pair
-of summaries or for every augmented copy in a seeded scenario."""
+the chosen objective, and report augmentation-robustness deviations for every
+augmented copy in a seeded scenario, scored by the same round."""
 
 import csv
 from dataclasses import asdict, dataclass, fields, replace
@@ -26,13 +26,13 @@ from .fileio import dumps_json, load_json, save_json
 from .gaussian_geometry import GaussianSummary, debias_covariance, wasserstein2_gaussian
 from .privacy import GAUSSIAN_SAMPLER, PrivacyBudget
 from .protocol import (BUYER_ID, MODE_SECURE, MODE_SEEDED, PROTOCOL_VERSION, SellerNode,
-                       _round, in_process_endpoints, orchestrate_valuation)
+                       _round, in_process_endpoints)
 from .scenario import ScenarioConfig, build_datasets
 
 __all__ = [
     "RobustnessEntry", "SellerScore", "ValuationReport", "build_report",
     "load_report", "minmax_normalize", "rank_sellers", "render_csv",
-    "render_table", "robustness_report", "run_valuation", "save_report",
+    "render_table", "run_valuation", "save_report",
 ]
 
 OBJECTIVES = ("diversify", "enrich")
@@ -110,19 +110,6 @@ def rank_sellers(entries, objective: str) -> list:
     else:
         candidates.sort(key=lambda e: (e.raw_w2, e.node_id))
     return [e.node_id for e in candidates]
-
-
-def robustness_report(buyer: GaussianSummary, seller_baseline: GaussianSummary,
-                      seller_augmented: GaussianSummary) -> dict:
-    """Distance shift caused by augmenting one seller's data, with the buyer
-    summary held fixed."""
-    baseline = wasserstein2_gaussian(buyer, seller_baseline)
-    augmented = wasserstein2_gaussian(buyer, seller_augmented)
-    return {
-        "baseline_w2": baseline,
-        "augmented_w2": augmented,
-        "deviation": abs(baseline - augmented),
-    }
 
 
 @dataclass(frozen=True)
@@ -294,58 +281,59 @@ def run_valuation(buyer_data, sellers, spec: EncoderSpec, budget: PrivacyBudget,
     return _assemble(scores, objective, params)
 
 
+def _scenario_round(config: ScenarioConfig, datasets: dict, sellers, **options) -> ValuationReport:
+    """The scenario's seeded in-process round; sellers are (node id, data id)
+    pairs, each node serving the dataset of its data id."""
+    nodes = [SellerNode(node_id, raw=datasets[data_id]) for node_id, data_id in sellers]
+    return run_valuation(datasets[BUYER_ID], in_process_endpoints(nodes), config.encoder,
+                         config.budget, master_seed=config.master_seed, **options)
+
+
 def run_valuation_for_config(config: ScenarioConfig, objective: str = "diversify",
                              debias: bool = False, noisy_buyer: bool = False) -> ValuationReport:
     """Offline end-to-end valuation of a scenario, seeded by its master seed."""
-    datasets = build_datasets(config)
-    nodes = [SellerNode(node_id, raw=datasets[node_id]) for node_id in config.seller_ids()]
-    return run_valuation(datasets[BUYER_ID], in_process_endpoints(nodes), config.encoder,
-                         config.budget, master_seed=config.master_seed, objective=objective,
-                         debias=debias, noisy_buyer=noisy_buyer)
+    return _scenario_round(config, build_datasets(config),
+                           [(node_id, node_id) for node_id in config.seller_ids()],
+                           objective=objective, debias=debias, noisy_buyer=noisy_buyer)
 
 
 def robustness_for_config(config: ScenarioConfig) -> list:
     """Baseline-vs-augmented distance deviations for every augmented-copy
-    seller, in config order. Two seeded in-process rounds serve the copies'
-    node ids, one over each copy's data and one over its source's, so the
-    buyer summary and each copy's seeds are the same in both. A seller that
-    fails either round raises ParameterError."""
+    seller, in config order. Two of the scenario's rounds serve the copies'
+    node ids, one over each copy's own data and one over its source's. A
+    node's seeds derive from the master seed and its id, so the first round
+    scores each copy as the scenario's full round does. A seller that fails
+    either round raises ParameterError."""
     copies = [s for s in config.sellers if s.kind == "augmented_copy"]
     if not copies:
         return []
     datasets = build_datasets(config)
 
-    def summaries(data_id):
-        nodes = [SellerNode(s.node_id, raw=datasets[data_id(s)]) for s in copies]
-        buyer, outcomes = orchestrate_valuation(datasets[BUYER_ID], in_process_endpoints(nodes),
-                                                config.encoder, config.budget,
-                                                master_seed=config.master_seed)
-        for o in outcomes:
-            if o.failed:
-                raise ParameterError(f"seller {o.node_id} failed: {o.failure}")
-        return buyer, {o.node_id: o.summary for o in outcomes}
+    def scores(data_id) -> dict:
+        report = _scenario_round(config, datasets, [(s.node_id, data_id(s)) for s in copies])
+        for e in report.entries:
+            if e.failed:
+                raise ParameterError(f"seller {e.node_id} failed: {e.failure_reason}")
+        return {e.node_id: e.raw_w2 for e in report.entries}
 
-    buyer, augmented = summaries(lambda s: s.node_id)
-    _, baseline = summaries(lambda s: s.source_id)
-    return [RobustnessEntry(s.node_id, **robustness_report(buyer, baseline[s.node_id],
-                                                          augmented[s.node_id]))
-            for s in copies]
-
-
-def _scenario_problem(report: ValuationReport, config: ScenarioConfig):
-    """The first setting the report records with another value than the
-    scenario's (master seed, encoder fingerprint, budget), or None. A setting
-    the report does not record is not checked."""
-    made = {"master_seed": config.master_seed,
-            "encoder_fingerprint": config.encoder.fingerprint(), **asdict(config.budget)}
-    for key, value in made.items():
-        if key in report.params_echo and report.params_echo[key] != value:
-            return f"{key} {report.params_echo[key]!r}, the scenario {value!r}"
-    return None
+    augmented, baseline = scores(lambda s: s.node_id), scores(lambda s: s.source_id)
+    return [RobustnessEntry(s.node_id, baseline[s.node_id], augmented[s.node_id],
+                            abs(baseline[s.node_id] - augmented[s.node_id])) for s in copies]
 
 
 def with_robustness(report: ValuationReport, entries) -> ValuationReport:
-    return replace(report, robustness=tuple(entries))
+    """The report with these robustness entries. Each augmented_w2 must be the
+    raw_w2 the report holds for its seller, as robustness_for_config gives it
+    for a report of the scenario's round; else ParameterError."""
+    entries = tuple(entries)
+    held = {e.node_id: e.raw_w2 for e in report.entries}
+    for r in entries:
+        score = held.get(r.node_id)
+        if score != r.augmented_w2:
+            score = "no score" if score is None else repr(score)
+            raise ParameterError(f"seller {r.node_id} scores {r.augmented_w2!r} in the "
+                                 f"scenario's round and {score} in the report")
+    return replace(report, robustness=entries)
 
 
 def dumps_report(report: ValuationReport) -> str:

@@ -14,6 +14,7 @@ import pytest
 from priarta import (
     EmbeddingSet,
     ParameterError,
+    ScenarioConfig,
     SellerNode,
     SellerServer,
     default_scenario,
@@ -22,7 +23,7 @@ from priarta import (
 from priarta import cli
 from priarta.cli import _parse_hostport, main, run_valuation_for_config
 from priarta.fileio import read_raw_dataset, save_json, write_embeddings
-from priarta.valuation import dumps_report
+from priarta.valuation import dumps_report, robustness_for_config
 
 from conftest import HOSTILE_INPUTS, HOSTILE_JSON, HOSTILE_VALUES, package_env
 
@@ -357,6 +358,16 @@ def test_robustness_baselines_match_report_scores(scenario_dir, tmp_path):
         assert r.augmented_w2 == by_id[r.node_id].raw_w2
 
 
+def refusal_of(path, report, config):
+    """The one error line with which robustness refuses the report at path
+    for the scenario config: its first entry that the report does not hold."""
+    held = {e.node_id: e.raw_w2 for e in report.entries}
+    first = next(r for r in robustness_for_config(config) if held.get(r.node_id) != r.augmented_w2)
+    score = "no score" if held.get(first.node_id) is None else repr(held[first.node_id])
+    return (f"error: {path} is not the report of the scenario's round: seller {first.node_id} "
+            f"scores {first.augmented_w2!r} in the scenario's round and {score} in the report\n")
+
+
 @pytest.mark.parametrize("over", [("--seed", "8"), ("--config", "{tmp}/cfg.json")],
                          ids=["seed", "budget"])
 def test_robustness_refuses_the_report_of_another_scenario(scenario_dir, tmp_path, capsys,
@@ -370,12 +381,43 @@ def test_robustness_refuses_the_report_of_another_scenario(scenario_dir, tmp_pat
     capsys.readouterr()
     argv = [arg.format(tmp=tmp_path) for arg in over]
     assert run_cli("robustness", *argv, "--output", str(out)) == 1
-    key, got, want = (("master_seed", 7, 8) if over[0] == "--seed"
-                      else ("subset_size", 512, 256))
-    assert capsys.readouterr().err == (
-        f"error: {out} is the report of another scenario: it records {key} {got!r}, "
-        f"the scenario {want!r}\n")
+    config = default_scenario(8) if over[0] == "--seed" else ScenarioConfig.from_dict(cfg)
+    assert capsys.readouterr().err == refusal_of(out, load_report(out), config)
     assert out.read_bytes() == before
+
+
+@pytest.mark.parametrize("flags, missing", [
+    (("--debias",), None), (("--noisy-buyer",), None), ((), "seller-5.raw"),
+], ids=["debias", "noisy-buyer", "missing-copy"])
+def test_robustness_refuses_a_report_that_scores_the_copies_otherwise(
+        scenario_dir, tmp_path, capsys, flags, missing):
+    # a debiased or noised-buyer round, or one without a copy, holds other
+    # scores than the augmented round appends
+    run = tmp_path / "run"
+    shutil.copytree(scenario_dir, run)
+    if missing is not None:
+        (run / "sellers" / missing).unlink()
+    out = tmp_path / "report.json"
+    assert run_cli(*value_args(run, out), *flags) == 0
+    before = out.read_bytes()
+    capsys.readouterr()
+    assert run_cli("robustness", "--seed", "7", "--output", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err == refusal_of(out, load_report(out), default_scenario(7))
+    assert len(err.splitlines()) == 1
+    assert ("no score" in err) == (missing is not None)
+    assert out.read_bytes() == before
+
+
+def test_robustness_accepts_a_report_of_either_objective(scenario_dir, tmp_path):
+    # the objective ranks the scores but does not change them
+    out = tmp_path / "report.json"
+    assert run_cli(*value_args(scenario_dir, out), "--objective", "enrich") == 0
+    assert run_cli("robustness", "--seed", "7", "--output", str(out)) == 0
+    report = load_report(out)
+    assert report.objective == "enrich"
+    assert [r.augmented_w2 for r in report.robustness] == [
+        report.entry(f"seller-{i}").raw_w2 for i in range(3, 8)]
 
 
 def test_robustness_without_augmented_sellers_notices(tmp_path, capsys):

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
+from scipy.stats import norm
 
 from priarta import (
     GAUSSIAN_SAMPLER,
@@ -20,6 +22,7 @@ from priarta import (
     mean_sensitivity,
     secure_seed,
 )
+from priarta.privacy import _mean_epsilon
 
 
 # ------------------------------------------------------------ PrivacyBudget
@@ -148,6 +151,39 @@ def test_calibrate_warns_when_mean_budget_dominates():
 
 
 # ---------------------------------------------------------------- mechanism
+
+
+@pytest.mark.parametrize("epsilon, delta, radius, count", [
+    (0.8, 1e-5, 1.0, 512), (0.8, 1e-5, 1.0, 4096), (0.8, 1e-5, 1.0, 100_000),
+    (0.8, 1e-9, 0.5, 1024), (0.5, 1e-200, 1.0, 512),
+], ids=["defaults", "n-4096", "n-100000", "delta-1e-9", "delta-1e-200"])
+def test_mean_epsilon_solves_the_analytic_gaussian_condition(epsilon, delta, radius, count):
+    # Balle & Wang's condition on the released mean (noise std sigma/sqrt(n),
+    # sensitivity 2R/n), through scipy's normal CDF, solved by brentq up to
+    # the epsilon where its first term alone is delta
+    budget = PrivacyBudget(epsilon, delta, radius, count)
+    u = mean_sensitivity(radius, count) * math.sqrt(count) / budget._calibration.sigma
+
+    def excess(eps):
+        return norm.cdf(u / 2 - eps / u) - math.exp(eps) * norm.cdf(-u / 2 - eps / u) - delta
+
+    want = brentq(excess, 0.0, u * (u / 2 - norm.ppf(delta)), xtol=1e-300, rtol=1e-14)
+    assert _mean_epsilon(budget) == pytest.approx(want, rel=1e-9)
+
+
+def test_mean_epsilon_at_the_quoted_budgets():
+    # the figures the README quotes: the defaults, and a subset of 4096
+    assert round(_mean_epsilon(PrivacyBudget(0.8, 1e-5, 1.0, 512)), 3) == 9.151
+    assert round(_mean_epsilon(PrivacyBudget(0.8, 1e-5, 1.0, 4096)), 2) == 35.74
+    # noise this large against the sensitivity meets delta at epsilon = 0
+    assert _mean_epsilon(PrivacyBudget(0.8, 0.5, 1.0, 2)) == 0.0
+
+
+def test_mean_epsilon_refuses_a_condition_past_the_float_range():
+    # at R = 0.01 the mean's sensitivity is about 186 noise stds, and
+    # Phi(-u/2) already underflows
+    with pytest.raises(OverflowError, match="underflows"):
+        _mean_epsilon(PrivacyBudget(0.8, 1e-5, 0.01, 512))
 
 
 def test_mechanism_requires_clipped_input(rng):

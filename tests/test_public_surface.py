@@ -364,6 +364,31 @@ def test_the_codec_scan_sees_every_place(tmp_path):
     assert name_readers(source, "_load_rows") == [None, "read", "read", "inner"]
 
 
+def test_one_scorer_measures_every_w2_distance():
+    # valuation._score is the one reader of wasserstein2_gaussian: a report's
+    # scores and its robustness entries both come from run_valuation's round.
+    package = Path(priarta.__file__).parent
+    readers = sorted(f"{path.stem}.{owner}" for path in sorted(package.glob("*.py"))
+                     for owner in name_readers(path, "wasserstein2_gaussian"))
+    assert readers == ["valuation._score"]
+
+
+def test_the_scorer_scan_sees_every_place(tmp_path):
+    source = tmp_path / "module.py"
+    source.write_text(
+        "from .gaussian_geometry import wasserstein2_gaussian\n"
+        "distance = wasserstein2_gaussian\n"
+        "def _score(a, b):\n"
+        "    return wasserstein2_gaussian(a, b) - wasserstein2_gaussian(b, a)\n"
+        "class Report:\n"
+        "    def robustness(self, a, b):\n"
+        "        def inner():\n"
+        "            return gaussian_geometry.wasserstein2_gaussian(a, b)\n"
+        "        return inner, wasserstein2_gaussians(a), wasserstein2(a, b)\n"
+    )
+    assert name_readers(source, "wasserstein2_gaussian") == [None, "_score", "_score", "inner"]
+
+
 def array_dataclasses():
     """(name, make) per frozen dataclass with array fields: make(k) builds a
     fresh object from fresh arrays, equal for equal k."""

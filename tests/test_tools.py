@@ -9,7 +9,8 @@ import sys
 
 from conftest import package_env
 from priarta import default_scenario
-from priarta.valuation import dumps_report, run_valuation_for_config
+from priarta.fileio import dumps_json
+from priarta.valuation import dumps_report, robustness_for_config, run_valuation_for_config
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
@@ -43,4 +44,7 @@ def test_identity_script_prints_the_digest_of_a_seeded_report():
     out = json.loads(proc.stdout)
     report = dumps_report(run_valuation_for_config(default_scenario(7)))
     digest = hashlib.sha256(report.encode("utf-8")).hexdigest()
-    assert out == {"sha256": {"7": digest}, "prefix": {"7": digest[:16]}}
+    entries = dumps_json([e.to_dict() for e in robustness_for_config(default_scenario(7))])
+    robust = hashlib.sha256(entries.encode("utf-8")).hexdigest()
+    assert out == {"sha256": {"7": digest}, "prefix": {"7": digest[:16]},
+                   "robustness_sha256": {"7": robust}, "robustness_prefix": {"7": robust[:16]}}

@@ -32,7 +32,6 @@ from priarta import (
     rank_sellers,
     render_csv,
     render_table,
-    robustness_report,
     save_report,
     stats,
     wasserstein2_gaussian,
@@ -58,6 +57,7 @@ from priarta.valuation import (
     dumps_report,
     robustness_for_config,
     run_valuation,
+    run_valuation_for_config,
     with_robustness,
 )
 
@@ -163,20 +163,20 @@ def test_rank_affine_invariance(rng):
 # --------------------------------------------------------------- robustness
 
 
-def test_robustness_identical_summaries(rng):
-    buyer = random_summary(rng, 4)
-    seller = random_summary(rng, 4)
-    out = robustness_report(buyer, seller, seller)
-    assert out["deviation"] == 0.0
-    assert out["baseline_w2"] == out["augmented_w2"]
-
-
-def test_robustness_deviation_is_absolute(rng):
-    buyer = random_summary(rng, 4)
-    base = random_summary(rng, 4)
-    aug = random_summary(rng, 4)
-    out = robustness_report(buyer, base, aug)
-    assert out["deviation"] == abs(out["baseline_w2"] - out["augmented_w2"])
+def test_robustness_entries_are_the_copies_scores_in_the_scenarios_round():
+    # leakage_alpha > 0: augmenting the nuisance block moves every copy's
+    # distance, and the augmented round scores each copy bit for bit as the
+    # scenario's own round does
+    cfg = default_scenario(7).to_dict()
+    cfg["encoder"]["leakage_alpha"] = 0.5
+    config = ScenarioConfig.from_dict(cfg)
+    entries = robustness_for_config(config)
+    report = run_valuation_for_config(config)
+    assert [e.node_id for e in entries] == [f"seller-{i}" for i in range(3, 8)]
+    for e in entries:
+        assert e.deviation > 0.0
+        assert e.deviation == abs(e.baseline_w2 - e.augmented_w2)
+        assert e.augmented_w2 == report.entry(e.node_id).raw_w2
 
 
 def test_robustness_entries_follow_config_order():
@@ -251,14 +251,30 @@ def test_report_round_trip(tmp_path, rng):
 def test_report_with_robustness_round_trip(tmp_path, rng):
     buyer, outcomes = make_outcomes(rng)
     report = build_report(buyer, outcomes, "diversify", PARAMS)
+    held = report.entry("seller-1").raw_w2
     report = with_robustness(
-        report, [RobustnessEntry("seller-1", 1.25, 1.25, 0.0)]
+        report, [RobustnessEntry("seller-1", 1.25, held, abs(1.25 - held))]
     )
     path = tmp_path / "report.json"
     save_report(report, path)
     again = load_report(path)
     assert again.robustness == report.robustness
     assert dumps_report(again) == dumps_report(report)
+
+
+def test_with_robustness_refuses_a_score_the_report_does_not_hold(rng):
+    # seller-3 failed and seller-9 is not in the report: neither has a score
+    buyer, outcomes = make_outcomes(rng)
+    report = build_report(buyer, outcomes, "diversify", PARAMS)
+    held = report.entry("seller-1").raw_w2
+    for node_id, augmented, words in [("seller-1", held + 1.0, repr(held)),
+                                      ("seller-3", held, "no score"),
+                                      ("seller-9", held, "no score")]:
+        entry = RobustnessEntry(node_id, held, augmented, abs(held - augmented))
+        with pytest.raises(ParameterError) as info:
+            with_robustness(report, [entry])
+        assert str(info.value) == (f"seller {node_id} scores {augmented!r} in the scenario's "
+                                   f"round and {words} in the report")
 
 
 def test_load_report_names_byte_offset(tmp_path):
