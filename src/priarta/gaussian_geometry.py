@@ -33,7 +33,8 @@ ends at the covariance psd_clamp would give. The paths:
   on first use by the step;
 - a seller's STATS_RESPONSE: decoding rejects non-finite entries and
   expand_covariance is exactly symmetric, so the buyer checks only the
-  entries' range and PSD, once (_checked_against). Where the buyer's W2
+  entries' range and PSD, once (_checked_against, called for each reply of
+  a window by _checked_window). Where the buyer's W2
   factor is a Cholesky factor and the reply has more rows than d, the cross
   term's eigenvalue solve is the check, and W2 reuses its eigenvalues (see
   below). Every other reply takes the step, eigvalsh first, and with no
@@ -69,6 +70,20 @@ adds d^2 (1 + ||F||_F) tiny (tiny the smallest normal float), well above
 that. A reply whose first term underflows, one with subnormal entries say,
 is certified only when its cross term clears that underflow term, and
 otherwise takes the check every other reply takes.
+
+The buyer certifies a window of replies at once (_checked_window): the
+cross terms of the replies it can certify (count > d, a Cholesky factor)
+take one stacked product F^T Sigma_b F, one stacked symmetrize and one
+stacked eigvalsh through _eigh. numpy runs the same BLAS product and the
+same LAPACK solver (syevd) on each matrix of a stack as on that matrix
+alone, so each row of eigenvalues has the bits of the reply's own solve, and
+the certificate and W2 read it as they would read that. A product with an
+entry past half the float range or not finite leaves the stack (symmetrize
+would look at its entries), and so does every product when the stacked
+solve fails: each of them is solved alone by _checked_against, so one
+hostile reply fails no other, and so is a reply with none to stack with.
+The protocol sizes the window in bytes, so that the stack stays in cache:
+at d >= 91 a window holds one reply, checked as it would be alone.
 """
 
 from dataclasses import dataclass
@@ -82,6 +97,7 @@ from .errors import (
     NotPSDError,
     NumericInputError,
     ParameterError,
+    PriartaError,
     ShapeError,
     _fields_equal,
     _trusted,
@@ -278,7 +294,8 @@ class GaussianSummary:
         return _settled(self.covariance, "covariance of a", solvers=(True,))[1]
 
 
-def _checked_against(buyer, mean: Array, sym: Array, count: int) -> GaussianSummary:
+def _checked_against(buyer, mean: Array, sym: Array, count: int,
+                     solved: Array = None) -> GaussianSummary:
     """The trusted summary of a seller's reply: a finite mean, and a finite,
     exactly symmetric covariance of count rows, checked as psd_clamp would
     clamp it (NumericInputError for an entry past half the float range,
@@ -291,7 +308,9 @@ def _checked_against(buyer, mean: Array, sym: Array, count: int) -> GaussianSumm
     _settled step, with no Cholesky when count <= d (its rank is then below
     d) and eigvalsh first, and keeps them only if it comes back unchanged.
     The check does not depend on how the reply is scored: a debiased round
-    checks it as sent too."""
+    checks it as sent too. solved, when given, holds the cross term's
+    eigenvalues as _cross_eigenvalues gives them, solved in a window's stack
+    (_checked_window), and the reply's own solve is skipped."""
     dim, norm2, cross = sym.shape[0], buyer._cholesky_norm2, None
     # An overflow here makes the norm infinite or leaves the reply uncertified,
     # and W2's own solve warns and fails as it would have.
@@ -301,10 +320,12 @@ def _checked_against(buyer, mean: Array, sym: Array, count: int) -> GaussianSumm
         if not frobenius <= _HALF_MAX and not np.abs(sym).max() <= _HALF_MAX:
             raise NumericInputError("matrix entries overflow when symmetrized")
         if norm2 is not None and count > dim:
-            try:
-                cross = _cross_eigenvalues(buyer._covariance_factor, sym)
-            except (ConvergenceError, NumericInputError):
-                pass
+            cross = solved
+            if cross is None:
+                try:
+                    cross = _cross_eigenvalues(buyer._covariance_factor, sym)
+                except (ConvergenceError, NumericInputError):
+                    pass
     # A bound that overflowed to inf, or is NaN, certifies nothing.
     certified = cross is not None and float(cross[0]) >= (
         (2.0 + _CERTIFY_MARGIN) * dim * _EPS * norm2 * frobenius
@@ -316,6 +337,40 @@ def _checked_against(buyer, mean: Array, sym: Array, count: int) -> GaussianSumm
     cross.flags.writeable = False
     return _trusted(GaussianSummary, mean=mean, covariance=sym, count=count,
                     _cross=(buyer, cross))
+
+
+def _checked_window(buyer, replies) -> list:
+    """Each seller reply (mean, sym, count) of a window, checked as
+    _checked_against checks it alone: its trusted summary, or the
+    PriartaError the check raised, in the order of replies. The cross terms
+    of the replies the certificate can check are solved in one stack (see
+    the module docstring); a product out of range, or every product when the
+    stacked solve fails, is solved by _checked_against itself."""
+    stacked, solved = [], {}
+    if buyer._cholesky_norm2 is not None:
+        stacked = [i for i, (_, _, count) in enumerate(replies) if count > buyer.dim]
+    # One such reply has nothing to stack with, and solves its own.
+    if len(stacked) > 1:
+        factor = buyer._covariance_factor
+        with np.errstate(over="ignore", invalid="ignore"):
+            products = factor.T @ np.array([replies[i][1] for i in stacked]) @ factor
+            in_range = np.abs(products).max(axis=(1, 2)) <= _HALF_MAX
+        if not in_range.all():
+            stacked = [i for i, kept in zip(stacked, in_range) if kept]
+            products = products[in_range]
+        try:
+            w = _eigh((products + products.swapaxes(1, 2)) / 2.0, "cross-covariance term",
+                      vectors=False, psd=False)
+        except ConvergenceError:
+            w = ()
+        solved = dict(zip(stacked, w))
+    out = []
+    for i, (mean, sym, count) in enumerate(replies):
+        try:
+            out.append(_checked_against(buyer, mean, sym, count, solved.get(i)))
+        except PriartaError as exc:
+            out.append(exc)
+    return out
 
 
 def debias_covariance(summary: GaussianSummary, sigma: float) -> GaussianSummary:

@@ -139,6 +139,20 @@ def calibrate_sigma(budget: PrivacyBudget) -> NoiseCalibration:
     return calibration
 
 
+def _log_phi(x: float) -> float:
+    """log Phi(x) of the standard normal CDF, for x <= 0, without underflow:
+    through erfc above -30, and below it by the Mills-ratio tail series
+    Phi(x) = phi(x) / |x| * (1 - 1/x^2 + 3/x^4 - 15/x^6 + ...), whose
+    twelfth term is below 1e-24 there."""
+    if x > -30.0:
+        return math.log(0.5 * math.erfc(-x / math.sqrt(2.0)))
+    series, term = 1.0, 1.0
+    for k in range(1, 12):
+        term *= -(2 * k - 1) / (x * x)
+        series += term
+    return -0.5 * x * x - math.log(-x) - 0.5 * math.log(2.0 * math.pi) + math.log(series)
+
+
 def _mean_epsilon(budget: PrivacyBudget) -> float:
     """The epsilon, at delta = budget.delta, that the released mean alone
     achieves: a lower bound on the summary's, which the mean post-processes.
@@ -148,18 +162,16 @@ def _mean_epsilon(budget: PrivacyBudget) -> float:
 
         Phi(u/2 - epsilon/u) - e^epsilon Phi(-u/2 - epsilon/u) <= delta,
 
-    found by bisection. Where the condition leaves the float range (u/2 +
-    epsilon/u past about 37, or epsilon past 709) it raises OverflowError."""
+    found by bisection. The subtracted term is compared in log space,
+    log(Phi(u/2 - epsilon/u) - delta) <= epsilon + log Phi(-u/2 - epsilon/u),
+    so neither e^epsilon nor the tail Phi leaves the float range."""
     u = budget._calibration.delta_mu * math.sqrt(budget.subset_size) / budget._calibration.sigma
 
     def holds(eps: float) -> bool:
-        head = 0.5 * math.erfc((eps / u - u / 2) / math.sqrt(2.0))
-        if head <= budget.delta:  # the term subtracted is not negative
+        excess = 0.5 * math.erfc((eps / u - u / 2) / math.sqrt(2.0)) - budget.delta
+        if excess <= 0.0:  # the term subtracted is not negative
             return True
-        tail = 0.5 * math.erfc((u / 2 + eps / u) / math.sqrt(2.0))
-        if tail < sys.float_info.min:
-            raise OverflowError(f"Phi(-u/2 - epsilon/u) underflows at epsilon {eps!r}")
-        return head - math.exp(eps) * tail <= budget.delta
+        return math.log(excess) <= eps + _log_phi(-u / 2 - eps / u)
 
     if holds(0.0):
         return 0.0

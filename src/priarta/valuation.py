@@ -175,8 +175,9 @@ def _report_problem(report: ValuationReport):
     """Why a loaded report is not one the package could have written, or
     None. Its entries, ranking and degenerate_normalization must be those
     _assemble rebuilds from its node ids, raw scores and failures; its
-    robustness entries must name distinct sellers of the report and carry
-    |baseline_w2 - augmented_w2|."""
+    robustness entries must name distinct sellers of the report, carry
+    |baseline_w2 - augmented_w2|, and hold the report's own scores as their
+    augmented_w2 (_unheld_score, with_robustness's rule)."""
     if report.objective not in OBJECTIVES:
         return f"objective {report.objective!r}"
     node_ids = [e.node_id for e in report.entries]
@@ -200,6 +201,20 @@ def _report_problem(report: ValuationReport):
         return "robustness entries must name distinct sellers of the report"
     if any(r.deviation != abs(r.baseline_w2 - r.augmented_w2) for r in robustness):
         return "a robustness deviation is not |baseline_w2 - augmented_w2|"
+    return _unheld_score(report, robustness)
+
+
+def _unheld_score(report: ValuationReport, robustness):
+    """Why a robustness entry does not describe the report's own round, or
+    None: each augmented_w2 must be the raw_w2 the report holds for its
+    seller, as robustness_for_config gives it for the scenario's round."""
+    held = {e.node_id: e.raw_w2 for e in report.entries}
+    for r in robustness:
+        score = held.get(r.node_id)
+        if score != r.augmented_w2:
+            score = "no score" if score is None else repr(score)
+            return (f"seller {r.node_id} scores {r.augmented_w2!r} in the scenario's round "
+                    f"and {score} in the report")
     return None
 
 
@@ -256,8 +271,9 @@ def run_valuation(buyer_data, sellers, spec: EncoderSpec, budget: PrivacyBudget,
                   master_seed: int = None, objective: str = "diversify",
                   debias: bool = False, noisy_buyer: bool = False) -> ValuationReport:
     """One valuation round: query every seller endpoint and score each reply
-    as it arrives (optionally less the budget's sigma^2 I), so the buyer
-    holds one seller summary at a time; then normalize and rank.
+    as its window is checked (optionally less the budget's sigma^2 I), so the
+    buyer holds at most one window of replies, bounded in bytes
+    (protocol._WINDOW_BYTES); then normalize and rank.
 
     buyer_data and sellers are as for orchestrate_valuation: buyer_data may
     be a function that loads the dataset while the first sellers compute. The
@@ -326,13 +342,9 @@ def with_robustness(report: ValuationReport, entries) -> ValuationReport:
     raw_w2 the report holds for its seller, as robustness_for_config gives it
     for a report of the scenario's round; else ParameterError."""
     entries = tuple(entries)
-    held = {e.node_id: e.raw_w2 for e in report.entries}
-    for r in entries:
-        score = held.get(r.node_id)
-        if score != r.augmented_w2:
-            score = "no score" if score is None else repr(score)
-            raise ParameterError(f"seller {r.node_id} scores {r.augmented_w2!r} in the "
-                                 f"scenario's round and {score} in the report")
+    problem = _unheld_score(report, entries)
+    if problem is not None:
+        raise ParameterError(problem)
     return replace(report, robustness=entries)
 
 

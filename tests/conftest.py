@@ -135,7 +135,8 @@ HOSTILE_JSON = {
 # whose values do not follow from its raw scores: its ranking reversed, a
 # normalized score or degenerate_normalization its scores do not give, a
 # robustness deviation other than |baseline - augmented|, a robustness entry
-# for a node id it does not score, and two for one seller.
+# for a node id it does not score, two for one seller, and one whose
+# augmented score is not the seller's raw score.
 # Every command that reads one must exit 1 with one "error:" line.
 HOSTILE_VALUES = {
     "negative-seed.spec.json": _spec(seed=-5),
@@ -159,6 +160,7 @@ HOSTILE_VALUES = {
     "unknown-robustness-seller.report.json": _report(robustness=[_robustness("c")]),
     "repeated-robustness-seller.report.json": _report(
         robustness=[_robustness("a"), _robustness("a")]),
+    "unheld-robustness-score.report.json": _report(robustness=[_robustness("a")]),
 }
 
 

@@ -409,6 +409,29 @@ def test_robustness_refuses_a_report_that_scores_the_copies_otherwise(
     assert out.read_bytes() == before
 
 
+def test_report_refuses_robustness_entries_of_other_scores(scenario_dir, tmp_path, capsys):
+    # A debiased report with the scenario's robustness entries written in, as
+    # an older robustness command appended them: seller-3's augmented_w2 is
+    # not its debiased raw_w2, so reading the report refuses it
+    out = tmp_path / "report.json"
+    assert run_cli(*value_args(scenario_dir, out), "--debias") == 0
+    data = json.loads(out.read_text())
+    entries = robustness_for_config(default_scenario(7))
+    data["robustness"] = [e.to_dict() for e in entries]
+    out.write_text(json.dumps(data))
+    held = {e["node_id"]: e["raw_w2"] for e in data["entries"]}
+    first = next(r for r in entries if held[r.node_id] != r.augmented_w2)
+    assert first.node_id == "seller-3"
+    capsys.readouterr()
+    assert run_cli("report", "--input", str(out)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: malformed valuation report: seller {first.node_id} scores "
+        f"{first.augmented_w2!r} in the scenario's round and {held[first.node_id]!r} "
+        "in the report\n")
+
+
 def test_robustness_accepts_a_report_of_either_objective(scenario_dir, tmp_path):
     # the objective ranks the scores but does not change them
     out = tmp_path / "report.json"

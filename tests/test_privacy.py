@@ -3,6 +3,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -179,11 +180,37 @@ def test_mean_epsilon_at_the_quoted_budgets():
     assert _mean_epsilon(PrivacyBudget(0.8, 0.5, 1.0, 2)) == 0.0
 
 
-def test_mean_epsilon_refuses_a_condition_past_the_float_range():
-    # at R = 0.01 the mean's sensitivity is about 186 noise stds, and
-    # Phi(-u/2) already underflows
-    with pytest.raises(OverflowError, match="underflows"):
-        _mean_epsilon(PrivacyBudget(0.8, 1e-5, 0.01, 512))
+def mean_epsilon_oracle(budget):
+    """Balle & Wang's condition solved in 50-digit arithmetic, for the same
+    float u as the package: bisection to far below double precision."""
+    mpmath.mp.dps = 50
+    u = mpmath.mpf(mean_sensitivity(budget.clip_radius, budget.subset_size)
+                   * math.sqrt(budget.subset_size) / budget._calibration.sigma)
+
+    def excess(eps):
+        return (mpmath.ncdf(u / 2 - eps / u) - mpmath.exp(eps) * mpmath.ncdf(-u / 2 - eps / u)
+                - mpmath.mpf(budget.delta))
+
+    low, high = mpmath.mpf(0), mpmath.mpf(1)
+    while excess(high) > 0:
+        low, high = high, 2 * high
+    for _ in range(200):
+        mid = (low + high) / 2
+        low, high = (low, mid) if excess(mid) <= 0 else (mid, high)
+    return high
+
+
+@pytest.mark.parametrize("radius", [1.0, 0.01], ids=["R-1", "R-0.01"])
+@pytest.mark.parametrize("delta", [1e-5, 1e-12])
+@pytest.mark.parametrize("count", [512, 4096, 100_000])
+def test_mean_epsilon_matches_a_50_digit_oracle(count, delta, radius):
+    # At R = 0.01 the mean's sensitivity is 120 to 2600 noise stds:
+    # Phi(-u/2 - epsilon/u) underflows and e^epsilon overflows in floats, and
+    # the condition is compared in log space
+    budget = PrivacyBudget(0.8, delta, radius, count)
+    got = _mean_epsilon(budget)
+    assert math.isfinite(got)
+    assert abs(got - mean_epsilon_oracle(budget)) <= 1e-13 * got
 
 
 def test_mechanism_requires_clipped_input(rng):

@@ -48,3 +48,16 @@ def test_identity_script_prints_the_digest_of_a_seeded_report():
     robust = hashlib.sha256(entries.encode("utf-8")).hexdigest()
     assert out == {"sha256": {"7": digest}, "prefix": {"7": digest[:16]},
                    "robustness_sha256": {"7": robust}, "robustness_prefix": {"7": robust[:16]}}
+
+
+def test_buyer_time_script_replays_a_round_to_the_live_report():
+    proc = subprocess.run(
+        [sys.executable, str(TOOLS / "buyer_time.py"), "--sellers", "3", "--dim", "4",
+         "--rounds", "2"],
+        env=package_env(), capture_output=True, text=True, timeout=120, check=True,
+    )
+    out = json.loads(proc.stdout)
+    assert (out["dim"], out["sellers"], out["reports_match"]) == (4, 3, True)
+    assert len(out["live_round_s"]) == len(out["replay_round_s"]) == 2
+    assert out["best_replay_round_s"] == min(out["replay_round_s"]) > 0
+    assert out["buyer_us_per_seller"] == out["best_replay_round_s"] / 3 * 1e6

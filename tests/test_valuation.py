@@ -1,8 +1,10 @@
 """Scoring, normalization, ranking, reports, and rendering."""
 
 import dataclasses
+import math
 import tracemalloc
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 import scipy.linalg
@@ -28,6 +30,7 @@ from priarta import (
     gaussian_geometry,
     load_report,
     minmax_normalize,
+    protocol,
     psd_clamp,
     rank_sellers,
     render_csv,
@@ -36,7 +39,7 @@ from priarta import (
     stats,
     wasserstein2_gaussian,
 )
-from priarta.errors import _trusted
+from priarta.errors import PriartaError, _trusted
 from priarta.protocol import (
     PROTOCOL_VERSION,
     Hello,
@@ -346,13 +349,14 @@ def test_report_from_dict_rejects_bad_objective(rng):
 
 
 def counting(monkeypatch, names):
-    """Replace np.linalg functions by call-counting wrappers."""
+    """Replace np.linalg functions by wrappers that count the matrices each
+    call decomposes: one for a matrix, k for a stack of k."""
     counts = dict.fromkeys(names, 0)
     for name in names:
         original = getattr(np.linalg, name)
 
         def wrapper(*args, _name=name, _original=original, **kwargs):
-            counts[_name] += 1
+            counts[_name] += math.prod(np.shape(args[0])[:-2])
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, wrapper)
@@ -973,6 +977,141 @@ def test_a_certified_reply_is_what_the_cholesky_else_eigenvalues_check_gives(mon
         monkeypatch.undo()
         assert checked == ends(lambda: psd_clamp(sent, "covariance"))
     assert certified > 300
+
+
+# ------------------------------------------------------------ reply windows
+
+REPLY_KINDS = ("psd", "few-rows", "not-psd", "band", "past-half-range", "huge", "subnormal")
+
+
+def window_reply(rng, dim, kind):
+    """A reply (mean, exactly symmetric covariance, count) of one kind: PSD,
+    of at most d rows, not PSD, with an eigenvalue at the rounding band's
+    edge, with an entry past half the float range, near the float range (its
+    cross term overflows against a buyer of scale 1e3), or subnormal."""
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    w = rng.uniform(0.1, 1.0, dim)
+    count = 1000
+    if kind == "few-rows":
+        count = int(rng.integers(2, dim + 1)) if dim > 1 else 2
+    elif kind == "not-psd":
+        w[0] = -1.0
+    elif kind == "band":
+        w[0] = -rng.uniform(0.5, 1.5) * dim * np.finfo(float).eps
+    elif kind == "past-half-range":
+        return rng.standard_normal(dim), np.diag(np.r_[w[1:], 1.0] * 1e308), count
+    sent = (q * w) @ q.T * {"huge": 5e307, "subnormal": 1e-310}.get(kind, 1.0)
+    return rng.standard_normal(dim), (sent + sent.T) / 2.0, count
+
+
+def checked_and_scored(buyer, checked):
+    """A check's result as bits: the failure string, or the summary's
+    covariance and kept cross term and its W2 score against buyer (or the
+    scoring failure)."""
+    if isinstance(checked, Exception):
+        return f"{type(checked).__name__}: {checked}"
+    cross = None if checked._cross is None else checked._cross[1].tobytes()
+    try:
+        # W2's own solve of a reply the check did not solve may overflow,
+        # and warns, as in a round
+        with np.errstate(over="ignore", invalid="ignore"):
+            score = wasserstein2_gaussian(buyer, checked).hex()
+    except (NumericInputError, NotPSDError, ConvergenceError) as exc:
+        score = f"scoring failed: {type(exc).__name__}: {exc}"
+    return checked.covariance.tobytes(), cross, score
+
+
+def one_by_one(buyer, reply):
+    try:
+        return gaussian_geometry._checked_against(buyer, *reply)
+    except PriartaError as exc:
+        return exc
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(dim=st.sampled_from([1, 2, 4, 16]),
+       kinds=st.lists(st.sampled_from(REPLY_KINDS), min_size=1, max_size=64),
+       buyer_scale=st.sampled_from([1e-3, 1.0, 1e3]),
+       singular_buyer=st.booleans(), stack_fails=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_a_window_checks_and_scores_each_reply_as_one_reply_alone(
+        dim, kinds, buyer_scale, singular_buyer, stack_fails, seed):
+    # Every reply of a window ends, bit for bit, where _checked_against and
+    # wasserstein2_gaussian take it one reply at a time: kept with the same
+    # cross term and score, or refused with the same failure. A stacked
+    # solve that fails (a ConvergenceError forced into it) leaves each reply
+    # to its own solve.
+    rng = np.random.default_rng(seed)
+    covariance = random_psd(rng, dim) + np.eye(dim)
+    if singular_buyer and dim > 1:
+        covariance[0, :] = covariance[:, 0] = 0.0
+    buyer = GaussianSummary(rng.standard_normal(dim), covariance * buyer_scale, 1000)
+    replies = [window_reply(rng, dim, kind) for kind in kinds]
+    want = [checked_and_scored(buyer, one_by_one(buyer, reply)) for reply in replies]
+    eigvalsh = np.linalg.eigvalsh
+
+    def failing(a, *args, **kwargs):
+        if np.ndim(a) == 3:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigvalsh(a, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        if stack_fails:
+            patch.setattr(np.linalg, "eigvalsh", failing)
+        window = gaussian_geometry._checked_window(buyer, replies)
+    assert [checked_and_scored(buyer, checked) for checked in window] == want
+
+
+class TamperedChannel(InProcessChannel):
+    """An in-process seller whose STATS_RESPONSE carries another covariance."""
+
+    def __init__(self, node, covariance):
+        super().__init__(node)
+        handle = self.session.handle_bytes
+
+        def tampered(frame):
+            reply = decode_frame(handle(frame))
+            if isinstance(reply, StatsResponse):
+                reply = dataclasses.replace(reply, covariance=pack_covariance(covariance))
+            return encode_frame(reply)
+
+        self.session.handle_bytes = tampered
+
+
+def test_a_round_past_the_in_flight_cap_equals_the_round_checked_reply_by_reply(
+        monkeypatch, rng):
+    # 70 sellers cross _IN_FLIGHT = 64, so the round asks and reads two
+    # batches; of three tampered sellers (not PSD, an entry past half the
+    # float range, a subnormal eigenvalue) the first two fail, alone. With a window of one
+    # reply every reply is checked alone, and the outcomes and report are
+    # the same, kept in the order the sellers were asked.
+    buyer_data, nodes, spec, budget = rank_deficient_round(
+        rng, dim=4, subset=64, buyer_rows=600, seller_rows=100, sellers=70)
+    tampered = {"seller-7": np.diag([-1.0, 1.0, 1.0, 1.0]),
+                "seller-40": np.diag([1e308, 1.0, 1.0, 1.0]),
+                "seller-66": np.diag([1e-310, 1.0, 1.0, 1.0])}
+    endpoints = [(node.node_id, (lambda n=node: TamperedChannel(n, tampered[n.node_id]))
+                  if node.node_id in tampered else (lambda n=node: InProcessChannel(n)))
+                 for node in nodes]
+
+    def round_of(window_bytes):
+        monkeypatch.setattr(protocol, "_WINDOW_BYTES", window_bytes)
+        asked = []
+        buyer, kept = protocol._round(buyer_data, endpoints, spec, budget, 11, False,
+                                      lambda buyer, sigma, o: asked.append(o.node_id) or o)
+        report = build_report(buyer, kept, "diversify", PARAMS)
+        return asked, [checked_and_scored(buyer, o.summary) if o.summary is not None
+                       else o.failure for o in kept], dumps_report(report)
+
+    windowed, alone = round_of(protocol._WINDOW_BYTES), round_of(1)
+    assert windowed == alone
+    asked, outcomes, _ = windowed
+    assert asked == [node.node_id for node in nodes]
+    failures = {node_id: o for node_id, o in zip(asked, outcomes) if isinstance(o, str)}
+    assert sorted(failures) == ["seller-40", "seller-7"]
+    assert failures["seller-7"].startswith("NotPSDError: covariance is not PSD")
+    assert failures["seller-40"] == ("NumericInputError: matrix entries overflow when "
+                                     "symmetrized")
 
 
 def band_edge_matrix(rng, dim):

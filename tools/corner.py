@@ -16,6 +16,7 @@ per seller.
 
 import argparse
 import json
+import math
 import os
 import resource
 import sys
@@ -42,12 +43,13 @@ def party(rng, rows: int, dim: int) -> EmbeddingSet:
 
 
 def counting(counts: dict):
-    """Wrap the numpy.linalg decompositions so that each call is counted;
-    returns the originals to restore."""
+    """Wrap the numpy.linalg decompositions so that each matrix one
+    decomposes is counted, k for a stack of k; returns the originals to
+    restore."""
     originals = {name: getattr(np.linalg, name) for name in DECOMPOSITIONS}
     for name, original in originals.items():
         def counted(*args, _name=name, _original=original, **kwargs):
-            counts[_name] += 1
+            counts[_name] += math.prod(np.shape(args[0])[:-2])
             return _original(*args, **kwargs)
         setattr(np.linalg, name, counted)
     return originals
