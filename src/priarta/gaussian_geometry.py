@@ -33,12 +33,12 @@ ends at the covariance psd_clamp would give. The paths:
   on first use by the step;
 - a seller's STATS_RESPONSE: decoding rejects non-finite entries and
   expand_covariance is exactly symmetric, so the buyer checks only the
-  entries' range and PSD, once (_checked_against, called for each reply of
-  a window by _checked_window). Where the buyer's W2
-  factor is a Cholesky factor and the reply has more rows than d, the cross
-  term's eigenvalue solve is the check, and W2 reuses its eigenvalues (see
-  below). Every other reply takes the step, eigvalsh first, and with no
-  Cholesky when its count is at most d (it is singular);
+  entries' range and PSD, once, with the window of replies it arrives in
+  (_checked_window). Where the buyer's W2 factor is a Cholesky factor and
+  the reply has more rows than d, the cross term's eigenvalue solve is the
+  check, and W2 reuses its eigenvalues (see below). Every other reply takes
+  the step, eigvalsh first, and with no Cholesky when its count is at most d
+  (it is singular);
 - summarize: the moments of an EmbeddingSet that was checked when it was
   made are trusted: checked for finiteness and symmetrized, with no
   factorization and no clamp, as a seller sends them;
@@ -67,23 +67,26 @@ Those error bounds hold without underflow. Gradual underflow adds at most
 eps * tiny / 2 to each product in the two matrix products, so at most
 d^2 (1 + ||F||_F) eps * tiny / 2 to the Frobenius error, and the threshold
 adds d^2 (1 + ||F||_F) tiny (tiny the smallest normal float), well above
-that. A reply whose first term underflows, one with subnormal entries say,
-is certified only when its cross term clears that underflow term, and
-otherwise takes the check every other reply takes.
+that. ||Sigma_b||_F is computed from the entries scaled by the largest when
+their squares underflow: unscaled, a reply of entries below about 1e-154
+would have a norm of 0, and a bound without its rounding term. A reply whose
+first term underflows, one with subnormal entries say, is certified only
+when its cross term clears that underflow term, and otherwise takes the
+check every other reply takes.
 
-The buyer certifies a window of replies at once (_checked_window): the
-cross terms of the replies it can certify (count > d, a Cholesky factor)
-take one stacked product F^T Sigma_b F, one stacked symmetrize and one
-stacked eigvalsh through _eigh. numpy runs the same BLAS product and the
-same LAPACK solver (syevd) on each matrix of a stack as on that matrix
-alone, so each row of eigenvalues has the bits of the reply's own solve, and
-the certificate and W2 read it as they would read that. A product with an
-entry past half the float range or not finite leaves the stack (symmetrize
-would look at its entries), and so does every product when the stacked
-solve fails: each of them is solved alone by _checked_against, so one
-hostile reply fails no other, and so is a reply with none to stack with.
-The protocol sizes the window in bytes, so that the stack stays in cache:
-at d >= 91 a window holds one reply, checked as it would be alone.
+The buyer certifies a window of replies at once (_checked_window), a
+window of any size, one reply included: the cross terms of the replies it
+can certify (count > d, a Cholesky factor) take one stacked product
+F^T Sigma_b F, one stacked symmetrize and one stacked eigvalsh through
+_eigh, the one solve of a received reply's cross term. numpy runs the same
+BLAS product and the same LAPACK solver (syevd) on each matrix of a stack as
+on that matrix alone, so each row of eigenvalues has the bits W2's own solve
+would give, and the certificate and W2 read it as they would read that. A
+product with an entry past half the float range or not finite is not
+solved, and its reply takes the step uncertified. When the stacked solve
+fails, each symmetrized product of the stack is solved alone, so one
+hostile reply fails no other. The protocol decides how many replies a
+window holds (protocol._WINDOW_BYTES).
 """
 
 from dataclasses import dataclass
@@ -256,7 +259,7 @@ class GaussianSummary:
     __hash__ = _unhashable
     # Not fields, so eq, repr, asdict and replace ignore them. The constructor
     # sets ||F||_F^2 when its W2 factor F is a Cholesky factor;
-    # _checked_against sets (buyer, eigenvalues of the cross term) on a reply
+    # _checked_window sets (buyer, eigenvalues of the cross term) on a reply
     # it checked against that buyer's factor.
     _cholesky_norm2 = None
     _cross = None
@@ -294,63 +297,24 @@ class GaussianSummary:
         return _settled(self.covariance, "covariance of a", solvers=(True,))[1]
 
 
-def _checked_against(buyer, mean: Array, sym: Array, count: int,
-                     solved: Array = None) -> GaussianSummary:
-    """The trusted summary of a seller's reply: a finite mean, and a finite,
-    exactly symmetric covariance of count rows, checked as psd_clamp would
-    clamp it (NumericInputError for an entry past half the float range,
-    NotPSDError unless PSD within tolerance).
+def _checked_window(buyer, replies) -> list:
+    """Each seller reply (mean, sym, count) of a window, in order, as its
+    trusted summary or the PriartaError its check raised: a finite mean, and
+    a finite, exactly symmetric covariance of count rows, checked as
+    psd_clamp would clamp it (NumericInputError for an entry past half the
+    float range, NotPSDError unless PSD within tolerance).
 
     buyer is the round's summary, made by the public constructor. When
-    count > d and the buyer's W2 factor is a Cholesky factor, the eigenvalues
-    of the cross term W2 solves certify the covariance (see the module
-    docstring) and are kept for W2. An uncertified covariance takes the
-    _settled step, with no Cholesky when count <= d (its rank is then below
-    d) and eigvalsh first, and keeps them only if it comes back unchanged.
-    The check does not depend on how the reply is scored: a debiased round
-    checks it as sent too. solved, when given, holds the cross term's
-    eigenvalues as _cross_eigenvalues gives them, solved in a window's stack
-    (_checked_window), and the reply's own solve is skipped."""
-    dim, norm2, cross = sym.shape[0], buyer._cholesky_norm2, None
-    # An overflow here makes the norm infinite or leaves the reply uncertified,
-    # and W2's own solve warns and fails as it would have.
-    with np.errstate(over="ignore", invalid="ignore"):
-        frobenius = math.sqrt(float(np.vdot(sym, sym)))
-        # a Frobenius norm in range bounds every entry; else look at them
-        if not frobenius <= _HALF_MAX and not np.abs(sym).max() <= _HALF_MAX:
-            raise NumericInputError("matrix entries overflow when symmetrized")
-        if norm2 is not None and count > dim:
-            cross = solved
-            if cross is None:
-                try:
-                    cross = _cross_eigenvalues(buyer._covariance_factor, sym)
-                except (ConvergenceError, NumericInputError):
-                    pass
-    # A bound that overflowed to inf, or is NaN, certifies nothing.
-    certified = cross is not None and float(cross[0]) >= (
-        (2.0 + _CERTIFY_MARGIN) * dim * _EPS * norm2 * frobenius
-        + dim * dim * (1.0 + math.sqrt(norm2)) * _TINY)
-    covariance = sym if certified else _settled(sym, "covariance", cholesky=count > dim,
-                                                solvers=(False, True))[0]
-    if cross is None or covariance is not sym:
-        return _trusted(GaussianSummary, mean=mean, covariance=covariance, count=count)
-    cross.flags.writeable = False
-    return _trusted(GaussianSummary, mean=mean, covariance=sym, count=count,
-                    _cross=(buyer, cross))
-
-
-def _checked_window(buyer, replies) -> list:
-    """Each seller reply (mean, sym, count) of a window, checked as
-    _checked_against checks it alone: its trusted summary, or the
-    PriartaError the check raised, in the order of replies. The cross terms
-    of the replies the certificate can check are solved in one stack (see
-    the module docstring); a product out of range, or every product when the
-    stacked solve fails, is solved by _checked_against itself."""
-    stacked, solved = [], {}
-    if buyer._cholesky_norm2 is not None:
-        stacked = [i for i, (_, _, count) in enumerate(replies) if count > buyer.dim]
-    # One such reply has nothing to stack with, and solves its own.
-    if len(stacked) > 1:
+    count > d and the buyer's W2 factor is a Cholesky factor, the reply's
+    cross term is solved in the window's one stack (see the module
+    docstring), and its eigenvalues certify the covariance and are kept for
+    W2. An uncertified covariance takes the _settled step, with no Cholesky
+    when count <= d (its rank is then below d) and eigvalsh first, and keeps
+    them only if it comes back unchanged. The check does not depend on how
+    the reply is scored: a debiased round checks it as sent too."""
+    dim, norm2, solved = buyer.dim, buyer._cholesky_norm2, {}
+    stacked = [] if norm2 is None else [i for i, r in enumerate(replies) if r[2] > dim]
+    if stacked:
         factor = buyer._covariance_factor
         with np.errstate(over="ignore", invalid="ignore"):
             products = factor.T @ np.array([replies[i][1] for i in stacked]) @ factor
@@ -358,16 +322,43 @@ def _checked_window(buyer, replies) -> list:
         if not in_range.all():
             stacked = [i for i, kept in zip(stacked, in_range) if kept]
             products = products[in_range]
+        products = (products + products.swapaxes(1, 2)) / 2.0
         try:
-            w = _eigh((products + products.swapaxes(1, 2)) / 2.0, "cross-covariance term",
-                      vectors=False, psd=False)
-        except ConvergenceError:
-            w = ()
-        solved = dict(zip(stacked, w))
+            solved = dict(zip(stacked, _eigh(products, "cross-covariance term",
+                                             vectors=False, psd=False)))
+        except ConvergenceError:  # each alone, so one hostile reply fails no other
+            for i, product in zip(stacked, products):
+                try:
+                    solved[i] = _eigh(product, "cross-covariance term", vectors=False, psd=False)
+                except ConvergenceError:
+                    pass
     out = []
     for i, (mean, sym, count) in enumerate(replies):
+        cross = solved.get(i)
         try:
-            out.append(_checked_against(buyer, mean, sym, count, solved.get(i)))
+            # An overflow here makes the norm infinite, and W2's own solve of
+            # an uncertified reply warns and fails as it would have.
+            with np.errstate(over="ignore", invalid="ignore"):
+                frobenius = math.sqrt(float(np.vdot(sym, sym)))
+                # a Frobenius norm in range bounds every entry; else look at them
+                if not frobenius <= _HALF_MAX and not np.abs(sym).max() <= _HALF_MAX:
+                    raise NumericInputError("matrix entries overflow when symmetrized")
+                if frobenius * frobenius < _TINY:  # its squares underflow: scale first
+                    peak = float(np.abs(sym).max()) or 1.0
+                    frobenius = peak * math.sqrt(float(np.vdot(sym / peak, sym / peak)))
+            # A bound that overflowed to inf, or is NaN, certifies nothing.
+            certified = cross is not None and float(cross[0]) >= (
+                (2.0 + _CERTIFY_MARGIN) * dim * _EPS * norm2 * frobenius
+                + dim * dim * (1.0 + math.sqrt(norm2)) * _TINY)
+            covariance = sym if certified else _settled(
+                sym, "covariance", cholesky=count > dim, solvers=(False, True))[0]
+            if cross is None or covariance is not sym:
+                out.append(_trusted(GaussianSummary, mean=mean, covariance=covariance,
+                                    count=count))
+            else:
+                cross.flags.writeable = False
+                out.append(_trusted(GaussianSummary, mean=mean, covariance=sym, count=count,
+                                    _cross=(buyer, cross)))
         except PriartaError as exc:
             out.append(exc)
     return out
@@ -397,13 +388,6 @@ def debias_covariance(summary: GaussianSummary, sigma: float) -> GaussianSummary
                     count=summary.count)
 
 
-def _cross_eigenvalues(factor: Array, covariance: Array) -> Array:
-    """Ascending eigenvalues of F^T Sigma_b F, re-symmetrized, with no PSD
-    floor applied."""
-    return _eigh(symmetrize(factor.T @ covariance @ factor), "cross-covariance term",
-                 vectors=False, psd=False)
-
-
 def wasserstein2_gaussian(a: GaussianSummary, b: GaussianSummary) -> float:
     """Closed-form 2-Wasserstein distance between two Gaussian summaries.
 
@@ -412,7 +396,7 @@ def wasserstein2_gaussian(a: GaussianSummary, b: GaussianSummary) -> float:
     re-symmetrized before its eigenvalue solve, its noise eigenvalues are
     clamped, and the scalar under the outer root is clamped at 0: all are
     nonnegative/symmetric analytically but not numerically. A reply that
-    _checked_against certified against a itself brings those eigenvalues
+    _checked_window certified against a itself brings those eigenvalues
     with it, and they are not solved again.
     """
     if a.dim != b.dim:
@@ -425,7 +409,9 @@ def wasserstein2_gaussian(a: GaussianSummary, b: GaussianSummary) -> float:
     if b._cross is not None and b._cross[0] is a:
         w = b._cross[1]
     else:
-        w = _cross_eigenvalues(a._covariance_factor, b.covariance)
+        factor = a._covariance_factor
+        w = _eigh(symmetrize(factor.T @ b.covariance @ factor), "cross-covariance term",
+                  vectors=False, psd=False)
     _psd_floor(w, "cross-covariance term")
     eigenvalues = np.maximum(w, 0.0)
     diff = a.mean - b.mean

@@ -236,8 +236,8 @@ def factor_makers(path):
 def test_one_step_settles_every_covariance():
     # gaussian_geometry._settled is the one step that settles a covariance:
     # Cholesky, else the keep-or-rebuild rule. psd_clamp, the public
-    # constructor (the buyer's summary among its callers), a reply's check
-    # and the lazy W2 factor each call it once, and it alone makes a W2
+    # constructor (the buyer's summary among its callers), a window's check
+    # of each reply and the lazy W2 factor each call it once, and it alone makes a W2
     # factor from eigh's eigenpairs.
     package = Path(priarta.__file__).parent
 
@@ -248,7 +248,7 @@ def test_one_step_settles_every_covariance():
     assert readers(lambda path: attribute_readers(path, lambda node: node.attr == "cholesky")
                    ) == ["gaussian_geometry._settled"]
     assert readers(lambda path: name_readers(path, "_settled")) == [
-        "gaussian_geometry.__post_init__", "gaussian_geometry._checked_against",
+        "gaussian_geometry.__post_init__", "gaussian_geometry._checked_window",
         "gaussian_geometry._covariance_factor", "gaussian_geometry.psd_clamp"]
     assert readers(factor_makers) == ["gaussian_geometry._settled"]
 
@@ -266,6 +266,76 @@ def test_the_factor_scan_sees_every_place(tmp_path):
         "        return inner, math.sqrt(max(w, 0)), np.sqrt(clamped(w))\n"
     )
     assert factor_makers(source) == [None, "factor", "inner"]
+
+
+CROSS_TERM = "cross-covariance term"
+
+
+def cross_term_solvers(path):
+    """In a source file: the function around each call of _eigh, under any
+    module prefix, that names its matrix CROSS_TERM, by position or keyword
+    (None at module level)."""
+    def solves(node):
+        return (isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "_eigh"
+                and any(isinstance(arg, ast.Constant) and arg.value == CROSS_TERM
+                        for arg in node.args + [kw.value for kw in node.keywords]))
+
+    return node_readers(path, solves)
+
+
+def reply_loop_decompositions(path):
+    """In a source file: the last name of each call to _eigh, _settled or a
+    linalg function made in a for loop over replies inside _checked_window,
+    sorted."""
+    calls = []
+    for function in ast.walk(ast.parse(path.read_text())):
+        if isinstance(function, FUNCTIONS) and function.name == "_checked_window":
+            for loop in ast.walk(function):
+                if isinstance(loop, ast.For) and "replies" in ast.unparse(loop.iter):
+                    calls += [ast.unparse(node.func) for node in ast.walk(loop)
+                              if isinstance(node, ast.Call)]
+    return sorted(call.split(".")[-1] for call in calls
+                  if call.split(".")[-1] in ("_eigh", "_settled") or "linalg." in call)
+
+
+def test_one_solver_for_each_kind_of_cross_term():
+    # A received reply's cross term is solved in its window's stack
+    # (_checked_window, a window of one included), every other pair's by W2
+    # itself. The check of each reply reads the stack's eigenvalues and
+    # decomposes nothing but by the one step, _settled, when they do not
+    # certify it.
+    package = Path(priarta.__file__).parent
+    solvers = {f"{path.stem}.{owner}" for path in sorted(package.glob("*.py"))
+               for owner in cross_term_solvers(path)}
+    assert solvers == {"gaussian_geometry._checked_window",
+                       "gaussian_geometry.wasserstein2_gaussian"}
+    assert reply_loop_decompositions(package / "gaussian_geometry.py") == ["_settled"]
+
+
+def test_the_cross_term_scans_see_every_place(tmp_path):
+    source = tmp_path / "module.py"
+    source.write_text(
+        "w = _eigh(m, 'cross-covariance term')\n"
+        "def solve(f, c):\n"
+        "    return gaussian_geometry._eigh(f.T @ c @ f, 'cross-covariance term', False)\n"
+        "def other(c):\n"
+        "    return _eigh(c, 'covariance'), _eigh(c, name='cross-covariance term')\n"
+        "class Window:\n"
+        "    def check(self, c):\n"
+        "        def inner():\n"
+        "            return _eigh(c, 'x'), np.linalg.eigvalsh(c, 'cross-covariance term')\n"
+        "        return inner, _eigh(c, psd=False, name='cross-covariance term')\n"
+        "def _checked_window(buyer, replies, stack):\n"
+        "    _eigh(stack), np.linalg.cholesky(stack)\n"
+        "    for i, reply in enumerate(replies):\n"
+        "        _settled(reply), numpy.linalg.eigh(reply), solve(reply, reply)\n"
+        "        for row in reply:\n"
+        "            gaussian_geometry._eigh(row)\n"
+        "    for row in stack:\n"
+        "        _settled(row)\n"
+    )
+    assert cross_term_solvers(source) == [None, "solve", "other", "check"]
+    assert reply_loop_decompositions(source) == ["_eigh", "_settled", "eigh"]
 
 
 FACTOR_CACHE = ("_covariance_factor", "_cholesky_norm2")

@@ -1,6 +1,7 @@
 """The committed measurement scripts under tools/ still run."""
 
 import hashlib
+import importlib.util
 import json
 import math
 from pathlib import Path
@@ -10,6 +11,7 @@ import sys
 from conftest import package_env
 from priarta import default_scenario
 from priarta.fileio import dumps_json
+from priarta.protocol import in_process_endpoints
 from priarta.valuation import dumps_report, robustness_for_config, run_valuation_for_config
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
@@ -61,3 +63,10 @@ def test_buyer_time_script_replays_a_round_to_the_live_report():
     assert len(out["live_round_s"]) == len(out["replay_round_s"]) == 2
     assert out["best_replay_round_s"] == min(out["replay_round_s"]) > 0
     assert out["buyer_us_per_seller"] == out["best_replay_round_s"] / 3 * 1e6
+    # the digest of the report that the same set-up writes in this process
+    spec = importlib.util.spec_from_file_location("buyer_time", TOOLS / "buyer_time.py")
+    buyer_time = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(buyer_time)
+    buyer, nodes, encoder, budget = buyer_time.setup(3, 4)
+    _, report = buyer_time.timed_round(buyer, in_process_endpoints(nodes), encoder, budget)
+    assert out["report_sha256"] == hashlib.sha256(report.encode("utf-8")).hexdigest()

@@ -5,6 +5,7 @@ import math
 import tracemalloc
 
 from hypothesis import given, settings, strategies as st
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -788,6 +789,15 @@ def test_a_wide_round_checks_each_reply_by_its_w2_cross_term(monkeypatch, rng):
         assert abs(report.entry(o.node_id).raw_w2**2 - expected) <= 1e-8 * scale
 
 
+def checked_alone(buyer, mean, sym, count):
+    """A seller reply checked in a window of one: its trusted summary, or
+    the PriartaError the check refused it with, raised."""
+    (checked,) = gaussian_geometry._checked_window(buyer, [(mean, sym, count)])
+    if isinstance(checked, PriartaError):
+        raise checked
+    return checked
+
+
 CERTIFY_FACTOR = 2.0 + 16.0  # (2 + K) of the certificate, K = 16
 
 
@@ -822,7 +832,7 @@ def test_a_reply_is_kept_as_sent_when_its_cross_term_clears_the_bound(monkeypatc
     buyer, sigma, bound, oracle = certificate_case(rng, 8, ratio)
     assert (oracle >= 2.0 * bound) if certified else (0.0 < oracle <= bound / 2.0)
     counts = counting(monkeypatch, DECOMPOSITIONS)
-    summary = gaussian_geometry._checked_against(buyer, np.zeros(8), sigma, 1000)
+    summary = checked_alone(buyer, np.zeros(8), sigma, 1000)
     # Below the bound the reply takes its own Cholesky, which succeeds:
     # it is kept as sent, and so are the cross term's eigenvalues.
     assert counts == dict.fromkeys(DECOMPOSITIONS, 0) | {"eigvalsh": 1,
@@ -832,18 +842,47 @@ def test_a_reply_is_kept_as_sent_when_its_cross_term_clears_the_bound(monkeypatc
     assert abs(summary._cross[1][0] - oracle) <= 1e-3 * bound
 
 
+@pytest.mark.parametrize("widened", [False, True])
+def test_a_certified_reply_meets_the_derived_bound_in_exact_arithmetic(monkeypatch, rng,
+                                                                       widened):
+    # The module docstring derives that a certified reply has
+    # lambda_min(Sigma) >= (K - 1) d eps lambda_max(Sigma). mpmath's eigsy at
+    # 40 digits on the exact float64 entries of each certified Sigma checks
+    # it, for ratios from just above the certificate's bound upward. Widened
+    # draws also take ratios below the bound, and scale the reply down as far
+    # as subnormal entries, where its squared entries underflow.
+    eps = mpmath.mpf(np.finfo(float).eps)
+    counts = counting(monkeypatch, ["cholesky"])
+    certified = 0
+    for _ in range(120):
+        dim = int(rng.integers(2, 9))
+        buyer, sigma, _, _ = certificate_case(
+            rng, dim, 10.0 ** rng.uniform(-3.0 if widened else 0.0, 3.0))
+        if widened:
+            sigma = sigma * 10.0 ** rng.uniform(-320.0, 0.0)
+        before = counts["cholesky"]
+        summary = checked_alone(buyer, np.zeros(dim), sigma, 1000)
+        if counts["cholesky"] > before or summary._cross is None:
+            continue  # not certified: the reply took its own check
+        certified += 1
+        with mpmath.workdps(40):
+            w = mpmath.eigsy(mpmath.matrix(sigma.tolist()), eigvals_only=True)
+            assert w[0] >= (gaussian_geometry._CERTIFY_MARGIN - 1.0) * dim * eps * w[dim - 1]
+    assert certified >= (40 if widened else 100)
+
+
 def test_a_reply_that_is_not_psd_fails_after_its_cross_term(monkeypatch, rng):
     buyer, sigma, _, oracle = certificate_case(rng, 8, -1e9)
     assert oracle < 0.0
     counts = counting(monkeypatch, DECOMPOSITIONS)
     with pytest.raises(NotPSDError, match="^covariance is not PSD"):
-        gaussian_geometry._checked_against(buyer, np.zeros(8), sigma, 1000)
+        checked_alone(buyer, np.zeros(8), sigma, 1000)
     assert counts == dict.fromkeys(DECOMPOSITIONS, 0) | {"eigvalsh": 2, "cholesky": 1}
 
 
 def test_a_reply_checked_against_one_buyer_is_solved_afresh_for_another(monkeypatch, rng):
     buyer, sigma, _, _ = certificate_case(rng, 8, 4.0)
-    summary = gaussian_geometry._checked_against(buyer, np.ones(8), sigma, 1000)
+    summary = checked_alone(buyer, np.ones(8), sigma, 1000)
     twin = GaussianSummary(buyer.mean, buyer.covariance, 1000)
     assert twin == buyer and twin is not buyer
     counts = counting(monkeypatch, DECOMPOSITIONS)
@@ -860,7 +899,7 @@ def test_kept_cross_term_eigenvalues_meet_the_psd_floor_of_a_fresh_solve(monkeyp
     # -1e-10 * 1e-4, on reuse as on a fresh solve.
     buyer = GaussianSummary(np.zeros(8), np.diag([1e4] + [1e-4] * 7), 1000)
     sent = np.diag([-4.0 * np.finfo(float).eps] + [1.0] * 7)
-    summary = gaussian_geometry._checked_against(buyer, np.ones(8), sent, 1000)
+    summary = checked_alone(buyer, np.ones(8), sent, 1000)
     assert summary.covariance is sent and summary._cross[0] is buyer
     counts = counting(monkeypatch, DECOMPOSITIONS)
     with pytest.raises(NotPSDError, match="^cross-covariance term is not PSD") as reused:
@@ -921,11 +960,11 @@ def test_a_subnormal_reply_is_checked_as_the_public_constructor_checks_it(smalle
     sent = np.diag([1e-310, smallest])
     if outcome == "not-psd":
         with pytest.raises(NotPSDError, match="^covariance is not PSD"):
-            gaussian_geometry._checked_against(buyer, np.zeros(2), sent, 1000)
+            checked_alone(buyer, np.zeros(2), sent, 1000)
         with pytest.raises(NotPSDError, match="^covariance is not PSD"):
             GaussianSummary(np.zeros(2), sent, 1000)
     else:
-        summary = gaussian_geometry._checked_against(buyer, np.zeros(2), sent, 1000)
+        summary = checked_alone(buyer, np.zeros(2), sent, 1000)
         public = GaussianSummary(np.zeros(2), sent, 1000)
         assert summary.covariance is not sent and summary._cross is None
         assert summary.covariance.tobytes() == public.covariance.tobytes()
@@ -940,10 +979,9 @@ def test_a_reply_near_the_end_of_the_float_range_is_checked_entry_by_entry(entry
     sent = entry * np.eye(4)
     if entry > np.finfo(float).max / 2.0:
         with pytest.raises(NumericInputError, match="^matrix entries overflow when symmetrized"):
-            gaussian_geometry._checked_against(buyer, np.zeros(4), sent, 1000)
+            checked_alone(buyer, np.zeros(4), sent, 1000)
     else:
-        assert gaussian_geometry._checked_against(buyer, np.zeros(4), sent,
-                                                  1000).covariance is sent
+        assert checked_alone(buyer, np.zeros(4), sent, 1000).covariance is sent
 
 
 def test_a_certified_reply_is_what_the_cholesky_else_eigenvalues_check_gives(monkeypatch,
@@ -971,8 +1009,7 @@ def test_a_certified_reply_is_what_the_cholesky_else_eigenvalues_check_gives(mon
                 return "not-psd"
 
         counts = counting(monkeypatch, ["cholesky", "eigvalsh"])
-        checked = ends(lambda: gaussian_geometry._checked_against(
-            buyer, np.zeros(dim), sent, 1000).covariance)
+        checked = ends(lambda: checked_alone(buyer, np.zeros(dim), sent, 1000).covariance)
         certified += counts == {"cholesky": 0, "eigvalsh": 1}
         monkeypatch.undo()
         assert checked == ends(lambda: psd_clamp(sent, "covariance"))
@@ -1021,33 +1058,28 @@ def checked_and_scored(buyer, checked):
     return checked.covariance.tobytes(), cross, score
 
 
-def one_by_one(buyer, reply):
+def alone(buyer, reply):
+    """A reply's check and score by the one-pair public path, as
+    checked_and_scored gives them: psd_clamp's refusal (its symmetrize is the
+    entry check), or its covariance, no cross term, and the W2 score against
+    buyer of a summary that keeps none, so that W2 solves its own."""
+    mean, sym, count = reply
     try:
-        return gaussian_geometry._checked_against(buyer, *reply)
+        covariance = psd_clamp(sym, "covariance")
     except PriartaError as exc:
-        return exc
+        return f"{type(exc).__name__}: {exc}"
+    return checked_and_scored(
+        buyer, _trusted(GaussianSummary, mean=mean, covariance=covariance, count=count))
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=80)
-@given(dim=st.sampled_from([1, 2, 4, 16]),
-       kinds=st.lists(st.sampled_from(REPLY_KINDS), min_size=1, max_size=64),
-       buyer_scale=st.sampled_from([1e-3, 1.0, 1e3]),
-       singular_buyer=st.booleans(), stack_fails=st.booleans(),
-       seed=st.integers(0, 2**32 - 1))
-def test_a_window_checks_and_scores_each_reply_as_one_reply_alone(
-        dim, kinds, buyer_scale, singular_buyer, stack_fails, seed):
-    # Every reply of a window ends, bit for bit, where _checked_against and
-    # wasserstein2_gaussian take it one reply at a time: kept with the same
-    # cross term and score, or refused with the same failure. A stacked
-    # solve that fails (a ConvergenceError forced into it) leaves each reply
-    # to its own solve.
-    rng = np.random.default_rng(seed)
-    covariance = random_psd(rng, dim) + np.eye(dim)
-    if singular_buyer and dim > 1:
-        covariance[0, :] = covariance[:, 0] = 0.0
-    buyer = GaussianSummary(rng.standard_normal(dim), covariance * buyer_scale, 1000)
-    replies = [window_reply(rng, dim, kind) for kind in kinds]
-    want = [checked_and_scored(buyer, one_by_one(buyer, reply)) for reply in replies]
+def assert_checked_as_alone(buyer, replies, stack_fails):
+    """Every reply of a window ends, bit for bit, where the one-pair public
+    path takes it, kept with the same score or refused with the same failure,
+    and each cross term the window keeps is numpy's eigvalsh of the reply's
+    own symmetrized product F^T Sigma F. With stack_fails, a ConvergenceError
+    is forced into every stacked solve, so each reply takes its own. Returns
+    the window's outcomes."""
+    want = [alone(buyer, reply) for reply in replies]
     eigvalsh = np.linalg.eigvalsh
 
     def failing(a, *args, **kwargs):
@@ -1059,7 +1091,52 @@ def test_a_window_checks_and_scores_each_reply_as_one_reply_alone(
         if stack_fails:
             patch.setattr(np.linalg, "eigvalsh", failing)
         window = gaussian_geometry._checked_window(buyer, replies)
-    assert [checked_and_scored(buyer, checked) for checked in window] == want
+    factor = buyer._covariance_factor
+    for checked, (_, sym, _), expected in zip(window, replies, want):
+        got = checked_and_scored(buyer, checked)
+        if isinstance(got, tuple) and got[1] is not None:
+            assert checked._cross[0] is buyer
+            product = factor.T @ sym @ factor
+            assert got[1] == eigvalsh((product + product.T) / 2.0).tobytes()
+            got = (got[0], None, got[2])
+        assert got == expected
+    return window
+
+
+def window_buyer(rng, dim, scale, singular=False):
+    """The buyer's summary, of covariance scale (A + I) for a random PSD A,
+    with its first coordinate zeroed when singular (then factored by eigh)."""
+    covariance = random_psd(rng, dim) + np.eye(dim)
+    if singular and dim > 1:
+        covariance[0, :] = covariance[:, 0] = 0.0
+    return GaussianSummary(rng.standard_normal(dim), covariance * scale, 1000)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(dim=st.sampled_from([1, 2, 4, 16]),
+       kinds=st.lists(st.sampled_from(REPLY_KINDS), min_size=1, max_size=64),
+       buyer_scale=st.sampled_from([1e-3, 1.0, 1e3]),
+       singular_buyer=st.booleans(), stack_fails=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_a_window_checks_and_scores_each_reply_as_one_reply_alone(
+        dim, kinds, buyer_scale, singular_buyer, stack_fails, seed):
+    rng = np.random.default_rng(seed)
+    buyer = window_buyer(rng, dim, buyer_scale, singular_buyer)
+    assert_checked_as_alone(buyer, [window_reply(rng, dim, kind) for kind in kinds],
+                            stack_fails)
+
+
+@pytest.mark.parametrize("dim", [96, 256])
+def test_a_wide_window_of_one_checks_and_scores_its_reply_as_one_reply_alone(rng, dim):
+    # From d = 91 on a window holds one reply, whose cross term is solved
+    # as a stack of one.
+    buyer = window_buyer(rng, dim, 1e3)
+    for kind in REPLY_KINDS:
+        reply = window_reply(rng, dim, kind)
+        for stack_fails in (False, True):
+            (checked,) = assert_checked_as_alone(buyer, [reply], stack_fails)
+            if kind == "psd":  # certified by its cross term, which is kept
+                assert checked._cross is not None
 
 
 class TamperedChannel(InProcessChannel):
@@ -1151,8 +1228,7 @@ def test_a_covariance_at_the_band_edge_ends_where_the_public_constructor_does(rn
             buyer = GaussianSummary(
                 mean, singular if case == "eigen-factored-buyer" else np.eye(dim), 1000)
             count = dim if case == "reply-of-d-rows" else 1000
-            got = covariance_or_refusal(lambda: gaussian_geometry._checked_against(
-                buyer, mean, sent, count))
+            got = covariance_or_refusal(lambda: checked_alone(buyer, mean, sent, count))
         assert got == public
         rebuilt += public != sent.tobytes()
     assert 30 <= rebuilt <= 270

@@ -16,13 +16,15 @@ master seed 7 and one BLAS thread. At another --dim the input is max(16, d)
 wide with max(8, d) signal coordinates (the extra ones centred at 0), so the
 buyer's covariance stays full rank. The first round makes the buyer's own
 summary and is not timed. The output holds each round's wall time, the best
-of each kind, and the buyer's microseconds per seller in the best replayed
-round.
+of each kind, the buyer's microseconds per seller in the best replayed round,
+and the sha256 of the live report's bytes: one run both times a --dim and
+shows whether a change kept that report's bits.
 
     PYTHONPATH=src python tools/buyer_time.py [--sellers 250] [--dim 4] [--rounds 15]
 """
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -131,6 +133,7 @@ def main(argv=None) -> int:
         "best_live_round_s": min(live_s), "best_replay_round_s": min(replay_s),
         "buyer_us_per_seller": min(replay_s) / args.sellers * 1e6,
         "reports_match": True,
+        "report_sha256": hashlib.sha256(live_report.encode("utf-8")).hexdigest(),
     }, sys.stdout, indent=1)
     sys.stdout.write("\n")
     return 0
