@@ -406,21 +406,25 @@ def wasserstein2_gaussian(a: GaussianSummary, b: GaussianSummary) -> float:
         # cancellation noise under the outer root would exceed the identity
         # tolerance otherwise
         return 0.0
-    if b._cross is not None and b._cross[0] is a:
-        w = b._cross[1]
-    else:
-        factor = a._covariance_factor
-        w = _eigh(symmetrize(factor.T @ b.covariance @ factor), "cross-covariance term",
-                  vectors=False, psd=False)
-    _psd_floor(w, "cross-covariance term")
-    eigenvalues = np.maximum(w, 0.0)
-    diff = a.mean - b.mean
-    squared = (
-        float(diff @ diff)
-        + float(np.trace(a.covariance))
-        + float(np.trace(b.covariance))
-        - 2.0 * float(np.sqrt(eigenvalues).sum())
-    )
+    # A reply near the float range may overflow here. symmetrize refuses a
+    # non-finite product and the isfinite check below any other overflow, so
+    # numpy's warning would only repeat the refusal.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if b._cross is not None and b._cross[0] is a:
+            w = b._cross[1]
+        else:
+            factor = a._covariance_factor
+            w = _eigh(symmetrize(factor.T @ b.covariance @ factor), "cross-covariance term",
+                      vectors=False, psd=False)
+        _psd_floor(w, "cross-covariance term")
+        eigenvalues = np.maximum(w, 0.0)
+        diff = a.mean - b.mean
+        squared = (
+            float(diff @ diff)
+            + float(np.trace(a.covariance))
+            + float(np.trace(b.covariance))
+            - 2.0 * float(np.sqrt(eigenvalues).sum())
+        )
     if not math.isfinite(squared):
         raise NumericInputError("non-finite intermediate in Wasserstein computation")
     return math.sqrt(max(squared, 0.0))

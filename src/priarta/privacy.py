@@ -183,6 +183,20 @@ def _mean_epsilon(budget: PrivacyBudget) -> float:
     return high
 
 
+def _subsampled(epsilon: float, delta: float, q: float) -> tuple:
+    """The (epsilon', delta') = (log(1 + q(e^epsilon - 1)), q delta) that an
+    (epsilon, delta) release of a uniform subset, drawn without replacement,
+    of a share q of the rows held achieves for the rows held, under the
+    substitution relation (Balle, Barthe & Gaboardi, NeurIPS 2018). It
+    holds in secure mode only: a seeded request tells the buyer which rows
+    were drawn. Where e^epsilon overflows, epsilon' is computed as
+    epsilon + log q + log1p((1 - q) e^-epsilon / q)."""
+    try:
+        return math.log1p(q * math.expm1(epsilon)), q * delta
+    except OverflowError:
+        return epsilon + math.log(q) + math.log1p((1.0 - q) * math.exp(-epsilon) / q), q * delta
+
+
 def apply_gaussian_mechanism(
     embeddings: EmbeddingSet, sigma: float, rng_seed: int
 ) -> EmbeddingSet:

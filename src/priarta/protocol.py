@@ -925,8 +925,10 @@ def socket_endpoints(addresses) -> list:
     ]
 
 
-# Sellers asked before any of them is read from. This keeps a round's open
-# sockets well under the common soft limit of 1024 file descriptors.
+# Sellers asked and not yet read, at most: before each window of replies is
+# read, the round asks unasked sellers until this many are. This keeps a
+# round's open sockets well under the common soft limit of 1024 file
+# descriptors.
 _IN_FLIGHT = 64
 # The decoded replies, d + d^2 float64s each, that wait to be checked together
 # (gaussian_geometry._checked_window): as many as fit in this many bytes, and
@@ -957,10 +959,13 @@ def _ask(node_id: str, connect, frames: tuple) -> tuple:
 
 def _collect(outcome: SellerOutcome, channel, spec: EncoderSpec, request, sigma: float):
     """Read an asked seller's replies in order, stopping at the first ERROR
-    or unexpected reply. Returns its STATS_RESPONSE's (mean, covariance,
-    count), the covariance expanded, for the buyer to check; else None, and
-    its failure is recorded."""
+    or unexpected reply, then close its channel and record its byte counts.
+    Nothing is read when asking it failed. Returns its STATS_RESPONSE's
+    (mean, covariance, count), the covariance expanded, for the buyer to
+    check; else None, and its failure is recorded."""
     try:
+        if outcome.failure is not None:  # asking it failed
+            return None
         for expected, name in _REPLIES:
             reply = channel.receive()
             if isinstance(reply, ErrorMessage):
@@ -989,25 +994,22 @@ def _collect(outcome: SellerOutcome, channel, spec: EncoderSpec, request, sigma:
             return reply.mean, expand_covariance(reply.covariance, len(reply.mean)), reply.count
     except (OSError, PriartaError) as exc:
         outcome.failure = f"{type(exc).__name__}: {exc}"
+    finally:
+        if channel is not None:
+            channel.close()
+            outcome.bytes_sent = channel.bytes_sent
+            outcome.bytes_received = channel.bytes_received
     return None
-
-
-def _close(outcome: SellerOutcome, channel):
-    """Close an asked seller's channel, if it opened, and record its byte counts."""
-    if channel is not None:
-        channel.close()
-        outcome.bytes_sent = channel.bytes_sent
-        outcome.bytes_received = channel.bytes_received
 
 
 def orchestrate_valuation(buyer_data, sellers, spec: EncoderSpec, budget: PrivacyBudget,
                           master_seed: int = None, noisy_buyer: bool = False):
     """Query every seller endpoint and compute the buyer's own summary.
 
-    Up to 64 sellers at a time are sent their three requests before any of
-    their replies is read, so network sellers compute while the buyer builds
-    its own summary (once, after the first sellers are asked) and while the
-    buyer reads earlier replies.
+    Before each window of replies is read, sellers are sent their three
+    requests until 64 are asked and unread, so network sellers compute while
+    the buyer builds its own summary (once, after the first sellers are
+    asked) and while the buyer reads earlier replies.
 
     buyer_data: a dataset, or a function of no arguments that returns one.
     sellers: list of (node_id, connect) with connect() -> channel. Returns
@@ -1051,40 +1053,35 @@ def _round(buyer_data, sellers, spec, budget, master_seed, noisy_buyer, keep) ->
     noise_seed = node_seeds(seed, BUYER_ID)[1] if noisy_buyer else None
     size = max(1, _WINDOW_BYTES // (8 * spec.latent_dim * (spec.latent_dim + 1)))
 
+    unasked, asked = collections.deque(sellers), collections.deque()
     buyer = None
     kept = []
-    for start in range(0, len(sellers), _IN_FLIGHT):
-        asked = collections.deque()
-        try:
-            for node_id, connect in sellers[start:start + _IN_FLIGHT]:
-                asked.append(_ask(node_id, connect, frames))
+    try:
+        while unasked or asked:
+            while unasked and len(asked) < _IN_FLIGHT:
+                asked.append(_ask(*unasked.popleft(), frames))
             if buyer is None:
                 data = buyer_data() if callable(buyer_data) else buyer_data
                 buyer = buyer_summary(data, spec, budget.clip_radius,
                                       sigma if noisy_buyer else 0.0, noise_seed)
-            while asked:
-                # Each channel, and the frames its transcript holds, goes as
-                # soon as its replies are read. A window of decoded replies
-                # is checked in one call, and each outcome goes once kept.
-                window = []
-                while asked and len(window) < size:
-                    outcome, channel = asked[0]
-                    reply = None
-                    if outcome.failure is None:
-                        reply = _collect(outcome, channel, spec, request, sigma)
-                    _close(outcome, channel)
-                    asked.popleft()
-                    window.append((outcome, reply))
-                checked = iter(_checked_window(buyer, [r for _, r in window if r is not None]))
-                for outcome, reply in window:
-                    if reply is not None:
-                        summary = next(checked)
-                        if isinstance(summary, GaussianSummary):
-                            outcome.summary = summary
-                        else:
-                            outcome.failure = f"{type(summary).__name__}: {summary}"
-                    kept.append(keep(buyer, sigma, outcome))
-        finally:
-            for outcome, channel in asked:
-                _close(outcome, channel)
+            # Each channel, and the frames its transcript holds, goes as soon
+            # as its replies are read. A window of decoded replies is checked
+            # in one call, and each outcome goes once kept.
+            window = []
+            while asked and len(window) < size:
+                outcome, channel = asked.popleft()
+                window.append((outcome, _collect(outcome, channel, spec, request, sigma)))
+            checked = iter(_checked_window(buyer, [r for _, r in window if r is not None]))
+            for outcome, reply in window:
+                if reply is not None:
+                    summary = next(checked)
+                    if isinstance(summary, GaussianSummary):
+                        outcome.summary = summary
+                    else:
+                        outcome.failure = f"{type(summary).__name__}: {summary}"
+                kept.append(keep(buyer, sigma, outcome))
+    finally:
+        for _, channel in asked:  # asked and never read
+            if channel is not None:
+                channel.close()
     return buyer, kept

@@ -23,7 +23,7 @@ from priarta import (
     mean_sensitivity,
     secure_seed,
 )
-from priarta.privacy import _mean_epsilon
+from priarta.privacy import _mean_epsilon, _subsampled
 
 
 # ------------------------------------------------------------ PrivacyBudget
@@ -183,21 +183,21 @@ def test_mean_epsilon_at_the_quoted_budgets():
 def mean_epsilon_oracle(budget):
     """Balle & Wang's condition solved in 50-digit arithmetic, for the same
     float u as the package: bisection to far below double precision."""
-    mpmath.mp.dps = 50
-    u = mpmath.mpf(mean_sensitivity(budget.clip_radius, budget.subset_size)
-                   * math.sqrt(budget.subset_size) / budget._calibration.sigma)
+    with mpmath.workdps(50):
+        u = mpmath.mpf(mean_sensitivity(budget.clip_radius, budget.subset_size)
+                       * math.sqrt(budget.subset_size) / budget._calibration.sigma)
 
-    def excess(eps):
-        return (mpmath.ncdf(u / 2 - eps / u) - mpmath.exp(eps) * mpmath.ncdf(-u / 2 - eps / u)
-                - mpmath.mpf(budget.delta))
+        def excess(eps):
+            return (mpmath.ncdf(u / 2 - eps / u)
+                    - mpmath.exp(eps) * mpmath.ncdf(-u / 2 - eps / u) - mpmath.mpf(budget.delta))
 
-    low, high = mpmath.mpf(0), mpmath.mpf(1)
-    while excess(high) > 0:
-        low, high = high, 2 * high
-    for _ in range(200):
-        mid = (low + high) / 2
-        low, high = (low, mid) if excess(mid) <= 0 else (mid, high)
-    return high
+        low, high = mpmath.mpf(0), mpmath.mpf(1)
+        while excess(high) > 0:
+            low, high = high, 2 * high
+        for _ in range(200):
+            mid = (low + high) / 2
+            low, high = (low, mid) if excess(mid) <= 0 else (mid, high)
+        return float(high)
 
 
 @pytest.mark.parametrize("radius", [1.0, 0.01], ids=["R-1", "R-0.01"])
@@ -210,7 +210,43 @@ def test_mean_epsilon_matches_a_50_digit_oracle(count, delta, radius):
     budget = PrivacyBudget(0.8, delta, radius, count)
     got = _mean_epsilon(budget)
     assert math.isfinite(got)
+    dps = mpmath.mp.dps
     assert abs(got - mean_epsilon_oracle(budget)) <= 1e-13 * got
+    assert mpmath.mp.dps == dps  # the oracle's precision is its own
+
+
+def test_subsampling_amplifies_the_quoted_mean_epsilon():
+    # A seller of 4096 or 1024 rows draws the default subset of 512.
+    epsilon = _mean_epsilon(PrivacyBudget(0.8, 1e-5, 1.0, 512))
+    eps, delta = _subsampled(epsilon, 1e-5, 512 / 4096)
+    assert (round(eps, 3), delta) == (7.072, 1.25e-6)
+    eps, delta = _subsampled(epsilon, 1e-5, 512 / 1024)
+    assert (round(eps, 3), delta) == (8.458, 5e-6)
+    assert _subsampled(epsilon, 1e-5, 1.0) == (epsilon, 1e-5)
+
+
+def subsampled_oracle(epsilon, q):
+    """log(1 + q(e^epsilon - 1)) in 50-digit arithmetic."""
+    with mpmath.workdps(50):
+        return float(mpmath.log(1 + mpmath.mpf(q) * mpmath.expm1(mpmath.mpf(epsilon))))
+
+
+@pytest.mark.parametrize("q", [1.0, 0.5, 0.125, 1e-3, 1e-9])
+@pytest.mark.parametrize("budget", [
+    PrivacyBudget(0.8, 1e-5, 1.0, 512),
+    PrivacyBudget(0.8, 1e-12, 1.0, 4096),
+    PrivacyBudget(0.8, 1e-5, 0.01, 512),  # its epsilon is past 709
+    PrivacyBudget(0.8, 1e-12, 0.01, 100_000),
+], ids=["defaults", "4096", "R-0.01", "R-0.01-100000"])
+def test_subsampled_matches_a_50_digit_oracle(budget, q):
+    epsilon = _mean_epsilon(budget)
+    dps = mpmath.mp.dps
+    for eps in (epsilon, 1e-12, 709.0, 710.0):
+        got, delta = _subsampled(eps, budget.delta, q)
+        assert math.isfinite(got) and delta == q * budget.delta
+        want = subsampled_oracle(eps, q)
+        assert abs(got - want) <= 1e-15 * want
+    assert mpmath.mp.dps == dps
 
 
 def test_mechanism_requires_clipped_input(rng):

@@ -69,6 +69,7 @@ from priarta.protocol import (
     socket_endpoints,
 )
 from priarta.stats import EmbeddingSet
+from priarta.valuation import run_valuation
 
 SPEC = EncoderSpec("toy_projection", 271828, 16, 4, 8, 0.0)
 BUDGET = PrivacyBudget(0.8, 1e-5, 1.0, 32)
@@ -1626,6 +1627,109 @@ def test_a_round_that_aborts_on_the_buyer_closes_every_channel(buyer_data, error
     closed = [event[1] for event in events if event[0] == "close"]
     assert opened == closed == ["s0", "s1", "s2"]
     assert not [event for event in events if event[0] == "receive"]
+
+
+class _HostileChannel(InProcessChannel):
+    """An in-process channel whose i-th reply frame reaches the buyer as
+    rewrite(i, reply) re-encoded (0: HELLO, 1: MODEL_SPEC ack, 2:
+    STATS_RESPONSE), or whose send raises send_error after it connected. It
+    notes its reads and its closing."""
+
+    def __init__(self, node, rewrite=lambda i, reply: reply, send_error=None):
+        super().__init__(node)
+        self.rewrite, self.send_error = rewrite, send_error
+        self.reads, self.closed = 0, False
+
+    def send(self, *msgs):
+        if self.send_error is not None:
+            raise self.send_error
+        super().send(*msgs)
+
+    def _received(self, frame):
+        self.reads += 1
+        return super()._received(encode_frame(self.rewrite(self.reads - 1, decode_frame(frame))))
+
+    def close(self):
+        self.closed = True
+        super().close()
+
+
+def replaced(place, **changes):
+    """A rewrite that changes these fields of the reply at place."""
+    return lambda i, reply: dataclasses.replace(reply, **changes) if i == place else reply
+
+
+def swapped(place, message):
+    """A rewrite that answers message in place of the reply at place."""
+    return lambda i, reply: message if i == place else reply
+
+
+# how mallory's channel misbehaves, and the failure the buyer records
+HOSTILE_CHANNELS = {
+    "hello-wrong-type": (dict(rewrite=swapped(0, ModelSpec(SPEC))),
+                         "expected HELLO, got ModelSpec"),
+    "spec-ack-wrong-type": (dict(rewrite=swapped(1, ModelSpec(SPEC))),
+                            "expected MODEL_SPEC ack, got ModelSpec"),
+    "stats-wrong-type": (dict(rewrite=swapped(2, Hello(PROTOCOL_VERSION))),
+                         "expected STATS_RESPONSE, got Hello"),
+    "other-session": (dict(rewrite=replaced(2, session_id="sess-forged")),
+                      "session id mismatch: 'sess-forged'"),
+    "other-count": (dict(rewrite=replaced(2, count=BUDGET.subset_size + 1)),
+                    "count contract violated: response count 33, requested 32"),
+    "other-fingerprint": (dict(rewrite=replaced(2, encoder_fingerprint="0" * 16)),
+                          "encoder fingerprint mismatch"),
+    "send-fails": (dict(send_error=ConnectionResetError("peer reset")),
+                   "ConnectionResetError: peer reset"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_CHANNELS))
+def test_a_hostile_reply_fails_its_seller_alone_and_its_channel_is_closed(name):
+    options, reason = HOSTILE_CHANNELS[name]
+    nodes = seller_nodes()[:2]
+    opened = []
+
+    def mallory():
+        opened.append(_HostileChannel(SellerNode("mallory", raw=make_dataset(seed=14)),
+                                      **options))
+        return opened[-1]
+
+    def valuation_round(hostile):
+        endpoints = in_process_endpoints(nodes) + ([("mallory", mallory)] if hostile else [])
+        return (orchestrate_valuation(make_dataset(seed=10), endpoints, SPEC, BUDGET,
+                                      master_seed=1000)[1],
+                run_valuation(make_dataset(seed=10), endpoints, SPEC, BUDGET, master_seed=1000))
+
+    honest, honest_report = valuation_round(False)
+    outcomes, report = valuation_round(True)
+    assert [o.failure for o in outcomes] == [None, None, reason]
+    assert outcomes[:2] == honest
+    assert report.entry("mallory").failure_reason == reason
+    assert report.entries[:2] == honest_report.entries
+    for channel in opened:
+        assert channel.closed
+        assert (outcomes[2].bytes_sent, outcomes[2].bytes_received) == (
+            channel.bytes_sent, channel.bytes_received)
+        if "send_error" in options:  # nothing sent, so nothing is read
+            assert (channel.reads, channel.bytes_sent, channel.bytes_received) == (0, 0, 0)
+
+
+def test_a_seller_answers_an_unhandled_failure_as_internal_and_serves_on(monkeypatch, caplog):
+    session = ready_session()
+
+    def broken(*args):
+        raise RuntimeError("pipeline broke")
+
+    monkeypatch.setattr(protocol, "seller_pipeline", broken)
+    with caplog.at_level(logging.ERROR, logger="priarta"):
+        reply = decode_frame(session.handle_bytes(encode_frame(make_request(session="sess-9"))))
+    assert reply == ErrorMessage("INTERNAL", "RuntimeError: pipeline broke", "sess-9")
+    (record,) = caplog.records
+    assert record.getMessage() == "node s1: unhandled failure"
+    assert record.exc_info[0] is RuntimeError
+    monkeypatch.undo()
+    served = decode_frame(session.handle_bytes(encode_frame(make_request(session="sess-10"))))
+    assert isinstance(served, StatsResponse) and served.session_id == "sess-10"
 
 
 # ---------------------------------------------------------------- channels

@@ -70,3 +70,26 @@ def test_buyer_time_script_replays_a_round_to_the_live_report():
     buyer, nodes, encoder, budget = buyer_time.setup(3, 4)
     _, report = buyer_time.timed_round(buyer, in_process_endpoints(nodes), encoder, budget)
     assert out["report_sha256"] == hashlib.sha256(report.encode("utf-8")).hexdigest()
+
+
+def test_perfbench_tracing_binds_to_names_the_package_keeps():
+    # Every benchmark run calls tracing.snapshot(), which reads each METHODS
+    # entry from its class's own __dict__: a refactor that drops one breaks
+    # every run.
+    path = TOOLS.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    modules = tracing._layer_modules()
+    for layer, cls_name, attr, _ in tracing.METHODS:
+        assert attr in vars(getattr(modules[layer], cls_name)), (layer, cls_name, attr)
+    before = tracing.snapshot()
+    undo = tracing.install(tracing.Tracer())
+    try:
+        during = tracing.snapshot()
+        assert len(undo) > len(tracing.METHODS) + len(tracing.FACTORIZATIONS)
+        assert all(during[(layer, cls_name, attr)] != before[(layer, cls_name, attr)]
+                   for layer, cls_name, attr, _ in tracing.METHODS)
+    finally:
+        tracing.uninstall(undo)
+    assert tracing.snapshot() == before

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 from hypothesis import given, settings, strategies as st
 import mpmath
@@ -404,6 +405,28 @@ def test_round_caches_factor_on_buyer_only():
     assert not any("_covariance_factor" in vars(s) for s in summaries)
 
 
+@pytest.mark.parametrize("rows", [40, 4], ids=["cholesky", "at-most-d-rows"])
+def test_a_trusted_summary_makes_its_w2_factor_as_its_public_twin_does(rng, rows):
+    # summarize's trusted summary makes its factor on first use as W2's left
+    # argument; the public constructor makes it when the twin is built.
+    dim = 8
+    trusted = stats.summarize(EmbeddingSet(rng.standard_normal((rows, dim)), 10.0, clipped=False))
+    twin = GaussianSummary(trusted.mean, trusted.covariance, trusted.count)
+    assert np.array_equal(twin.covariance, trusted.covariance)  # kept as sent
+    assert (twin._cholesky_norm2 is not None) == (rows > dim)
+    sellers = [random_summary(rng, dim, count=50) for _ in range(3)]
+    assert "_covariance_factor" not in vars(trusted)
+    assert [wasserstein2_gaussian(trusted, b).hex() for b in sellers] == [
+        wasserstein2_gaussian(twin, b).hex() for b in sellers]
+    assert "_covariance_factor" in vars(trusted)
+    np.testing.assert_array_equal(trusted._covariance_factor, twin._covariance_factor)
+    outcomes = [outcome(f"s{i}", b) for i, b in enumerate(sellers)]
+    lazy = stats.summarize(EmbeddingSet(rng.standard_normal((rows, dim)), 10.0, clipped=False))
+    public = GaussianSummary(lazy.mean, lazy.covariance, lazy.count)
+    assert dumps_report(build_report(lazy, outcomes, "diversify", PARAMS)) == dumps_report(
+        build_report(public, outcomes, "diversify", PARAMS))
+
+
 def test_a_second_round_on_the_same_buyer_reuses_its_summary(monkeypatch):
     config = default_scenario(7)
     datasets = build_datasets(config)
@@ -507,19 +530,30 @@ def test_one_hostile_seller_fails_alone(name):
     assert report.ranking == honest.ranking
 
 
-class _ClaimingSession(SellerSession):
-    """An honest seller session whose STATS_RESPONSE claims factor times the
-    sigma it noised at."""
+class _RewritingSession(SellerSession):
+    """An honest seller session whose STATS_RESPONSE goes out as
+    rewrite(reply)."""
 
-    def __init__(self, node, factor):
+    def __init__(self, node, rewrite):
         super().__init__(node)
-        self.factor = factor
+        self.rewrite = rewrite
 
     def handle_bytes(self, frame):
         reply = decode_frame(super().handle_bytes(frame))
         if isinstance(reply, StatsResponse):
-            reply = dataclasses.replace(reply, sigma_used=reply.sigma_used * self.factor)
+            reply = self.rewrite(reply)
         return encode_frame(reply)
+
+
+def rewriting_endpoint(node, rewrite):
+    """An endpoint of node whose STATS_RESPONSE goes out as rewrite(reply)."""
+
+    def connect():
+        channel = InProcessChannel(node)
+        channel.session = _RewritingSession(node, rewrite)
+        return channel
+
+    return connect
 
 
 def _claiming_round(factor, debias):
@@ -529,11 +563,8 @@ def _claiming_round(factor, debias):
     datasets = build_datasets(config)
     nodes = [SellerNode(nid, raw=datasets[nid]) for nid in config.seller_ids()]
     liar = SellerNode("mallory", raw=datasets["seller-1"])
-
-    def mallory():
-        channel = InProcessChannel(liar)
-        channel.session = _ClaimingSession(liar, factor)
-        return channel
+    mallory = rewriting_endpoint(
+        liar, lambda reply: dataclasses.replace(reply, sigma_used=reply.sigma_used * factor))
 
     def valuation_round(endpoints):
         return run_valuation(datasets[BUYER_ID], endpoints, config.encoder, config.budget,
@@ -542,6 +573,38 @@ def _claiming_round(factor, debias):
     return (valuation_round(in_process_endpoints(nodes)),
             valuation_round(in_process_endpoints(nodes) + [("mallory", mallory)]),
             valuation_round(in_process_endpoints(nodes + [liar])))
+
+
+@pytest.mark.parametrize("debias", [False, True], ids=["plain", "debias"])
+def test_a_reply_near_the_float_range_fails_alone_and_warns_nothing(rng, debias):
+    # A PSD covariance of entries about 5e307 passes the check, and its W2
+    # cross term against a buyer at clip radius 30 overflows.
+    dim = 4
+    spec = EncoderSpec("external", 5, dim, dim, dim, 0.0)
+    budget = PrivacyBudget(0.8, 1e-5, 30.0, 128)
+    buyer = EmbeddingSet(rng.normal(0.0, 8.0, (600, dim)), 30.0, clipped=False)
+    nodes = [SellerNode(f"seller-{i}", embeddings=EmbeddingSet(
+        rng.normal(0.0, 8.0, (300, dim)), 30.0, clipped=False)) for i in range(3)]
+    huge = random_psd(rng, dim) * 5e307
+    mallory = rewriting_endpoint(
+        nodes[1], lambda reply: dataclasses.replace(reply, covariance=pack_covariance(huge)))
+
+    def valuation_round(endpoints):
+        return run_valuation(buyer, endpoints, spec, budget, master_seed=3, debias=debias)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        without = valuation_round(in_process_endpoints(nodes))
+        report = valuation_round(in_process_endpoints(nodes) + [("mallory", mallory)])
+        if debias:
+            rebuilt = debias_covariance(GaussianSummary(np.zeros(dim), huge, 128),
+                                        calibrate_sigma(budget).sigma)
+    assert report.entry("mallory").failure_reason == (
+        "scoring failed: NumericInputError: matrix contains non-finite entries")
+    assert [e.raw_w2.hex() for e in report.entries if e.node_id != "mallory"] == [
+        e.raw_w2.hex() for e in without.entries]
+    if debias:  # the rebuild stays finite: W2's cross term is what overflows
+        assert np.isfinite(rebuilt.covariance).all()
 
 
 @pytest.mark.parametrize("debias", [False, True], ids=["plain", "debias"])
@@ -1049,10 +1112,7 @@ def checked_and_scored(buyer, checked):
         return f"{type(checked).__name__}: {checked}"
     cross = None if checked._cross is None else checked._cross[1].tobytes()
     try:
-        # W2's own solve of a reply the check did not solve may overflow,
-        # and warns, as in a round
-        with np.errstate(over="ignore", invalid="ignore"):
-            score = wasserstein2_gaussian(buyer, checked).hex()
+        score = wasserstein2_gaussian(buyer, checked).hex()
     except (NumericInputError, NotPSDError, ConvergenceError) as exc:
         score = f"scoring failed: {type(exc).__name__}: {exc}"
     return checked.covariance.tobytes(), cross, score
