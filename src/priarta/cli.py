@@ -39,6 +39,7 @@ from .stats import EmbeddingSet
 # run_valuation_for_config is re-exported for library callers
 from .valuation import (  # noqa: F401
     OBJECTIVES,
+    _printable,
     load_report,
     render_csv,
     render_table,
@@ -162,7 +163,8 @@ def cmd_value(args) -> int:
     save_report(report, args.output)
     for entry_ in report.entries:
         if entry_.failed:
-            print(f"seller {entry_.node_id} failed: {entry_.failure_reason}", file=sys.stderr)
+            print(f"seller {_printable(entry_.node_id)} failed: "
+                  f"{_printable(entry_.failure_reason)}", file=sys.stderr)
     if not report.ranking:
         print("error: all sellers failed", file=sys.stderr)
         return 3
@@ -261,8 +263,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("PRIARTA_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
+    # getLevelName maps a level's name to its number, and any other text (an
+    # attribute of logging such as BASIC_FORMAT too) to the string "Level X".
+    level = logging.getLevelName(os.environ.get("PRIARTA_LOG", "WARNING").upper())
+    logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING,
                         format="%(name)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)

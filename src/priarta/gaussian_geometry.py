@@ -9,7 +9,9 @@ For any factor Sigma_a = F F^T the matrix F^T Sigma_b F is similar to
 Sigma_b Sigma_a, so the cross term is sum_i sqrt(lambda_i(F^T Sigma_b F))
 (Dowson & Landau 1982; Olkin & Pukelsheim 1982). Scoring therefore factors
 its left argument once, keeps F on that summary, and runs one symmetric
-eigenvalue solve per call.
+eigenvalue solve per pair. One private evaluator (_closed_form) writes the
+formula, for a stack of pairs with one left argument: W2 calls it on a stack
+of one, and a window of seller replies on its stack (see below).
 
 Every eigendecomposition runs through one private routine: numpy's eigh
 (or eigvalsh), in its ascending order, raising ConvergenceError when it
@@ -87,6 +89,20 @@ solved, and its reply takes the step uncertified. When the stacked solve
 fails, each symmetrized product of the stack is solved alone, so one
 hostile reply fails no other. The protocol decides how many replies a
 window holds (protocol._WINDOW_BYTES).
+
+The window also scores, in its stack, each reply it keeps as sent with its
+cross term: their certificate norms ||Sigma_b||_F^2 come from one stacked
+dot product, and their distances from one call of _closed_form, which takes
+the buyer's mean and trace once and every reply's trace from the stack the
+product was made from. Each term has the bits of that pair alone: numpy
+runs the same BLAS dot on each row of a stack (||mu_a - mu_b||^2 and the
+norms) and the same pairwise sums (the traces and the cross sum) as on that
+row alone, and the terms are added in W2's order, ((dd + tr_a) + tr_b) -
+2 s, elementwise. The distance is kept beside the cross term, and W2
+returns it for that buyer. A row W2 refuses (its cross term below the PSD
+floor, or a sum that is not finite) keeps no distance, and W2 refuses it
+again on a stack of one, as it refuses that pair alone. A debiased copy of
+a reply keeps no cross term, so W2 solves and scores it alone.
 """
 
 from dataclasses import dataclass
@@ -259,8 +275,9 @@ class GaussianSummary:
     __hash__ = _unhashable
     # Not fields, so eq, repr, asdict and replace ignore them. The constructor
     # sets ||F||_F^2 when its W2 factor F is a Cholesky factor;
-    # _checked_window sets (buyer, eigenvalues of the cross term) on a reply
-    # it checked against that buyer's factor.
+    # _checked_window sets (buyer, eigenvalues of the cross term, W2 distance
+    # or None) on a reply it kept as sent after checking it against that
+    # buyer's factor.
     _cholesky_norm2 = None
     _cross = None
 
@@ -297,6 +314,13 @@ class GaussianSummary:
         return _settled(self.covariance, "covariance of a", solvers=(True,))[1]
 
 
+def _squared_norms(stack: Array) -> Array:
+    """||S||_F^2 of each matrix S of a stack, as np.vdot(S, S) gives it: numpy
+    runs the same BLAS dot on each flattened row of a stack as on that row."""
+    flat = stack.reshape(len(stack), 1, -1)
+    return np.matmul(flat, flat.reshape(len(stack), -1, 1))[:, 0, 0]
+
+
 def _checked_window(buyer, replies) -> list:
     """Each seller reply (mean, sym, count) of a window, in order, as its
     trusted summary or the PriartaError its check raised: a finite mean, and
@@ -307,45 +331,53 @@ def _checked_window(buyer, replies) -> list:
     buyer is the round's summary, made by the public constructor. When
     count > d and the buyer's W2 factor is a Cholesky factor, the reply's
     cross term is solved in the window's one stack (see the module
-    docstring), and its eigenvalues certify the covariance and are kept for
-    W2. An uncertified covariance takes the _settled step, with no Cholesky
-    when count <= d (its rank is then below d) and eigvalsh first, and keeps
-    them only if it comes back unchanged. The check does not depend on how
-    the reply is scored: a debiased round checks it as sent too."""
-    dim, norm2, solved = buyer.dim, buyer._cholesky_norm2, {}
+    docstring), and its eigenvalues certify the covariance. An uncertified
+    covariance takes the _settled step, with no Cholesky when count <= d (its
+    rank is then below d) and eigvalsh first. A reply whose covariance comes
+    back as sent keeps its cross term for W2, beside its distance from the
+    buyer, which _closed_form computes for all such replies at once (None
+    when W2 refuses it). The check does not depend on how the reply is
+    scored: a debiased round checks it as sent too."""
+    dim, norm2, solved, stacked_squares = buyer.dim, buyer._cholesky_norm2, {}, {}
     stacked = [] if norm2 is None else [i for i, r in enumerate(replies) if r[2] > dim]
-    if stacked:
-        factor = buyer._covariance_factor
-        with np.errstate(over="ignore", invalid="ignore"):
-            products = factor.T @ np.array([replies[i][1] for i in stacked]) @ factor
+    # An overflow makes a product or a norm infinite: such a product is not
+    # solved, and W2's own solve of an uncertified reply fails as it would have.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if stacked:
+            factor = buyer._covariance_factor
+            covariances = np.array([replies[i][1] for i in stacked])
+            stacked_squares = dict(zip(stacked, _squared_norms(covariances).tolist()))
+            products = factor.T @ covariances @ factor
             in_range = np.abs(products).max(axis=(1, 2)) <= _HALF_MAX
-        if not in_range.all():
-            stacked = [i for i, kept in zip(stacked, in_range) if kept]
-            products = products[in_range]
-        products = (products + products.swapaxes(1, 2)) / 2.0
-        try:
-            solved = dict(zip(stacked, _eigh(products, "cross-covariance term",
-                                             vectors=False, psd=False)))
-        except ConvergenceError:  # each alone, so one hostile reply fails no other
-            for i, product in zip(stacked, products):
-                try:
-                    solved[i] = _eigh(product, "cross-covariance term", vectors=False, psd=False)
-                except ConvergenceError:
-                    pass
-    out = []
+            solvable = stacked
+            if not in_range.all():
+                solvable = [i for i, kept in zip(stacked, in_range) if kept]
+                products = products[in_range]
+            products = (products + products.swapaxes(1, 2)) / 2.0
+            try:
+                solved = dict(zip(solvable, _eigh(products, "cross-covariance term",
+                                                  vectors=False, psd=False)))
+            except ConvergenceError:  # each alone, so one hostile reply fails no other
+                for i, product in zip(solvable, products):
+                    try:
+                        solved[i] = _eigh(product, "cross-covariance term", vectors=False,
+                                          psd=False)
+                    except ConvergenceError:
+                        pass
+        squares = [stacked_squares[i] if i in stacked_squares
+                   else float(_squared_norms(sym[None])[0])
+                   for i, (_, sym, _) in enumerate(replies)]
+    out, scored = [], []
     for i, (mean, sym, count) in enumerate(replies):
         cross = solved.get(i)
         try:
-            # An overflow here makes the norm infinite, and W2's own solve of
-            # an uncertified reply warns and fails as it would have.
-            with np.errstate(over="ignore", invalid="ignore"):
-                frobenius = math.sqrt(float(np.vdot(sym, sym)))
-                # a Frobenius norm in range bounds every entry; else look at them
-                if not frobenius <= _HALF_MAX and not np.abs(sym).max() <= _HALF_MAX:
-                    raise NumericInputError("matrix entries overflow when symmetrized")
-                if frobenius * frobenius < _TINY:  # its squares underflow: scale first
-                    peak = float(np.abs(sym).max()) or 1.0
-                    frobenius = peak * math.sqrt(float(np.vdot(sym / peak, sym / peak)))
+            frobenius = math.sqrt(squares[i])
+            # a Frobenius norm in range bounds every entry; else look at them
+            if not frobenius <= _HALF_MAX and not np.abs(sym).max() <= _HALF_MAX:
+                raise NumericInputError("matrix entries overflow when symmetrized")
+            if frobenius * frobenius < _TINY:  # its squares underflow: scale first
+                peak = float(np.abs(sym).max()) or 1.0
+                frobenius = peak * math.sqrt(float(_squared_norms((sym / peak)[None])[0]))
             # A bound that overflowed to inf, or is NaN, certifies nothing.
             certified = cross is not None and float(cross[0]) >= (
                 (2.0 + _CERTIFY_MARGIN) * dim * _EPS * norm2 * frobenius
@@ -356,9 +388,72 @@ def _checked_window(buyer, replies) -> list:
                 out.append(_trusted(GaussianSummary, mean=mean, covariance=covariance,
                                     count=count))
             else:
-                cross.flags.writeable = False
-                out.append(_trusted(GaussianSummary, mean=mean, covariance=sym, count=count,
-                                    _cross=(buyer, cross)))
+                out.append(None)  # scored below
+                scored.append(i)
+        except PriartaError as exc:
+            out.append(exc)
+    if scored:
+        if len(scored) < len(stacked):
+            covariances = covariances[np.isin(stacked, scored)]
+        cross = np.array([solved[i] for i in scored])
+        distances = _closed_form(buyer, np.array([replies[i][0] for i in scored]),
+                                 covariances, cross)
+        for i, w, distance in zip(scored, cross, distances):
+            mean, sym, count = replies[i]
+            w.flags.writeable = False
+            out[i] = _trusted(GaussianSummary, mean=mean, covariance=sym, count=count,
+                              _cross=(buyer, w, distance if isinstance(distance, float)
+                                      else None))
+    return out
+
+
+def _equal_to(a: GaussianSummary, means: Array, covariances: Array) -> Array:
+    """Which summaries of a stack, by their means (k, d) and covariances
+    (k, d, d), equal a exactly: W2 puts them at distance 0.0, where the
+    formula's cancellation noise under the outer root would exceed the
+    identity tolerance."""
+    equal = (means == a.mean).all(axis=1)
+    for i in np.flatnonzero(equal):
+        equal[i] = np.array_equal(covariances[i], a.covariance)
+    return equal
+
+
+def _closed_form(a: GaussianSummary, means: Array, covariances: Array, cross: Array) -> list:
+    """The closed-form W2 distance from a to each summary of a stack, by
+    their means (k, d), their covariances (k, d, d) and the ascending
+    eigenvalues of their cross terms F^T Sigma_b F (k, d): for each, its
+    distance, or the PriartaError W2 raises for it. The one evaluator of the
+    formula: W2 calls it on a stack of one, and a window of replies on its
+    stack. Each row has the bits of that pair alone: numpy runs the same BLAS
+    dot, and the same sums, on each row of a stack as on that row.
+
+    A summary equal to a is at 0.0. Otherwise the cross term's noise
+    eigenvalues are clamped (NotPSDError below -PSD_TOL * lambda_max), and so
+    is the scalar under the outer root (NumericInputError when it is not
+    finite): all are nonnegative analytically but not numerically."""
+    equal = _equal_to(a, means, covariances)
+    # A summary near the float range may overflow here: the finiteness check
+    # below refuses it, so numpy's warning would only repeat the refusal.
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = a.mean - means
+        eigenvalues = np.maximum(cross, 0.0)
+        squared = (np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0]
+                   + np.trace(a.covariance)
+                   + np.trace(covariances, axis1=1, axis2=2)
+                   - 2.0 * np.sqrt(eigenvalues).sum(axis=1))
+        clamped = np.maximum(squared, 0.0)
+        distances = np.sqrt(clamped).tolist()
+    rows = zip(equal.tolist(), (cross[:, 0] < 0.0).tolist(), np.isfinite(squared).tolist(),
+               distances)
+    out = []
+    for i, (same, negative, finite, distance) in enumerate(rows):
+        try:
+            if not same:
+                if negative:  # only a negative eigenvalue can lie below the floor
+                    _psd_floor(cross[i], "cross-covariance term")
+                if not finite:
+                    raise NumericInputError("non-finite intermediate in Wasserstein computation")
+            out.append(0.0 if same else distance)
         except PriartaError as exc:
             out.append(exc)
     return out
@@ -393,38 +488,28 @@ def wasserstein2_gaussian(a: GaussianSummary, b: GaussianSummary) -> float:
 
     The cross term is the sum of square roots of the eigenvalues of
     F^T Sigma_b F, with F the cached factor of Sigma_a. That matrix is
-    re-symmetrized before its eigenvalue solve, its noise eigenvalues are
-    clamped, and the scalar under the outer root is clamped at 0: all are
-    nonnegative/symmetric analytically but not numerically. A reply that
-    _checked_window certified against a itself brings those eigenvalues
-    with it, and they are not solved again.
+    re-symmetrized before its eigenvalue solve; the formula itself is
+    _closed_form's, on a stack of one. A reply that _checked_window kept
+    against a itself brings those eigenvalues with it, and the distance its
+    window computed from them: they are not solved or computed again.
     """
     if a.dim != b.dim:
         raise ShapeError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    if np.array_equal(a.mean, b.mean) and np.array_equal(a.covariance, b.covariance):
-        # identical summaries are exactly at distance 0; the formula's
-        # cancellation noise under the outer root would exceed the identity
-        # tolerance otherwise
+    kept = b._cross
+    if kept is not None and kept[0] is a:
+        if kept[2] is not None:
+            return kept[2]
+        w = kept[1]  # its window refused it: refuse it again, as alone
+    elif _equal_to(a, b.mean[None], b.covariance[None])[0]:
         return 0.0
-    # A reply near the float range may overflow here. symmetrize refuses a
-    # non-finite product and the isfinite check below any other overflow, so
-    # numpy's warning would only repeat the refusal.
-    with np.errstate(over="ignore", invalid="ignore"):
-        if b._cross is not None and b._cross[0] is a:
-            w = b._cross[1]
-        else:
-            factor = a._covariance_factor
+    else:
+        factor = a._covariance_factor
+        # symmetrize refuses a product that overflowed, so numpy's warning
+        # would only repeat the refusal
+        with np.errstate(over="ignore", invalid="ignore"):
             w = _eigh(symmetrize(factor.T @ b.covariance @ factor), "cross-covariance term",
                       vectors=False, psd=False)
-        _psd_floor(w, "cross-covariance term")
-        eigenvalues = np.maximum(w, 0.0)
-        diff = a.mean - b.mean
-        squared = (
-            float(diff @ diff)
-            + float(np.trace(a.covariance))
-            + float(np.trace(b.covariance))
-            - 2.0 * float(np.sqrt(eigenvalues).sum())
-        )
-    if not math.isfinite(squared):
-        raise NumericInputError("non-finite intermediate in Wasserstein computation")
-    return math.sqrt(max(squared, 0.0))
+    (distance,) = _closed_form(a, b.mean[None], b.covariance[None], w[None])
+    if isinstance(distance, PriartaError):
+        raise distance
+    return distance

@@ -365,8 +365,18 @@ def _rank_map(report: ValuationReport) -> dict:
     return {node_id: i + 1 for i, node_id in enumerate(report.ranking)}
 
 
+def _printable(text: str) -> str:
+    """text for a terminal: each character str.isprintable rejects (a newline,
+    ESC and the other controls, a bidi override) written as its repr escape,
+    so a seller's failure text cannot start a line or send a control."""
+    if text.isprintable():
+        return text
+    return "".join(c if c.isprintable() else repr(c)[1:-1] for c in text)
+
+
 def render_table(report: ValuationReport) -> str:
-    """Aligned columns: node_id | raw_w2 | normalized | rank."""
+    """Aligned columns: node_id | raw_w2 | normalized | rank. Node ids and
+    failure reasons are printed by _printable, one line each."""
     ranks = _rank_map(report)
     ordered = sorted(
         report.entries,
@@ -375,9 +385,9 @@ def render_table(report: ValuationReport) -> str:
     rows = [("node_id", "raw_w2", "normalized", "rank")]
     for e in ordered:
         if e.failed:
-            rows.append((e.node_id, "-", "-", "-"))
+            rows.append((_printable(e.node_id), "-", "-", "-"))
         else:
-            rows.append((e.node_id, f"{e.raw_w2:.6f}", f"{e.normalized:.6f}",
+            rows.append((_printable(e.node_id), f"{e.raw_w2:.6f}", f"{e.normalized:.6f}",
                          str(ranks[e.node_id])))
     widths = [max(len(row[col]) for row in rows) for col in range(4)]
     lines = []
@@ -385,14 +395,14 @@ def render_table(report: ValuationReport) -> str:
         lines.append("  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip())
     for e in ordered:
         if e.failed:
-            lines.append(f"failed: {e.node_id}: {e.failure_reason}")
+            lines.append(f"failed: {_printable(e.node_id)}: {_printable(e.failure_reason)}")
     if report.degenerate_normalization:
         lines.append("note: all raw scores identical; normalized scores degenerate to 0")
     if report.robustness is not None:
         lines.append("")
         lines.append("robustness (|baseline_w2 - augmented_w2|):")
         for r in report.robustness:
-            lines.append(f"  {r.node_id}: baseline {r.baseline_w2!r}, "
+            lines.append(f"  {_printable(r.node_id)}: baseline {r.baseline_w2!r}, "
                          f"augmented {r.augmented_w2!r}, deviation {r.deviation!r}")
     return "\n".join(lines) + "\n"
 

@@ -23,6 +23,7 @@ from priarta import (
 from priarta import cli
 from priarta.cli import _parse_hostport, main, run_valuation_for_config
 from priarta.fileio import read_raw_dataset, save_json, write_embeddings
+from priarta.protocol import ErrorMessage, InProcessChannel, encode_frame
 from priarta.valuation import dumps_report, robustness_for_config
 
 from conftest import HOSTILE_INPUTS, HOSTILE_JSON, HOSTILE_VALUES, package_env
@@ -329,6 +330,55 @@ def test_report_corrupt_file_exits_1(tmp_path, capsys):
     bad.write_text("{broken")
     assert run_cli("report", "--input", str(bad)) == 1
     assert "byte" in capsys.readouterr().err
+
+
+# A seller's failure text that would forge a line of the CLI's own output and
+# clear the terminal, with a C1 control and a bidi override besides.
+FORGED = "boom\nseller seller-2 failed: forged line\x1b[2J\x9b‮"
+FORGED_SHOWN = "boom\\nseller seller-2 failed: forged line\\x1b[2J\\x9b\\u202e"
+
+
+class ForgingChannel(InProcessChannel):
+    """An in-process seller that answers every request with an INTERNAL
+    ERROR carrying FORGED."""
+
+    def _received(self, frame):
+        return super()._received(encode_frame(ErrorMessage("INTERNAL", FORGED, "sess-0")))
+
+
+def test_a_sellers_failure_text_prints_escaped_on_one_line(scenario_dir, tmp_path, capsys,
+                                                          monkeypatch):
+    def endpoints(nodes):
+        return [(n.node_id, lambda n=n: (ForgingChannel if n.node_id == "seller-1"
+                                         else InProcessChannel)(n)) for n in nodes]
+
+    monkeypatch.setattr(cli, "in_process_endpoints", endpoints)
+    out = tmp_path / "report.json"
+    assert run_cli(*value_args(scenario_dir, out)) == 0
+    assert capsys.readouterr().err == f"seller seller-1 failed: INTERNAL: {FORGED_SHOWN}\n"
+    assert load_report(out).entry("seller-1").failure_reason == f"INTERNAL: {FORGED}"
+
+    assert run_cli("report", "--input", str(out)) == 0
+    table = capsys.readouterr().out
+    assert all(line.isprintable() for line in table.splitlines())
+    failed = [line for line in table.splitlines() if "failed" in line]
+    assert failed == [f"failed: seller-1: INTERNAL: {FORGED_SHOWN}"]
+    # the csv module quotes the newline and passes the controls through
+    assert run_cli("report", "--input", str(out), "--format", "csv") == 0
+    assert f'"INTERNAL: {FORGED}"' in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("value", ["basic_format", "nonsense", "debug"])
+def test_priarta_log_takes_only_a_level_name(tmp_path, value):
+    # In a child process: under pytest the root logger has handlers already,
+    # so basicConfig would ignore the level here.
+    env = dict(package_env(), PRIARTA_LOG=value)
+    proc = subprocess.run([sys.executable, "-m", "priarta.cli", "report", "--input",
+                           str(tmp_path / "missing.json")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error: ") and "No such file" in proc.stderr, proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
 
 
 # --------------------------------------------------------------- robustness

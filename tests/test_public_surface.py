@@ -338,6 +338,43 @@ def test_the_cross_term_scans_see_every_place(tmp_path):
     assert reply_loop_decompositions(source) == ["_eigh", "_settled", "eigh"]
 
 
+def trace_takers(path):
+    """In a source file: the function around each call of trace, under any
+    module prefix or as a method (None at module level)."""
+    return node_readers(path, lambda node: isinstance(node, ast.Call)
+                        and ast.unparse(node.func).split(".")[-1] == "trace")
+
+
+def test_one_evaluator_writes_the_w2_closed_form():
+    # gaussian_geometry._closed_form is the one place the W2 formula is
+    # written, the one taker of a trace: W2 calls it on a stack of one, and
+    # a window of replies on its stack.
+    package = Path(priarta.__file__).parent
+
+    def readers(scan):
+        return {f"{path.stem}.{owner}" for path in sorted(package.glob("*.py"))
+                for owner in scan(path)}
+
+    assert readers(trace_takers) == {"gaussian_geometry._closed_form"}
+    assert readers(lambda path: name_readers(path, "_closed_form")) == {
+        "gaussian_geometry._checked_window", "gaussian_geometry.wasserstein2_gaussian"}
+
+
+def test_the_trace_scan_sees_every_place(tmp_path):
+    source = tmp_path / "module.py"
+    source.write_text(
+        "t = np.trace(c)\n"
+        "def w2(a, b):\n"
+        "    return numpy.trace(a) + b.trace() + trace(a, axis1=1, axis2=2)\n"
+        "class Window:\n"
+        "    def score(self, c):\n"
+        "        def inner():\n"
+        "            return np.linalg.trace(c)\n"
+        "        return inner, np.traces(c), np.trace, c.diagonal().sum()\n"
+    )
+    assert trace_takers(source) == [None, "w2", "w2", "w2", "inner"]
+
+
 FACTOR_CACHE = ("_covariance_factor", "_cholesky_norm2")
 
 

@@ -5,6 +5,7 @@ import importlib.util
 import json
 import math
 from pathlib import Path
+import statistics
 import subprocess
 import sys
 
@@ -63,6 +64,9 @@ def test_buyer_time_script_replays_a_round_to_the_live_report():
     assert len(out["live_round_s"]) == len(out["replay_round_s"]) == 2
     assert out["best_replay_round_s"] == min(out["replay_round_s"]) > 0
     assert out["buyer_us_per_seller"] == out["best_replay_round_s"] / 3 * 1e6
+    assert out["median_live_round_s"] == statistics.median(out["live_round_s"]) > 0
+    assert out["median_replay_round_s"] == statistics.median(out["replay_round_s"])
+    assert out["buyer_us_per_seller_median"] == out["median_replay_round_s"] / 3 * 1e6
     # the digest of the report that the same set-up writes in this process
     spec = importlib.util.spec_from_file_location("buyer_time", TOOLS / "buyer_time.py")
     buyer_time = importlib.util.module_from_spec(spec)

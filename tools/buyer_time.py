@@ -16,9 +16,11 @@ master seed 7 and one BLAS thread. At another --dim the input is max(16, d)
 wide with max(8, d) signal coordinates (the extra ones centred at 0), so the
 buyer's covariance stays full rank. The first round makes the buyer's own
 summary and is not timed. The output holds each round's wall time, the best
-of each kind, the buyer's microseconds per seller in the best replayed round,
-and the sha256 of the live report's bytes: one run both times a --dim and
-shows whether a change kept that report's bits.
+and the median of each kind, the buyer's microseconds per seller in the best
+and in the median replayed round, and the sha256 of the live report's bytes:
+one run both times a --dim and shows whether a change kept that report's
+bits. The medians are there for a host whose speed drifts between runs,
+where the best of one run and of the next may not compare.
 
     PYTHONPATH=src python tools/buyer_time.py [--sellers 250] [--dim 4] [--rounds 15]
 """
@@ -27,6 +29,7 @@ import argparse
 import hashlib
 import json
 import os
+import statistics
 import sys
 import time
 
@@ -132,6 +135,9 @@ def main(argv=None) -> int:
         "live_round_s": live_s, "replay_round_s": replay_s,
         "best_live_round_s": min(live_s), "best_replay_round_s": min(replay_s),
         "buyer_us_per_seller": min(replay_s) / args.sellers * 1e6,
+        "median_live_round_s": statistics.median(live_s),
+        "median_replay_round_s": statistics.median(replay_s),
+        "buyer_us_per_seller_median": statistics.median(replay_s) / args.sellers * 1e6,
         "reports_match": True,
         "report_sha256": hashlib.sha256(live_report.encode("utf-8")).hexdigest(),
     }, sys.stdout, indent=1)
